@@ -31,10 +31,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-from . import d21
+from . import d21, linalg
 from .d21 import BASIS_NAMES, PARITY
-from .linalg import SpanTracker, poly_rank
-from .scalars import POLY_ONE, S_HALF, Scalar, poly_lcm
+from .linalg import SpanTracker, clear_denominators, column_rows, poly_rank
+from .scalars import S_HALF, Scalar
 from .symbols import SYM_ZERO, Symbol
 
 TARGETS = ("P", "P+", "K4", "K4'")
@@ -364,26 +364,6 @@ def _d0_columns(block: BlockSpec, engine: Engine):
     return mon0, columns
 
 
-def _to_poly_row(row: dict) -> dict:
-    """Clear denominators of a scalar row (rescaling preserves rank)."""
-    lcm = POLY_ONE
-    for c in row.values():
-        if c.bn.c:
-            raise ValueError("unexpected s in a cochain matrix")
-        if not c.ad.is_one():
-            lcm = poly_lcm(lcm, c.ad)
-    return {j: c.an * lcm.exact_div(c.ad) for j, c in row.items()}
-
-
-def _vectors_to_poly_rows(columns):
-    """Transpose coordinate vectors into sparse polynomial rows."""
-    rows: dict = {}
-    for j, vec in enumerate(columns):
-        for rk, c in vec.items():
-            rows.setdefault(rk, {})[j] = c
-    return [_to_poly_row(row) for row in rows.values()]
-
-
 @dataclass
 class CohomologyReport:
     """Dimensions and witnesses for one block."""
@@ -428,45 +408,34 @@ def h1_block(block: BlockSpec, engine: Engine | None = None, representatives: bo
     if not slots:
         return CohomologyReport(block, 0, 0, 0, [], [])
     ncols = len(columns)
-    rank_d1, pivots1 = poly_rank(_vectors_to_poly_rows(columns), ncols)
+    rank_d1, pivots1 = poly_rank(column_rows(columns), ncols)
     dim_z = ncols - rank_d1
 
     mon0, bcols = _d0_columns(block, engine)
     col_index = {slot: i for i, slot in enumerate(slots)}
     bcols_indexed = []
     for vec in bcols:
-        out = {}
-        for (name, mk), c in vec.items():
-            slot = (name, mk)
-            if slot not in col_index:
-                raise AssertionError(
-                    "coboundary leaves the enumerated block: %s %s" % (name, mk)
-                )
-            out[col_index[slot]] = c
-        bcols_indexed.append(out)
+        missing = vec.keys() - col_index.keys()
+        if missing:
+            raise AssertionError("coboundary leaves the enumerated block: %s %s" % min(missing))
+        bcols_indexed.append({col_index[slot]: c for slot, c in vec.items()})
     rank_d0, pivots0 = poly_rank(
-        [_to_poly_row(v) for v in bcols_indexed if v], ncols
+        [clear_denominators(v)[0] for v in bcols_indexed if v], ncols
     )
     dim_h1 = dim_z - rank_d0
     if dim_h1 < 0:
         raise AssertionError("negative H^1 dimension in block %s" % (block,))
 
-    pivot_polys = []
-    seen = set()
-    for p in pivots1 + pivots0:
-        if str(p) not in seen:
-            seen.add(str(p))
-            pivot_polys.append(p)
+    pivot_polys = list({str(p): p for p in pivots1 + pivots0}.values())
 
     reps = []
     if representatives and dim_h1 > 0:
-        from .linalg import kernel_basis
-
-        kvecs = kernel_basis(columns)
+        kvecs = linalg.kernel_basis(columns)
         tracker = SpanTracker()
         for i, vec in enumerate(bcols_indexed):
             tracker.insert(vec, ("b", i))
-        for kv in kvecs:
+        # sparsest kernel vectors first, so representatives come out short
+        for kv in sorted(kvecs, key=len):
             if len(reps) == dim_h1:
                 break
             if tracker.insert(kv, ("z", len(reps))):
@@ -483,13 +452,7 @@ def h1_scan(k_range, n_range, target: str, engine: Engine | None = None, represe
         blocks = [BlockSpec(2, n, target) for n in n_range]
     else:
         blocks = [BlockSpec(k, n, target) for k in k_range for n in n_range]
-    reports = []
-    for block in blocks:
-        rpt = h1_block(block, engine, representatives=False)
-        if rpt.dim_h1 and representatives:
-            rpt = h1_block(block, engine, representatives=True)
-        reports.append(rpt)
-    return reports
+    return [h1_block(block, engine, representatives=representatives) for block in blocks]
 
 
 # ---------------------------------------------------------------------------
@@ -583,6 +546,13 @@ def named_cocycle(name: str) -> Cochain1:
 # ---------------------------------------------------------------------------
 
 
+def _cochain_vector(c: Cochain1) -> dict:
+    """Coordinates (name, monomial key) -> Scalar of a cochain."""
+    return {
+        (name, mk): coeff for name, img in c.images.items() for mk, coeff in img.terms.items()
+    }
+
+
 def is_coboundary(c: Cochain1, engine: Engine | None = None, block: BlockSpec | None = None):
     """A module element m with d0(m) = c, or None.
 
@@ -596,12 +566,7 @@ def is_coboundary(c: Cochain1, engine: Engine | None = None, block: BlockSpec | 
     tracker = SpanTracker()
     for i, vec in enumerate(bcols):
         tracker.insert(vec, i)
-    target = {
-        (name, mk): coeff
-        for name, img in c.images.items()
-        for mk, coeff in img.terms.items()
-    }
-    expr = tracker.express(target)
+    expr = tracker.express(_cochain_vector(c))
     if expr is None:
         return None
     out = SYM_ZERO
@@ -619,20 +584,10 @@ def express_modulo_coboundaries(c: Cochain1, generators, block: BlockSpec, engin
     mon0, bcols = _d0_columns(block, engine)
     tracker = SpanTracker()
     for j, gen in enumerate(generators):
-        vec = {
-            (name, mk): coeff
-            for name, img in gen.images.items()
-            for mk, coeff in img.terms.items()
-        }
-        tracker.insert(vec, ("g", j))
+        tracker.insert(_cochain_vector(gen), ("g", j))
     for i, vec in enumerate(bcols):
         tracker.insert(vec, ("m", i))
-    target = {
-        (name, mk): coeff
-        for name, img in c.images.items()
-        for mk, coeff in img.terms.items()
-    }
-    expr = tracker.express(target)
+    expr = tracker.express(_cochain_vector(c))
     if expr is None:
         return None
     coeffs = [Scalar.from_fraction(0)] * len(generators)

@@ -1,242 +1,283 @@
-"""Exact linear algebra over Q[alpha] and Q(alpha) for the cochain blocks.
+"""Exact linear algebra over Q[alpha] for the cochain blocks.
 
-Rank computations run fraction-free over the polynomial ring (a singleton
-cascade knocks out the many one-entry rows these block matrices have, then
-Bareiss elimination finishes the dense core), recording every pivot
-polynomial.  The roots of a pivot are the only alpha values at which a
+One sparse fraction-free elimination serves ranks, kernels, span tests and
+solve certificates.  Pivots are chosen by cost (Markowitz, Management
+Sci. 3, 1957): constant before polynomial, then lower degree, then lower
+(row length - 1) * (column count - 1), with column counts kept up to date.
+Constant pivots are scaled to 1 and eliminate with rational row operations;
+polynomial pivots cross-multiply (Bareiss, Math. Comp. 22, 1968, without his
+exact division: these blocks meet few of them), so every entry stays in
+Q[alpha].  Content and gcd are removed once per output vector.
+
+The roots of the polynomial pivots are the only alpha values at which a
 specialized rank may drop, so the pivot list doubles as the exceptional-
-parameter report.
-
-Solving and kernel extraction run over the fraction field via a span
-tracker that remembers how each reduced vector combines the inserted ones,
-which hands back certificates (preimages, expansion coefficients) for free.
+parameter report; which polynomials appear depends on the pivot order.
 """
 
 from __future__ import annotations
 
-from .scalars import AlphaPoly, POLY_ONE, Scalar
+from itertools import count
+
+from .scalars import POLY_ONE, POLY_ZERO, Scalar, poly_gcd, poly_lcm
 
 
-def scalar_to_poly(c: Scalar) -> AlphaPoly:
-    """The numerator of a denominator-free, s-free scalar."""
-    if c.bn.c or not c.ad.is_one():
-        raise ValueError("expected a polynomial scalar, got %s" % (c,))
-    return c.an
+def clear_denominators(row: dict):
+    """(row times the lcm of its denominators, that lcm) for a row of s-free
+    scalars; the product is a polynomial row without zero entries."""
+    den = None
+    for c in row.values():
+        if c.bn.c:
+            raise ValueError("rank over Q(alpha) only, got s term")
+        if not c.ad.is_one():
+            den = c.ad if den is None else poly_lcm(den, c.ad)
+    if den is None:  # every denominator is 1, the common case
+        return {j: c.an for j, c in row.items() if c.an.c}, POLY_ONE
+    return {j: c.an * den.exact_div(c.ad) for j, c in row.items() if c.an.c}, den
 
 
-def _normalize_pivot(p: AlphaPoly) -> AlphaPoly:
-    """Monic, content-free copy of a pivot for reporting."""
-    return p.monic()
+def column_rows(columns) -> list:
+    """Polynomial rows of the matrix whose i-th column is ``columns[i]``
+    (a dict key -> Scalar); row entries are indexed by column number."""
+    rows: dict = {}
+    for j, vec in enumerate(columns):
+        for key, c in vec.items():
+            rows.setdefault(key, {})[j] = c
+    return [clear_denominators(row)[0] for row in rows.values()]
+
+
+def _add_multiple(target: dict, source: dict, factor, occupancy=None, rid=None):
+    """target += factor * source, dropping zeros; ``occupancy`` (col -> set
+    of row ids) follows the entries of row ``rid`` that appear or vanish."""
+    f = factor.c[0] if factor.is_constant() else None
+    for c, p in source.items():
+        add = p.scaled(f) if f is not None else p * factor
+        old = target.get(c)
+        if old is None:
+            target[c] = add
+            if occupancy is not None:
+                occupancy.setdefault(c, set()).add(rid)
+            continue
+        new = old + add
+        if new.c:
+            target[c] = new
+        else:
+            del target[c]
+            if occupancy is not None:
+                occupancy[c].discard(rid)
+
+
+def _eliminate(row, comb, col, piv, prow, pcomb, occupancy=None, rid=None):
+    """row <- piv * row - row[col] * prow (piv * omitted when it is 1), and
+    the same on ``comb``; returns piv, the factor row was multiplied by."""
+    neg = -row.pop(col)
+    if not piv.is_one():
+        for d in (row, comb):
+            for c in d:
+                d[c] = piv * d[c]
+    _add_multiple(row, prow, neg, occupancy, rid)
+    _add_multiple(comb, pcomb, neg)
+    return piv
+
+
+class _Elimination:
+    """Fraction-free row echelon form, grown one cheapest pivot at a time.
+
+    ``pivots`` holds (col, piv, row, comb) in pivot order, ``piv`` being 1
+    for constant pivots and each row free of the earlier pivot columns, so
+    reducing in that order clears them all.  ``comb`` (tag -> poly, empty
+    when no tags are kept) is the combination of inserted vectors a row
+    equals.  Rows still waiting sit in ``work``, indexed by column in
+    ``occupancy``; ``singles`` holds those of length one."""
+
+    def __init__(self):
+        self.pivots = []
+        self.work = {}
+        self.occupancy = {}
+        self.singles = set()
+        self._ids = count()
+
+    def add(self, row: dict, comb: dict):
+        rid = next(self._ids)
+        self.work[rid] = (row, comb)
+        for col in row:
+            self.occupancy.setdefault(col, set()).add(rid)
+        if len(row) == 1:
+            self.singles.add(rid)
+
+    def add_rows(self, rows):
+        """Queue copies of polynomial rows, without their zero entries."""
+        for r in rows:
+            row = {c: p for c, p in r.items() if p.c}
+            if row:
+                self.add(row, {})
+
+    def _choose(self):
+        """(row id, col) minimizing (degree, Markowitz cost) over waiting rows."""
+        work, occupancy = self.work, self.occupancy
+        for rid in self.singles:
+            ((col, p),) = work[rid][0].items()
+            if p.is_constant():
+                return rid, col
+        best = cost = None
+        for col in sorted(occupancy, key=lambda c: len(occupancy[c])):
+            k = len(occupancy[col]) - 1
+            # no constant single is left, so a constant entry in this column
+            # or a later one costs at least k
+            if cost is not None and cost <= k:
+                break
+            for rid in occupancy[col]:
+                row = work[rid][0]
+                c = (len(row) - 1) * k
+                if (cost is None or c < cost) and row[col].is_constant():
+                    best, cost = (rid, col), c
+        if best is not None:
+            return best
+
+        def key(entry):
+            row = work[entry[0]][0]
+            return max(row[entry[1]].c), (len(row) - 1) * (len(occupancy[entry[1]]) - 1)
+
+        return min(((rid, col) for col, rids in occupancy.items() for rid in rids), key=key)
+
+    def step(self):
+        """Pivot on the cheapest entry and clear its column from the other
+        waiting rows; returns the pivot as found."""
+        rid, col = self._choose()
+        work, occupancy, singles = self.work, self.occupancy, self.singles
+        row, comb = work.pop(rid)
+        singles.discard(rid)
+        found = row.pop(col)
+        for c in row:
+            occupancy[c].discard(rid)
+        touched = occupancy.pop(col)
+        touched.discard(rid)
+        piv = found
+        if found.is_constant():
+            piv = POLY_ONE
+            inv = 1 / found.c[0]
+            row = {c: p.scaled(inv) for c, p in row.items()}
+            comb = {t: p.scaled(inv) for t, p in comb.items()}
+        for tid in touched:
+            trow, tcomb = work[tid]
+            _eliminate(trow, tcomb, col, piv, row, comb, occupancy, tid)
+            if len(trow) == 1:
+                singles.add(tid)
+            else:
+                singles.discard(tid)
+                if not trow:
+                    del work[tid]
+        self.pivots.append((col, piv, row, comb))
+        return found
+
+    def forward(self) -> list:
+        """Pivot until no row waits; the pivots as found, in order."""
+        found = []
+        while self.work:
+            found.append(self.step())
+        return found
+
+    def reduce(self, row: dict, comb, scale=POLY_ONE):
+        """Clear every pivot column from ``row`` (and ``comb``) in place;
+        returns ``scale`` times the factors row was multiplied by."""
+        for col, piv, prow, pcomb in self.pivots:
+            if col in row:
+                scale = scale * _eliminate(row, comb, col, piv, prow, pcomb)
+        return scale
+
+    def back_substitute(self):
+        """Clear each pivot column from the pivot rows before it."""
+        pivots = self.pivots
+        for k in range(len(pivots) - 1, 0, -1):
+            col, piv, prow, pcomb = pivots[k]
+            for j in range(k):
+                jcol, jpiv, jrow, jcomb = pivots[j]
+                if col in jrow:
+                    jpiv = jpiv * _eliminate(jrow, jcomb, col, piv, prow, pcomb)
+                    pivots[j] = (jcol, jpiv, jrow, jcomb)
 
 
 def poly_rank(rows, ncols, collect_pivots=True):
-    """Rank of sparse rows (dicts col -> AlphaPoly) over Q(alpha).
+    """Rank of sparse rows (dicts col -> AlphaPoly) over Q(alpha), forward
+    elimination only.
 
     Returns (rank, pivots) where pivots are the monic non-constant pivot
-    polynomials encountered (duplicates removed, order preserved).  The
-    elimination prefers singleton rows and constant pivots (plain rational
-    row operations, no degree growth); the few genuinely polynomial pivots
-    use division-free cross-multiplication.
+    polynomials met (duplicates removed, order preserved).
     """
-    work = {}
-    seen_rows = set()
-    next_id = 0
-    occupancy: dict = {}
-    for r in rows:
-        if not r:
-            continue
-        sig = frozenset(r.items())
-        if sig in seen_rows:
-            continue
-        seen_rows.add(sig)
-        work[next_id] = dict(r)
-        for col in r:
-            occupancy.setdefault(col, set()).add(next_id)
-        next_id += 1
-
-    rank = 0
-    pivots = []
-    seen_piv = set()
-
-    def record(p: AlphaPoly):
-        if not collect_pivots or p.degree() < 1:
-            return
-        q = _normalize_pivot(p)
-        key = str(q)
-        if key not in seen_piv:
-            seen_piv.add(key)
-            pivots.append(q)
-
-    while work:
-        # pick the cheapest pivot: constant before polynomial, then low
-        # degree, then short rows
-        best = None
-        for rid, row in work.items():
-            for col, p in row.items():
-                d = p.degree()
-                key = (d > 0, d, len(row))
-                if best is None or key < best[0]:
-                    best = (key, rid, col)
-            if best[0][:2] == (False, 0) and best[0][2] == 1:
-                break
-        _, rid, col = best
-        prow = work.pop(rid)
-        piv = prow.pop(col)
-        record(piv)
-        rank += 1
-        for c in prow:
-            occupancy[c].discard(rid)
-        touched = occupancy.pop(col, set())
-        touched.discard(rid)
-        constant_piv = piv.degree() == 0
-        inv = (1 / piv.leading()) if constant_piv else None
-        zero = AlphaPoly({})
-        for tid in touched:
-            trow = work[tid]
-            head = trow.pop(col)
-            if constant_piv:
-                mult = head.scaled(-inv)  # t += mult * prow
-                if mult.degree() == 0:
-                    s = mult.leading()
-                    updates = {c: p.scaled(s) for c, p in prow.items()}
-                else:
-                    updates = {c: p * mult for c, p in prow.items()}
-            else:
-                # t = piv * t - head * prow  (division-free)
-                for c in list(trow):
-                    trow[c] = piv * trow[c]
-                updates = {c: -(head * p) for c, p in prow.items()}
-            for c, add in updates.items():
-                nv = trow.get(c, zero) + add
-                if nv.c:
-                    trow[c] = nv
-                    occupancy.setdefault(c, set()).add(tid)
-                elif c in trow:
-                    del trow[c]
-                    occupancy[c].discard(tid)
-            if not trow:
-                del work[tid]
-    return rank, pivots
+    elim = _Elimination()
+    elim.add_rows(rows)
+    found = elim.forward()
+    monic = (p.monic() for p in found if collect_pivots and p.degree() > 0)
+    return len(found), list({str(q): q for q in monic}.values())
 
 
 def rank_of_scalar_rows(rows, ncols) -> int:
-    """Rank of rows of s-free scalars, clearing denominators row by row."""
-    from .scalars import poly_lcm
-
-    poly_rows = []
-    for row in rows:
-        entries = {col: c for col, c in row.items() if c}
-        if not entries:
-            continue
-        lcm = POLY_ONE
-        for c in entries.values():
-            if c.bn.c:
-                raise ValueError("rank over Q(alpha) only, got s term")
-            if not c.ad.is_one():
-                lcm = poly_lcm(lcm, c.ad)
-        poly_rows.append(
-            {col: c.an * lcm.exact_div(c.ad) for col, c in entries.items()}
-        )
-    rank, _ = poly_rank(poly_rows, ncols, collect_pivots=False)
-    return rank
+    """Rank of rows of s-free scalars over Q(alpha)."""
+    return poly_rank([clear_denominators(r)[0] for r in rows], ncols, collect_pivots=False)[0]
 
 
-class SpanTracker:
-    """Incremental reduced span of vectors over the scalar field.
+class SpanTracker(_Elimination):
+    """Incremental span of vectors (dicts key -> s-free Scalar) over Q(alpha).
 
-    Vectors are dicts key -> Scalar over any hashable key space.  Inserting
-    remembers the combination of original vectors each stored pivot row
-    represents, so ``express`` returns exact coefficients when a query lies
-    in the span.
+    An inserted vector is reduced against the pivot rows kept so far and,
+    when something is left, pivots by the core's rule.  Rows remember the
+    combination of inserted vectors they equal, so ``express`` returns
+    exact coefficients when a query lies in the span.
     """
-
-    def __init__(self):
-        self.rows = {}  # pivot key -> (vector, combination dict tag -> Scalar)
-
-    def _reduce(self, vec: dict, comb: dict):
-        vec = dict(vec)
-        for pivot, (row, row_comb) in self.rows.items():
-            c = vec.get(pivot)
-            if not c:
-                continue
-            for k, v in row.items():
-                nv = vec.get(k, _ZERO) - c * v
-                if nv:
-                    vec[k] = nv
-                else:
-                    vec.pop(k, None)
-            for tag, v in row_comb.items():
-                nv = comb.get(tag, _ZERO) - c * v
-                if nv:
-                    comb[tag] = nv
-                else:
-                    comb.pop(tag, None)
-        return vec, comb
 
     def insert(self, vec: dict, tag) -> bool:
         """Add a vector; True when it enlarged the span."""
-        vec = {k: v for k, v in vec.items() if v}
-        comb = {tag: Scalar.from_fraction(1)}
-        vec, comb = self._reduce(vec, comb)
-        if not vec:
+        row, den = clear_denominators(vec)
+        comb = {tag: den}
+        self.reduce(row, comb)
+        if not row:
             return False
-        pivot = next(iter(vec))
-        inv = vec[pivot].inv()
-        vec = {k: v * inv for k, v in vec.items()}
-        comb = {k: v * inv for k, v in comb.items()}
-        # back-substitute into stored rows to keep the tracker reduced
-        for p, (row, row_comb) in list(self.rows.items()):
-            c = row.get(pivot)
-            if not c:
-                continue
-            new_row = dict(row)
-            for k, v in vec.items():
-                nv = new_row.get(k, _ZERO) - c * v
-                if nv:
-                    new_row[k] = nv
-                else:
-                    new_row.pop(k, None)
-            new_comb = dict(row_comb)
-            for k, v in comb.items():
-                nv = new_comb.get(k, _ZERO) - c * v
-                if nv:
-                    new_comb[k] = nv
-                else:
-                    new_comb.pop(k, None)
-            self.rows[p] = (new_row, new_comb)
-        self.rows[pivot] = (vec, comb)
+        self.add(row, comb)
+        self.step()
         return True
 
     def express(self, vec: dict):
         """Coefficients {tag: Scalar} with vec = sum coeff * inserted[tag],
         or None when the vector is outside the span."""
-        vec = {k: v for k, v in vec.items() if v}
-        residual, comb = self._reduce(vec, {})
-        if residual:
+        row, den = clear_denominators(vec)
+        comb: dict = {}
+        # row = den * vec + sum comb[t] * inserted[t] throughout
+        den = self.reduce(row, comb, den)
+        if row:
             return None
-        return {tag: -v for tag, v in comb.items()}
+        return {t: Scalar(-p, den, POLY_ZERO, POLY_ONE) for t, p in comb.items()}
 
     def rank(self) -> int:
-        return len(self.rows)
+        return len(self.pivots)
 
 
-_ZERO = Scalar.from_fraction(0)
-
-
-def kernel_basis(columns, row_space_vectors=None):
+def kernel_basis(columns):
     """Kernel of the linear map sending unit column i to ``columns[i]``.
 
-    ``columns`` is a list of vectors (dicts key -> Scalar).  Returns a list
-    of coefficient dicts {column_index: Scalar} spanning the kernel.
+    ``columns`` is a list of vectors (dicts key -> Scalar).  Returns one
+    polynomial coefficient dict {column_index: Scalar} per free column,
+    content removed and the free entry monic; together they span the kernel.
     """
-    tracker = SpanTracker()
-    kernel_vecs = []
-    for i, col in enumerate(columns):
-        expr = tracker.express(col)
-        if expr is not None:
-            coeffs = dict(expr)
-            coeffs[i] = Scalar.from_fraction(-1)
-            kernel_vecs.append({k: -v for k, v in coeffs.items()})
-        else:
-            tracker.insert(col, i)
-    return kernel_vecs
+    elim = _Elimination()
+    elim.add_rows(column_rows(columns))
+    elim.forward()
+    elim.back_substitute()
+    out = []
+    for free in sorted(set(range(len(columns))) - {col for col, _, _, _ in elim.pivots}):
+        hits = [(col, piv, row[free]) for col, piv, row, _ in elim.pivots if free in row]
+        den = POLY_ONE
+        for _, piv, _ in hits:
+            if not piv.is_one():
+                den = poly_lcm(den, piv)
+        vec = {free: den}
+        for col, piv, h in hits:
+            vec[col] = -(h * (den if piv.is_one() else den.exact_div(piv)))
+        g = den
+        for p in vec.values():
+            if g.degree() == 0:
+                break
+            g = poly_gcd(g, p)
+        if g.degree() > 0:
+            vec = {c: p.exact_div(g) for c, p in vec.items()}
+        f = 1 / vec[free].leading()
+        out.append({c: Scalar.from_poly(vec[c].scaled(f)) for c in sorted(vec)})
+    return out

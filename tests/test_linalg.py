@@ -1,7 +1,16 @@
+import random
 from fractions import Fraction
 
-from superpds.linalg import SpanTracker, kernel_basis, poly_rank, rank_of_scalar_rows
-from superpds.scalars import ALPHA, AlphaPoly, S_ONE, Scalar
+import pytest
+
+from superpds.linalg import (
+    SpanTracker,
+    clear_denominators,
+    kernel_basis,
+    poly_rank,
+    rank_of_scalar_rows,
+)
+from superpds.scalars import ALPHA, AlphaPoly, S, S_ONE, Scalar
 
 
 def P(*coeffs):
@@ -71,3 +80,109 @@ def test_kernel_basis():
             for key, v in cols[j].items():
                 acc[key] = acc.get(key, Scalar.from_fraction(0)) + c * v
         assert not any(acc.values())
+
+
+# -- the elimination core against a dense reference ---------------------------
+
+ZERO = Scalar.from_fraction(0)
+
+
+def dense_rank(rows, ncols):
+    """Reference: dense Gaussian elimination over Q(alpha) with Scalar entries."""
+    m = [[row.get(j, ZERO) for j in range(ncols)] for row in rows]
+    rank = 0
+    for j in range(ncols):
+        piv = next((i for i in range(rank, len(m)) if m[i][j]), None)
+        if piv is None:
+            continue
+        m[rank], m[piv] = m[piv], m[rank]
+        inv = m[rank][j].inv()
+        for i in range(rank + 1, len(m)):
+            if m[i][j]:
+                f = m[i][j] * inv
+                m[i] = [a - f * b for a, b in zip(m[i], m[rank])]
+        rank += 1
+    return rank
+
+
+def random_scalar(rng, kind):
+    """A nonzero entry: an integer, a polynomial or a rational function."""
+    const = Scalar.from_fraction(rng.choice((-3, -2, -1, 1, 2, 3)))
+    if kind == "const" or (kind == "mixed" and rng.random() < 0.6):
+        return const
+    poly = const + ALPHA * rng.choice((-1, 1, 2)) + ALPHA * ALPHA * rng.choice((0, 0, 1))
+    if kind == "rational" and rng.random() < 0.5:
+        return poly / (ALPHA + rng.choice((1, 2, 3)))
+    return poly
+
+
+def random_matrix(rng, kind):
+    """Sparse rows over Q(alpha) spanning a space of random dimension: each
+    row combines a few sparse generators with coefficients of ``kind``."""
+    nrows, ncols = rng.randint(3, 7), rng.randint(3, 6)
+    gens = [
+        {j: random_scalar(rng, kind) for j in range(ncols) if rng.random() < 0.5}
+        for _ in range(rng.randint(1, min(nrows, ncols)))
+    ]
+    rows = []
+    for _ in range(nrows):
+        row = {}
+        for gen in rng.sample(gens, rng.randint(1, len(gens))):
+            coeff = random_scalar(rng, "mixed")
+            for j, c in gen.items():
+                row[j] = row.get(j, ZERO) + coeff * c
+        rows.append({j: c for j, c in row.items() if c})
+    return rows, ncols
+
+
+def combine(coeffs, vectors):
+    acc = {}
+    for tag, c in coeffs.items():
+        for key, v in vectors[tag].items():
+            acc[key] = acc.get(key, ZERO) + c * v
+    return {key: v for key, v in acc.items() if v}
+
+
+CASES = [(seed, kind) for kind in ("const", "poly", "rational") for seed in range(8)]
+
+
+def test_core_matches_dense_reference():
+    poly_pivots = 0
+    for seed, kind in CASES:
+        rng = random.Random(seed)
+        rows, ncols = random_matrix(rng, kind)
+        rank = dense_rank(rows, ncols)
+        assert rank_of_scalar_rows(rows, ncols) == rank, (seed, kind)
+        prank, pivots = poly_rank([clear_denominators(r)[0] for r in rows], ncols)
+        assert prank == rank, (seed, kind)
+        poly_pivots += len(pivots)
+
+        columns = [{i: r[j] for i, r in enumerate(rows) if j in r} for j in range(ncols)]
+        kern = kernel_basis(columns)
+        assert len(kern) == ncols - rank, (seed, kind)
+        for vec in kern:
+            assert combine(vec, columns) == {}, (seed, kind)
+
+        tracker = SpanTracker()
+        accepted = [tracker.insert(r, i) for i, r in enumerate(rows)]
+        assert sum(accepted) == rank == tracker.rank(), (seed, kind)
+        coeffs = {i: random_scalar(rng, "mixed") for i in range(len(rows))}
+        target = combine(coeffs, dict(enumerate(rows)))
+        expr = tracker.express(target)
+        assert expr is not None and combine(expr, dict(enumerate(rows))) == target
+        probe = {j: random_scalar(rng, kind) for j in range(ncols)}
+        outside = dense_rank(rows + [probe], ncols) > rank
+        assert (tracker.express(probe) is None) == outside, (seed, kind)
+    # the polynomial cases reach pivots that depend on alpha
+    assert poly_pivots > 0
+
+
+def test_clear_denominators():
+    inv = (S_ONE + ALPHA).inv()
+    row, den = clear_denominators({0: inv, 1: ALPHA, 2: ZERO})
+    assert den == AlphaPoly({0: Fraction(1), 1: Fraction(1)})
+    assert row == {0: P(1), 1: P(0, 1, 1)}
+    row, den = clear_denominators({0: ALPHA})
+    assert row == {0: P(0, 1)} and den.is_one()
+    with pytest.raises(ValueError):
+        clear_denominators({0: S})

@@ -195,3 +195,20 @@ def test_quantized_scan_window():
         rpt.representatives[0], [h_tb1], coh.BlockSpec(2, 0, "P+"), qeng
     )
     assert res is not None and res[0][0]
+
+
+@pytest.mark.parametrize("j", [2, 3])
+def test_quantized_tower_block(j):
+    # the rungs h^2 * thetabar1 and h^3 * thetabar1 in blocks (4,0), (6,0)
+    qeng = coh.quantized_engine()
+    block = coh.BlockSpec(2 * j, 0, "P+")
+    rpt = coh.h1_block(block, qeng)
+    assert rpt.dim_h1 == 1
+    rep = rpt.representatives[0]
+    assert coh.pairmap_is_zero(coh.d1(rep, qeng))
+    tb1 = coh.named_cocycle("thetabar1")
+    tower = coh.Cochain1(
+        {n: s * Symbol.monomial(h=j) for n, s in tb1.images.items()}, block
+    )
+    res = coh.express_modulo_coboundaries(rep, [tower], block, qeng)
+    assert res is not None and res[0][0]
