@@ -1,30 +1,20 @@
 #!/usr/bin/env python3
-"""Benchmark the pure-Python term kernel against the compiled one.
+"""Time the term kernel on randomized term maps.
 
-Runs the same randomized workloads through both implementations and prints
-a small table.  Coefficient arithmetic (exact rationals and polynomials in
-alpha) is shared Python-object work, so the compiled kernel only
-accelerates the monomial/sign bookkeeping around it; expect modest rather
-than dramatic ratios on bracket-heavy loads.
+Runs seeded products, Poisson brackets and star products through
+``superpds.kernel`` and prints the seconds for each.  Coefficient arithmetic
+(exact rationals and polynomials in alpha) is most of the work; the
+monomial and sign bookkeeping around it is the rest.
 
-End-to-end comparison of a full computation:
-
-    SUPERPDS_KERNEL=py superpds verify jacobi
-    SUPERPDS_KERNEL=c  superpds verify jacobi
+    PYTHONPATH=src python3 benchmarks/bench_kernel.py
 """
 
 import random
 import time
 from fractions import Fraction
 
+from superpds import kernel
 from superpds.scalars import ALPHA, Scalar
-
-import superpds._terms_py as py_kernel
-
-try:
-    import superpds._terms_cy as cy_kernel
-except ImportError:
-    cy_kernel = None
 
 
 def random_terms(rng, n=6, tau_nonneg=False, with_alpha=True):
@@ -54,7 +44,7 @@ def build_workloads(seed=11, count=300):
     return pairs, star_pairs
 
 
-def run(kernel, pairs, star_pairs):
+def run(pairs, star_pairs):
     timings = {}
     t0 = time.perf_counter()
     for a, b in pairs:
@@ -72,24 +62,10 @@ def run(kernel, pairs, star_pairs):
 
 
 def main():
-    pairs, star_pairs = build_workloads()
-    results = {"python": run(py_kernel, pairs, star_pairs)}
-    if cy_kernel is not None:
-        results["cython"] = run(cy_kernel, pairs, star_pairs)
-    else:
-        print("compiled kernel not installed; benchmarking the fallback only")
+    timing = run(*build_workloads())
     ops = ["product", "poisson", "star"]
-    print("%-10s" % "kernel" + "".join("%12s" % op for op in ops))
-    for name, timing in results.items():
-        print("%-10s" % name + "".join("%11.3fs" % timing[op] for op in ops))
-    if "cython" in results:
-        print(
-            "%-10s" % "speedup"
-            + "".join(
-                "%11.2fx" % (results["python"][op] / results["cython"][op])
-                for op in ops
-            )
-        )
+    print("".join("%12s" % op for op in ops))
+    print("".join("%11.3fs" % timing[op] for op in ops))
 
 
 if __name__ == "__main__":

@@ -1,4 +1,4 @@
-"""Grassmann word rewriting shared by the term kernels.
+"""Grassmann word rewriting behind the star product in ``kernel``.
 
 Generators are numbered 0..3 for xi1, xi2, eta1, eta2.  A word is in normal
 order when its generator ids are strictly increasing, which puts every xi to

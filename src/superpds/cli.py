@@ -19,7 +19,7 @@ from . import d21, deform, quantize
 from . import cohomology as coh
 from .expr import ExprError, parse
 from .scalars import PoleError
-from .symbols import Symbol, euler_field, hamiltonian_field, random_monomial
+from .symbols import Symbol, random_monomial
 
 DEFAULT_WINDOW = int(os.environ.get("SUPERPDS_WINDOW", "6"))
 
@@ -191,6 +191,9 @@ def cmd_h1(args):
         scanned = 1
     else:
         w = args.window if args.window is not None else DEFAULT_WINDOW
+        if w < 0:
+            print("h1: window must be nonnegative, got %d" % w, file=sys.stderr)
+            return 2
         win = range(-w, w + 1)
         reports = coh.h1_scan(win, win, args.target, engine)
         scanned = len(reports)

@@ -35,11 +35,7 @@ from . import d21, linalg
 from .d21 import BASIS_NAMES, PARITY
 from .linalg import SpanTracker, clear_denominators, column_rows, poly_rank
 from .scalars import S_HALF, Scalar
-from .symbols import SYM_ZERO, Symbol
-
-TARGETS = ("P", "P+", "K4", "K4'")
-
-_GAP_KEY3 = (-1, -1, 0b1111)  # spans K4 / K4'
+from .symbols import K4PRIME_GAP, SYM_ZERO, TARGETS, Symbol
 
 
 @dataclass(frozen=True)
@@ -242,7 +238,7 @@ def _monomials(block: BlockSpec, engine: Engine, want_n, weight, parity):
             u = (rem - want_n) // 2
             if block.target == "P+" and u < 0:
                 continue
-            if block.target == "K4'" and (t, u, mask) == _GAP_KEY3:
+            if block.target == "K4'" and (t, u, mask) == K4PRIME_GAP:
                 continue
             if engine.kind == "star" and u < 0:
                 continue

@@ -27,9 +27,6 @@ ODD_NAMES = ("T1", "T2", "T3", "T4", "D1", "D2", "D3", "D4")
 BASIS_NAMES = EVEN_NAMES + ODD_NAMES
 PARITY = {name: (0 if name in EVEN_NAMES else 1) for name in BASIS_NAMES}
 
-_S0 = Scalar.from_fraction(0)
-
-
 def _mono(t=0, tau=0, mask=0, coeff=1):
     return Symbol.monomial(t=t, tau=tau, mask=mask, coeff=coeff)
 

@@ -15,8 +15,6 @@ differential and cup product.
 
 from __future__ import annotations
 
-from fractions import Fraction
-
 from .cohomology import (
     BlockSpec,
     Cochain1,
@@ -24,13 +22,11 @@ from .cohomology import (
     cup,
     d1,
     named_cocycle,
-    pairmap_is_zero,
     poisson_engine,
     quantized_engine,
-    solve_obstruction,
 )
 from .d21 import BASIS_NAMES
-from .scalars import S_HALF, Scalar
+from .scalars import S_HALF
 from .symbols import SYM_ZERO, Symbol
 
 
@@ -59,10 +55,6 @@ class DeformedMap:
         if k <= len(self.orders):
             return self.orders[k - 1]
         return Cochain1({})
-
-
-def assemble(orders, engine: Engine | None = None) -> DeformedMap:
-    return DeformedMap(orders, engine)
 
 
 def verify_homomorphism(dm: DeformedMap):

@@ -20,7 +20,7 @@ from __future__ import annotations
 from functools import lru_cache
 
 from . import kernel
-from .scalars import ALPHA, S_HALF, S_ONE, Scalar
+from .scalars import ALPHA, S_HALF, S_ONE
 from .symbols import SYM_ZERO, Symbol
 
 
@@ -126,13 +126,6 @@ def gamma_h_basis():
         "D4": _mono(tau=1, mask=0b1000) - _word(t_inv, eta1, eta2, xi1) * a,
     }
     return basis
-
-
-def theta_bar1():
-    """The h-deformed counterpart of the distinguished cocycle theta1."""
-    from .cohomology import named_cocycle
-
-    return named_cocycle("thetabar1")
 
 
 def verify_h_structure_match():

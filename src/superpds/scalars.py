@@ -493,24 +493,16 @@ class Scalar:
     def factor_str(self) -> str:
         """Render as a factor usable inside a product expression."""
         s = str(self)
-        if "/" in s:
-            num, _, den = s.partition("/")
-            if not num.startswith("("):
-                # alpha/2 and 5/2 style factors parse fine as-is
-                return s
-            return s
-        if " " in s:
+        if " " in s and "/" not in s:
             return "(%s)" % s
         return s
 
 
 S_ZERO = Scalar.from_fraction(0)
 S_ONE = Scalar.from_fraction(1)
-S_TWO = Scalar.from_fraction(2)
 S_HALF = Scalar.from_fraction(Fraction(1, 2))
 ALPHA = Scalar.from_poly(_P_ALPHA)
 S = Scalar(_P_ZERO, _P_ONE, _P_ONE, _P_ONE, _reduced=True)
 
 POLY_ZERO = _P_ZERO
 POLY_ONE = _P_ONE
-POLY_ALPHA = _P_ALPHA

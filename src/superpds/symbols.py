@@ -31,9 +31,9 @@ _VAR_INDEX = {name: i for i, name in enumerate(VAR_NAMES)}
 
 TARGETS = ("P", "P+", "K4", "K4'")
 
-# t^-1 tau^-1 xi1 xi2 eta1 eta2 spans K(4)/K'(4); its absence cuts out the
-# derived ideal.
-_K4PRIME_GAP = (-1, -1, 0b1111, 0, 0)
+# (t, tau, mask) of t^-1 tau^-1 xi1 xi2 eta1 eta2, which spans K(4)/K'(4);
+# its absence cuts out the derived ideal.
+K4PRIME_GAP = (-1, -1, 0b1111)
 
 
 class MixedParityError(ValueError):
@@ -190,7 +190,7 @@ class Symbol:
             return all(key[0] + key[1] + key[2].bit_count() == 2 for key in self.terms)
         if target == "K4'":
             return self.in_subalgebra("K4") and not any(
-                key[:3] == _K4PRIME_GAP[:3] for key in self.terms
+                key[:3] == K4PRIME_GAP for key in self.terms
             )
         raise ValueError("unknown subalgebra %r" % (target,))
 
@@ -274,14 +274,6 @@ class Symbol:
 
 
 SYM_ZERO = Symbol.zero()
-SYM_ONE = Symbol.monomial()
-
-
-def parity_of(sym: Symbol) -> int:
-    p = sym.parity()
-    if p is None:
-        raise MixedParityError("definite parity required, got %s" % (sym,))
-    return p
 
 
 class SuperVectorField:

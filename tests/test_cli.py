@@ -63,6 +63,13 @@ def test_h1_window_flag(capsys):
     assert [b["block"]["n"] for b in doc["blocks"]] == [0]
 
 
+def test_h1_negative_window_is_usage_error(capsys):
+    code, out, err = run(capsys, "h1", "--target", "P", "--window", "-3")
+    assert code == 2
+    assert not out
+    assert err.strip() == "h1: window must be nonnegative, got -3"
+
+
 def test_h1_specialized(capsys):
     code, out, _ = run(
         capsys, "h1", "--target", "P", "--k", "0", "--n", "0", "--specialize", "-1", "--json"

@@ -6,7 +6,7 @@ import pytest
 from superpds import cohomology as coh
 from superpds import d21
 from superpds.expr import parse
-from superpds.scalars import ALPHA, S_HALF, S_ONE, Scalar
+from superpds.scalars import S_ONE, Scalar
 from superpds.symbols import Symbol
 
 ENGINE = coh.poisson_engine()

@@ -1,8 +1,6 @@
-from fractions import Fraction
-
 from superpds import cohomology as coh
 from superpds import deform, quantize
-from superpds.scalars import S_HALF, Scalar
+from superpds.scalars import S_HALF
 from superpds.symbols import Symbol
 
 

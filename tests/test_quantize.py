@@ -7,7 +7,6 @@ from superpds import cohomology as coh
 from superpds import d21, quantize
 from superpds._exchange import normal_order_word
 from superpds.expr import parse
-from superpds.scalars import Scalar
 from superpds.symbols import Symbol
 
 

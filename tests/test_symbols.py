@@ -5,7 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from superpds.scalars import ALPHA, Scalar
+from superpds import kernel
+from superpds.scalars import ALPHA
 from superpds.symbols import (
     MixedParityError,
     Symbol,
@@ -64,6 +65,18 @@ def test_exterior_square():
 
 def test_reorder_without_sign():
     assert (T * ETA1) * (T * ETA2) == mono(t=2, mask=0b1100)
+
+
+def test_merge_sign_counts_inversions():
+    def gens(mask):
+        return [g for g in range(4) if mask >> g & 1]
+
+    for m1 in range(16):
+        for m2 in range(16):
+            word = gens(m1) + gens(m2)
+            inversions = sum(x > y for i, x in enumerate(word) for y in word[i + 1 :])
+            expected = 0 if m1 & m2 else (-1) ** inversions
+            assert kernel.merge_sign(m1, m2) == expected, (m1, m2)
 
 
 def test_central_deformation_exponents():
