@@ -2,9 +2,11 @@
 """Time the term kernel on randomized term maps.
 
 Runs seeded products, Poisson brackets and star products through
-``superpds.kernel`` and prints the seconds for each.  Coefficient arithmetic
-(exact rationals and polynomials in alpha) is most of the work; the
-monomial and sign bookkeeping around it is the rest.
+``superpds.kernel`` and prints the seconds for each, first on multi-term
+maps, then on monomial x monomial pairs (``*_mono``), the shape of the
+brackets block assembly makes.  Coefficient arithmetic (exact rationals and
+polynomials in alpha) is most of the work; the monomial and sign
+bookkeeping around it is the rest.
 
     PYTHONPATH=src python3 benchmarks/bench_kernel.py
 """
@@ -44,7 +46,19 @@ def build_workloads(seed=11, count=300):
     return pairs, star_pairs
 
 
-def run(pairs, star_pairs):
+def build_monomial_workloads(seed=12, count=2000):
+    """Monomial pairs from their own generator, so that ``build_workloads``
+    draws exactly what it always has."""
+    rng = random.Random(seed)
+    pairs = [(random_terms(rng, n=1), random_terms(rng, n=1)) for _ in range(count)]
+    star_pairs = [
+        (random_terms(rng, n=1, tau_nonneg=True), random_terms(rng, n=1, tau_nonneg=True))
+        for _ in range(count)
+    ]
+    return pairs, star_pairs
+
+
+def run(pairs, star_pairs, mono_pairs, mono_star_pairs):
     timings = {}
     t0 = time.perf_counter()
     for a, b in pairs:
@@ -58,14 +72,22 @@ def run(pairs, star_pairs):
     for a, b in star_pairs:
         kernel.moyal_terms(a, b)
     timings["star"] = time.perf_counter() - t0
+    t0 = time.perf_counter()
+    for a, b in mono_pairs:
+        kernel.poisson_terms(a, b)
+    timings["poisson_mono"] = time.perf_counter() - t0
+    t0 = time.perf_counter()
+    for a, b in mono_star_pairs:
+        kernel.moyal_terms(a, b)
+    timings["star_mono"] = time.perf_counter() - t0
     return timings
 
 
 def main():
-    timing = run(*build_workloads())
-    ops = ["product", "poisson", "star"]
-    print("".join("%12s" % op for op in ops))
-    print("".join("%11.3fs" % timing[op] for op in ops))
+    timing = run(*build_workloads(), *build_monomial_workloads())
+    ops = ["product", "poisson", "star", "poisson_mono", "star_mono"]
+    print("".join("%14s" % op for op in ops))
+    print("".join("%13.3fs" % timing[op] for op in ops))
 
 
 if __name__ == "__main__":

@@ -21,7 +21,9 @@ from .expr import ExprError, parse
 from .scalars import PoleError
 from .symbols import Symbol, random_monomial
 
-DEFAULT_WINDOW = int(os.environ.get("SUPERPDS_WINDOW", "6"))
+
+class InputError(Exception):
+    """A malformed input file; reported on one line with exit code 2."""
 
 
 def _engine(args, alpha=None):
@@ -37,14 +39,46 @@ def _fraction(text: str) -> Fraction:
         raise SystemExit("invalid rational %r: %s" % (text, exc))
 
 
-def _load_cochain(path: str):
+def _type_name(value) -> str:
+    return type(value).__name__
+
+
+def _load_object(path: str) -> dict:
     with open(path) as fh:
-        doc = json.load(fh)
-    images = {name: parse(text) for name, text in doc.get("images", {}).items()}
+        try:
+            doc = json.load(fh)
+        except json.JSONDecodeError as exc:
+            raise InputError("%s: not valid JSON: %s" % (path, exc))
+    if not isinstance(doc, dict):
+        raise InputError("%s: expected a JSON object, got %s" % (path, _type_name(doc)))
+    return doc
+
+
+def _load_cochain(path: str):
+    doc = _load_object(path)
+    texts = doc.get("images", {})
+    if not isinstance(texts, dict):
+        raise InputError("%s: images must be an object, got %s" % (path, _type_name(texts)))
+    images = {}
+    for name, text in texts.items():
+        if not isinstance(text, str):
+            raise InputError("%s: image of %s must be an expression string, got %s"
+                             % (path, name, _type_name(text)))
+        images[name] = parse(text)
     block = None
     if "block" in doc:
         b = doc["block"]
-        block = coh.BlockSpec(b["k"], b["n"], b["target"], b.get("weight_zero", True))
+        if not isinstance(b, dict):
+            raise InputError("%s: block must be an object, got %s" % (path, _type_name(b)))
+        fields = {"k": int, "n": int, "target": str, "weight_zero": bool}
+        values = {field: b.get(field, True if kind is bool else None)
+                  for field, kind in fields.items()}
+        for field, kind in fields.items():
+            if type(values[field]) is not kind:  # rejects true as an int, too
+                got = _type_name(values[field]) if field in b else "nothing"
+                raise InputError("%s: block field %r must be %s, got %s"
+                                 % (path, field, kind.__name__, got))
+        block = coh.BlockSpec(**values)
     return coh.Cochain1(images, block)
 
 
@@ -190,7 +224,14 @@ def cmd_h1(args):
         reports = [coh.h1_block(block, engine, representatives=True)]
         scanned = 1
     else:
-        w = args.window if args.window is not None else DEFAULT_WINDOW
+        w = args.window
+        if w is None:
+            text = os.environ.get("SUPERPDS_WINDOW", "6")
+            try:
+                w = int(text)
+            except ValueError:
+                print("h1: SUPERPDS_WINDOW must be an integer, got %r" % text, file=sys.stderr)
+                return 2
         if w < 0:
             print("h1: window must be nonnegative, got %d" % w, file=sys.stderr)
             return 2
@@ -298,8 +339,7 @@ def cmd_solve_obstruction(args):
 
 
 def _load_deformation(path: str) -> deform.DeformedMap:
-    with open(path) as fh:
-        doc = json.load(fh)
+    doc = _load_object(path)
     engine_name = doc.get("engine", "poisson")
     if engine_name in ("star", "hbracket", "quantized"):
         engine = coh.quantized_engine()
@@ -308,8 +348,14 @@ def _load_deformation(path: str) -> deform.DeformedMap:
     else:
         raise SystemExit("unknown engine %r" % (engine_name,))
     base = os.path.dirname(os.path.abspath(path))
+    entries = doc.get("orders", [])
+    if not isinstance(entries, list):
+        raise InputError("%s: orders must be a list, got %s" % (path, _type_name(entries)))
     orders = []
-    for entry in doc.get("orders", []):
+    for entry in entries:
+        if not isinstance(entry, str):
+            raise InputError("%s: orders must name cochain files, got %s"
+                             % (path, _type_name(entry)))
         orders.append(_load_cochain(os.path.join(base, entry)))
     return deform.DeformedMap(orders, engine)
 
@@ -429,7 +475,7 @@ def main(argv=None) -> int:
     except (ExprError, PoleError, ValueError) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 1
-    except OSError as exc:
+    except (InputError, OSError) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 2
 

@@ -20,6 +20,14 @@ c([X, Y]) expanded through the cached structure-constant table.  Ranks are
 computed fraction-free over Q[alpha]; the recorded pivot polynomials are the
 only places a specialized alpha can change a dimension.
 
+Block assembly builds the matrix of d1 column by column: the engine's
+incidence table lists, per basis name, the pairs on which an elementary
+cochain at that name is nonzero, so a column adds up a few bracket term maps
+[X, m] instead of evaluating d1 on all pairs.  The C^0 keys of a block are
+the slot keys of H1, so d0 reuses the brackets d1 made, and ``h1_scan``
+shares one bracket dict across the blocks of a k-row, whose neighbouring n
+meet the same monomials; the dict is dropped when the row ends.
+
 The same machinery runs for the h-deformed algebra: an engine bundles the
 basis, the bracket, the structure table and the h-grading conventions, so
 the star-product analogue reuses every formula with [.,.]_h substituted.
@@ -31,10 +39,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-from . import d21, linalg
+from . import d21, kernel, linalg
 from .d21 import BASIS_NAMES, PARITY
 from .linalg import SpanTracker, clear_denominators, column_rows, poly_rank
-from .scalars import S_HALF, Scalar
+from .scalars import S_HALF, S_ONE, Scalar
 from .symbols import K4PRIME_GAP, SYM_ZERO, TARGETS, Symbol
 
 
@@ -132,6 +140,30 @@ class Engine:
             for j in range(i, len(names))
             if i != j or PARITY[names[i]]
         ]
+        self.incidence = self._incidence()
+
+    def _incidence(self):
+        """Where an elementary cochain c (c(X) = m, zero elsewhere) lives.
+
+        (d1 c)(x, y) = [x, c(y)] + [c(x), y] - c([x, y]) is nonzero only on
+        the pairs that contain X or whose bracket has an X component.  For
+        each name X this lists, in pair order, (pair index, ((name, sign),
+        ...), coefficient): the sum of sign * [name, m] plus coefficient * m,
+        coefficient None when [x, y] has no X component.  [c(x), y] is
+        rewritten as -(-1)^(p(X) p(y)) [y, c(x)].
+        """
+        table = {name: [] for name in BASIS_NAMES}
+        for pi, (x, y) in enumerate(self.pairs):
+            struct = self.struct[(x, y)]
+            for name in dict.fromkeys((y, x, *struct)):
+                parts = []
+                if y == name:
+                    parts.append((x, 1))
+                if x == name:
+                    parts.append((y, 1 if PARITY[name] and PARITY[y] else -1))
+                coeff = struct.get(name)
+                table[name].append((pi, tuple(parts), -coeff if coeff else None))
+        return table
 
     def k_degree(self, sym: Symbol):
         """k-degree with h counted at the engine's weight (None if mixed)."""
@@ -305,56 +337,58 @@ def pairmap_is_zero(pm: dict) -> bool:
 # ---------------------------------------------------------------------------
 
 
-def _bracket_cache(engine: Engine, keys):
-    cache = {}
-    for key in keys:
-        m = Symbol({key: Scalar.from_fraction(1)})
-        for name in BASIS_NAMES:
-            cache[(name, key)] = engine.bracket(engine.basis[name], m)
-    return cache
+def _bracket(engine: Engine, name: str, key, brackets: dict) -> dict:
+    """Terms of [X, m] for the basis element X = name and the unit monomial
+    m = key, looked up in (or added to) ``brackets``."""
+    terms = brackets.get((name, key))
+    if terms is None:
+        terms = engine.bracket(engine.basis[name], Symbol({key: S_ONE})).terms
+        brackets[(name, key)] = terms
+    return terms
 
 
-def _d1_columns(block: BlockSpec, engine: Engine):
+def _d1_columns(block: BlockSpec, engine: Engine, brackets: dict | None = None):
     """Elementary cochains of the block and their coboundary vectors.
 
     Returns (slots, columns) where slots = [(name, key)] and columns[i] is a
-    dict (pair_index, monomial_key) -> Scalar.
+    dict (pair_index, monomial_key) -> Scalar.  Each column adds up the
+    brackets and structure terms listed in ``engine.incidence`` for its
+    name; brackets come from ``brackets`` (name, key) -> terms, which is
+    filled as needed and may be shared between blocks of one engine.
     """
+    if brackets is None:
+        brackets = {}
     slots = enumerate_c1(block, engine)
-    keys = {key for _, key in slots}
-    br = _bracket_cache(engine, keys)
     columns = []
     for (name0, key0) in slots:
-        m0 = Symbol({key0: Scalar.from_fraction(1)})
         vec = {}
-        for pi, (x, y) in enumerate(engine.pairs):
-            val = SYM_ZERO
-            if y == name0:
-                val = val + br[(x, key0)]
-            if x == name0:
-                # [c(X), Y] = -(-1)^(p(c X) p(Y)) [Y, c(X)]
-                if PARITY[name0] and PARITY[y]:
-                    val = val + br[(y, key0)]
-                else:
-                    val = val - br[(y, key0)]
-            coeff = engine.struct[(x, y)].get(name0)
-            if coeff:
-                val = val - m0 * coeff
-            for mk, c in val.terms.items():
+        for pi, parts, coeff in engine.incidence[name0]:
+            val: dict = {}
+            for name, sign in parts:
+                terms = _bracket(engine, name, key0, brackets)
+                val = kernel.add_terms(val, terms if sign > 0 else kernel.neg_terms(terms))
+            if coeff is not None:
+                val = kernel.add_terms(val, {key0: coeff})
+            for mk, c in val.items():
                 vec[(pi, mk)] = c
         columns.append(vec)
     return slots, columns
 
 
-def _d0_columns(block: BlockSpec, engine: Engine):
-    """C0 monomial keys and their coboundary vectors in (name, key) space."""
+def _d0_columns(block: BlockSpec, engine: Engine, brackets: dict | None = None):
+    """C0 monomial keys and their coboundary vectors in (name, key) space.
+
+    The C0 keys are the slot keys of H1, so brackets filled by
+    ``_d1_columns`` for the same block are reused when passed in.
+    """
+    if brackets is None:
+        brackets = {}
     mon0 = enumerate_c0(block, engine)
-    br = _bracket_cache(engine, set(mon0))
     columns = []
     for key in mon0:
         vec = {}
         for name in BASIS_NAMES:
-            for mk, c in br[(name, key)].terms.items():
+            for mk, c in _bracket(engine, name, key, brackets).items():
                 vec[(name, mk)] = c
         columns.append(vec)
     return mon0, columns
@@ -393,21 +427,26 @@ def _slots_to_cochain(slots, coeffs: dict, block: BlockSpec) -> Cochain1:
     return Cochain1(images, block)
 
 
-def h1_block(block: BlockSpec, engine: Engine | None = None, representatives: bool = True) -> CohomologyReport:
+def h1_block(block: BlockSpec, engine: Engine | None = None, representatives: bool = True,
+             brackets: dict | None = None) -> CohomologyReport:
     """Cocycle, coboundary and H^1 dimensions of one block.
 
     Representatives, when requested and the block is nontrivial, are kernel
     vectors of d1 certified independent modulo the coboundary span.
+    ``brackets`` is the bracket dict of ``_d1_columns``; blocks of one
+    engine may share it.
     """
     engine = engine or poisson_engine()
-    slots, columns = _d1_columns(block, engine)
+    if brackets is None:
+        brackets = {}
+    slots, columns = _d1_columns(block, engine, brackets)
     if not slots:
         return CohomologyReport(block, 0, 0, 0, [], [])
     ncols = len(columns)
     rank_d1, pivots1 = poly_rank(column_rows(columns), ncols)
     dim_z = ncols - rank_d1
 
-    mon0, bcols = _d0_columns(block, engine)
+    mon0, bcols = _d0_columns(block, engine, brackets)
     col_index = {slot: i for i, slot in enumerate(slots)}
     bcols_indexed = []
     for vec in bcols:
@@ -444,11 +483,16 @@ def h1_block(block: BlockSpec, engine: Engine | None = None, representatives: bo
 def h1_scan(k_range, n_range, target: str, engine: Engine | None = None, representatives: bool = True):
     """Reports for every block in the window (K4 targets pin k = 2)."""
     engine = engine or poisson_engine()
-    if target in ("K4", "K4'"):
-        blocks = [BlockSpec(2, n, target) for n in n_range]
-    else:
-        blocks = [BlockSpec(k, n, target) for k in k_range for n in n_range]
-    return [h1_block(block, engine, representatives=representatives) for block in blocks]
+    ks = [2] if target in ("K4", "K4'") else k_range
+    reports = []
+    for k in ks:
+        # blocks of one k share monomials (and so brackets) across n; no
+        # monomial is shared between rows, so the dict lives for one row
+        brackets: dict = {}
+        for n in n_range:
+            reports.append(h1_block(BlockSpec(k, n, target), engine,
+                                    representatives=representatives, brackets=brackets))
+    return reports
 
 
 # ---------------------------------------------------------------------------
@@ -468,7 +512,7 @@ def named_cocycle(name: str) -> Cochain1:
     it for the full symbol coefficients, theta spans the K4'-valued block,
     thetabar1 is the h-deformed counterpart of theta1.
     """
-    from .scalars import ALPHA, S_ONE
+    from .scalars import ALPHA
 
     a = ALPHA
     if name == "theta1":

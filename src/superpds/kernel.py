@@ -5,6 +5,11 @@ beta_exp, h_exp) to nonzero coefficient objects.  Coefficients only need
 ring operations (+, *, unary -, truthiness and multiplication by ints), so
 the kernel works unchanged for specialized and symbolic scalars.
 
+Brackets and products walk pairs of terms.  The Poisson bracket of two
+monomials is closed form: one coefficient product and at most five
+integer-weighted terms, with the Grassmann signs read from tables built at
+import from ``merge_sign`` and the left-derivative rule.
+
 Callers go through the module attribute (``kernel.poisson_terms(...)``),
 never a name imported from here, so the functions can be wrapped on the
 module for tracing.
@@ -126,33 +131,75 @@ def parity_split(a: dict):
     return even, odd
 
 
+def _contractions(m1: int, m2: int) -> tuple:
+    """Grassmann part of the bracket of two monomials with masks m1, m2.
+
+    (-1)^(p(A)+1) sum_i (dA/dxi_i dB/deta_i + dA/deta_i dB/dxi_i) on unit
+    monomials, as (mask, sign) pairs with coinciding masks summed: each
+    contraction removes xi_i (eta_i) from the left factor and eta_i (xi_i)
+    from the right one, with both left-derivative signs and the merge sign.
+    """
+    out: dict = {}
+    for i in range(ETA_SHIFT):  # xi_i is bit i, eta_i bit i + ETA_SHIFT
+        for ga, gb in ((i, i + ETA_SHIFT), (i + ETA_SHIFT, i)):
+            fa, fb = 1 << ga, 1 << gb
+            if not (m1 & fa and m2 & fb):
+                continue
+            r1, r2 = m1 ^ fa, m2 ^ fb
+            sign = merge_sign(r1, r2)
+            if not sign:
+                continue
+            if ((m1 & (fa - 1)).bit_count() + (m2 & (fb - 1)).bit_count()) & 1:
+                sign = -sign
+            if not m1.bit_count() & 1:
+                sign = -sign
+            out[r1 | r2] = out.get(r1 | r2, 0) + sign
+    return tuple((mask, sign) for mask, sign in out.items() if sign)
+
+
+_MASKS = range(1 << NGEN)
+# indexed [m1][m2]; contractions as above, merge signs of m1 m2 (0 on overlap)
+_CONTRACTIONS = tuple(tuple(_contractions(m1, m2) for m2 in _MASKS) for m1 in _MASKS)
+_MERGE = tuple(tuple(merge_sign(m1, m2) for m2 in _MASKS) for m1 in _MASKS)
+
+
 def poisson_terms(a: dict, b: dict) -> dict:
     """Poisson superbracket of term maps.
 
     {A, B} = dA/dtau dB/dt - dA/dt dB/dtau
              + (-1)^(p(A)+1) * sum_i (dA/dxi_i dB/deta_i + dA/deta_i dB/dxi_i)
 
-    An inhomogeneous A is split into parity parts first.  beta and h
-    exponents ride along untouched.
+    Evaluated in closed form on each pair of terms c1 t^t1 tau^u1 g1 and
+    c2 t^t2 tau^u2 g2 (g1, g2 ordered Grassmann monomials): the even part is
+    (u1 t2 - t1 u2) c1 c2 t^(t1+t2-1) tau^(u1+u2-1) g1 g2, and each of the
+    at most four contractions gives +-c1 c2 t^(t1+t2) tau^(u1+u2) times the
+    contracted word (signs tabulated by mask pair in ``_CONTRACTIONS``).
+    A pair costs one coefficient product and one small-integer multiple
+    per term.  Inhomogeneous A needs no splitting, since the parity factor
+    is taken per term; beta and h exponents ride along untouched.
     """
-    if not a or not b:
-        return {}
-    db = [derive_terms(b, v) for v in range(6)]
     out: dict = {}
-    for part, sign in zip(parity_split(a), (-1, 1)):
-        if not part:
-            continue
-        res = add_terms(
-            mul_terms(derive_terms(part, 1), db[0]),
-            neg_terms(mul_terms(derive_terms(part, 0), db[1])),
-        )
-        gr: dict = {}
-        for i in range(2):
-            gr = add_terms(gr, mul_terms(derive_terms(part, 2 + i), db[4 + i]))
-            gr = add_terms(gr, mul_terms(derive_terms(part, 4 + i), db[2 + i]))
-        if sign < 0:
-            gr = neg_terms(gr)
-        out = add_terms(out, add_terms(res, gr))
+    for (t1, u1, m1, b1, h1), c1 in a.items():
+        merges = _MERGE[m1]
+        contractions = _CONTRACTIONS[m1]
+        for (t2, u2, m2, b2, h2), c2 in b.items():
+            t, u, be, hh = t1 + t2, u1 + u2, b1 + b2, h1 + h2
+            w = (u1 * t2 - t1 * u2) * merges[m2]
+            terms = [((t - 1, u - 1, m1 | m2, be, hh), w)] if w else []
+            terms += [((t, u, mask, be, hh), s) for mask, s in contractions[m2]]
+            if not terms:
+                continue
+            c0 = c1 * c2
+            for key, w in terms:
+                c = c0 if w == 1 else -c0 if w == -1 else c0 * w
+                if key in out:
+                    nv = out[key] + c
+                    if nv:
+                        out[key] = nv
+                    else:
+                        del out[key]
+                elif c:
+                    out[key] = c
     return out
 
 

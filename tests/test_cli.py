@@ -1,7 +1,11 @@
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
+import superpds
 from superpds.cli import main
 
 
@@ -204,6 +208,78 @@ def test_deform_verify_file(tmp_path, capsys):
     doc = json.loads(out)
     assert doc["status"] == "fail"
     assert {f["beta_power"] for f in doc["failures"]} == {2}
+
+
+THETA1_FILE = {
+    "block": {"k": 0, "n": 0, "target": "P+"},
+    "images": {"D1": "t^-1*xi1", "H1": "1"},
+}
+
+
+@pytest.mark.parametrize(
+    "doc,message",
+    [
+        ([1, 2], "expected a JSON object, got list"),
+        ({"images": {"D1": 5}}, "image of D1 must be an expression string, got int"),
+        ({"block": {"k": 0, "target": "P"}, "images": {}}, "block field 'n' must be int, got nothing"),
+        ({"block": {"k": 0, "n": "0", "target": "P"}}, "block field 'n' must be int, got str"),
+    ],
+    ids=["list", "image", "block-n", "block-n-str"],
+)
+def test_malformed_cochain_file_is_usage_error(tmp_path, capsys, doc, message):
+    path = tmp_path / "cochain.json"
+    path.write_text(json.dumps(doc))
+    code, out, err = run(capsys, "cocycle", "--file", str(path))
+    assert (code, out) == (2, "")
+    assert err == "error: %s: %s\n" % (path, message)
+
+
+def test_invalid_json_is_usage_error(tmp_path, capsys):
+    path = tmp_path / "cochain.json"
+    path.write_text('{"images": ')
+    code, out, err = run(capsys, "cocycle", "--file", str(path))
+    assert (code, out) == (2, "")
+    assert err.startswith("error: %s: not valid JSON: " % path)
+    assert err.count("\n") == 1
+
+
+@pytest.mark.parametrize(
+    "doc,message",
+    [
+        ([{"orders": []}], "expected a JSON object, got list"),
+        ({"orders": ["rho1.json", 7]}, "orders must name cochain files, got int"),
+        ({"orders": "rho1.json"}, "orders must be a list, got str"),
+    ],
+    ids=["list", "entry", "orders"],
+)
+def test_malformed_deformation_file_is_usage_error(tmp_path, capsys, doc, message):
+    (tmp_path / "rho1.json").write_text(json.dumps(THETA1_FILE))
+    path = tmp_path / "deformation.json"
+    path.write_text(json.dumps(doc))
+    code, out, err = run(capsys, "deform", "verify", "--file", str(path))
+    assert (code, out) == (2, "")
+    assert err == "error: %s: %s\n" % (path, message)
+
+
+def test_window_variable_is_read_by_h1_only(monkeypatch, capsys):
+    monkeypatch.setenv("SUPERPDS_WINDOW", "abc")
+    code, out, err = run(capsys, "h1", "--target", "K4'")
+    assert (code, out) == (2, "")
+    assert err == "h1: SUPERPDS_WINDOW must be an integer, got 'abc'\n"
+    # an explicit window needs no variable
+    code, _, _ = run(capsys, "h1", "--target", "K4'", "--window", "0")
+    assert code == 0
+    # nor does any other command, including at import
+    src = os.path.dirname(os.path.dirname(superpds.__file__))
+    env = dict(os.environ, SUPERPDS_WINDOW="abc", PYTHONPATH=src)
+    proc = subprocess.run(
+        [sys.executable, "-m", "superpds.cli", "verify", "jacobi"],
+        env=env, capture_output=True, text=True,
+    )
+    assert (proc.returncode, proc.stderr) == (0, "")
+    monkeypatch.setenv("SUPERPDS_WINDOW", "1")
+    code, out, _ = run(capsys, "h1", "--target", "K4'", "--json")
+    assert (code, json.loads(out)["blocks_scanned"]) == (0, 3)
 
 
 def test_parse_error_exit_code(capsys):

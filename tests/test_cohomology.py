@@ -339,3 +339,49 @@ def test_exceptional_alpha_dims_direct(alpha):
     assert coh.h1_block(coh.BlockSpec(0, 0, "P"), eng, representatives=False).dim_h1 == 2
     assert coh.h1_block(coh.BlockSpec(0, 0, "P+"), eng, representatives=False).dim_h1 == 1
     assert coh.h1_block(coh.BlockSpec(2, 0, "K4'"), eng, representatives=False).dim_h1 == 1
+
+
+# -- block assembly ---------------------------------------------------------------
+
+
+ASSEMBLY_ENGINES = {
+    "generic": lambda: coh.poisson_engine(),
+    "alpha=1": lambda: coh.poisson_engine(alpha=1),
+    "star": lambda: coh.quantized_engine(),
+}
+
+
+@pytest.mark.parametrize("engine_name", sorted(ASSEMBLY_ENGINES))
+@pytest.mark.parametrize("k,n,target", [(0, 0, "P"), (2, -2, "P+"), (2, 2, "K4"), (2, 0, "K4'")])
+def test_assembly_matches_d1_and_d0(engine_name, k, n, target):
+    engine = ASSEMBLY_ENGINES[engine_name]()
+    block = coh.BlockSpec(k, n, target)
+    one = Scalar.from_fraction(1)
+    slots, columns = coh._d1_columns(block, engine)
+    assert slots
+    for (name, key), col in zip(slots, columns):
+        values = coh.d1(coh.Cochain1({name: Symbol({key: one})}, block), engine)
+        expected = {
+            (pi, mk): c
+            for pi, pair in enumerate(engine.pairs)
+            for mk, c in values[pair].terms.items()
+        }
+        assert col == expected, (name, key)
+    mon0, bcols = coh._d0_columns(block, engine)
+    for key, col in zip(mon0, bcols):
+        assert col == coh._cochain_vector(coh.d0(Symbol({key: one}), engine)), key
+
+
+@pytest.mark.parametrize("engine_name", sorted(ASSEMBLY_ENGINES))
+def test_row_shared_brackets_give_fresh_columns(engine_name):
+    # entry order matters too: it steers the pivot choice of the elimination
+    engine = ASSEMBLY_ENGINES[engine_name]()
+    shared: dict = {}
+    for n in range(-3, 4):
+        block = coh.BlockSpec(2, n, "P+")
+        for assemble in (coh._d1_columns, coh._d0_columns):
+            keys, cols = assemble(block, engine, shared)
+            fresh_keys, fresh = assemble(block, engine)
+            assert keys == fresh_keys
+            assert [list(c.items()) for c in cols] == [list(c.items()) for c in fresh]
+    assert shared

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from superpds import kernel
-from superpds.scalars import ALPHA
+from superpds.scalars import ALPHA, S, S_ONE
 from superpds.symbols import (
     MixedParityError,
     Symbol,
@@ -117,6 +117,43 @@ def test_poisson_drops_to_minus_4_t_tau():
 
 def test_poisson_odd_pair_gives_diagonal():
     assert (ETA1 * ETA2).poisson(XI1 * XI2) == mono(mask=0b0101) + mono(mask=0b1010)
+
+
+def _poisson_by_definition(a, b):
+    """{A, B} from Symbol.derive and *, parity part by parity part of A."""
+    out = Symbol.zero()
+    for part in kernel.parity_split(a.terms):
+        pa = Symbol(part)
+        even = pa.derive("tau") * b.derive("t") - pa.derive("t") * b.derive("tau")
+        odd = Symbol.zero()
+        for xi, eta in (("xi1", "eta1"), ("xi2", "eta2")):
+            odd = odd + pa.derive(xi) * b.derive(eta) + pa.derive(eta) * b.derive(xi)
+        out = out + even + (odd if pa.parity() else -odd)
+    return out
+
+
+def _random_map(rng):
+    """1-4 terms of mixed parity with beta/h powers and alpha, s coefficients."""
+    out = Symbol.zero()
+    for _ in range(rng.randrange(1, 5)):
+        coeff = Fraction(rng.randrange(-5, 6) or 1, rng.randrange(1, 4))
+        coeff = coeff * rng.choice((S_ONE, ALPHA, ALPHA + 1, S, ALPHA * S - 2))
+        out = out + mono(
+            t=rng.randrange(-3, 4),
+            tau=rng.randrange(-3, 4),
+            mask=rng.randrange(16),
+            beta=rng.randrange(3),
+            h=rng.randrange(3),
+            coeff=coeff,
+        )
+    return out
+
+
+def test_poisson_kernel_matches_definition():
+    rng = random.Random(1008)
+    for _ in range(2000):
+        a, b = _random_map(rng), _random_map(rng)
+        assert a.poisson(b) == _poisson_by_definition(a, b), (a, b)
 
 
 def test_constants_central():
