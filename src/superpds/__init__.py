@@ -1,10 +1,10 @@
 """Exact symbolic tools for the 17-dimensional superalgebra D(2,1;alpha)
 realized inside the Poisson superalgebra of pseudodifferential symbols on
-the supercircle S^{1|2}: brackets, weight-zero cohomology blocks, cup
-products, formal deformations and the h-deformed (star-product) analogue.
+the supercircle of dimension 1|2: brackets, weight-zero cohomology blocks,
+cup products, formal deformations and the h-deformed (star-product) analogue.
 """
 
-from .scalars import ALPHA, AlphaPoly, PoleError, Rat, S, Scalar
+from .scalars import ALPHA, AlphaPoly, PoleError, Rat, Scalar
 from .symbols import (
     MixedParityError,
     SuperVectorField,
@@ -19,7 +19,6 @@ __all__ = [
     "MixedParityError",
     "PoleError",
     "Rat",
-    "S",
     "Scalar",
     "SuperVectorField",
     "Symbol",

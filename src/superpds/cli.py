@@ -1,7 +1,8 @@
 """Command-line front end.
 
 Exit codes: 0 success / verified, 1 mathematical failure (a residual, a
-failed verification, an unsolvable system), 2 usage error.  ``--json``
+failed verification, an unsolvable system) or an expression that does not
+parse, 2 usage error (a bad argument or a malformed input file).  ``--json``
 switches the output to a machine-readable document built from the same
 payload as the text rendering.
 """
@@ -23,7 +24,8 @@ from .symbols import Symbol, random_monomial
 
 
 class InputError(Exception):
-    """A malformed input file; reported on one line with exit code 2."""
+    """A bad command-line argument or a malformed input file; reported on
+    one line with exit code 2."""
 
 
 def _engine(args, alpha=None):
@@ -36,7 +38,7 @@ def _fraction(text: str) -> Fraction:
     try:
         return Fraction(text)
     except (ValueError, ZeroDivisionError) as exc:
-        raise SystemExit("invalid rational %r: %s" % (text, exc))
+        raise InputError("invalid rational %r: %s" % (text, exc))
 
 
 def _type_name(value) -> str:
@@ -70,16 +72,24 @@ def _load_cochain(path: str):
         b = doc["block"]
         if not isinstance(b, dict):
             raise InputError("%s: block must be an object, got %s" % (path, _type_name(b)))
-        fields = {"k": int, "n": int, "target": str, "weight_zero": bool}
-        values = {field: b.get(field, True if kind is bool else None)
-                  for field, kind in fields.items()}
+        fields = {"k": int, "n": int, "target": str}
+        for field in b:
+            if field not in fields:
+                raise InputError("%s: unknown block field %r" % (path, field))
         for field, kind in fields.items():
-            if type(values[field]) is not kind:  # rejects true as an int, too
-                got = _type_name(values[field]) if field in b else "nothing"
+            if type(b.get(field)) is not kind:  # rejects true as an int, too
+                got = _type_name(b[field]) if field in b else "nothing"
                 raise InputError("%s: block field %r must be %s, got %s"
                                  % (path, field, kind.__name__, got))
-        block = coh.BlockSpec(**values)
+        block = _block_spec(b["k"], b["n"], b["target"], "%s: " % path)
     return coh.Cochain1(images, block)
+
+
+def _block_spec(k, n, target, prefix=""):
+    try:
+        return coh.BlockSpec(k, n, target)
+    except ValueError as exc:
+        raise InputError(prefix + str(exc))
 
 
 def _emit(args, payload, lines):
@@ -220,7 +230,7 @@ def cmd_h1(args):
         if args.k is None or args.n is None:
             print("h1: --k and --n must be given together", file=sys.stderr)
             return 2
-        block = coh.BlockSpec(args.k, args.n, args.target)
+        block = _block_spec(args.k, args.n, args.target)
         reports = [coh.h1_block(block, engine, representatives=True)]
         scanned = 1
     else:
@@ -322,7 +332,7 @@ def cmd_solve_obstruction(args):
     rho1 = _load_cochain(args.f)
     engine = _engine(args)
     target = args.target or (rho1.block.target if rho1.block else "P")
-    block = coh.BlockSpec(args.k, args.n, target)
+    block = _block_spec(args.k, args.n, target)
     sol = coh.solve_obstruction(rho1, block, engine)
     payload = {
         "command": "solve-obstruction",
@@ -346,7 +356,7 @@ def _load_deformation(path: str) -> deform.DeformedMap:
     elif engine_name == "poisson":
         engine = coh.poisson_engine()
     else:
-        raise SystemExit("unknown engine %r" % (engine_name,))
+        raise InputError("%s: unknown engine %r" % (path, engine_name))
     base = os.path.dirname(os.path.abspath(path))
     entries = doc.get("orders", [])
     if not isinstance(entries, list):

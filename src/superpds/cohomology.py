@@ -53,7 +53,6 @@ class BlockSpec:
     k: int
     n: int
     target: str
-    weight_zero: bool = True
 
     def __post_init__(self):
         if self.target not in TARGETS:
@@ -187,7 +186,7 @@ class Engine:
                 raise ValueError("%s image has wrong k-degree" % (name,))
             if sym.n_degree() != n_deg + block.n:
                 raise ValueError("%s image has wrong n-degree" % (name,))
-            if block.weight_zero and sym.weight() != w:
+            if sym.weight() != w:
                 raise ValueError("%s image has wrong weight" % (name,))
 
 
@@ -254,7 +253,7 @@ def _monomials(block: BlockSpec, engine: Engine, want_n, weight, parity):
     for mask in range(16):
         if mask.bit_count() & 1 != parity:
             continue
-        if block.weight_zero and _mask_weight(mask) != weight:
+        if _mask_weight(mask) != weight:
             continue
         if engine.h_k_weight:
             hi = (block.k - mask.bit_count() - want_n) // 2

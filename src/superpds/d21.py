@@ -10,8 +10,9 @@ Two realizations live here:
   (2, -1-alpha, alpha-1), spanning a copy of the derived contact
   superconformal algebra K'(4) in k-degree 2.
 
-The isomorphism between the two needs the constant sqrt(2)i, represented by
-the formal generator s with s^2 = -2.
+The isomorphism between the two multiplies the odd part by the constant
+sqrt(2)i.  ``verify_iso`` tracks that factor by parity, so every coefficient
+stays in Q(alpha).
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 
-from .scalars import ALPHA, S, S_ONE, Scalar
+from .scalars import ALPHA, S_ONE, Scalar
 from .symbols import Symbol
 
 EVEN_NAMES = ("E1", "F1", "H1", "E2", "F2", "H2", "E3", "F3", "H3")
@@ -308,9 +309,12 @@ def standard_sigma():
     return (Scalar.from_fraction(2), -S_ONE - ALPHA, ALPHA - S_ONE)
 
 
-# Correspondence between abstract names and (coefficient, basis name): the
-# odd part carries the sqrt(2)i factor.
 def _iso_map():
+    """Abstract name x -> (c_x, X) with rho(x) = s^p(x) * c_x * X.
+
+    s = sqrt(2)i is the factor the odd images carry; it is left out of the
+    table, so c_x lies in Q.
+    """
     m = {
         ("Phi", 1, 1, 1): (-S_ONE, "E1"),
         ("Phi", 1, 2, 2): (-S_ONE, "F1"),
@@ -321,14 +325,14 @@ def _iso_map():
         ("Phi", 3, 1, 1): (Scalar.from_fraction(-2), "F3"),
         ("Phi", 3, 2, 2): (Scalar.from_fraction(2), "E3"),
         ("Phi", 3, 1, 2): (S_ONE, "H3"),
-        ("v", 1, 1, 1): (S, "T1"),
-        ("v", 1, 1, 2): (S, "T2"),
-        ("v", 1, 2, 1): (-S, "T4"),
-        ("v", 1, 2, 2): (S, "T3"),
-        ("v", 2, 1, 1): (S, "D3"),
-        ("v", 2, 1, 2): (S, "D4"),
-        ("v", 2, 2, 1): (-S, "D2"),
-        ("v", 2, 2, 2): (S, "D1"),
+        ("v", 1, 1, 1): (S_ONE, "T1"),
+        ("v", 1, 1, 2): (S_ONE, "T2"),
+        ("v", 1, 2, 1): (-S_ONE, "T4"),
+        ("v", 1, 2, 2): (S_ONE, "T3"),
+        ("v", 2, 1, 1): (S_ONE, "D3"),
+        ("v", 2, 1, 2): (S_ONE, "D4"),
+        ("v", 2, 2, 1): (-S_ONE, "D2"),
+        ("v", 2, 2, 2): (S_ONE, "D1"),
     }
     return m
 
@@ -336,27 +340,32 @@ def _iso_map():
 def verify_iso():
     """Check rho([x, y]) = {rho(x), rho(y)} on all 17 x 17 abstract pairs.
 
-    Works over Q(alpha)[s]/(s^2+2) with the parameter triple
-    (2, -1-alpha, alpha-1).  Returns None on success or a mismatch record
-    (pair, lhs, rhs).
+    With rho(x) = s^p(x) c_x X (see ``_iso_map``) and a bracket that
+    preserves parity, both sides carry the factor s^p([x, y]).  Divided by
+    it, and with s^2 = -2, the check is
+
+        sum_n [x, y]_n c_n N = (-2)^(p(x) p(y)) c_x c_y {X, Y},
+
+    exact over Q(alpha) with the parameter triple (2, -1-alpha, alpha-1).
+    Returns None on success or a mismatch record (pair, lhs, rhs) of the
+    two sides of that equation.
     """
     alg = abstract_algebra(*standard_sigma())
     iso = _iso_map()
     basis = embedded_basis()
-
-    def push(name) -> Symbol:
-        coeff, target = iso[name]
-        return basis[target] * coeff
-
-    images = {name: push(name) for name in alg.names}
     for x in alg.names:
+        cx, bx = iso[x]
         for y in alg.names:
-            rhs = images[x].poisson(images[y])
+            cy, by = iso[y]
+            coeff = cx * cy
+            if alg.parity[x] and alg.parity[y]:
+                coeff = coeff * -2
+            rhs = basis[bx].poisson(basis[by]) * coeff
             lhs = Symbol.zero()
             for n, c in alg.table[(x, y)].items():
-                coeff, target = iso[n]
-                lhs = lhs + basis[target] * (c * coeff)
-            if not (lhs - rhs) == Symbol.zero():
+                cn, target = iso[n]
+                lhs = lhs + basis[target] * (c * cn)
+            if lhs - rhs:
                 return (x, y), lhs, rhs
     return None
 

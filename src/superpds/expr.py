@@ -7,7 +7,7 @@ Grammar (ASCII; a few unicode aliases are normalized away on input):
     factor := atom ['^' ['-'] INT]
     atom   := NAME | INT | '(' expr ')'
 
-NAME is one of t, tau, xi1, xi2, eta1, eta2, alpha, beta, h, s.  Negative
+NAME is one of t, tau, xi1, xi2, eta1, eta2, alpha, beta, h.  Negative
 exponents are only legal on t and tau; exterior generators only take
 exponents 0 and 1; beta and h powers are nonnegative; a divisor must be a
 nonzero pure-coefficient expression (no t, tau, exterior generators, beta
@@ -17,10 +17,10 @@ parse(str(symbol)) round-trips.
 
 from __future__ import annotations
 
-from .scalars import ALPHA, S, Scalar
+from .scalars import ALPHA, Scalar
 from .symbols import Symbol
 
-GENERATORS = ("t", "tau", "xi1", "xi2", "eta1", "eta2", "alpha", "beta", "h", "s")
+GENERATORS = ("t", "tau", "xi1", "xi2", "eta1", "eta2", "alpha", "beta", "h")
 
 _UNICODE_ALIASES = (
     ("τ", "tau"),
@@ -113,8 +113,6 @@ class _Parser:
         if kind == "name":
             if value == "alpha":
                 return Symbol.constant(ALPHA), value
-            if value == "s":
-                return Symbol.constant(S), value
             if value == "beta":
                 return Symbol.monomial(beta=1), value
             if value == "h":

@@ -18,16 +18,14 @@ from __future__ import annotations
 
 from itertools import count
 
-from .scalars import POLY_ONE, POLY_ZERO, Scalar, poly_gcd, poly_lcm
+from .scalars import POLY_ONE, Scalar, poly_gcd, poly_lcm
 
 
 def clear_denominators(row: dict):
-    """(row times the lcm of its denominators, that lcm) for a row of s-free
+    """(row times the lcm of its denominators, that lcm) for a row of
     scalars; the product is a polynomial row without zero entries."""
     den = None
     for c in row.values():
-        if c.bn.c:
-            raise ValueError("rank over Q(alpha) only, got s term")
         if not c.ad.is_one():
             den = c.ad if den is None else poly_lcm(den, c.ad)
     if den is None:  # every denominator is 1, the common case
@@ -211,12 +209,12 @@ def poly_rank(rows, ncols, collect_pivots=True):
 
 
 def rank_of_scalar_rows(rows, ncols) -> int:
-    """Rank of rows of s-free scalars over Q(alpha)."""
+    """Rank of rows of scalars over Q(alpha)."""
     return poly_rank([clear_denominators(r)[0] for r in rows], ncols, collect_pivots=False)[0]
 
 
 class SpanTracker(_Elimination):
-    """Incremental span of vectors (dicts key -> s-free Scalar) over Q(alpha).
+    """Incremental span of vectors (dicts key -> Scalar) over Q(alpha).
 
     An inserted vector is reduced against the pivot rows kept so far and,
     when something is left, pivots by the core's rule.  Rows remember the
@@ -244,7 +242,7 @@ class SpanTracker(_Elimination):
         den = self.reduce(row, comb, den)
         if row:
             return None
-        return {t: Scalar(-p, den, POLY_ZERO, POLY_ONE) for t, p in comb.items()}
+        return {t: Scalar(-p, den) for t, p in comb.items()}
 
     def rank(self) -> int:
         return len(self.pivots)

@@ -1,20 +1,15 @@
 """Exact coefficient arithmetic for the symbol algebra.
 
-Scalars live in the field Q(alpha)[s] / (s^2 + 2): rational functions in a
-formal parameter ``alpha``, extended by a formal square root ``s`` of -2.
-Every scalar is kept in a unique reduced form (gcd-reduced fractions with
-monic denominators), so two scalars are equal exactly when their stored
-representations coincide.
-
-``s`` only shows up when checking the isomorphism between the abstract
-triple-product superalgebra and its symbol realization; all other
-computations stay inside Q(alpha).
+Scalars live in the field Q(alpha) of rational functions in a formal
+parameter ``alpha`` with rational coefficients.  Every scalar is kept in a
+unique reduced form (a gcd-reduced fraction with a monic denominator), so two
+scalars are equal exactly when their stored representations coincide.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd as int_gcd
+from math import gcd as int_gcd, lcm as int_lcm
 
 Rat = Fraction
 
@@ -75,9 +70,6 @@ class AlphaPoly:
 
     def is_constant(self) -> bool:
         return not self.c or self.c.keys() == {0}
-
-    def constant_value(self) -> Fraction:
-        return self.c.get(0, _F0)
 
     def __add__(self, other: "AlphaPoly") -> "AlphaPoly":
         if not other.c:
@@ -239,29 +231,27 @@ def _reduce_fraction(num: AlphaPoly, den: AlphaPoly):
 
 
 class Scalar:
-    """Element a + b*s of Q(alpha)[s]/(s^2 + 2), in canonical reduced form.
+    """Element an/ad of Q(alpha), in canonical reduced form.
 
-    ``a`` and ``b`` are stored as reduced fractions an/ad, bn/bd of
-    polynomials in alpha with monic denominators.
+    ``an`` and ``ad`` are polynomials in alpha with gcd 1 and ``ad`` monic.
     """
 
-    __slots__ = ("an", "ad", "bn", "bd")
+    __slots__ = ("an", "ad")
 
-    def __init__(self, an, ad, bn, bd, _reduced=False):
+    def __init__(self, an, ad, _reduced=False):
         if _reduced:
-            self.an, self.ad, self.bn, self.bd = an, ad, bn, bd
+            self.an, self.ad = an, ad
         else:
             self.an, self.ad = _reduce_fraction(an, ad)
-            self.bn, self.bd = _reduce_fraction(bn, bd)
 
     # -- constructors -------------------------------------------------
     @staticmethod
     def from_fraction(value) -> "Scalar":
-        return Scalar(AlphaPoly.const(value), _P_ONE, _P_ZERO, _P_ONE, _reduced=True)
+        return Scalar(AlphaPoly.const(value), _P_ONE, _reduced=True)
 
     @staticmethod
     def from_poly(p: AlphaPoly) -> "Scalar":
-        return Scalar(p, _P_ONE, _P_ZERO, _P_ONE, _reduced=True)
+        return Scalar(p, _P_ONE, _reduced=True)
 
     @staticmethod
     def coerce(x) -> "Scalar":
@@ -275,64 +265,33 @@ class Scalar:
 
     # -- predicates ----------------------------------------------------
     def __bool__(self) -> bool:
-        return bool(self.an.c) or bool(self.bn.c)
+        return bool(self.an.c)
 
     def __eq__(self, other) -> bool:
         if isinstance(other, (int, Fraction)):
             other = Scalar.from_fraction(other)
         if not isinstance(other, Scalar):
             return NotImplemented
-        return (
-            self.an == other.an
-            and self.ad == other.ad
-            and self.bn == other.bn
-            and self.bd == other.bd
-        )
+        return self.an == other.an and self.ad == other.ad
 
     def __hash__(self):
-        return hash((self.an, self.ad, self.bn, self.bd))
-
-    def has_s(self) -> bool:
-        return bool(self.bn.c)
-
-    def is_rational(self) -> bool:
-        return not self.bn.c and self.an.is_constant() and self.ad.is_one()
-
-    def as_fraction(self) -> Fraction:
-        if not self.is_rational():
-            raise ValueError("scalar %s is not a plain rational" % (self,))
-        return self.an.constant_value()
+        return hash((self.an, self.ad))
 
     # -- arithmetic ----------------------------------------------------
-    @staticmethod
-    def _frac_add(n1, d1, n2, d2):
-        if d1.is_one() and d2.is_one():
-            return n1 + n2, _P_ONE
-        return _reduce_fraction(n1 * d2 + n2 * d1, d1 * d2)
-
-    @staticmethod
-    def _frac_mul(n1, d1, n2, d2):
-        if not n1.c or not n2.c:
-            return _P_ZERO, _P_ONE
-        if d1.is_one() and d2.is_one():
-            return n1 * n2, _P_ONE
-        return _reduce_fraction(n1 * n2, d1 * d2)
-
     def __add__(self, other):
         try:
             other = Scalar.coerce(other)
         except TypeError:
             return NotImplemented
-        an, ad = Scalar._frac_add(self.an, self.ad, other.an, other.ad)
-        if not self.bn.c and not other.bn.c:
-            return Scalar(an, ad, _P_ZERO, _P_ONE, _reduced=True)
-        bn, bd = Scalar._frac_add(self.bn, self.bd, other.bn, other.bd)
-        return Scalar(an, ad, bn, bd, _reduced=True)
+        n1, d1, n2, d2 = self.an, self.ad, other.an, other.ad
+        if d1.is_one() and d2.is_one():
+            return Scalar(n1 + n2, _P_ONE, _reduced=True)
+        return Scalar(n1 * d2 + n2 * d1, d1 * d2)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return Scalar(-self.an, self.ad, -self.bn, self.bd, _reduced=True)
+        return Scalar(-self.an, self.ad, _reduced=True)
 
     def __sub__(self, other):
         try:
@@ -349,31 +308,19 @@ class Scalar:
             other = Scalar.coerce(other)
         except TypeError:
             return NotImplemented
-        # (a1 + b1 s)(a2 + b2 s) = (a1 a2 - 2 b1 b2) + (a1 b2 + b1 a2) s
-        an, ad = Scalar._frac_mul(self.an, self.ad, other.an, other.ad)
-        if not self.bn.c and not other.bn.c:
-            return Scalar(an, ad, _P_ZERO, _P_ONE, _reduced=True)
-        tn, td = Scalar._frac_mul(self.bn, self.bd, other.bn, other.bd)
-        an, ad = Scalar._frac_add(an, ad, tn.scaled(Fraction(-2)), td)
-        bn, bd = Scalar._frac_mul(self.an, self.ad, other.bn, other.bd)
-        tn, td = Scalar._frac_mul(self.bn, self.bd, other.an, other.ad)
-        bn, bd = Scalar._frac_add(bn, bd, tn, td)
-        return Scalar(an, ad, bn, bd, _reduced=True)
+        n1, d1, n2, d2 = self.an, self.ad, other.an, other.ad
+        if not n1.c or not n2.c:
+            return S_ZERO
+        if d1.is_one() and d2.is_one():
+            return Scalar(n1 * n2, _P_ONE, _reduced=True)
+        return Scalar(n1 * n2, d1 * d2)
 
     __rmul__ = __mul__
 
     def inv(self) -> "Scalar":
         if not self:
             raise ZeroDivisionError("inverse of zero scalar")
-        if not self.bn.c:
-            return Scalar(self.ad, self.an, _P_ZERO, _P_ONE)
-        # (a + b s)^(-1) = (a - b s) / (a^2 + 2 b^2)
-        a2n, a2d = Scalar._frac_mul(self.an, self.ad, self.an, self.ad)
-        b2n, b2d = Scalar._frac_mul(self.bn, self.bd, self.bn, self.bd)
-        nn, nd = Scalar._frac_add(a2n, a2d, b2n.scaled(Fraction(2)), b2d)
-        norm = Scalar(nn, nd, _P_ZERO, _P_ONE, _reduced=True)
-        conj = Scalar(self.an, self.ad, -self.bn, self.bd, _reduced=True)
-        return conj * norm.inv()
+        return Scalar(self.ad, self.an)
 
     def __truediv__(self, other):
         try:
@@ -403,82 +350,37 @@ class Scalar:
     def specialize(self, alpha_value) -> "Scalar":
         """Substitute a rational value for alpha.
 
-        Raises PoleError naming the offending denominator when the value is
-        one of its roots.  Only the stored reduced form is consulted: no
-        further cancellation is attempted.
+        Raises PoleError naming the denominator when the value is one of its
+        roots.  Only the stored reduced form is consulted: no further
+        cancellation is attempted.
         """
         value = Fraction(alpha_value)
-        for den in (self.ad, self.bd):
-            if not den.is_one() and den.evaluate(value) == 0:
-                raise PoleError(den, value)
-        a = self.an.evaluate(value) / self.ad.evaluate(value)
-        b = self.bn.evaluate(value) / self.bd.evaluate(value)
-        return Scalar(
-            AlphaPoly.const(a), _P_ONE, AlphaPoly.const(b), _P_ONE, _reduced=True
-        )
+        den = self.ad.evaluate(value)
+        if not den:
+            raise PoleError(self.ad, value)
+        return Scalar.from_fraction(self.an.evaluate(value) / den)
 
     # -- rendering -------------------------------------------------------
     def _integer_parts(self):
-        """Common-denominator form (p, q, r) with integer coefficients.
-
-        self = (p + q*s) / r, with gcd of all integer coefficients 1 and the
-        leading coefficient of r positive.
-        """
-        g = poly_gcd(self.ad, self.bd) if self.bn.c else self.ad
-        if self.bn.c:
-            r = self.ad * self.bd.exact_div(g)
-            p = self.an * self.bd.exact_div(g)
-            q = self.bn * self.ad.exact_div(g)
-        else:
-            r = self.ad
-            p = self.an
-            q = _P_ZERO
-        denoms = [v.denominator for v in p.c.values()]
-        denoms += [v.denominator for v in q.c.values()]
-        denoms += [v.denominator for v in r.c.values()]
-        lcm = 1
-        for d in denoms:
-            lcm = lcm * d // int_gcd(lcm, d)
-        p, q, r = p.scaled(lcm), q.scaled(lcm), r.scaled(lcm)
-        nums = [abs(v.numerator) for v in p.c.values()]
-        nums += [abs(v.numerator) for v in q.c.values()]
-        nums += [abs(v.numerator) for v in r.c.values()]
-        g = 0
-        for n in nums:
-            g = int_gcd(g, n)
-        if g > 1:
-            inv = Fraction(1, g)
-            p, q, r = p.scaled(inv), q.scaled(inv), r.scaled(inv)
-        return p, q, r
+        """Form (p, r) with integer coefficients: self = p / r, the gcd of
+        all coefficients 1 and the leading coefficient of r positive."""
+        coeffs = [*self.an.c.values(), *self.ad.c.values()]
+        lcm = int_lcm(*(v.denominator for v in coeffs))
+        g = int_gcd(*(v.numerator * (lcm // v.denominator) for v in coeffs))
+        factor = Fraction(lcm, g)
+        return self.an.scaled(factor), self.ad.scaled(factor)
 
     def __str__(self) -> str:
         if not self:
             return "0"
-        p, q, r = self._integer_parts()
-        if q.c:
-            if len(q.c) == 1 and q.leading() == 1 and q.degree() == 0:
-                qs = "s"
-            elif len(q.c) == 1 and q.leading() == -1 and q.degree() == 0:
-                qs = "-s"
-            elif len(q.c) == 1:
-                qs = "%s*s" % poly_str(q)
-            else:
-                qs = "(%s)*s" % poly_str(q)
-            if not p.c:
-                num = qs
-                num_terms = 1 if len(q.c) == 1 else 2
-            else:
-                num = poly_str(p) + (" + " + qs if not qs.startswith("-") else " - " + qs[1:])
-                num_terms = 2
-        else:
-            num = poly_str(p)
-            num_terms = len(p.c)
+        p, r = self._integer_parts()
+        num = poly_str(p)
         if r.is_one():
             return num
         rs = poly_str(r)
         if len(r.c) > 1:
             rs = "(%s)" % rs
-        if num_terms > 1:
+        if len(p.c) > 1:
             num = "(%s)" % num
         return "%s/%s" % (num, rs)
 
@@ -487,8 +389,7 @@ class Scalar:
 
     def display_negative(self) -> bool:
         """True when the canonical rendering would start with a minus sign."""
-        lead = self.an if self.an.c else self.bn
-        return bool(lead.c) and lead.leading() < 0
+        return bool(self.an.c) and self.an.leading() < 0
 
     def factor_str(self) -> str:
         """Render as a factor usable inside a product expression."""
@@ -502,7 +403,5 @@ S_ZERO = Scalar.from_fraction(0)
 S_ONE = Scalar.from_fraction(1)
 S_HALF = Scalar.from_fraction(Fraction(1, 2))
 ALPHA = Scalar.from_poly(_P_ALPHA)
-S = Scalar(_P_ZERO, _P_ONE, _P_ONE, _P_ONE, _reduced=True)
 
-POLY_ZERO = _P_ZERO
 POLY_ONE = _P_ONE

@@ -1,4 +1,4 @@
-"""Poisson superalgebra of pseudodifferential symbols on the supercircle S^{1|2}.
+"""Poisson superalgebra of pseudodifferential symbols on the 1|2 supercircle.
 
 Elements are finite sums of monomials t^a tau^b xi1^e1 xi2^e2 eta1^e3
 eta2^e4 beta^p h^q with scalar coefficients.  t carries Laurent powers, tau

@@ -223,8 +223,15 @@ THETA1_FILE = {
         ({"images": {"D1": 5}}, "image of D1 must be an expression string, got int"),
         ({"block": {"k": 0, "target": "P"}, "images": {}}, "block field 'n' must be int, got nothing"),
         ({"block": {"k": 0, "n": "0", "target": "P"}}, "block field 'n' must be int, got str"),
+        ({"block": {"k": 0, "n": 0, "target": "P", "weight_zero": False}},
+         "unknown block field 'weight_zero'"),
+        ({"block": {"k": 0, "n": 0, "target": "Q"}},
+         "target must be one of ('P', 'P+', 'K4', \"K4'\")"),
+        ({"block": {"k": 0, "n": 0, "target": "K4"}}, "K4-valued blocks require k = 2"),
+        ({"block": {"k": 1, "n": 0, "target": "K4'"}}, "K4-valued blocks require k = 2"),
     ],
-    ids=["list", "image", "block-n", "block-n-str"],
+    ids=["list", "image", "block-n", "block-n-str", "block-extra", "block-target", "block-K4",
+         "block-K4prime"],
 )
 def test_malformed_cochain_file_is_usage_error(tmp_path, capsys, doc, message):
     path = tmp_path / "cochain.json"
@@ -249,8 +256,9 @@ def test_invalid_json_is_usage_error(tmp_path, capsys):
         ([{"orders": []}], "expected a JSON object, got list"),
         ({"orders": ["rho1.json", 7]}, "orders must name cochain files, got int"),
         ({"orders": "rho1.json"}, "orders must be a list, got str"),
+        ({"engine": "bogus", "orders": ["rho1.json"]}, "unknown engine 'bogus'"),
     ],
-    ids=["list", "entry", "orders"],
+    ids=["list", "entry", "orders", "engine"],
 )
 def test_malformed_deformation_file_is_usage_error(tmp_path, capsys, doc, message):
     (tmp_path / "rho1.json").write_text(json.dumps(THETA1_FILE))
@@ -280,6 +288,30 @@ def test_window_variable_is_read_by_h1_only(monkeypatch, capsys):
     monkeypatch.setenv("SUPERPDS_WINDOW", "1")
     code, out, _ = run(capsys, "h1", "--target", "K4'", "--json")
     assert (code, json.loads(out)["blocks_scanned"]) == (0, 3)
+
+
+@pytest.mark.parametrize(
+    "argv,message",
+    [
+        (["h1", "--target", "P", "--specialize", "abc"],
+         "invalid rational 'abc': Invalid literal for Fraction: 'abc'"),
+        (["basis", "--alpha", "1/0"], "invalid rational '1/0': Fraction(1, 0)"),
+        (["h1", "--target", "K4", "--k", "0", "--n", "0"], "K4-valued blocks require k = 2"),
+    ],
+    ids=["specialize", "alpha", "K4-k"],
+)
+def test_bad_argument_is_usage_error(capsys, argv, message):
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err == "error: %s\n" % message
+
+
+def test_solve_obstruction_bad_block_is_usage_error(tmp_path, capsys):
+    path = tmp_path / "rho1.json"
+    path.write_text(json.dumps(THETA1_FILE))
+    code, out, err = run(capsys, "solve-obstruction", str(path), "--k", "0", "--target", "Q")
+    assert (code, out) == (2, "")
+    assert err.startswith("error: target must be one of")
 
 
 def test_parse_error_exit_code(capsys):

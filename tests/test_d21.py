@@ -114,6 +114,26 @@ def test_verify_iso_full_scan():
     assert d21.verify_iso() is None
 
 
+def test_verify_iso_reports_a_flipped_odd_image(monkeypatch):
+    iso_map = d21._iso_map
+    alg = d21.abstract_algebra(*d21.standard_sigma())
+    for name in d21.ODD_ABSTRACT:
+
+        def flipped(name=name):
+            m = iso_map()
+            coeff, target = m[name]
+            m[name] = (-coeff, target)
+            return m
+
+        monkeypatch.setattr(d21, "_iso_map", flipped)
+        bad = d21.verify_iso()
+        assert bad is not None, name
+        pair, lhs, rhs = bad
+        # the first mismatch is a pair that meets the flipped image
+        assert name in pair or name in alg.table[pair], (name, pair)
+        assert lhs != rhs
+
+
 # -- structure table ---------------------------------------------------------------
 
 

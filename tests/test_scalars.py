@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from superpds.scalars import ALPHA, AlphaPoly, PoleError, S, S_ONE, S_ZERO, Scalar
+from superpds.scalars import ALPHA, AlphaPoly, PoleError, S_ONE, S_ZERO, Scalar
 
 
 def frac(n, d=1):
@@ -23,14 +23,10 @@ def polys(draw, max_degree=3):
 
 
 @st.composite
-def scalars(draw, with_s=True):
+def scalars(draw):
     num = draw(polys())
     den = draw(polys(max_degree=2).filter(bool))
-    a = Scalar.from_poly(num) / Scalar.from_poly(den)
-    if with_s and draw(st.booleans()):
-        b = Scalar.from_poly(draw(polys(max_degree=1)))
-        return a + b * S
-    return a
+    return Scalar.from_poly(num) / Scalar.from_poly(den)
 
 
 # -- basic arithmetic -------------------------------------------------------
@@ -44,23 +40,9 @@ def test_alpha_cancellation():
     assert ALPHA + (S_ONE - ALPHA) == S_ONE
 
 
-def test_s_linearity():
-    assert S + S == frac(2) * S
-
-
-def test_s_squared():
-    assert S * S == frac(-2)
-
-
 def test_alpha_inverse():
     assert (S_ONE + ALPHA) * (S_ONE + ALPHA).inv() == S_ONE
     assert (ALPHA - S_ONE) * (ALPHA + S_ONE) == ALPHA * ALPHA - S_ONE
-
-
-def test_inverse_of_s():
-    # solve (a + b s)(c + d s) = 1 by hand: s * (-s/2) = -s^2/2 = 1
-    assert S.inv() == -(S * frac(1, 2))
-    assert S * S.inv() == S_ONE
 
 
 def test_inverse_of_two_and_alpha():
@@ -95,7 +77,7 @@ def test_specialize_reduced_form_first():
 
 
 @settings(max_examples=100, deadline=None)
-@given(scalars(with_s=False), scalars(with_s=False), st.sampled_from([0, 2, -3, 5]))
+@given(scalars(), scalars(), st.sampled_from([0, 2, -3, 5]))
 def test_specialize_is_ring_hom(x, y, value):
     try:
         lhs = (x * y).specialize(value)
@@ -127,7 +109,7 @@ def test_canonical_equality(x, y):
     if x - y:
         assert x != y
     else:
-        assert (x.an, x.ad, x.bn, x.bd) == (y.an, y.ad, y.bn, y.bd)
+        assert (x.an, x.ad) == (y.an, y.ad)
 
 
 # -- rendering ---------------------------------------------------------------
@@ -138,8 +120,6 @@ def test_rendering_examples():
     assert str(ALPHA) == "alpha"
     assert str(-frac(2) * ALPHA) == "-2*alpha"
     assert str((ALPHA + S_ONE) / frac(2)) == "(alpha + 1)/2"
-    assert str(S) == "s"
-    assert str(S * frac(-1)) == "-s"
     assert str(S_ONE / (ALPHA + S_ONE)) == "1/(alpha + 1)"
     assert str(S_ZERO) == "0"
 
@@ -151,8 +131,8 @@ def test_rendering_round_trip():
         frac(7, 3),
         ALPHA ** 3 - frac(2) * ALPHA + S_ONE,
         (ALPHA + S_ONE) / (ALPHA * ALPHA - frac(2)),
-        S * (ALPHA - frac(5)) + frac(1, 2),
-        (frac(3) * S - ALPHA) / (ALPHA + frac(4)),
+        (ALPHA - frac(5)) * frac(3, 7) + frac(1, 2),
+        (frac(3) - ALPHA) / (ALPHA + frac(4)),
     ]
     for x in samples:
         assert parse_scalar(str(x)) == x

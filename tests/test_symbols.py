@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from superpds import kernel
-from superpds.scalars import ALPHA, S, S_ONE
+from superpds.scalars import ALPHA, S_ONE
 from superpds.symbols import (
     MixedParityError,
     Symbol,
@@ -133,11 +133,13 @@ def _poisson_by_definition(a, b):
 
 
 def _random_map(rng):
-    """1-4 terms of mixed parity with beta/h powers and alpha, s coefficients."""
+    """1-4 terms of mixed parity with beta/h powers and coefficients in Q(alpha)."""
     out = Symbol.zero()
     for _ in range(rng.randrange(1, 5)):
         coeff = Fraction(rng.randrange(-5, 6) or 1, rng.randrange(1, 4))
-        coeff = coeff * rng.choice((S_ONE, ALPHA, ALPHA + 1, S, ALPHA * S - 2))
+        coeff = coeff * rng.choice(
+            (S_ONE, ALPHA, ALPHA + 1, (ALPHA - 2).inv(), (ALPHA + 1) / (ALPHA * ALPHA + 3))
+        )
         out = out + mono(
             t=rng.randrange(-3, 4),
             tau=rng.randrange(-3, 4),
