@@ -20,6 +20,24 @@ c([X, Y]) expanded through the cached structure-constant table.  Ranks are
 computed fraction-free over Q[alpha]; the recorded pivot polynomials are the
 only places a specialized alpha can change a dimension.
 
+Scans first try to certify each block over F_p, p = FP_PRIME = 2^61 - 1.
+Each engine has an image over F_p, built at its first scan: the basis and
+the structure table evaluated at one alpha = a as plain ints.  The same
+assembly runs on it, since the term kernel needs ring operations only.
+Evaluation at a mod p is a ring homomorphism on the scalars whose
+denominators do not vanish there, so it maps the exact matrices of d1 and
+d0 to the F_p ones, and a minor that is nonzero mod p is nonzero over
+Q(alpha): specialization can only lower a rank.  With r1, r0 the ranks
+over F_p and N the number of slots,
+
+    H^1 = N - rank d1 - rank d0 <= N - r1 - r0.
+
+When the bound is 0, H^1 = 0.  Since B lies in Z (d1 o d0 = 0), H^1 >= 0
+forces rank d1 = r1 and rank d0 = r0, so Z = N - r1 and B = r0 are exact
+too, and the report carries the certificate "modp-zero".  Only blocks with
+a positive bound take the exact path, certificate "exact".  The F_p image
+keeps no pivots, so ``h1_block`` on its own is always exact.
+
 Block assembly builds the matrix of d1 column by column: the engine's
 incidence table lists, per basis name, the pairs on which an elementary
 cochain at that name is nonzero, so a column adds up a few bracket term maps
@@ -35,11 +53,12 @@ the star-product analogue reuses every formula with [.,.]_h substituted.
 
 from __future__ import annotations
 
+import random
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
-from . import d21, kernel, linalg
+from . import d21, linalg
 from .d21 import BASIS_NAMES, PARITY
 from .linalg import SpanTracker, clear_denominators, column_rows, poly_rank
 from .scalars import S_HALF, S_ONE, Scalar
@@ -120,10 +139,21 @@ class Cochain1:
         return "Cochain1(%s)" % ({n: str(s) for n, s in self.images.items()},)
 
 
-class Engine:
-    """Bracket engine: basis, bracket, structure table, h conventions."""
+# The prime of the F_p image, and the seed of the generic engines' alpha
+# there.  Any alpha is sound; the seed only decides how often a block whose
+# H^1 vanishes still needs the exact path.
+FP_PRIME = 2**61 - 1
+FP_SEED = 0
 
-    def __init__(self, kind, basis, bracket, struct, h_k_weight, h_depth, alpha):
+
+class Engine:
+    """Bracket engine: basis, bracket, structure table, h conventions.
+
+    ``one`` is the unit of the coefficient ring: ``S_ONE`` for an engine
+    over Q(alpha), the int 1 for its image over F_p.
+    """
+
+    def __init__(self, kind, basis, bracket, struct, h_k_weight, h_depth, alpha, one=S_ONE):
         self.kind = kind
         self.basis = basis
         self.bracket = bracket
@@ -131,6 +161,7 @@ class Engine:
         self.h_k_weight = h_k_weight
         self.h_depth = h_depth
         self.alpha = alpha
+        self.one = one
         self.metadata = d21.basis_metadata()
         names = list(BASIS_NAMES)
         self.pairs = [
@@ -164,6 +195,35 @@ class Engine:
                 table[name].append((pi, tuple(parts), -coeff if coeff else None))
         return table
 
+    @cached_property
+    def fp_image(self):
+        """This engine over F_p, or None; built on first use, then kept.
+
+        The basis and structure table are evaluated at one alpha mod
+        FP_PRIME as plain ints: the engine's own alpha when specialized,
+        else a draw from a Random(FP_SEED), drawn again while it is a root
+        of some coefficient's denominator.  There is no image when FP_PRIME
+        divides the denominator of a rational coefficient.
+        """
+        rng = random.Random(FP_SEED)
+        while True:
+            try:
+                if self.alpha is None:
+                    value = rng.randrange(FP_PRIME)
+                else:
+                    value = Scalar.from_fraction(self.alpha).mod_p(0, FP_PRIME)
+                basis = {name: Symbol(_terms_mod(sym.terms, value))
+                         for name, sym in self.basis.items()}
+                struct = {pair: _terms_mod(coeffs, value) for pair, coeffs in self.struct.items()}
+            except ValueError:  # FP_PRIME divides a rational denominator
+                return None
+            except ZeroDivisionError:  # value is a root of a denominator
+                if self.alpha is not None:
+                    raise
+                continue
+            return Engine(self.kind, basis, self.bracket, struct, self.h_k_weight,
+                          self.h_depth, self.alpha, one=1)
+
     def k_degree(self, sym: Symbol):
         """k-degree with h counted at the engine's weight (None if mixed)."""
         value = None
@@ -188,6 +248,16 @@ class Engine:
                 raise ValueError("%s image has wrong n-degree" % (name,))
             if sym.weight() != w:
                 raise ValueError("%s image has wrong weight" % (name,))
+
+
+def _terms_mod(terms: dict, value: int) -> dict:
+    """Images in F_p of the nonzero coefficients of a term map."""
+    out = {}
+    for key, c in terms.items():
+        v = c.mod_p(value, FP_PRIME)
+        if v:
+            out[key] = v
+    return out
 
 
 @lru_cache(maxsize=None)
@@ -341,7 +411,7 @@ def _bracket(engine: Engine, name: str, key, brackets: dict) -> dict:
     m = key, looked up in (or added to) ``brackets``."""
     terms = brackets.get((name, key))
     if terms is None:
-        terms = engine.bracket(engine.basis[name], Symbol({key: S_ONE})).terms
+        terms = engine.bracket(engine.basis[name], Symbol({key: engine.one})).terms
         brackets[(name, key)] = terms
     return terms
 
@@ -350,7 +420,8 @@ def _d1_columns(block: BlockSpec, engine: Engine, brackets: dict | None = None):
     """Elementary cochains of the block and their coboundary vectors.
 
     Returns (slots, columns) where slots = [(name, key)] and columns[i] is a
-    dict (pair_index, monomial_key) -> Scalar.  Each column adds up the
+    dict (pair_index, monomial_key) -> coefficient: a Scalar, or an int not
+    yet reduced mod p for an engine's F_p image.  Each column adds up the
     brackets and structure terms listed in ``engine.incidence`` for its
     name; brackets come from ``brackets`` (name, key) -> terms, which is
     filled as needed and may be shared between blocks of one engine.
@@ -360,18 +431,30 @@ def _d1_columns(block: BlockSpec, engine: Engine, brackets: dict | None = None):
     slots = enumerate_c1(block, engine)
     columns = []
     for (name0, key0) in slots:
-        vec = {}
+        vec: dict = {}
         for pi, parts, coeff in engine.incidence[name0]:
-            val: dict = {}
+            # keys of one pair index follow each other, in the order a
+            # running sum of the parts would hold them
             for name, sign in parts:
-                terms = _bracket(engine, name, key0, brackets)
-                val = kernel.add_terms(val, terms if sign > 0 else kernel.neg_terms(terms))
+                for mk, c in _bracket(engine, name, key0, brackets).items():
+                    _accumulate(vec, (pi, mk), c if sign > 0 else -c)
             if coeff is not None:
-                val = kernel.add_terms(val, {key0: coeff})
-            for mk, c in val.items():
-                vec[(pi, mk)] = c
+                _accumulate(vec, (pi, key0), coeff)
         columns.append(vec)
     return slots, columns
+
+
+def _accumulate(vec: dict, key, c):
+    """vec[key] += c, dropping the entry when it cancels."""
+    old = vec.get(key)
+    if old is None:
+        vec[key] = c
+    else:
+        new = old + c
+        if new:
+            vec[key] = new
+        else:
+            del vec[key]
 
 
 def _d0_columns(block: BlockSpec, engine: Engine, brackets: dict | None = None):
@@ -395,7 +478,12 @@ def _d0_columns(block: BlockSpec, engine: Engine, brackets: dict | None = None):
 
 @dataclass
 class CohomologyReport:
-    """Dimensions and witnesses for one block."""
+    """Dimensions and witnesses for one block.
+
+    ``certificate`` names what established the dimensions: "exact" for
+    elimination over Q(alpha), "modp-zero" for the F_p rank bound of
+    ``certify_zero`` (no representatives, no pivots).
+    """
 
     block: BlockSpec
     dim_cocycles: int
@@ -403,6 +491,7 @@ class CohomologyReport:
     dim_h1: int
     representatives: list
     pivot_polynomials: list
+    certificate: str = "exact"
 
     def to_payload(self):
         return {
@@ -442,7 +531,12 @@ def h1_block(block: BlockSpec, engine: Engine | None = None, representatives: bo
     if not slots:
         return CohomologyReport(block, 0, 0, 0, [], [])
     ncols = len(columns)
-    rank_d1, pivots1 = poly_rank(column_rows(columns), ncols)
+    if representatives:
+        # one elimination of d1 gives its rank, pivots and kernel
+        kvecs, found = linalg.kernel_basis(columns)
+        rank_d1, pivots1 = len(found), linalg.pivot_polynomials(found)
+    else:
+        rank_d1, pivots1 = poly_rank(column_rows(columns))
     dim_z = ncols - rank_d1
 
     mon0, bcols = _d0_columns(block, engine, brackets)
@@ -453,9 +547,7 @@ def h1_block(block: BlockSpec, engine: Engine | None = None, representatives: bo
         if missing:
             raise AssertionError("coboundary leaves the enumerated block: %s %s" % min(missing))
         bcols_indexed.append({col_index[slot]: c for slot, c in vec.items()})
-    rank_d0, pivots0 = poly_rank(
-        [clear_denominators(v)[0] for v in bcols_indexed if v], ncols
-    )
+    rank_d0, pivots0 = poly_rank([clear_denominators(v)[0] for v in bcols_indexed if v])
     dim_h1 = dim_z - rank_d0
     if dim_h1 < 0:
         raise AssertionError("negative H^1 dimension in block %s" % (block,))
@@ -464,7 +556,6 @@ def h1_block(block: BlockSpec, engine: Engine | None = None, representatives: bo
 
     reps = []
     if representatives and dim_h1 > 0:
-        kvecs = linalg.kernel_basis(columns)
         tracker = SpanTracker()
         for i, vec in enumerate(bcols_indexed):
             tracker.insert(vec, ("b", i))
@@ -479,18 +570,46 @@ def h1_block(block: BlockSpec, engine: Engine | None = None, representatives: bo
     return CohomologyReport(block, dim_z, rank_d0, dim_h1, reps, pivot_polys)
 
 
+def certify_zero(block: BlockSpec, image: Engine, brackets: dict | None = None):
+    """A "modp-zero" report for the block, or None when H^1 may be nonzero.
+
+    ``image`` is an engine's F_p image.  The ranks r1, r0 of d1 and d0 over
+    F_p are lower bounds for the exact ones, so H^1 <= N - r1 - r0 for N
+    slots; when the bound is 0 the report is exact.  ``brackets`` is as for
+    ``_d1_columns``, over the image.
+    """
+    slots, columns = _d1_columns(block, image, brackets)
+    rank_d1 = linalg.rank_mod_p(columns, FP_PRIME)
+    rank_d0 = 0
+    if rank_d1 < len(slots):  # otherwise Z = 0, and B inside it is 0 too
+        rank_d0 = linalg.rank_mod_p(_d0_columns(block, image, brackets)[1], FP_PRIME)
+        if rank_d1 + rank_d0 < len(slots):
+            return None
+    return CohomologyReport(block, len(slots) - rank_d1, rank_d0, 0, [], [], "modp-zero")
+
+
 def h1_scan(k_range, n_range, target: str, engine: Engine | None = None, representatives: bool = True):
-    """Reports for every block in the window (K4 targets pin k = 2)."""
+    """Reports for every block in the window (K4 targets pin k = 2).
+
+    Blocks that ``certify_zero`` settles over the engine's F_p image skip
+    the exact path; the rest go through ``h1_block``.
+    """
     engine = engine or poisson_engine()
+    image = engine.fp_image
     ks = [2] if target in ("K4", "K4'") else k_range
     reports = []
     for k in ks:
         # blocks of one k share monomials (and so brackets) across n; no
-        # monomial is shared between rows, so the dict lives for one row
+        # monomial is shared between rows, so the dicts live for one row
         brackets: dict = {}
+        fp_brackets: dict = {}
         for n in n_range:
-            reports.append(h1_block(BlockSpec(k, n, target), engine,
-                                    representatives=representatives, brackets=brackets))
+            block = BlockSpec(k, n, target)
+            report = certify_zero(block, image, fp_brackets) if image else None
+            if report is None:
+                report = h1_block(block, engine, representatives=representatives,
+                                  brackets=brackets)
+            reports.append(report)
     return reports
 
 

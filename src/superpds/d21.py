@@ -462,4 +462,4 @@ def derived_even_dim(alpha_value) -> int:
                 rows.append(
                     {EVEN_NAMES.index(n): c for n, c in coeffs.items()}
                 )
-    return rank_of_scalar_rows(rows, len(EVEN_NAMES))
+    return rank_of_scalar_rows(rows)

@@ -1,4 +1,4 @@
-"""Exact linear algebra over Q[alpha] for the cochain blocks.
+"""Exact linear algebra over Q[alpha] for the cochain blocks, and ranks mod p.
 
 One sparse fraction-free elimination serves ranks, kernels, span tests and
 solve certificates.  Pivots are chosen by cost (Markowitz, Management
@@ -12,6 +12,10 @@ Q[alpha].  Content and gcd are removed once per output vector.
 The roots of the polynomial pivots are the only alpha values at which a
 specialized rank may drop, so the pivot list doubles as the exceptional-
 parameter report; which polynomials appear depends on the pivot order.
+
+``rank_mod_p`` is the certificate path: a rank over F_p of int vectors,
+which bounds the rank over Q(alpha) from below (see ``cohomology``).  It
+keeps no pivots and no combinations.
 """
 
 from __future__ import annotations
@@ -194,23 +198,105 @@ class _Elimination:
                     pivots[j] = (jcol, jpiv, jrow, jcomb)
 
 
-def poly_rank(rows, ncols, collect_pivots=True):
+def pivot_polynomials(found) -> list:
+    """The monic non-constant polynomials among pivots as found, duplicates
+    removed, order preserved."""
+    monic = (p.monic() for p in found if p.degree() > 0)
+    return list({str(q): q for q in monic}.values())
+
+
+def poly_rank(rows, collect_pivots=True):
     """Rank of sparse rows (dicts col -> AlphaPoly) over Q(alpha), forward
     elimination only.
 
-    Returns (rank, pivots) where pivots are the monic non-constant pivot
-    polynomials met (duplicates removed, order preserved).
+    Returns (rank, pivots) where pivots are ``pivot_polynomials`` of the
+    pivots met.
     """
     elim = _Elimination()
     elim.add_rows(rows)
     found = elim.forward()
-    monic = (p.monic() for p in found if collect_pivots and p.degree() > 0)
-    return len(found), list({str(q): q for q in monic}.values())
+    return len(found), pivot_polynomials(found) if collect_pivots else []
 
 
-def rank_of_scalar_rows(rows, ncols) -> int:
+def rank_of_scalar_rows(rows) -> int:
     """Rank of rows of scalars over Q(alpha)."""
-    return poly_rank([clear_denominators(r)[0] for r in rows], ncols, collect_pivots=False)[0]
+    return poly_rank([clear_denominators(r)[0] for r in rows], collect_pivots=False)[0]
+
+
+def rank_mod_p(vectors, p: int) -> int:
+    """Rank over F_p (p prime) of sparse vectors (dicts key -> int).
+
+    Each entry is reduced once.  The vectors are eliminated as rows: the
+    pivot is the sparsest column, then the shortest row in it, so a column
+    met by one row costs no elimination.  Columns sit in buckets by the
+    number of waiting rows they meet, which keeps the choice cheap.
+    """
+    rows: dict = {}
+    occupancy: dict = {}  # column -> ids of the waiting rows that meet it
+    for rid, vec in enumerate(vectors):
+        row = {}
+        for key, v in vec.items():
+            v %= p
+            if v:
+                row[key] = v
+        if row:
+            rows[rid] = row
+            for key in row:
+                occupancy.setdefault(key, set()).add(rid)
+    buckets = [set() for _ in range(len(rows) + 1)]
+    for key, rids in occupancy.items():
+        buckets[len(rids)].add(key)
+
+    def leave(key, rid):
+        """Row ``rid`` no longer meets column ``key``."""
+        rids = occupancy[key]
+        n = len(rids)
+        buckets[n].discard(key)
+        if n > 1:
+            rids.discard(rid)
+            buckets[n - 1].add(key)
+        else:
+            del occupancy[key]
+
+    rank = 0
+    while rows:
+        n = 1
+        while not buckets[n]:
+            n += 1
+        col = buckets[n].pop()
+        rids = occupancy.pop(col)
+        rid = min(rids, key=lambda r: len(rows[r]))
+        rids.discard(rid)
+        rank += 1
+        prow = rows.pop(rid)
+        piv = prow.pop(col)
+        for key in prow:
+            leave(key, rid)
+        if not rids:
+            continue
+        inv = pow(piv, -1, p)
+        for tid in rids:
+            trow = rows[tid]
+            f = trow.pop(col) * inv % p
+            for key, v in prow.items():
+                old = trow.get(key)
+                if old is None:
+                    trow[key] = -f * v % p
+                    krids = occupancy.setdefault(key, set())
+                    n = len(krids)
+                    buckets[n].discard(key)
+                    krids.add(tid)
+                    buckets[n + 1].add(key)
+                    continue
+                new = (old - f * v) % p
+                if new:
+                    trow[key] = new
+                else:
+                    del trow[key]
+                    leave(key, tid)
+            if not trow:
+                del rows[tid]
+    return rank
 
 
 class SpanTracker(_Elimination):
@@ -251,13 +337,15 @@ class SpanTracker(_Elimination):
 def kernel_basis(columns):
     """Kernel of the linear map sending unit column i to ``columns[i]``.
 
-    ``columns`` is a list of vectors (dicts key -> Scalar).  Returns one
-    polynomial coefficient dict {column_index: Scalar} per free column,
-    content removed and the free entry monic; together they span the kernel.
+    ``columns`` is a list of vectors (dicts key -> Scalar).  Returns
+    (kernel, found): one polynomial coefficient dict {column_index: Scalar}
+    per free column, content removed and the free entry monic, together
+    spanning the kernel; and the forward pivots as found, the same as
+    ``poly_rank(column_rows(columns))`` meets, so their number is the rank.
     """
     elim = _Elimination()
     elim.add_rows(column_rows(columns))
-    elim.forward()
+    found = elim.forward()
     elim.back_substitute()
     out = []
     for free in sorted(set(range(len(columns))) - {col for col, _, _, _ in elim.pivots}):
@@ -278,4 +366,4 @@ def kernel_basis(columns):
             vec = {c: p.exact_div(g) for c, p in vec.items()}
         f = 1 / vec[free].leading()
         out.append({c: Scalar.from_poly(vec[c].scaled(f)) for c in sorted(vec)})
-    return out
+    return out, found

@@ -129,6 +129,14 @@ class AlphaPoly:
             acc += v * value**e
         return acc
 
+    def mod_p(self, value: int, p: int) -> int:
+        """Value at alpha = ``value`` in F_p (p prime); ValueError when p
+        divides the denominator of a coefficient."""
+        acc = 0
+        for e, v in self.c.items():
+            acc += v.numerator * pow(v.denominator, -1, p) * pow(value, e, p)
+        return acc % p
+
     def __divmod__(self, other: "AlphaPoly"):
         if not other.c:
             raise ZeroDivisionError("polynomial division by zero")
@@ -359,6 +367,18 @@ class Scalar:
         if not den:
             raise PoleError(self.ad, value)
         return Scalar.from_fraction(self.an.evaluate(value) / den)
+
+    def mod_p(self, value: int, p: int) -> int:
+        """Image in F_p (p prime) under alpha -> ``value``.
+
+        Raises ValueError when p divides the denominator of a rational
+        coefficient, so that no value gives an image, and ZeroDivisionError
+        when ``value`` is a root of the denominator mod p.
+        """
+        den = self.ad.mod_p(value, p)
+        if not den:
+            raise ZeroDivisionError("alpha = %d is a root of %s mod %d" % (value, self.ad, p))
+        return self.an.mod_p(value, p) * pow(den, -1, p) % p
 
     # -- rendering -------------------------------------------------------
     def _integer_parts(self):

@@ -211,9 +211,6 @@ class Symbol:
     def max_beta(self) -> int:
         return max((key[3] for key in self.terms), default=0)
 
-    def max_h(self) -> int:
-        return max((key[4] for key in self.terms), default=0)
-
     def shift_beta(self, power: int) -> "Symbol":
         return Symbol(
             {(t, u, m, b + power, h): c for (t, u, m, b, h), c in self.terms.items()}

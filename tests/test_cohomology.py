@@ -385,3 +385,52 @@ def test_row_shared_brackets_give_fresh_columns(engine_name):
             assert keys == fresh_keys
             assert [list(c.items()) for c in cols] == [list(c.items()) for c in fresh]
     assert shared
+
+
+# -- the F_p certificate against the exact path ---------------------------------------
+
+
+WINDOW6 = range(-6, 7)
+CERTIFIED_SCANS = {
+    "P": (lambda: ENGINE, "P", WINDOW6),
+    "P+": (lambda: ENGINE, "P+", WINDOW6),
+    "K4": (lambda: ENGINE, "K4", WINDOW6),
+    "K4'": (lambda: ENGINE, "K4'", WINDOW6),
+    "P@alpha=1": (lambda: coh.poisson_engine(alpha=1), "P", WINDOW6),
+    "star P+": (lambda: coh.quantized_engine(), "P+", range(-4, 5)),
+}
+
+
+def _exact_dims(reports, engine):
+    """(Z, B, H^1) of h1_block on each report's block, brackets shared per k."""
+    out, brackets = [], {}
+    for i, rpt in enumerate(reports):
+        if i and rpt.block.k != reports[i - 1].block.k:
+            brackets = {}
+        exact = coh.h1_block(rpt.block, engine, representatives=False, brackets=brackets)
+        out.append((exact.dim_cocycles, exact.dim_coboundaries, exact.dim_h1))
+    return out
+
+
+@pytest.mark.parametrize("scan", sorted(CERTIFIED_SCANS))
+def test_modp_certificate_matches_exact(scan):
+    make_engine, target, window = CERTIFIED_SCANS[scan]
+    engine = make_engine()
+    reports = coh.h1_scan(window, window, target, engine, representatives=False)
+    assert [(r.dim_cocycles, r.dim_coboundaries, r.dim_h1) for r in reports] == \
+        _exact_dims(reports, engine)
+    for rpt in reports:
+        assert rpt.certificate == ("exact" if rpt.dim_h1 else "modp-zero"), rpt.block
+    assert any(r.dim_cocycles for r in reports if r.certificate == "modp-zero")
+
+
+def test_scan_without_fp_image_runs_exact():
+    # alpha = 1/p has no image over F_p, so every block takes the exact path
+    engine = coh.poisson_engine(alpha=Fraction(1, coh.FP_PRIME))
+    assert engine.fp_image is None
+    window = range(-2, 3)
+    reports = coh.h1_scan(window, window, "P+", engine, representatives=False)
+    assert {r.certificate for r in reports} == {"exact"}
+    generic = coh.h1_scan(window, window, "P+", ENGINE, representatives=False)
+    assert [(r.block, r.dim_cocycles, r.dim_coboundaries, r.dim_h1) for r in reports] == \
+        [(r.block, r.dim_cocycles, r.dim_coboundaries, r.dim_h1) for r in generic]

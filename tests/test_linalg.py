@@ -1,11 +1,14 @@
 import random
 from fractions import Fraction
 
+from superpds import linalg
 from superpds.linalg import (
     SpanTracker,
     clear_denominators,
+    column_rows,
     kernel_basis,
     poly_rank,
+    rank_mod_p,
     rank_of_scalar_rows,
 )
 from superpds.scalars import ALPHA, AlphaPoly, S_ONE, Scalar
@@ -17,14 +20,14 @@ def P(*coeffs):
 
 def test_poly_rank_simple():
     rows = [{0: P(1), 1: P(2)}, {0: P(2), 1: P(4)}, {2: P(0, 1)}]
-    rank, pivots = poly_rank(rows, 3)
+    rank, pivots = poly_rank(rows)
     assert rank == 2
     assert [str(p) for p in pivots] == ["alpha"]
 
 
 def test_poly_rank_duplicate_singletons():
     rows = [{0: P(1)}, {0: P(5)}, {0: P(0, 3)}]
-    rank, _ = poly_rank(rows, 1)
+    rank, _ = poly_rank(rows)
     assert rank == 1
 
 
@@ -34,7 +37,7 @@ def test_poly_rank_records_polynomial_pivots():
         {0: P(1), 1: P(1)},
         {0: P(1), 1: P(1, 1)},
     ]
-    rank, pivots = poly_rank(rows, 2)
+    rank, pivots = poly_rank(rows)
     assert rank == 2
     assert [str(p) for p in pivots] == ["alpha"]
 
@@ -42,7 +45,7 @@ def test_poly_rank_records_polynomial_pivots():
 def test_rank_of_scalar_rows_with_denominators():
     inv = (S_ONE + ALPHA).inv()
     rows = [{0: inv, 1: inv}, {0: S_ONE, 1: S_ONE}]
-    assert rank_of_scalar_rows(rows, 2) == 1
+    assert rank_of_scalar_rows(rows) == 1
 
 
 def test_span_tracker_express():
@@ -70,8 +73,8 @@ def test_kernel_basis():
         {1: S_ONE},
         {0: S_ONE, 1: S_ONE},
     ]
-    kern = kernel_basis(cols)
-    assert len(kern) == 2
+    kern, found = kernel_basis(cols)
+    assert len(kern) == 2 and len(found) == 2
     for vec in kern:
         acc = {}
         for j, c in vec.items():
@@ -150,14 +153,18 @@ def test_core_matches_dense_reference():
         rng = random.Random(seed)
         rows, ncols = random_matrix(rng, kind)
         rank = dense_rank(rows, ncols)
-        assert rank_of_scalar_rows(rows, ncols) == rank, (seed, kind)
-        prank, pivots = poly_rank([clear_denominators(r)[0] for r in rows], ncols)
+        assert rank_of_scalar_rows(rows) == rank, (seed, kind)
+        prank, pivots = poly_rank([clear_denominators(r)[0] for r in rows])
         assert prank == rank, (seed, kind)
         poly_pivots += len(pivots)
 
         columns = [{i: r[j] for i, r in enumerate(rows) if j in r} for j in range(ncols)]
-        kern = kernel_basis(columns)
+        kern, found = kernel_basis(columns)
         assert len(kern) == ncols - rank, (seed, kind)
+        # the forward pass of the kernel is the rank computation's, pivot for pivot
+        crank, cpivots = poly_rank(column_rows(columns))
+        assert (len(found), [str(q) for q in linalg.pivot_polynomials(found)]) == (
+            crank, [str(q) for q in cpivots]), (seed, kind)
         for vec in kern:
             assert combine(vec, columns) == {}, (seed, kind)
 
@@ -182,3 +189,59 @@ def test_clear_denominators():
     assert row == {0: P(1), 1: P(0, 1, 1)}
     row, den = clear_denominators({0: ALPHA})
     assert row == {0: P(0, 1)} and den.is_one()
+
+
+# -- the rank mod p against a dense reference --------------------------------
+
+MERSENNE = 2**61 - 1
+
+
+def dense_rank_mod_p(vectors, keys, p):
+    """Reference: dense Gaussian elimination over F_p, first nonzero pivot."""
+    m = [[vec.get(key, 0) % p for key in keys] for vec in vectors]
+    rank = 0
+    for j in range(len(keys)):
+        piv = next((i for i in range(rank, len(m)) if m[i][j]), None)
+        if piv is None:
+            continue
+        m[rank], m[piv] = m[piv], m[rank]
+        inv = pow(m[rank][j], -1, p)
+        for i in range(rank + 1, len(m)):
+            if m[i][j]:
+                f = m[i][j] * inv % p
+                m[i] = [(a - f * b) % p for a, b in zip(m[i], m[rank])]
+        rank += 1
+    return rank
+
+
+def random_int_vectors(rng, p):
+    """Sparse int vectors over mixed keys spanning a space of random
+    dimension; entries are unreduced, some are multiples of p."""
+    keys = [(i, "k%d" % (i % 3)) for i in range(rng.randint(2, 12))]
+    gens = [{key: rng.randrange(-3 * p, 3 * p) for key in keys if rng.random() < 0.4}
+            for _ in range(rng.randint(1, 6))]
+    vectors = []
+    for _ in range(rng.randint(1, 10)):
+        vec = {}
+        for gen in rng.sample(gens, rng.randint(1, len(gens))):
+            f = rng.randrange(-p, p)
+            for key, v in gen.items():
+                vec[key] = vec.get(key, 0) + f * v
+        if rng.random() < 0.3:
+            vec[rng.choice(keys)] = p * rng.randint(-2, 2)
+        vectors.append(vec)
+    return vectors, keys
+
+
+def test_rank_mod_p_matches_dense_reference():
+    for p in (2, 7, MERSENNE):
+        for seed in range(40):
+            rng = random.Random(seed)
+            vectors, keys = random_int_vectors(rng, p)
+            expected = dense_rank_mod_p(vectors, keys, p)
+            assert rank_mod_p(vectors, p) == expected, (p, seed)
+            # rank of the transpose, and input left untouched
+            columns = [{i: v[key] for i, v in enumerate(vectors) if key in v} for key in keys]
+            assert rank_mod_p(columns, p) == expected, (p, seed)
+            assert vectors == random_int_vectors(random.Random(seed), p)[0]
+    assert rank_mod_p([], 7) == 0 and rank_mod_p([{0: 14}, {}], 7) == 0

@@ -7,6 +7,9 @@ from hypothesis import strategies as st
 from superpds.scalars import ALPHA, AlphaPoly, PoleError, S_ONE, S_ZERO, Scalar
 
 
+MERSENNE = 2**61 - 1
+
+
 def frac(n, d=1):
     return Scalar.from_fraction(Fraction(n, d))
 
@@ -85,6 +88,21 @@ def test_specialize_is_ring_hom(x, y, value):
     except PoleError:
         return
     assert lhs == rx * ry
+    # the image in F_p is the specialization, reduced
+    for z in (x, y, x * y, x + y):
+        assert z.mod_p(value % MERSENNE, MERSENNE) == z.specialize(value).mod_p(0, MERSENNE)
+
+
+def test_mod_p_values():
+    assert (ALPHA * ALPHA + frac(1, 2)).mod_p(3, 7) == (9 + 4) % 7
+    assert (S_ONE / (ALPHA - frac(2))).mod_p(5, 7) == 5  # 1/3 = 5 mod 7
+    assert frac(-1).mod_p(0, MERSENNE) == MERSENNE - 1
+    with pytest.raises(ZeroDivisionError):
+        (S_ONE + ALPHA).inv().mod_p(6, 7)
+    with pytest.raises(ValueError):
+        frac(1, 7).mod_p(1, 7)
+    with pytest.raises(ValueError):
+        (ALPHA + frac(1, MERSENNE)).mod_p(1, MERSENNE)
 
 
 # -- field axioms on randomized scalars --------------------------------------
