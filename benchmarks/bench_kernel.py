@@ -1,10 +1,10 @@
 #!/usr/bin/env python3
 """Time the term kernel on randomized term maps.
 
-Runs seeded products, Poisson brackets and star products through
-``superpds.kernel`` and prints the seconds for each, first on multi-term
-maps, then on monomial x monomial pairs (``*_mono``), the shape of the
-brackets block assembly makes.  Coefficient arithmetic (exact rationals and
+Runs seeded products, Poisson brackets, star products and h-brackets
+through ``superpds.kernel`` and prints the seconds for each, first on
+multi-term maps, then on monomial x monomial pairs (``*_mono``), the shape
+of the brackets block assembly makes.  Coefficient arithmetic (exact rationals and
 polynomials in alpha) is most of the work; the monomial and sign
 bookkeeping around it is the rest.
 
@@ -73,6 +73,10 @@ def run(pairs, star_pairs, mono_pairs, mono_star_pairs):
         kernel.moyal_terms(a, b)
     timings["star"] = time.perf_counter() - t0
     t0 = time.perf_counter()
+    for a, b in star_pairs:
+        kernel.h_bracket_terms(a, b)
+    timings["hbracket"] = time.perf_counter() - t0
+    t0 = time.perf_counter()
     for a, b in mono_pairs:
         kernel.poisson_terms(a, b)
     timings["poisson_mono"] = time.perf_counter() - t0
@@ -80,12 +84,16 @@ def run(pairs, star_pairs, mono_pairs, mono_star_pairs):
     for a, b in mono_star_pairs:
         kernel.moyal_terms(a, b)
     timings["star_mono"] = time.perf_counter() - t0
+    t0 = time.perf_counter()
+    for a, b in mono_star_pairs:
+        kernel.h_bracket_terms(a, b)
+    timings["hbracket_mono"] = time.perf_counter() - t0
     return timings
 
 
 def main():
     timing = run(*build_workloads(), *build_monomial_workloads())
-    ops = ["product", "poisson", "star", "poisson_mono", "star_mono"]
+    ops = ["product", "poisson", "star", "hbracket", "poisson_mono", "star_mono", "hbracket_mono"]
     print("".join("%14s" % op for op in ops))
     print("".join("%13.3fs" % timing[op] for op in ops))
 

@@ -222,10 +222,7 @@ def _report_payload(rpt):
 
 def cmd_h1(args):
     alpha = _fraction(args.specialize) if args.specialize else None
-    try:
-        engine = _engine(args, alpha=alpha)
-    except PoleError as exc:
-        raise SystemExit(str(exc))
+    engine = _engine(args, alpha=alpha)
     if args.k is not None or args.n is not None:
         if args.k is None or args.n is None:
             print("h1: --k and --n must be given together", file=sys.stderr)

@@ -43,8 +43,8 @@ incidence table lists, per basis name, the pairs on which an elementary
 cochain at that name is nonzero, so a column adds up a few bracket term maps
 [X, m] instead of evaluating d1 on all pairs.  The C^0 keys of a block are
 the slot keys of H1, so d0 reuses the brackets d1 made, and ``h1_scan``
-shares one bracket dict across the blocks of a k-row, whose neighbouring n
-meet the same monomials; the dict is dropped when the row ends.
+shares one F_p bracket dict across the blocks of a k-row, whose neighbouring
+n meet the same monomials; the few exact blocks build their own.
 
 The same machinery runs for the h-deformed algebra: an engine bundles the
 basis, the bracket, the structure table and the h-grading conventions, so
@@ -600,15 +600,13 @@ def h1_scan(k_range, n_range, target: str, engine: Engine | None = None, represe
     reports = []
     for k in ks:
         # blocks of one k share monomials (and so brackets) across n; no
-        # monomial is shared between rows, so the dicts live for one row
-        brackets: dict = {}
+        # monomial is shared between rows, so the dict lives for one row
         fp_brackets: dict = {}
         for n in n_range:
             block = BlockSpec(k, n, target)
             report = certify_zero(block, image, fp_brackets) if image else None
             if report is None:
-                report = h1_block(block, engine, representatives=representatives,
-                                  brackets=brackets)
+                report = h1_block(block, engine, representatives=representatives)
             reports.append(report)
     return reports
 

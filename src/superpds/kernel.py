@@ -5,10 +5,11 @@ beta_exp, h_exp) to nonzero coefficient objects.  Coefficients only need
 ring operations (+, *, unary -, truthiness and multiplication by ints), so
 the kernel works unchanged for specialized and symbolic scalars.
 
-Brackets and products walk pairs of terms.  The Poisson bracket of two
-monomials is closed form: one coefficient product and at most five
-integer-weighted terms, with the Grassmann signs read from tables built at
-import from ``merge_sign`` and the left-derivative rule.
+Brackets and products walk pairs of terms, reading Koszul signs from
+tables built at import from ``merge_sign`` and the left-derivative rule.
+The Poisson bracket of two monomials is closed form: one coefficient product
+and at most five integer-weighted terms.  The star product and the
+h-bracket are one walk, ``_star_walk``.
 
 Callers go through the module attribute (``kernel.poisson_terms(...)``),
 never a name imported from here, so the functions can be wrapped on the
@@ -74,9 +75,9 @@ def mul_terms(a: dict, b: dict) -> dict:
     out: dict = {}
     for (t1, u1, m1, b1, h1), c1 in a.items():
         for (t2, u2, m2, b2, h2), c2 in b.items():
-            if m1 & m2:
+            sign = _MERGE[m1][m2]
+            if not sign:
                 continue
-            sign = merge_sign(m1, m2)
             key = (t1 + t2, u1 + u2, m1 | m2, b1 + b2, h1 + h2)
             c = c1 * c2
             if sign < 0:
@@ -203,16 +204,14 @@ def poisson_terms(a: dict, b: dict) -> dict:
     return out
 
 
-def moyal_terms(a: dict, b: dict) -> dict:
-    """Normal-ordered product of the h-deformed symbol algebra.
-
-    The (t, tau) part multiplies through the star sum
-    sum_n h^n/n! d^n_tau A d^n_t B (finite because tau exponents are
-    nonnegative here), the Grassmann parts through the deformed exterior
+def _star_walk(out: dict, a: dict, b: dict, shift: int = 0, back: bool = False) -> None:
+    """Add A B h^shift into ``out``.  The (t, tau) part multiplies through
+    the star sum sum_n h^n/n! d^n_tau A d^n_t B (finite because tau exponents
+    are nonnegative here), the Grassmann parts through the deformed exterior
     relations.  Every stored monomial means the normal-ordered word
-    t^a tau^b xi... eta... .
+    t^a tau^b xi... eta... .  With ``back`` each pair of terms also takes the
+    sign -(-1)^(p p') of its Grassmann parities.
     """
-    out: dict = {}
     for (t1, u1, m1, b1, h1), c1 in a.items():
         if u1 < 0:
             raise ValueError("star product needs nonnegative tau exponents")
@@ -220,21 +219,23 @@ def moyal_terms(a: dict, b: dict) -> dict:
         e1 = m1 >> ETA_SHIFT
         for (t2, u2, m2, b2, h2), c2 in b.items():
             s2 = m2 & XI_MASK
-            e2 = m2 >> ETA_SHIFT
+            eta2 = m2 & ~XI_MASK
+            flip = -1 if back and not (m1.bit_count() & m2.bit_count() & 1) else 1
             c0 = c1 * c2
             for xi_out, eta_out, hp, exc in EXCHANGE[(e1, s2)]:
-                if s1 & xi_out or e2 & eta_out:
+                sg = _MERGE[s1][xi_out] * _MERGE[eta_out << ETA_SHIFT][eta2]
+                if not sg:
                     continue
-                sg = merge_sign(s1, xi_out) * merge_sign(eta_out << ETA_SHIFT, e2 << ETA_SHIFT)
-                mask = (s1 | xi_out) | ((eta_out | e2) << ETA_SHIFT)
-                base = exc * sg
+                mask = s1 | xi_out | eta_out << ETA_SHIFT | eta2
+                base = exc * sg * flip
+                hh = h1 + h2 + hp + shift
                 for n in range(u1 + 1):
                     factor = comb(u1, n)
                     for i in range(n):
                         factor *= t2 - i
                     if not factor:
                         continue
-                    key = (t1 + t2 - n, u1 + u2 - n, mask, b1 + b2, h1 + h2 + hp + n)
+                    key = (t1 + t2 - n, u1 + u2 - n, mask, b1 + b2, hh + n)
                     c = c0 * (base * factor)
                     if key in out:
                         nv = out[key] + c
@@ -244,4 +245,20 @@ def moyal_terms(a: dict, b: dict) -> dict:
                             del out[key]
                     elif c:
                         out[key] = c
+
+
+def moyal_terms(a: dict, b: dict) -> dict:
+    """Normal-ordered product of the h-deformed symbol algebra."""
+    out: dict = {}
+    _star_walk(out, a, b)
+    return out
+
+
+def h_bracket_terms(a: dict, b: dict) -> dict:
+    """[A, B]_h = (A B - (-1)^(p(A)p(B)) B A)/h: walks over (A, B) and
+    (B, A) into one map, the back-order sign taken per pair of terms, so
+    mixed parity needs no split; the h^0 part cancels there."""
+    out: dict = {}
+    _star_walk(out, a, b, -1)
+    _star_walk(out, b, a, -1, back=True)
     return out

@@ -205,7 +205,7 @@ def pivot_polynomials(found) -> list:
     return list({str(q): q for q in monic}.values())
 
 
-def poly_rank(rows, collect_pivots=True):
+def poly_rank(rows):
     """Rank of sparse rows (dicts col -> AlphaPoly) over Q(alpha), forward
     elimination only.
 
@@ -215,12 +215,12 @@ def poly_rank(rows, collect_pivots=True):
     elim = _Elimination()
     elim.add_rows(rows)
     found = elim.forward()
-    return len(found), pivot_polynomials(found) if collect_pivots else []
+    return len(found), pivot_polynomials(found)
 
 
 def rank_of_scalar_rows(rows) -> int:
     """Rank of rows of scalars over Q(alpha)."""
-    return poly_rank([clear_denominators(r)[0] for r in rows], collect_pivots=False)[0]
+    return poly_rank([clear_denominators(r)[0] for r in rows])[0]
 
 
 def rank_mod_p(vectors, p: int) -> int:

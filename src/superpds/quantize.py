@@ -10,7 +10,8 @@ with the deformed exterior relations xi_i xi_j = -xi_j xi_i,
 eta_i eta_j = -eta_j eta_i, eta_i xi_j = h delta_ij - xi_j eta_i.  The
 h-bracket [A, B]_h = (A B -+ B A)/h contracts to the Poisson bracket at
 h = 0; h is a formal central variable, so identities checked here hold for
-every numeric value of it.
+every numeric value of it.  Product and h-bracket are star walks in
+``kernel``.
 
 tau exponents must be nonnegative (differential operators); t stays Laurent.
 """
@@ -29,37 +30,16 @@ def moyal_mul(a: Symbol, b: Symbol) -> Symbol:
     return Symbol(kernel.moyal_terms(a.terms, b.terms))
 
 
-def _commutator(a: Symbol, b: Symbol) -> Symbol:
-    """Super commutator A B - (-1)^(p(A)p(B)) B A, split by parity parts."""
-    ae, ao = kernel.parity_split(a.terms)
-    be, bo = kernel.parity_split(b.terms)
-    out: dict = {}
-    for pa, pta in ((0, ae), (1, ao)):
-        if not pta:
-            continue
-        for pb, ptb in ((0, be), (1, bo)):
-            if not ptb:
-                continue
-            fwd = kernel.moyal_terms(pta, ptb)
-            back = kernel.moyal_terms(ptb, pta)
-            if not (pa and pb):
-                back = kernel.neg_terms(back)
-            out = kernel.add_terms(out, kernel.add_terms(fwd, back))
-    return Symbol(out)
-
-
 def h_bracket(a: Symbol, b: Symbol) -> Symbol:
     """[A, B]_h = (1/h)(A B - (-1)^(p(A)p(B)) B A); the division is exact."""
-    comm = _commutator(a, b)
-    out = {}
-    for (t, u, m, be, h), c in comm.terms.items():
-        if h < 1:
+    terms = kernel.h_bracket_terms(a.terms, b.terms)
+    for (t, u, m, be, h), c in terms.items():
+        if h < 0:
             raise RuntimeError(
                 "h-commutator produced an h-free term %s; product broken"
-                % (Symbol({(t, u, m, be, h): c}),)
+                % (Symbol({(t, u, m, be, h + 1): c}),)
             )
-        out[(t, u, m, be, h - 1)] = c
-    return Symbol(out)
+    return Symbol(terms)
 
 
 def contract(a: Symbol) -> Symbol:

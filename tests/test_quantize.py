@@ -4,9 +4,10 @@ from fractions import Fraction
 import pytest
 
 from superpds import cohomology as coh
-from superpds import d21, quantize
+from superpds import d21, kernel, quantize
 from superpds._exchange import normal_order_word
 from superpds.expr import parse
+from superpds.scalars import ALPHA, S_ONE
 from superpds.symbols import Symbol
 
 
@@ -81,6 +82,58 @@ def test_h_divisibility():
     for _ in range(100):
         a, b = random_op_monomial(rng), random_op_monomial(rng)
         quantize.h_bracket(a, b)  # raises RuntimeError if divisibility fails
+
+
+def random_op_map(rng):
+    """1-4 operator terms of mixed parity with beta/h powers and
+    coefficients in Q(alpha), polynomial or not."""
+    out = Symbol.zero()
+    for _ in range(rng.randrange(1, 5)):
+        coeff = Fraction(rng.randrange(-5, 6) or 1, rng.randrange(1, 4))
+        coeff = coeff * rng.choice(
+            (S_ONE, ALPHA, ALPHA + 1, (ALPHA - 2).inv(), (ALPHA + 1) / (ALPHA * ALPHA + 3))
+        )
+        out = out + mono(
+            t=rng.randrange(-3, 4),
+            tau=rng.randrange(0, 4),
+            mask=rng.randrange(16),
+            beta=rng.randrange(3),
+            h=rng.randrange(3),
+            coeff=coeff,
+        )
+    return out
+
+
+def _parity_parts(a):
+    even = {k: c for k, c in a.terms.items() if not k[2].bit_count() % 2}
+    odd = {k: c for k, c in a.terms.items() if k[2].bit_count() % 2}
+    return (0, Symbol(even)), (1, Symbol(odd))
+
+
+def _h_bracket_by_definition(a, b):
+    """(A B - (-1)^(p p') B A)/h summed over the parity parts of A and B."""
+    comm = Symbol.zero()
+    for pa, part_a in _parity_parts(a):
+        for pb, part_b in _parity_parts(b):
+            back = quantize.moyal_mul(part_b, part_a)
+            comm = comm + quantize.moyal_mul(part_a, part_b)
+            comm = comm + back if pa and pb else comm - back
+    assert all(key[4] >= 1 for key in comm.terms), comm
+    return Symbol({(t, u, m, be, h - 1): c for (t, u, m, be, h), c in comm.terms.items()})
+
+
+def test_h_bracket_matches_definition():
+    rng = random.Random(1008)
+    for _ in range(300):
+        a, b = random_op_map(rng), random_op_map(rng)
+        assert quantize.h_bracket(a, b) == _h_bracket_by_definition(a, b), (a, b)
+
+
+def test_h_bracket_rejects_h_free_terms(monkeypatch):
+    # a broken kernel leaves an h^0 term of the commutator, h^-1 after division
+    monkeypatch.setattr(kernel, "h_bracket_terms", lambda a, b: {(0, 0, 0, 0, -1): S_ONE})
+    with pytest.raises(RuntimeError, match="h-free term"):
+        quantize.h_bracket(T, TAU)
 
 
 # -- contraction ---------------------------------------------------------------------
