@@ -6,7 +6,9 @@ through ``superpds.kernel`` and prints the seconds for each, first on
 multi-term maps, then on monomial x monomial pairs (``*_mono``), the shape
 of the brackets block assembly makes.  Coefficient arithmetic (exact rationals and
 polynomials in alpha) is most of the work; the monomial and sign
-bookkeeping around it is the rest.
+bookkeeping around it is the rest.  The last three columns time that
+coefficient layer alone: products and sums of ``Scalar`` pairs, and
+``Scalar`` times a small int, the multiple every kernel term takes.
 
     PYTHONPATH=src python3 benchmarks/bench_kernel.py
 """
@@ -58,7 +60,19 @@ def build_monomial_workloads(seed=12, count=2000):
     return pairs, star_pairs
 
 
-def run(pairs, star_pairs, mono_pairs, mono_star_pairs):
+def build_scalar_workloads(seed=13, count=2000):
+    """(scalar pairs, (scalar, small int) pairs) from their own generator,
+    so that the generators above draw exactly what they always have."""
+    rng = random.Random(seed)
+    coeffs = []
+    while len(coeffs) < 2 * count:
+        coeffs += random_terms(rng).values()
+    pairs = list(zip(coeffs[0:2 * count:2], coeffs[1:2 * count:2]))
+    int_pairs = [(c, rng.choice((-3, -2, -1, 2, 3, 6))) for c in coeffs[:count]]
+    return pairs, int_pairs
+
+
+def run(pairs, star_pairs, mono_pairs, mono_star_pairs, scalar_pairs, int_pairs):
     timings = {}
     t0 = time.perf_counter()
     for a, b in pairs:
@@ -88,14 +102,27 @@ def run(pairs, star_pairs, mono_pairs, mono_star_pairs):
     for a, b in mono_star_pairs:
         kernel.h_bracket_terms(a, b)
     timings["hbracket_mono"] = time.perf_counter() - t0
+    t0 = time.perf_counter()
+    for x, y in scalar_pairs:
+        x * y
+    timings["scalar_mul"] = time.perf_counter() - t0
+    t0 = time.perf_counter()
+    for x, k in int_pairs:
+        x * k
+    timings["scalar_mul_int"] = time.perf_counter() - t0
+    t0 = time.perf_counter()
+    for x, y in scalar_pairs:
+        x + y
+    timings["scalar_add"] = time.perf_counter() - t0
     return timings
 
 
 def main():
-    timing = run(*build_workloads(), *build_monomial_workloads())
-    ops = ["product", "poisson", "star", "hbracket", "poisson_mono", "star_mono", "hbracket_mono"]
-    print("".join("%14s" % op for op in ops))
-    print("".join("%13.3fs" % timing[op] for op in ops))
+    timing = run(*build_workloads(), *build_monomial_workloads(), *build_scalar_workloads())
+    ops = ["product", "poisson", "star", "hbracket", "poisson_mono", "star_mono", "hbracket_mono",
+           "scalar_mul", "scalar_mul_int", "scalar_add"]
+    print("".join("%15s" % op for op in ops))
+    print("".join("%14.3fs" % timing[op] for op in ops))
 
 
 if __name__ == "__main__":

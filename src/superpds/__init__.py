@@ -4,7 +4,7 @@ the supercircle of dimension 1|2: brackets, weight-zero cohomology blocks,
 cup products, formal deformations and the h-deformed (star-product) analogue.
 """
 
-from .scalars import ALPHA, AlphaPoly, PoleError, Rat, Scalar
+from .scalars import ALPHA, AlphaPoly, PoleError, Scalar
 from .symbols import (
     MixedParityError,
     SuperVectorField,
@@ -18,7 +18,6 @@ __all__ = [
     "AlphaPoly",
     "MixedParityError",
     "PoleError",
-    "Rat",
     "Scalar",
     "SuperVectorField",
     "Symbol",

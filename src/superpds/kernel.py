@@ -236,7 +236,8 @@ def _star_walk(out: dict, a: dict, b: dict, shift: int = 0, back: bool = False) 
                     if not factor:
                         continue
                     key = (t1 + t2 - n, u1 + u2 - n, mask, b1 + b2, hh + n)
-                    c = c0 * (base * factor)
+                    w = base * factor
+                    c = c0 if w == 1 else -c0 if w == -1 else c0 * w
                     if key in out:
                         nv = out[key] + c
                         if nv:

@@ -4,10 +4,12 @@ One sparse fraction-free elimination serves ranks, kernels, span tests and
 solve certificates.  Pivots are chosen by cost (Markowitz, Management
 Sci. 3, 1957): constant before polynomial, then lower degree, then lower
 (row length - 1) * (column count - 1), with column counts kept up to date.
-Constant pivots are scaled to 1 and eliminate with rational row operations;
-polynomial pivots cross-multiply (Bareiss, Math. Comp. 22, 1968, without his
-exact division: these blocks meet few of them), so every entry stays in
-Q[alpha].  Content and gcd are removed once per output vector.
+Constant pivots are scaled to 1 and eliminate by rational multiples of
+rows; polynomial pivots cross-multiply (Bareiss, Math. Comp. 22, 1968,
+without his exact division: these blocks meet few of them), so every entry
+stays in Q[alpha].  Each entry is an integer polynomial over one integer
+denominator, so a row operation is integer arithmetic plus at most one
+integer gcd per entry.  Content and gcd are removed once per output vector.
 
 The roots of the polynomial pivots are the only alpha values at which a
 specialized rank may drop, so the pivot list doubles as the exceptional-
@@ -20,6 +22,7 @@ keeps no pivots and no combinations.
 
 from __future__ import annotations
 
+from fractions import Fraction
 from itertools import count
 
 from .scalars import POLY_ONE, Scalar, poly_gcd, poly_lcm
@@ -33,8 +36,8 @@ def clear_denominators(row: dict):
         if not c.ad.is_one():
             den = c.ad if den is None else poly_lcm(den, c.ad)
     if den is None:  # every denominator is 1, the common case
-        return {j: c.an for j, c in row.items() if c.an.c}, POLY_ONE
-    return {j: c.an * den.exact_div(c.ad) for j, c in row.items() if c.an.c}, den
+        return {j: c.an for j, c in row.items() if c}, POLY_ONE
+    return {j: c.an * den.exact_div(c.ad) for j, c in row.items() if c}, den
 
 
 def column_rows(columns) -> list:
@@ -50,7 +53,7 @@ def column_rows(columns) -> list:
 def _add_multiple(target: dict, source: dict, factor, occupancy=None, rid=None):
     """target += factor * source, dropping zeros; ``occupancy`` (col -> set
     of row ids) follows the entries of row ``rid`` that appear or vanish."""
-    f = factor.c[0] if factor.is_constant() else None
+    f = factor.constant() if factor.is_constant() else None
     for c, p in source.items():
         add = p.scaled(f) if f is not None else p * factor
         old = target.get(c)
@@ -60,7 +63,7 @@ def _add_multiple(target: dict, source: dict, factor, occupancy=None, rid=None):
                 occupancy.setdefault(c, set()).add(rid)
             continue
         new = old + add
-        if new.c:
+        if new:
             target[c] = new
         else:
             del target[c]
@@ -109,7 +112,7 @@ class _Elimination:
     def add_rows(self, rows):
         """Queue copies of polynomial rows, without their zero entries."""
         for r in rows:
-            row = {c: p for c, p in r.items() if p.c}
+            row = {c: p for c, p in r.items() if p}
             if row:
                 self.add(row, {})
 
@@ -137,7 +140,7 @@ class _Elimination:
 
         def key(entry):
             row = work[entry[0]][0]
-            return max(row[entry[1]].c), (len(row) - 1) * (len(occupancy[entry[1]]) - 1)
+            return row[entry[1]].degree(), (len(row) - 1) * (len(occupancy[entry[1]]) - 1)
 
         return min(((rid, col) for col, rids in occupancy.items() for rid in rids), key=key)
 
@@ -156,7 +159,7 @@ class _Elimination:
         piv = found
         if found.is_constant():
             piv = POLY_ONE
-            inv = 1 / found.c[0]
+            inv = 1 / Fraction(found.constant())
             row = {c: p.scaled(inv) for c, p in row.items()}
             comb = {t: p.scaled(inv) for t, p in comb.items()}
         for tid in touched:
@@ -201,8 +204,7 @@ class _Elimination:
 def pivot_polynomials(found) -> list:
     """The monic non-constant polynomials among pivots as found, duplicates
     removed, order preserved."""
-    monic = (p.monic() for p in found if p.degree() > 0)
-    return list({str(q): q for q in monic}.values())
+    return list(dict.fromkeys(p.monic() for p in found if p.degree() > 0))
 
 
 def poly_rank(rows):

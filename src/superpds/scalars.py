@@ -4,6 +4,12 @@ Scalars live in the field Q(alpha) of rational functions in a formal
 parameter ``alpha`` with rational coefficients.  Every scalar is kept in a
 unique reduced form (a gcd-reduced fraction with a monic denominator), so two
 scalars are equal exactly when their stored representations coincide.
+
+A polynomial in alpha is stored as integer coefficients over one positive
+integer denominator, c / d, with d coprime to the coefficients taken
+together; equal polynomials therefore store equally.  Sums, products and
+integer multiples run on Python ints with at most one integer gcd per
+result; division, gcd and rendering work on Fractions.
 """
 
 from __future__ import annotations
@@ -11,10 +17,8 @@ from __future__ import annotations
 from fractions import Fraction
 from math import gcd as int_gcd, lcm as int_lcm
 
-Rat = Fraction
-
 _F0 = Fraction(0)
-_F1 = Fraction(1)
+_ONE = {0: 1}
 
 
 class PoleError(ZeroDivisionError):
@@ -28,65 +32,110 @@ class PoleError(ZeroDivisionError):
         )
 
 
-class AlphaPoly:
-    """Sparse polynomial in alpha with Fraction coefficients.
+def _poly(c: dict, d: int) -> "AlphaPoly":
+    """c / d in canonical form, for c without zeros and d > 0: the common
+    factor of d and the coefficients is divided out."""
+    if d != 1:
+        if not c:
+            return _P_ZERO
+        g = int_gcd(d, *c.values())
+        if g != 1:
+            c = {e: v // g for e, v in c.items()}
+            d //= g
+    return AlphaPoly(c, d)
 
-    The coefficient map never stores zeros, so the zero polynomial is the
-    empty map and ``bool(p)`` tests for nonzero.
+
+class AlphaPoly:
+    """Polynomial c / d in alpha with rational coefficients.
+
+    ``c`` maps exponents to nonzero ints and ``d`` is a positive int with
+    gcd(d, every coefficient) = 1.  The constructor takes that form as
+    given; ``from_rationals`` builds it from rational coefficients.  The
+    zero polynomial is the empty map over 1, so ``bool(p)`` tests for
+    nonzero.
     """
 
-    __slots__ = ("c",)
+    __slots__ = ("c", "d")
 
-    def __init__(self, coeffs: dict | None = None):
-        self.c = coeffs if coeffs is not None else {}
+    def __init__(self, c: dict, d: int = 1):
+        self.c = c
+        self.d = d
+
+    @staticmethod
+    def from_rationals(coeffs: dict) -> "AlphaPoly":
+        """The polynomial with coefficients {exponent: int or Fraction}."""
+        coeffs = {e: Fraction(v) for e, v in coeffs.items() if v}
+        d = int_lcm(*(v.denominator for v in coeffs.values()))
+        return _poly({e: v.numerator * (d // v.denominator) for e, v in coeffs.items()}, d)
 
     @staticmethod
     def const(value) -> "AlphaPoly":
-        v = Fraction(value)
-        return AlphaPoly({0: v} if v else {})
+        v = value if isinstance(value, int) else Fraction(value)
+        return AlphaPoly({0: v.numerator}, v.denominator) if v else _P_ZERO
 
     @staticmethod
     def variable() -> "AlphaPoly":
-        return AlphaPoly({1: _F1})
+        return AlphaPoly({1: 1})
 
     def __bool__(self) -> bool:
         return bool(self.c)
 
     def __eq__(self, other) -> bool:
-        return isinstance(other, AlphaPoly) and self.c == other.c
+        return isinstance(other, AlphaPoly) and self.d == other.d and self.c == other.c
 
     def __hash__(self):
-        return hash(frozenset(self.c.items()))
+        return hash((frozenset(self.c.items()), self.d))
+
+    def _fractions(self) -> dict:
+        d = self.d
+        return {e: Fraction(v, d) for e, v in self.c.items()}
 
     def degree(self) -> int:
         """Degree in alpha; -1 for the zero polynomial."""
         return max(self.c) if self.c else -1
 
     def leading(self) -> Fraction:
-        return self.c[max(self.c)] if self.c else _F0
+        return Fraction(self.c[max(self.c)], self.d) if self.c else _F0
+
+    def constant(self):
+        """The coefficient of alpha^0: an int when the denominator is 1,
+        else a Fraction."""
+        v = self.c.get(0, 0)
+        return v if self.d == 1 else Fraction(v, self.d)
 
     def is_one(self) -> bool:
-        return self.c == {0: _F1}
+        return self.d == 1 and self.c == _ONE
 
     def is_constant(self) -> bool:
-        return not self.c or self.c.keys() == {0}
+        c = self.c
+        return not c or (len(c) == 1 and 0 in c)
 
     def __add__(self, other: "AlphaPoly") -> "AlphaPoly":
-        if not other.c:
+        b = other.c
+        if not b:
             return self
-        if not self.c:
+        a = self.c
+        if not a:
             return other
-        out = dict(self.c)
-        for e, v in other.c.items():
-            nv = out.get(e, _F0) + v
+        da, db = self.d, other.d
+        if da == db:
+            out = dict(a)
+            fb = 1
+        else:
+            g = int_gcd(da, db)
+            fa, fb = db // g, da // g
+            out = {e: v * fa for e, v in a.items()}
+            da *= fa
+        for e, v in b.items():
+            nv = out.get(e, 0) + v * fb
             if nv:
                 out[e] = nv
             else:
-                out.pop(e, None)
-        return AlphaPoly(out)
+                del out[e]
+        return AlphaPoly(out) if da == 1 else _poly(out, da)
 
     def __neg__(self) -> "AlphaPoly":
-        return AlphaPoly({e: -v for e, v in self.c.items()})
+        return AlphaPoly({e: -v for e, v in self.c.items()}, self.d)
 
     def __sub__(self, other: "AlphaPoly") -> "AlphaPoly":
         return self + (-other)
@@ -95,55 +144,70 @@ class AlphaPoly:
         a, b = self.c, other.c
         if not a or not b:
             return _P_ZERO
+        d = self.d * other.d
         if len(a) == 1:
             ((ea, va),) = a.items()
-            if ea == 0 and va == 1:
+            if d == 1 and ea == 0 and va == 1:
                 return other
-            return AlphaPoly({e + ea: v * va for e, v in b.items()})
-        if len(b) == 1:
+            out = {e + ea: v * va for e, v in b.items()}
+        elif len(b) == 1:
             ((eb, vb),) = b.items()
-            if eb == 0 and vb == 1:
+            if d == 1 and eb == 0 and vb == 1:
                 return self
-            return AlphaPoly({e + eb: v * vb for e, v in a.items()})
-        out: dict = {}
-        for ea, va in a.items():
-            for eb, vb in b.items():
-                e = ea + eb
-                nv = out.get(e, _F0) + va * vb
-                if nv:
-                    out[e] = nv
-                else:
-                    out.pop(e, None)
-        return AlphaPoly(out)
+            out = {e + eb: v * vb for e, v in a.items()}
+        else:
+            out = {}
+            for ea, va in a.items():
+                for eb, vb in b.items():
+                    e = ea + eb
+                    nv = out.get(e, 0) + va * vb
+                    if nv:
+                        out[e] = nv
+                    else:
+                        del out[e]
+        return AlphaPoly(out) if d == 1 else _poly(out, d)
 
-    def scaled(self, factor: Fraction) -> "AlphaPoly":
-        if not factor:
+    def scaled(self, factor) -> "AlphaPoly":
+        """Multiple by a rational number, an int or a Fraction."""
+        n, m = factor.numerator, factor.denominator
+        if not n or not self.c:
             return _P_ZERO
-        if factor == 1:
+        d = self.d
+        if m != 1:
+            return _poly({e: v * n for e, v in self.c.items()}, d * m)
+        if n == 1:
             return self
-        return AlphaPoly({e: v * factor for e, v in self.c.items()})
+        if d != 1:
+            # gcd(d, n * content) = gcd(d, n), as d is coprime to the content
+            g = int_gcd(d, n)
+            n //= g
+            d //= g
+        return AlphaPoly({e: v * n for e, v in self.c.items()}, d)
 
     def evaluate(self, value: Fraction) -> Fraction:
-        acc = _F0
+        acc = 0
         for e, v in self.c.items():
             acc += v * value**e
-        return acc
+        return Fraction(acc, self.d)
 
     def mod_p(self, value: int, p: int) -> int:
         """Value at alpha = ``value`` in F_p (p prime); ValueError when p
         divides the denominator of a coefficient."""
         acc = 0
         for e, v in self.c.items():
-            acc += v.numerator * pow(v.denominator, -1, p) * pow(value, e, p)
+            acc += v * pow(value, e, p)
+        if self.d != 1:
+            acc *= pow(self.d, -1, p)
         return acc % p
 
     def __divmod__(self, other: "AlphaPoly"):
         if not other.c:
             raise ZeroDivisionError("polynomial division by zero")
-        db = other.degree()
-        lb = other.leading()
+        b = other._fractions()
+        db = max(b)
+        lb = b[db]
         q: dict = {}
-        r = dict(self.c)
+        r = self._fractions()
         while r:
             dr = max(r)
             if dr < db:
@@ -151,26 +215,33 @@ class AlphaPoly:
             f = r[dr] / lb
             e = dr - db
             q[e] = f
-            for k, v in other.c.items():
+            for k, v in b.items():
                 kk = k + e
                 nv = r.get(kk, _F0) - v * f
                 if nv:
                     r[kk] = nv
                 else:
                     r.pop(kk, None)
-        return AlphaPoly(q), AlphaPoly(r)
+        return AlphaPoly.from_rationals(q), AlphaPoly.from_rationals(r)
 
     def exact_div(self, other: "AlphaPoly") -> "AlphaPoly":
         q, r = divmod(self, other)
-        if r.c:
+        if r:
             raise ArithmeticError("inexact polynomial division")
         return q
 
     def monic(self) -> "AlphaPoly":
-        if not self.c:
+        """Divided by its leading coefficient: c / d over c_top / d is
+        c / c_top."""
+        c = self.c
+        if not c:
             return self
-        lc = self.leading()
-        return self if lc == 1 else self.scaled(1 / lc)
+        lc = c[max(c)]
+        if lc == self.d:
+            return self
+        if lc < 0:
+            c = {e: -v for e, v in c.items()}
+        return _poly(c, abs(lc))
 
     def __str__(self) -> str:
         return poly_str(self)
@@ -180,31 +251,32 @@ class AlphaPoly:
 
 
 _P_ZERO = AlphaPoly({})
-_P_ONE = AlphaPoly({0: _F1})
-_P_ALPHA = AlphaPoly({1: _F1})
+_P_ONE = AlphaPoly({0: 1})
+_P_ALPHA = AlphaPoly({1: 1})
 
 
 def poly_gcd(a: AlphaPoly, b: AlphaPoly) -> AlphaPoly:
     """Monic gcd in Q[alpha] (Euclid with monic normalization per step)."""
     a, b = a.monic(), b.monic()
-    while b.c:
+    while b:
         a, b = b, divmod(a, b)[1].monic()
     return a
 
 
 def poly_lcm(a: AlphaPoly, b: AlphaPoly) -> AlphaPoly:
-    if not a.c or not b.c:
+    if not a or not b:
         return _P_ZERO
     return (a * b.exact_div(poly_gcd(a, b))).monic()
 
 
 def poly_str(p: AlphaPoly, var: str = "alpha") -> str:
     """Render with integer-free Fractions allowed, decreasing degree."""
-    if not p.c:
+    if not p:
         return "0"
+    coeffs = p._fractions()
     parts = []
-    for e in sorted(p.c, reverse=True):
-        v = p.c[e]
+    for e in sorted(coeffs, reverse=True):
+        v = coeffs[e]
         sign = "-" if v < 0 else "+"
         av = -v if v < 0 else v
         if e == 0:
@@ -222,26 +294,30 @@ def poly_str(p: AlphaPoly, var: str = "alpha") -> str:
 
 def _reduce_fraction(num: AlphaPoly, den: AlphaPoly):
     """Reduce num/den to lowest terms with a monic denominator."""
-    if not den.c:
+    if not den:
         raise ZeroDivisionError("zero denominator")
-    if not num.c:
+    if not num:
         return _P_ZERO, _P_ONE
-    if not den.is_one():
-        g = poly_gcd(num, den)
-        if g.degree() > 0:
-            num = num.exact_div(g)
-            den = den.exact_div(g)
-        lc = den.leading()
-        if lc != 1:
-            num = num.scaled(1 / lc)
-            den = den.scaled(1 / lc)
-    return num, den
+    if den.is_one():
+        return num, _P_ONE
+    g = poly_gcd(num, den)
+    if g.degree() > 0:
+        num = num.exact_div(g)
+        den = den.exact_div(g)
+    lc = den.leading()
+    if lc != 1:
+        num = num.scaled(1 / lc)
+        den = den.monic()
+    return num, _P_ONE if den.is_one() else den
 
 
 class Scalar:
     """Element an/ad of Q(alpha), in canonical reduced form.
 
     ``an`` and ``ad`` are polynomials in alpha with gcd 1 and ``ad`` monic.
+    A denominator equal to 1 is normally the shared ``_P_ONE``, which the
+    arithmetic tests with ``is`` for its fast paths; any other 1 takes the
+    general path, which gives the same result.
     """
 
     __slots__ = ("an", "ad")
@@ -276,7 +352,10 @@ class Scalar:
         return bool(self.an.c)
 
     def __eq__(self, other) -> bool:
-        if isinstance(other, (int, Fraction)):
+        if isinstance(other, int):
+            an = self.an
+            return an.d == 1 and an.c == ({0: other} if other else {}) and self.ad.is_one()
+        if isinstance(other, Fraction):
             other = Scalar.from_fraction(other)
         if not isinstance(other, Scalar):
             return NotImplemented
@@ -286,13 +365,24 @@ class Scalar:
         return hash((self.an, self.ad))
 
     # -- arithmetic ----------------------------------------------------
+    # A nonzero rational is a unit of Q[alpha]: adding k * ad to the
+    # numerator or scaling it by k keeps a reduced fraction reduced.
     def __add__(self, other):
-        try:
-            other = Scalar.coerce(other)
-        except TypeError:
-            return NotImplemented
-        n1, d1, n2, d2 = self.an, self.ad, other.an, other.ad
-        if d1.is_one() and d2.is_one():
+        if isinstance(other, Scalar):
+            n2, d2 = other.an, other.ad
+        elif isinstance(other, int):
+            if not other:
+                return self
+            d1 = self.ad
+            return Scalar(self.an + d1.scaled(other), d1, _reduced=True)
+        else:
+            try:
+                other = Scalar.coerce(other)
+            except TypeError:
+                return NotImplemented
+            n2, d2 = other.an, other.ad
+        n1, d1 = self.an, self.ad
+        if d1 is _P_ONE and d2 is _P_ONE:
             return Scalar(n1 + n2, _P_ONE, _reduced=True)
         return Scalar(n1 * d2 + n2 * d1, d1 * d2)
 
@@ -312,14 +402,24 @@ class Scalar:
         return Scalar.coerce(other) - self
 
     def __mul__(self, other):
-        try:
-            other = Scalar.coerce(other)
-        except TypeError:
-            return NotImplemented
-        n1, d1, n2, d2 = self.an, self.ad, other.an, other.ad
+        if isinstance(other, Scalar):
+            n2, d2 = other.an, other.ad
+        elif isinstance(other, (int, Fraction)):
+            if other == 1:
+                return self
+            if not other or not self.an.c:
+                return S_ZERO
+            return Scalar(self.an.scaled(other), self.ad, _reduced=True)
+        else:
+            try:
+                other = Scalar.coerce(other)
+            except TypeError:
+                return NotImplemented
+            n2, d2 = other.an, other.ad
+        n1, d1 = self.an, self.ad
         if not n1.c or not n2.c:
             return S_ZERO
-        if d1.is_one() and d2.is_one():
+        if d1 is _P_ONE and d2 is _P_ONE:
             return Scalar(n1 * n2, _P_ONE, _reduced=True)
         return Scalar(n1 * n2, d1 * d2)
 
@@ -384,11 +484,12 @@ class Scalar:
     def _integer_parts(self):
         """Form (p, r) with integer coefficients: self = p / r, the gcd of
         all coefficients 1 and the leading coefficient of r positive."""
-        coeffs = [*self.an.c.values(), *self.ad.c.values()]
-        lcm = int_lcm(*(v.denominator for v in coeffs))
-        g = int_gcd(*(v.numerator * (lcm // v.denominator) for v in coeffs))
-        factor = Fraction(lcm, g)
-        return self.an.scaled(factor), self.ad.scaled(factor)
+        an, ad = self.an, self.ad
+        m = int_lcm(an.d, ad.d)
+        g = int_gcd(*(v * (m // an.d) for v in an.c.values()),
+                    *(v * (m // ad.d) for v in ad.c.values()))
+        factor = Fraction(m, g)
+        return an.scaled(factor), ad.scaled(factor)
 
     def __str__(self) -> str:
         if not self:

@@ -15,7 +15,7 @@ from superpds.scalars import ALPHA, AlphaPoly, S_ONE, Scalar
 
 
 def P(*coeffs):
-    return AlphaPoly({i: Fraction(c) for i, c in enumerate(coeffs) if c})
+    return AlphaPoly.from_rationals({i: Fraction(c) for i, c in enumerate(coeffs) if c})
 
 
 def test_poly_rank_simple():
@@ -185,7 +185,7 @@ def test_core_matches_dense_reference():
 def test_clear_denominators():
     inv = (S_ONE + ALPHA).inv()
     row, den = clear_denominators({0: inv, 1: ALPHA, 2: ZERO})
-    assert den == AlphaPoly({0: Fraction(1), 1: Fraction(1)})
+    assert den == AlphaPoly.from_rationals({0: Fraction(1), 1: Fraction(1)})
     assert row == {0: P(1), 1: P(0, 1, 1)}
     row, den = clear_denominators({0: ALPHA})
     assert row == {0: P(0, 1)} and den.is_one()

@@ -1,4 +1,5 @@
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import given, settings
@@ -22,7 +23,7 @@ rationals = st.fractions(min_value=-30, max_value=30, max_denominator=9)
 @st.composite
 def polys(draw, max_degree=3):
     coeffs = draw(st.lists(rationals, max_size=max_degree + 1))
-    return AlphaPoly({i: c for i, c in enumerate(coeffs) if c})
+    return AlphaPoly.from_rationals({i: c for i, c in enumerate(coeffs) if c})
 
 
 @st.composite
@@ -128,6 +129,92 @@ def test_canonical_equality(x, y):
         assert x != y
     else:
         assert (x.an, x.ad) == (y.an, y.ad)
+
+
+# -- the stored representation ------------------------------------------------
+
+
+def _ref(p):
+    """The coefficients of ``p`` as a plain {exponent: Fraction} map."""
+    return {e: Fraction(v, p.d) for e, v in p.c.items()}
+
+
+def _nonzero(m):
+    return {e: v for e, v in m.items() if v}
+
+
+def _ref_add(a, b):
+    out = dict(a)
+    for e, v in b.items():
+        out[e] = out.get(e, 0) + v
+    return _nonzero(out)
+
+
+def _ref_mul(a, b):
+    out = {}
+    for ea, va in a.items():
+        for eb, vb in b.items():
+            out[ea + eb] = out.get(ea + eb, 0) + va * vb
+    return _nonzero(out)
+
+
+def _ref_mod_p(a, value, p):
+    return sum(v.numerator * pow(v.denominator, -1, p) * pow(value, e, p)
+               for e, v in a.items()) % p
+
+
+def _check(p, ref):
+    """``p`` is stored canonically (int coefficients without zeros over a
+    positive int denominator coprime to them) and has the coefficients
+    ``ref``."""
+    assert type(p.d) is int and p.d > 0
+    assert all(type(v) is int and v for v in p.c.values())
+    assert gcd(p.d, *p.c.values()) == 1
+    assert _ref(p) == ref
+
+
+@settings(max_examples=200, deadline=None)
+@given(polys(), polys(), st.integers(-12, 12), rationals, st.integers(-5, 5))
+def test_poly_canonical_form(a, b, k, q, value):
+    ra, rb = _ref(a), _ref(b)
+    _check(a, ra)
+    _check(b, rb)
+    _check(a + b, _ref_add(ra, rb))
+    _check(-a, {e: -v for e, v in ra.items()})
+    _check(a - b, _ref_add(ra, {e: -v for e, v in rb.items()}))
+    _check(a * b, _ref_mul(ra, rb))
+    _check(a.scaled(k), _nonzero({e: v * k for e, v in ra.items()}))
+    _check(a.scaled(q), _nonzero({e: v * q for e, v in ra.items()}))
+    if ra:
+        lead = ra[max(ra)]
+        _check(a.monic(), {e: v / lead for e, v in ra.items()})
+    if rb:
+        quo, rem = divmod(a, b)
+        _check(quo, _ref(quo))
+        _check(rem, _ref(rem))
+        assert _ref_add(_ref_mul(_ref(quo), rb), _ref(rem)) == ra
+        assert rem.degree() < b.degree()
+    assert a.evaluate(Fraction(value, 3)) == sum(v * Fraction(value, 3) ** e for e, v in ra.items())
+    for p in (MERSENNE, 7):
+        try:
+            expected = _ref_mod_p(ra, value % p, p)
+        except ValueError:  # p divides a denominator
+            with pytest.raises(ValueError):
+                a.mod_p(value % p, p)
+        else:
+            assert a.mod_p(value % p, p) == expected
+
+
+@settings(max_examples=100, deadline=None)
+@given(scalars())
+def test_scalar_int_operands(x):
+    # an int operand is scaled in directly; the result is the canonical form
+    # the coerced operand gives
+    for k in range(-7, 8):
+        s = Scalar.from_fraction(k)
+        assert x * k == x * s and k * x == x * s
+        assert x + k == x + s and k + x == x + s
+        assert (x == k) == (x == s)
 
 
 # -- rendering ---------------------------------------------------------------
