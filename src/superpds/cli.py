@@ -221,6 +221,10 @@ def _report_payload(rpt):
 
 
 def cmd_h1(args):
+    if args.quantized and args.target != "P+":
+        # the star engine keeps no tau < 0 monomial, so any other target
+        # would report a slice of the P+ computation under its own name
+        raise InputError("h1 --quantized computes target P+ only, got %s" % args.target)
     alpha = _fraction(args.specialize) if args.specialize else None
     engine = _engine(args, alpha=alpha)
     if args.k is not None or args.n is not None:

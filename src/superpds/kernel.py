@@ -1,15 +1,21 @@
 """Term kernel of the sparse symbol algebra.
 
 A term map is a dict from monomial keys (t_exp, tau_exp, grassmann_mask,
-beta_exp, h_exp) to nonzero coefficient objects.  Coefficients only need
-ring operations (+, *, unary -, truthiness and multiplication by ints), so
-the kernel works unchanged for specialized and symbolic scalars.
+beta_exp, h_exp) to nonzero coefficients: ``Scalar``s, or ints for an
+engine's image over F_p, one kind per map.  The Poisson bracket and the
+plain product use only ring operations on them (+, *, unary -, truthiness
+and multiplication by ints).
 
 Brackets and products walk pairs of terms, reading Koszul signs from
 tables built at import from ``merge_sign`` and the left-derivative rule.
 The Poisson bracket of two monomials is closed form: one coefficient product
 and at most five integer-weighted terms.  The star product and the
-h-bracket are one walk, ``_star_walk``.
+h-bracket are one walk, ``_star_walk``, on int coefficients only: a
+``Scalar`` map is split into alpha-power layers, int maps over one
+denominator (``scalars.split_layers``), each pair of layers is walked, and
+each output key is folded back once into a canonical ``Scalar``
+(``scalars.fold_layers``).  Int maps go straight into the walk.  The first
+coefficient of A picks the path.
 
 Callers go through the module attribute (``kernel.poisson_terms(...)``),
 never a name imported from here, so the functions can be wrapped on the
@@ -21,6 +27,7 @@ from __future__ import annotations
 from math import comb
 
 from ._exchange import EXCHANGE
+from .scalars import fold_layers, split_layers
 
 IMPLEMENTATION = "python"  # recorded with every benchmark run
 
@@ -147,7 +154,7 @@ def _contractions(m1: int, m2: int) -> tuple:
             if not (m1 & fa and m2 & fb):
                 continue
             r1, r2 = m1 ^ fa, m2 ^ fb
-            sign = merge_sign(r1, r2)
+            sign = _MERGE[r1][r2]
             if not sign:
                 continue
             if ((m1 & (fa - 1)).bit_count() + (m2 & (fb - 1)).bit_count()) & 1:
@@ -159,9 +166,9 @@ def _contractions(m1: int, m2: int) -> tuple:
 
 
 _MASKS = range(1 << NGEN)
-# indexed [m1][m2]; contractions as above, merge signs of m1 m2 (0 on overlap)
-_CONTRACTIONS = tuple(tuple(_contractions(m1, m2) for m2 in _MASKS) for m1 in _MASKS)
+# indexed [m1][m2]; merge signs of m1 m2 (0 on overlap), contractions as above
 _MERGE = tuple(tuple(merge_sign(m1, m2) for m2 in _MASKS) for m1 in _MASKS)
+_CONTRACTIONS = tuple(tuple(_contractions(m1, m2) for m2 in _MASKS) for m1 in _MASKS)
 
 
 def poisson_terms(a: dict, b: dict) -> dict:
@@ -204,62 +211,140 @@ def poisson_terms(a: dict, b: dict) -> dict:
     return out
 
 
-def _star_walk(out: dict, a: dict, b: dict, shift: int = 0, back: bool = False) -> None:
-    """Add A B h^shift into ``out``.  The (t, tau) part multiplies through
-    the star sum sum_n h^n/n! d^n_tau A d^n_t B (finite because tau exponents
-    are nonnegative here), the Grassmann parts through the deformed exterior
-    relations.  Every stored monomial means the normal-ordered word
-    t^a tau^b xi... eta... .  With ``back`` each pair of terms also takes the
-    sign -(-1)^(p p') of its Grassmann parities.
+def _star_tables():
+    """Grassmann parts of the star product, tabulated by mask pair.
+
+    For unit monomials g1 = xi-block s1 then eta-block e1, and g2 likewise,
+    the normal-ordered word g1 g2 is a few (mask, h power, sign) outcomes:
+    e1 s2 is rewritten by ``EXCHANGE`` and the outer blocks merge in with
+    their Koszul signs.  Three tables [m1][m2] -> (outcomes at n = 0,
+    outcomes at n >= 1) are returned: the product, the h-bracket's A B, and
+    its B A with every sign also times -(-1)^(p p') of the two parities.
+    The h-bracket tables leave out the n = 0 outcomes of h power 0: they
+    are the supercommutative product, so the two orders cancel them pair
+    by pair.
+    """
+    tables = ([], [], [])
+    cells: dict = {}  # (outcomes, flip) -> the three cells, each stored once
+    for m1 in _MASKS:
+        s1, e1, p1 = m1 & XI_MASK, m1 >> ETA_SHIFT, m1.bit_count() & 1
+        merge_xi = _MERGE[s1]
+        rows = ([], [], [])
+        for m2 in _MASKS:
+            eta2 = m2 & ~XI_MASK
+            outcomes = []
+            for xi_out, eta_out, hp, exc in EXCHANGE[(e1, m2 & XI_MASK)]:
+                sign = exc * merge_xi[xi_out] * _MERGE[eta_out << ETA_SHIFT][eta2]
+                if sign:
+                    outcomes.append((s1 | xi_out | eta_out << ETA_SHIFT | eta2, hp, sign))
+            key = (tuple(outcomes), 1 if p1 & m2.bit_count() else -1)
+            if key not in cells:
+                out, flip = key
+                back = tuple((mask, hp, sign * flip) for mask, hp, sign in out)
+                cells[key] = ((out, out), (tuple(o for o in out if o[1]), out),
+                              (tuple(o for o in back if o[1]), back))
+            for row, cell in zip(rows, cells[key]):
+                row.append(cell)
+        for table, row in zip(tables, rows):
+            table.append(tuple(row))
+    return tuple(tuple(table) for table in tables)
+
+
+_PRODUCT, _BRACKET, _BRACKET_BACK = _star_tables()
+
+# (u1, t2) -> ((n, comb(u1, n) t2 (t2 - 1) ... (t2 - n + 1)), ...) over the
+# 1 <= n <= u1 with nonzero weight; filled on first use, and small, since
+# exponents stay within the scanned windows
+_WEIGHTS: dict = {}
+
+
+def _weights(u1: int, t2: int) -> tuple:
+    out = []
+    falling = 1
+    for n in range(1, u1 + 1):
+        falling *= t2 - n + 1
+        if not falling:
+            break
+        out.append((n, comb(u1, n) * falling))
+    out = _WEIGHTS[(u1, t2)] = tuple(out)
+    return out
+
+
+def _star_walk(out: dict, a: dict, b: dict, table: tuple, shift: int) -> None:
+    """Add the pairwise star products of A and B, times h^shift, into
+    ``out``; all three carry int coefficients.  Scalar maps reach it one
+    pair of alpha-power layers at a time, through ``_layer_walk``; it
+    builds no Scalar.
+
+    The (t, tau) part multiplies through the star sum
+    sum_n h^n/n! d^n_tau A d^n_t B (finite because tau exponents are
+    nonnegative here), with the weights comb(u1, n) t2 (t2 - 1) ...
+    (t2 - n + 1) cached per (u1, t2).  The Grassmann part is read from
+    ``table`` per mask pair, as built by ``_star_tables``, with every sign
+    folded in.  Every stored monomial means the normal-ordered word
+    t^a tau^b xi... eta... .
     """
     for (t1, u1, m1, b1, h1), c1 in a.items():
         if u1 < 0:
             raise ValueError("star product needs nonnegative tau exponents")
-        s1 = m1 & XI_MASK
-        e1 = m1 >> ETA_SHIFT
+        row = table[m1]
         for (t2, u2, m2, b2, h2), c2 in b.items():
-            s2 = m2 & XI_MASK
-            eta2 = m2 & ~XI_MASK
-            flip = -1 if back and not (m1.bit_count() & m2.bit_count() & 1) else 1
+            first, outcomes = row[m2]
+            if not outcomes:
+                continue
             c0 = c1 * c2
-            for xi_out, eta_out, hp, exc in EXCHANGE[(e1, s2)]:
-                sg = _MERGE[s1][xi_out] * _MERGE[eta_out << ETA_SHIFT][eta2]
-                if not sg:
-                    continue
-                mask = s1 | xi_out | eta_out << ETA_SHIFT | eta2
-                base = exc * sg * flip
-                hh = h1 + h2 + hp + shift
-                for n in range(u1 + 1):
-                    factor = comb(u1, n)
-                    for i in range(n):
-                        factor *= t2 - i
-                    if not factor:
-                        continue
-                    key = (t1 + t2 - n, u1 + u2 - n, mask, b1 + b2, hh + n)
-                    w = base * factor
-                    c = c0 if w == 1 else -c0 if w == -1 else c0 * w
-                    if key in out:
-                        nv = out[key] + c
-                        if nv:
-                            out[key] = nv
-                        else:
-                            del out[key]
-                    elif c:
-                        out[key] = c
+            t, u, be, hh = t1 + t2, u1 + u2, b1 + b2, h1 + h2 + shift
+            for mask, hp, s in first:
+                key = (t, u, mask, be, hh + hp)
+                nv = out.get(key, 0) + c0 * s
+                if nv:
+                    out[key] = nv
+                else:
+                    del out[key]
+            if not (u1 and t2):
+                continue
+            for n, w in _WEIGHTS.get((u1, t2)) or _weights(u1, t2):
+                cw = c0 * w
+                for mask, hp, s in outcomes:
+                    key = (t - n, u - n, mask, be, hh + hp + n)
+                    nv = out.get(key, 0) + cw * s
+                    if nv:
+                        out[key] = nv
+                    else:
+                        del out[key]
+
+
+def _layer_walk(a: dict, b: dict, table: tuple, shift: int, back=None) -> dict:
+    """The star walk on Scalar maps: per pair of alpha-power layers of A and
+    B, A B (and, with a ``back`` table, B A) on ints, then one fold."""
+    la, da, pa = split_layers(a)
+    lb, db, pb = split_layers(b)
+    layers: dict = {}
+    for ea, ta in la.items():
+        for eb, tb in lb.items():
+            layer = layers.setdefault(ea + eb, {})
+            _star_walk(layer, ta, tb, table, shift)
+            if back:
+                _star_walk(layer, tb, ta, back, shift)
+    return fold_layers(layers, da * db, pa * pb if pa and pb else pa or pb)
 
 
 def moyal_terms(a: dict, b: dict) -> dict:
     """Normal-ordered product of the h-deformed symbol algebra."""
+    if a and b and type(next(iter(a.values()))) is not int:
+        return _layer_walk(a, b, _PRODUCT, 0)
     out: dict = {}
-    _star_walk(out, a, b)
+    _star_walk(out, a, b, _PRODUCT, 0)
     return out
 
 
 def h_bracket_terms(a: dict, b: dict) -> dict:
     """[A, B]_h = (A B - (-1)^(p(A)p(B)) B A)/h: walks over (A, B) and
     (B, A) into one map, the back-order sign taken per pair of terms, so
-    mixed parity needs no split; the h^0 part cancels there."""
+    mixed parity needs no split; the h^0 part is never emitted."""
+    if a and b and type(next(iter(a.values()))) is not int:
+        return _layer_walk(a, b, _BRACKET, -1, _BRACKET_BACK)
     out: dict = {}
-    _star_walk(out, a, b, -1)
-    _star_walk(out, b, a, -1, back=True)
+    _star_walk(out, a, b, _BRACKET, -1)
+    _star_walk(out, b, a, _BRACKET_BACK, -1)
     return out

@@ -10,8 +10,10 @@ with the deformed exterior relations xi_i xi_j = -xi_j xi_i,
 eta_i eta_j = -eta_j eta_i, eta_i xi_j = h delta_ij - xi_j eta_i.  The
 h-bracket [A, B]_h = (A B -+ B A)/h contracts to the Poisson bracket at
 h = 0; h is a formal central variable, so identities checked here hold for
-every numeric value of it.  Product and h-bracket are star walks in
-``kernel``.
+every numeric value of it.  Product and h-bracket are one walk in
+``kernel``, on int coefficients one alpha power at a time, with the
+Grassmann outcomes tabulated per pair of masks; the h-bracket never emits
+the h^0 part, which the two orders cancel term pair by term pair.
 
 tau exponents must be nonnegative (differential operators); t stays Laurent.
 """

@@ -10,6 +10,10 @@ integer denominator, c / d, with d coprime to the coefficients taken
 together; equal polynomials therefore store equally.  Sums, products and
 integer multiples run on Python ints with at most one integer gcd per
 result; division, gcd and rendering work on Fractions.
+
+``split_layers`` and ``fold_layers`` carry a whole term map across to ints
+and back for the star kernel: one int map per alpha power over one common
+denominator, and one canonical Scalar per key on the way back.
 """
 
 from __future__ import annotations
@@ -362,7 +366,11 @@ class Scalar:
         return self.an == other.an and self.ad == other.ad
 
     def __hash__(self):
-        return hash((self.an, self.ad))
+        # a constant hashes as the int or Fraction it equals
+        an = self.an
+        if an.is_constant() and self.ad.is_one():
+            return hash(an.constant())
+        return hash((an, self.ad))
 
     # -- arithmetic ----------------------------------------------------
     # A nonzero rational is a unit of Q[alpha]: adding k * ad to the
@@ -518,6 +526,73 @@ class Scalar:
         if " " in s and "/" not in s:
             return "(%s)" % s
         return s
+
+
+def split_layers(terms: dict):
+    """Split a term map with Scalar coefficients into alpha-power layers.
+
+    Returns (layers, d, den): ``layers`` maps each alpha power e to a term
+    map with nonzero int coefficients, ``d`` is a positive int, ``den`` a
+    monic polynomial or None for 1, and the coefficient of a key is
+    sum_e layers[e][key] alpha^e / (d den).  ``den`` is the lcm of the
+    polynomial denominators; ``d`` clears the rational ones.
+    """
+    d = 1
+    for c in terms.values():
+        if c.ad is not _P_ONE:
+            return _split_over_lcm(terms)
+        cd = c.an.d
+        if d % cd:
+            d = d // int_gcd(d, cd) * cd
+    layers: dict = {}
+    for key, c in terms.items():
+        an = c.an
+        f = d // an.d
+        for e, v in an.c.items():
+            layer = layers.get(e)
+            if layer is None:
+                layers[e] = {key: v * f}
+            else:
+                layer[key] = v * f
+    return layers, d, None
+
+
+def _split_over_lcm(terms: dict):
+    den = _P_ONE
+    for c in terms.values():
+        if not c.ad.is_one():
+            den = poly_lcm(den, c.ad)
+    # each coefficient an/ad as (an den/ad) / den, the numerator carried
+    # as a Scalar over 1 to the split above
+    nums = {key: Scalar(c.an * den.exact_div(c.ad), _P_ONE, True) for key, c in terms.items()}
+    layers, d, _ = split_layers(nums)
+    return layers, d, None if den.is_one() else den
+
+
+def fold_layers(layers: dict, d: int, den) -> dict:
+    """The term map with coefficients sum_e layers[e][key] alpha^e / (d den),
+    each a canonical Scalar; ``layers`` holds nonzero ints, ``d`` is a
+    positive int and ``den`` a monic polynomial or None for 1.  Only a
+    polynomial ``den`` takes the polynomial gcd of the full reduction.
+    The layers are consumed: the result may reuse one of their dicts.
+    """
+    if len(layers) == 1 and den is None:
+        ((e, out),) = layers.items()
+        for key, v in out.items():
+            g = int_gcd(d, v)
+            out[key] = Scalar(AlphaPoly({e: v // g}, d // g), _P_ONE, True)
+        return out
+    out: dict = {}
+    for e, layer in layers.items():
+        for key, v in layer.items():
+            c = out.get(key)
+            if c is None:
+                out[key] = {e: v}
+            else:
+                c[e] = v
+    for key, c in out.items():
+        out[key] = Scalar(_poly(c, d), _P_ONE, True) if den is None else Scalar(_poly(c, d), den)
+    return out
 
 
 S_ZERO = Scalar.from_fraction(0)

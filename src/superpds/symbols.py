@@ -24,7 +24,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from . import kernel
-from .scalars import Scalar, S_ONE
+from .scalars import Scalar, S_ONE, S_ZERO
 
 VAR_NAMES = ("t", "tau", "xi1", "xi2", "eta1", "eta2")
 _VAR_INDEX = {name: i for i, name in enumerate(VAR_NAMES)}
@@ -196,7 +196,7 @@ class Symbol:
 
     # -- coefficient access -------------------------------------------------
     def coefficient(self, key) -> Scalar:
-        return self.terms.get(key, Scalar.from_fraction(0))
+        return self.terms.get(key, S_ZERO)
 
     def beta_component(self, power: int) -> "Symbol":
         """Terms of the given beta power, with beta stripped off."""

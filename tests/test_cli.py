@@ -74,6 +74,14 @@ def test_h1_negative_window_is_usage_error(capsys):
     assert err.strip() == "h1: window must be nonnegative, got -3"
 
 
+@pytest.mark.parametrize("target", ["P", "K4", "K4'"])
+def test_h1_quantized_needs_target_p_plus(capsys, target):
+    # the star engine drops every tau < 0 monomial: these would be P+ scans
+    code, out, err = run(capsys, "h1", "--target", target, "--quantized", "--window", "2")
+    assert (code, out) == (2, "")
+    assert err == "error: h1 --quantized computes target P+ only, got %s\n" % target
+
+
 def test_h1_specialized(capsys):
     code, out, _ = run(
         capsys, "h1", "--target", "P", "--k", "0", "--n", "0", "--specialize", "-1", "--json"

@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from math import comb
 
 import pytest
 
@@ -127,6 +128,100 @@ def test_h_bracket_matches_definition():
     for _ in range(300):
         a, b = random_op_map(rng), random_op_map(rng)
         assert quantize.h_bracket(a, b) == _h_bracket_by_definition(a, b), (a, b)
+
+
+# An oracle for the star kernel that shares none of its code: each pair of
+# terms is multiplied out by the star sum, with math.comb, and by rewriting
+# the concatenated Grassmann word, over Scalars (or ints).
+
+STAR_COEFFS = (S_ONE, ALPHA, ALPHA * ALPHA - 1, ALPHA ** 3 + ALPHA,
+               (ALPHA - 2).inv(), (ALPHA + 1) / (ALPHA * ALPHA + 3))
+
+
+def _word_of(mask):
+    return tuple(g for g in range(4) if mask >> g & 1)
+
+
+def _falling(x, n):
+    out = 1
+    for i in range(n):
+        out *= x - i
+    return out
+
+
+def _add_into(out, key, c):
+    c = out[key] + c if key in out else c
+    if c:
+        out[key] = c
+    else:
+        out.pop(key, None)
+
+
+def _star_by_definition(a, b, sign=1, shift=0, out=None):
+    """out + sign * A B h^shift, one pair of terms at a time; with ``sign``
+    None each pair takes -(-1)^(p p') instead."""
+    out = {} if out is None else out
+    for (t1, u1, m1, b1, h1), c1 in a.items():
+        for (t2, u2, m2, b2, h2), c2 in b.items():
+            s = sign
+            if s is None:
+                s = 1 if m1.bit_count() % 2 and m2.bit_count() % 2 else -1
+            words = normal_order_word(_word_of(m1) + _word_of(m2))
+            for n in range(u1 + 1):
+                weight = comb(u1, n) * _falling(t2, n)
+                if not weight:
+                    continue
+                for (mask, hp), g in words.items():
+                    key = (t1 + t2 - n, u1 + u2 - n, mask, b1 + b2, h1 + h2 + n + hp + shift)
+                    _add_into(out, key, c1 * c2 * (s * weight * g))
+    return out
+
+
+def _h_bracket_terms_by_definition(a, b):
+    out = _star_by_definition(a, b, shift=-1)
+    return _star_by_definition(b, a, sign=None, shift=-1, out=out)
+
+
+def _stored(terms):
+    """Keys with the stored form of their coefficients."""
+    return {key: c if type(c) is int else (c.an.c, c.an.d, c.ad.c, c.ad.d)
+            for key, c in terms.items()}
+
+
+def random_star_map(rng, kind):
+    """0-4 terms of mixed parity with beta/h powers.  Coefficients by
+    ``kind``: "int" small ints; "rational" rationals with mixed
+    denominators times one power alpha^0..3 for the whole map; "scalar"
+    such rationals times polynomials or non-polynomial scalars; "poles"
+    the same, with (alpha - 2)^-1 and (alpha + 1)/(alpha^2 + 3) both in."""
+    out = {}
+    coeffs = [STAR_COEFFS[4], STAR_COEFFS[5]] if kind == "poles" else []
+    power = ALPHA ** rng.randrange(4)
+    for _ in range(rng.randrange(2 if coeffs else 0, 5)):
+        if kind == "int":
+            c = rng.randrange(-9, 10) or 1
+        else:
+            c = Fraction(rng.randrange(-6, 7) or 1, rng.choice((1, 2, 3, 4, 6, 9)))
+            if kind == "rational":
+                c = c * power
+            else:
+                c = c * (coeffs.pop() if coeffs else rng.choice(STAR_COEFFS))
+        key = (rng.randrange(-3, 4), rng.randrange(4), rng.randrange(16),
+               rng.randrange(3), rng.randrange(3))
+        out[key] = c
+    return out
+
+
+def test_star_kernel_matches_term_pair_oracle():
+    rng = random.Random(2462)
+    kinds = (("int", "int"), ("rational", "rational"), ("poles", "scalar"),
+             ("scalar", "poles"), ("scalar", "scalar"), ("rational", "scalar"))
+    for i in range(480):
+        a, b = (random_star_map(rng, kind) for kind in kinds[i % len(kinds)])
+        product = kernel.moyal_terms(a, b)
+        assert _stored(product) == _stored(_star_by_definition(a, b)), (a, b)
+        bracket = kernel.h_bracket_terms(a, b)
+        assert _stored(bracket) == _stored(_h_bracket_terms_by_definition(a, b)), (a, b)
 
 
 def test_h_bracket_rejects_h_free_terms(monkeypatch):

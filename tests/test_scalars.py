@@ -131,6 +131,32 @@ def test_canonical_equality(x, y):
         assert (x.an, x.ad) == (y.an, y.ad)
 
 
+def _forms(v):
+    """``v`` as given, as a Scalar, and as an int and a Fraction where it
+    is one."""
+    s = Scalar.coerce(v)
+    forms = [v, s]
+    if s.an.is_constant() and s.ad.is_one():
+        q = Fraction(s.an.constant())
+        forms.append(q)
+        if q.denominator == 1:
+            forms.append(q.numerator)
+    return forms
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.one_of(scalars(), rationals, st.integers(-30, 30)),
+       st.one_of(scalars(), rationals, st.integers(-30, 30)))
+def test_hash_agrees_with_equality(x, y):
+    forms = _forms(x) + _forms(y)
+    for a in forms:
+        for b in forms:
+            if a == b:
+                assert hash(a) == hash(b), (a, b)
+    assert len({Scalar.from_fraction(2), 2, Fraction(2)}) == 1
+    assert Fraction(1, 2) in {S_ONE / 2}
+
+
 # -- the stored representation ------------------------------------------------
 
 
