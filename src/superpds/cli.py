@@ -63,6 +63,8 @@ def _load_cochain(path: str):
         raise InputError("%s: images must be an object, got %s" % (path, _type_name(texts)))
     images = {}
     for name, text in texts.items():
+        if name not in d21.PARITY:
+            raise InputError("%s: unknown basis name %r" % (path, name))
         if not isinstance(text, str):
             raise InputError("%s: image of %s must be an expression string, got %s"
                              % (path, name, _type_name(text)))

@@ -20,10 +20,14 @@ c([X, Y]) expanded through the cached structure-constant table.  Ranks are
 computed fraction-free over Q[alpha]; the recorded pivot polynomials are the
 only places a specialized alpha can change a dimension.
 
+An engine at a fixed alpha is the generic engine mapped through one ring
+homomorphism (``Engine.evaluated``): substitution of a rational alpha, or
+the image mod p below.
+
 Scans first try to certify each block over F_p, p = FP_PRIME = 2^61 - 1.
-Each engine has an image over F_p, built at its first scan: the basis and
-the structure table evaluated at one alpha = a as plain ints.  The same
-assembly runs on it, since the term kernel needs ring operations only.
+Each engine has an image over F_p, built at its first scan: the engine
+evaluated at one alpha = a as plain ints.  The same assembly runs on it,
+since the term kernel needs ring operations only.
 Evaluation at a mod p is a ring homomorphism on the scalars whose
 denominators do not vanish there, so it maps the exact matrices of d1 and
 d0 to the F_p ones, and a minor that is nonzero mod p is nonzero over
@@ -55,7 +59,6 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import cached_property, lru_cache
 
 from . import d21, linalg
@@ -150,17 +153,17 @@ class Engine:
     """Bracket engine: basis, bracket, structure table, h conventions.
 
     ``one`` is the unit of the coefficient ring: ``S_ONE`` for an engine
-    over Q(alpha), the int 1 for its image over F_p.
+    over Q(alpha) or at a rational alpha, the int 1 for an image over F_p.
+    The star engine is the one whose h powers carry k-degree
+    (``h_k_weight`` nonzero).
     """
 
-    def __init__(self, kind, basis, bracket, struct, h_k_weight, h_depth, alpha, one=S_ONE):
-        self.kind = kind
+    def __init__(self, basis, bracket, struct, h_k_weight, h_depth, one=S_ONE):
         self.basis = basis
         self.bracket = bracket
         self.struct = struct
         self.h_k_weight = h_k_weight
         self.h_depth = h_depth
-        self.alpha = alpha
         self.one = one
         self.metadata = d21.basis_metadata()
         names = list(BASIS_NAMES)
@@ -195,34 +198,43 @@ class Engine:
                 table[name].append((pi, tuple(parts), -coeff if coeff else None))
         return table
 
+    def evaluated(self, value) -> "Engine":
+        """This engine with every coefficient c of its basis and structure
+        table replaced by ``value(c)``, zeros dropped.
+
+        ``value`` is a ring homomorphism on the scalars: substitution of a
+        rational alpha, or the image in F_p at one alpha.  The bracket
+        needs ring operations only, so it works on the images unchanged.
+        """
+
+        def image(terms: dict) -> dict:
+            return {key: v for key, c in terms.items() if (v := value(c))}
+
+        return Engine({name: Symbol(image(sym.terms)) for name, sym in self.basis.items()},
+                      self.bracket,
+                      {pair: image(coeffs) for pair, coeffs in self.struct.items()},
+                      self.h_k_weight, self.h_depth, value(S_ONE))
+
     @cached_property
     def fp_image(self):
         """This engine over F_p, or None; built on first use, then kept.
 
-        The basis and structure table are evaluated at one alpha mod
-        FP_PRIME as plain ints: the engine's own alpha when specialized,
-        else a draw from a Random(FP_SEED), drawn again while it is a root
-        of some coefficient's denominator.  There is no image when FP_PRIME
-        divides the denominator of a rational coefficient.
+        The engine is evaluated at alpha = a mod FP_PRIME, a drawn from a
+        Random(FP_SEED) and drawn again while it is a root of some
+        coefficient's denominator.  The coefficients of a specialized
+        engine are rational constants, so its image does not depend on a.
+        There is no image when FP_PRIME divides the denominator of a
+        rational coefficient.
         """
         rng = random.Random(FP_SEED)
         while True:
+            a = rng.randrange(FP_PRIME)
             try:
-                if self.alpha is None:
-                    value = rng.randrange(FP_PRIME)
-                else:
-                    value = Scalar.from_fraction(self.alpha).mod_p(0, FP_PRIME)
-                basis = {name: Symbol(_terms_mod(sym.terms, value))
-                         for name, sym in self.basis.items()}
-                struct = {pair: _terms_mod(coeffs, value) for pair, coeffs in self.struct.items()}
+                return self.evaluated(lambda c: c.mod_p(a, FP_PRIME))
             except ValueError:  # FP_PRIME divides a rational denominator
                 return None
-            except ZeroDivisionError:  # value is a root of a denominator
-                if self.alpha is not None:
-                    raise
+            except ZeroDivisionError:  # a is a root of a denominator
                 continue
-            return Engine(self.kind, basis, self.bracket, struct, self.h_k_weight,
-                          self.h_depth, self.alpha, one=1)
 
     def k_degree(self, sym: Symbol):
         """k-degree with h counted at the engine's weight (None if mixed)."""
@@ -250,33 +262,12 @@ class Engine:
                 raise ValueError("%s image has wrong weight" % (name,))
 
 
-def _terms_mod(terms: dict, value: int) -> dict:
-    """Images in F_p of the nonzero coefficients of a term map."""
-    out = {}
-    for key, c in terms.items():
-        v = c.mod_p(value, FP_PRIME)
-        if v:
-            out[key] = v
-    return out
-
-
 @lru_cache(maxsize=None)
 def poisson_engine(alpha=None) -> Engine:
-    basis = d21.embedded_basis()
-    struct = d21.structure_table()
     if alpha is not None:
-        alpha = Fraction(alpha)
-        basis = {n: s.specialize(alpha) for n, s in basis.items()}
-        struct = d21.specialize_table(struct, alpha)
-    return Engine(
-        kind="poisson",
-        basis=basis,
-        bracket=lambda a, b: a.poisson(b),
-        struct=struct,
-        h_k_weight=0,
-        h_depth=0,
-        alpha=alpha,
-    )
+        return poisson_engine().evaluated(lambda c: c.specialize(alpha))
+    return Engine(d21.embedded_basis(), lambda a, b: a.poisson(b), d21.structure_table(),
+                  h_k_weight=0, h_depth=0)
 
 
 @lru_cache(maxsize=None)
@@ -290,21 +281,10 @@ def quantized_engine(alpha=None, h_depth=None) -> Engine:
     """
     from . import quantize
 
-    basis = quantize.gamma_h_basis()
-    struct = d21.structure_table()
     if alpha is not None:
-        alpha = Fraction(alpha)
-        basis = {n: s.specialize(alpha) for n, s in basis.items()}
-        struct = d21.specialize_table(struct, alpha)
-    return Engine(
-        kind="star",
-        basis=basis,
-        bracket=quantize.h_bracket,
-        struct=struct,
-        h_k_weight=2,
-        h_depth=h_depth,
-        alpha=alpha,
-    )
+        return quantized_engine(h_depth=h_depth).evaluated(lambda c: c.specialize(alpha))
+    return Engine(quantize.gamma_h_basis(), quantize.h_bracket, d21.structure_table(),
+                  h_k_weight=2, h_depth=h_depth)
 
 
 def _mask_weight(mask: int):
@@ -337,11 +317,9 @@ def _monomials(block: BlockSpec, engine: Engine, want_n, weight, parity):
                 continue
             t = (rem + want_n) // 2
             u = (rem - want_n) // 2
-            if block.target == "P+" and u < 0:
+            if u < 0 and (block.target == "P+" or engine.h_k_weight):
                 continue
             if block.target == "K4'" and (t, u, mask) == K4PRIME_GAP:
-                continue
-            if engine.kind == "star" and u < 0:
                 continue
             out.append((t, u, mask, 0, h))
     return out
@@ -515,59 +493,56 @@ def _slots_to_cochain(slots, coeffs: dict, block: BlockSpec) -> Cochain1:
     return Cochain1(images, block)
 
 
-def h1_block(block: BlockSpec, engine: Engine | None = None, representatives: bool = True,
-             brackets: dict | None = None) -> CohomologyReport:
+def h1_block(block: BlockSpec, engine: Engine | None = None,
+             representatives: bool = True) -> CohomologyReport:
     """Cocycle, coboundary and H^1 dimensions of one block.
 
     Representatives, when requested and the block is nontrivial, are kernel
-    vectors of d1 certified independent modulo the coboundary span.
-    ``brackets`` is the bracket dict of ``_d1_columns``; blocks of one
-    engine may share it.
+    vectors of d1 certified independent modulo the coboundary span.  One
+    span of the d0 columns gives both dim B and that certificate.
     """
     engine = engine or poisson_engine()
-    if brackets is None:
-        brackets = {}
+    brackets: dict = {}
     slots, columns = _d1_columns(block, engine, brackets)
     if not slots:
         return CohomologyReport(block, 0, 0, 0, [], [])
-    ncols = len(columns)
     if representatives:
         # one elimination of d1 gives its rank, pivots and kernel
         kvecs, found = linalg.kernel_basis(columns)
         rank_d1, pivots1 = len(found), linalg.pivot_polynomials(found)
     else:
         rank_d1, pivots1 = poly_rank(column_rows(columns))
-    dim_z = ncols - rank_d1
+    dim_z = len(slots) - rank_d1
 
     mon0, bcols = _d0_columns(block, engine, brackets)
     col_index = {slot: i for i, slot in enumerate(slots)}
-    bcols_indexed = []
-    for vec in bcols:
+    span = SpanTracker()
+    for i, vec in enumerate(bcols):
         missing = vec.keys() - col_index.keys()
         if missing:
             raise AssertionError("coboundary leaves the enumerated block: %s %s" % min(missing))
-        bcols_indexed.append({col_index[slot]: c for slot, c in vec.items()})
-    rank_d0, pivots0 = poly_rank([clear_denominators(v)[0] for v in bcols_indexed if v])
-    dim_h1 = dim_z - rank_d0
+        row, den = clear_denominators({col_index[slot]: c for slot, c in vec.items()})
+        if row:
+            span.add(row, {("b", i): den})
+    # all columns queued before the first pivot: the core's cost order
+    found0 = span.forward()
+    dim_h1 = dim_z - len(found0)
     if dim_h1 < 0:
         raise AssertionError("negative H^1 dimension in block %s" % (block,))
 
-    pivot_polys = list({str(p): p for p in pivots1 + pivots0}.values())
+    pivot_polys = list({str(p): p for p in pivots1 + linalg.pivot_polynomials(found0)}.values())
 
     reps = []
     if representatives and dim_h1 > 0:
-        tracker = SpanTracker()
-        for i, vec in enumerate(bcols_indexed):
-            tracker.insert(vec, ("b", i))
         # sparsest kernel vectors first, so representatives come out short
         for kv in sorted(kvecs, key=len):
             if len(reps) == dim_h1:
                 break
-            if tracker.insert(kv, ("z", len(reps))):
+            if span.insert(kv, ("z", len(reps))):
                 reps.append(_slots_to_cochain(slots, kv, block))
         if len(reps) != dim_h1:
             raise AssertionError("found %d of %d representatives" % (len(reps), dim_h1))
-    return CohomologyReport(block, dim_z, rank_d0, dim_h1, reps, pivot_polys)
+    return CohomologyReport(block, dim_z, len(found0), dim_h1, reps, pivot_polys)
 
 
 def certify_zero(block: BlockSpec, image: Engine, brackets: dict | None = None):
@@ -709,34 +684,9 @@ def _cochain_vector(c: Cochain1) -> dict:
     }
 
 
-def is_coboundary(c: Cochain1, engine: Engine | None = None, block: BlockSpec | None = None):
-    """A module element m with d0(m) = c, or None.
-
-    The search space is the weight-zero C^0 slice of the cochain's block.
-    """
-    engine = engine or poisson_engine()
-    block = block or c.block
-    if block is None:
-        raise ValueError("cochain carries no block")
-    mon0, bcols = _d0_columns(block, engine)
-    tracker = SpanTracker()
-    for i, vec in enumerate(bcols):
-        tracker.insert(vec, i)
-    expr = tracker.express(_cochain_vector(c))
-    if expr is None:
-        return None
-    out = SYM_ZERO
-    for i, coeff in expr.items():
-        out = out + Symbol({mon0[i]: coeff})
-    return out
-
-
-def express_modulo_coboundaries(c: Cochain1, generators, block: BlockSpec, engine: Engine | None = None):
-    """Write c = sum a_i * generators[i] + d0(m) inside the block.
-
-    Returns (coefficients list, preimage Symbol) or None when impossible.
-    """
-    engine = engine or poisson_engine()
+def _modulo_coboundaries(c: Cochain1, generators, block: BlockSpec, engine: Engine):
+    """(coefficients a, preimage m) with c = sum a_j * generators[j] + d0(m)
+    inside the block, or None when there are none."""
     mon0, bcols = _d0_columns(block, engine)
     tracker = SpanTracker()
     for j, gen in enumerate(generators):
@@ -748,13 +698,32 @@ def express_modulo_coboundaries(c: Cochain1, generators, block: BlockSpec, engin
         return None
     coeffs = [Scalar.from_fraction(0)] * len(generators)
     preimage = SYM_ZERO
-    for tag, coeff in expr.items():
-        kind, idx = tag
+    for (kind, idx), coeff in expr.items():
         if kind == "g":
             coeffs[idx] = coeff
         else:
             preimage = preimage + Symbol({mon0[idx]: coeff})
     return coeffs, preimage
+
+
+def is_coboundary(c: Cochain1, engine: Engine | None = None, block: BlockSpec | None = None):
+    """A module element m with d0(m) = c, or None.
+
+    The search space is the weight-zero C^0 slice of the cochain's block.
+    """
+    block = block or c.block
+    if block is None:
+        raise ValueError("cochain carries no block")
+    solved = _modulo_coboundaries(c, [], block, engine or poisson_engine())
+    return None if solved is None else solved[1]
+
+
+def express_modulo_coboundaries(c: Cochain1, generators, block: BlockSpec, engine: Engine | None = None):
+    """Write c = sum a_i * generators[i] + d0(m) inside the block.
+
+    Returns (coefficients list, preimage Symbol) or None when impossible.
+    """
+    return _modulo_coboundaries(c, generators, block, engine or poisson_engine())
 
 
 def solve_obstruction(rho1: Cochain1, order_block: BlockSpec, engine: Engine | None = None):

@@ -437,29 +437,15 @@ def structure_table():
     return table
 
 
-def specialize_table(table, alpha_value):
-    out = {}
-    for pair, coeffs in table.items():
-        spec = {}
-        for name, c in coeffs.items():
-            v = c.specialize(alpha_value)
-            if v:
-                spec[name] = v
-        out[pair] = spec
-    return out
-
-
 def derived_even_dim(alpha_value) -> int:
     """Dimension of span{[odd, odd]} inside the even part at a given alpha."""
     from .linalg import rank_of_scalar_rows
 
-    table = specialize_table(structure_table(), alpha_value)
+    table = structure_table()
     rows = []
     for i, x in enumerate(ODD_NAMES):
         for y in ODD_NAMES[i:]:
-            coeffs = table[(x, y)]
-            if coeffs:
-                rows.append(
-                    {EVEN_NAMES.index(n): c for n, c in coeffs.items()}
-                )
+            # zeros of the specialization are dropped by the rank
+            rows.append({EVEN_NAMES.index(n): c.specialize(alpha_value)
+                         for n, c in table[(x, y)].items()})
     return rank_of_scalar_rows(rows)

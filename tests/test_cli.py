@@ -229,6 +229,7 @@ THETA1_FILE = {
     [
         ([1, 2], "expected a JSON object, got list"),
         ({"images": {"D1": 5}}, "image of D1 must be an expression string, got int"),
+        ({"images": {"Q9": "t"}}, "unknown basis name 'Q9'"),
         ({"block": {"k": 0, "target": "P"}, "images": {}}, "block field 'n' must be int, got nothing"),
         ({"block": {"k": 0, "n": "0", "target": "P"}}, "block field 'n' must be int, got str"),
         ({"block": {"k": 0, "n": 0, "target": "P", "weight_zero": False}},
@@ -238,7 +239,7 @@ THETA1_FILE = {
         ({"block": {"k": 0, "n": 0, "target": "K4"}}, "K4-valued blocks require k = 2"),
         ({"block": {"k": 1, "n": 0, "target": "K4'"}}, "K4-valued blocks require k = 2"),
     ],
-    ids=["list", "image", "block-n", "block-n-str", "block-extra", "block-target", "block-K4",
+    ids=["list", "image", "name", "block-n", "block-n-str", "block-extra", "block-target", "block-K4",
          "block-K4prime"],
 )
 def test_malformed_cochain_file_is_usage_error(tmp_path, capsys, doc, message):

@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 
 from superpds import cohomology as coh
-from superpds import d21
+from superpds import d21, linalg, quantize
 from superpds.expr import parse
 from superpds.scalars import S_ONE, Scalar
 from superpds.symbols import Symbol
@@ -240,6 +240,26 @@ def test_h1_block_representatives_cohomologous_to_named():
     assert det
 
 
+@pytest.mark.parametrize(
+    "make_engine,k,target",
+    [(lambda: ENGINE, 0, "P"), (lambda: ENGINE, 2, "K4'"), (coh.quantized_engine, 4, "P+")],
+    ids=["P", "K4'", "star P+"],
+)
+def test_exact_block_pivots_once(monkeypatch, make_engine, k, target):
+    # rank d1 + rank d0 + dim H^1 = N pivots: no matrix is eliminated twice
+    engine, block = make_engine(), coh.BlockSpec(k, 0, target)
+    step, pivots = linalg._Elimination.step, []
+
+    def counted(self):
+        pivots.append(1)
+        return step(self)
+
+    monkeypatch.setattr(linalg._Elimination, "step", counted)
+    rpt = coh.h1_block(block, engine)
+    assert rpt.representatives
+    assert len(pivots) == len(coh.enumerate_c1(block, engine))
+
+
 def test_dims_stable_under_adding_coboundaries():
     block = coh.BlockSpec(0, 0, "P")
     rpt = coh.h1_block(block, ENGINE)
@@ -341,6 +361,47 @@ def test_exceptional_alpha_dims_direct(alpha):
     assert coh.h1_block(coh.BlockSpec(2, 0, "K4'"), eng, representatives=False).dim_h1 == 1
 
 
+def _specialized(terms, alpha):
+    out = {}
+    for key, c in terms.items():
+        v = c.specialize(alpha)
+        if v:
+            out[key] = v
+    return out
+
+
+@pytest.mark.parametrize("alpha", [1, -1, 0, Fraction(3, 2)], ids=["1", "-1", "0", "3/2"])
+def test_specialized_engines_are_evaluations(alpha):
+    struct = {pair: _specialized(c, alpha) for pair, c in d21.structure_table().items()}
+    cases = [
+        (coh.poisson_engine(alpha), d21.embedded_basis(), 0),
+        (coh.quantized_engine(alpha, h_depth=2), quantize.gamma_h_basis(), 2),
+    ]
+    for engine, basis, h_depth in cases:
+        assert {n: s.terms for n, s in engine.basis.items()} == \
+            {n: _specialized(s.terms, alpha) for n, s in basis.items()}
+        assert engine.struct == struct
+        assert engine.h_depth == h_depth
+        assert engine.one == S_ONE
+    # the star rule tau >= 0 holds for the star engine only
+    block = coh.BlockSpec(0, 0, "P")
+    poisson, star = (engine for engine, _, _ in cases)
+    assert any(key[1] < 0 for _, key in coh.enumerate_c1(block, poisson))
+    for k in (0, 2, 4):
+        for n in (-2, 0, 2):
+            block = coh.BlockSpec(k, n, "P")
+            assert all(key[1] >= 0 for _, key in coh.enumerate_c1(block, star))
+            assert all(key[1] >= 0 for key in coh.enumerate_c0(block, star))
+    # rational constants: the F_p image does not depend on the alpha drawn
+    for engine, _, _ in cases:
+        images = [engine.evaluated(lambda c: c.mod_p(a, coh.FP_PRIME)) for a in (2, 12345)]
+        for image in images + [engine.fp_image]:
+            assert {n: s.terms for n, s in image.basis.items()} == \
+                {n: s.terms for n, s in images[0].basis.items()}
+            assert image.struct == images[0].struct
+            assert image.one == 1
+
+
 # -- block assembly ---------------------------------------------------------------
 
 
@@ -402,12 +463,10 @@ CERTIFIED_SCANS = {
 
 
 def _exact_dims(reports, engine):
-    """(Z, B, H^1) of h1_block on each report's block, brackets shared per k."""
-    out, brackets = [], {}
-    for i, rpt in enumerate(reports):
-        if i and rpt.block.k != reports[i - 1].block.k:
-            brackets = {}
-        exact = coh.h1_block(rpt.block, engine, representatives=False, brackets=brackets)
+    """(Z, B, H^1) of h1_block on each report's block."""
+    out = []
+    for rpt in reports:
+        exact = coh.h1_block(rpt.block, engine, representatives=False)
         out.append((exact.dim_cocycles, exact.dim_coboundaries, exact.dim_h1))
     return out
 
