@@ -42,13 +42,28 @@ too, and the report carries the certificate "modp-zero".  Only blocks with
 a positive bound take the exact path, certificate "exact".  The F_p image
 keeps no pivots, so ``h1_block`` on its own is always exact.
 
+Blocks with n != 0 need no assembly.  ad H1 multiplies every monomial
+t^a tau^b xi^mask h^j by its n-degree a - b, in both engines (H1 is t*tau,
+or t*tau + (alpha+1)/2*h with h central), so it acts on a cochain of block
+(k, n) by n.  This is Cartan's homotopy formula L_E = d i_E + i_E d at
+E = H1 (Chevalley-Eilenberg, Trans. AMS 63, 1948; Fuks, Cohomology of
+Infinite-Dimensional Lie Algebras, 1986, ch. 1): a cocycle c gives, on the
+pair (H1, X),
+
+    0 = [H1, c(X)] + [c(H1), X] - c([H1, X]) = n c(X) - [X, c(H1)],
+
+so c = d0(c(H1)/n) and H^1 = 0.  The H1 component of d0(m) is [H1, m] =
+n m, so d0 is injective on C^0 and Z = B = |C^0|.  ``h1_scan`` reports these
+blocks with the certificate "cartan-zero".  The same lemma for H2 and H3,
+whose eigenvalues are the weights, is why only weight-zero blocks are
+scanned.  It needs blocks that are subcomplexes, so an engine with an h
+depth cap cannot be scanned.
+
 Block assembly builds the matrix of d1 column by column: the engine's
 incidence table lists, per basis name, the pairs on which an elementary
 cochain at that name is nonzero, so a column adds up a few bracket term maps
 [X, m] instead of evaluating d1 on all pairs.  The C^0 keys of a block are
-the slot keys of H1, so d0 reuses the brackets d1 made, and ``h1_scan``
-shares one F_p bracket dict across the blocks of a k-row, whose neighbouring
-n meet the same monomials; the few exact blocks build their own.
+the slot keys of H1, so d0 reuses the brackets d1 made.
 
 The same machinery runs for the h-deformed algebra: an engine bundles the
 basis, the bracket, the structure table and the h-grading conventions, so
@@ -124,12 +139,6 @@ class Cochain1:
     def scale(self, coeff) -> "Cochain1":
         return Cochain1(
             {name: sym * coeff for name, sym in self.images.items()}, self.block
-        )
-
-    def specialize(self, alpha_value) -> "Cochain1":
-        return Cochain1(
-            {name: sym.specialize(alpha_value) for name, sym in self.images.items()},
-            self.block,
         )
 
     def to_payload(self):
@@ -262,15 +271,10 @@ class Engine:
                 raise ValueError("%s image has wrong weight" % (name,))
 
 
-@lru_cache(maxsize=None)
 def poisson_engine(alpha=None) -> Engine:
-    if alpha is not None:
-        return poisson_engine().evaluated(lambda c: c.specialize(alpha))
-    return Engine(d21.embedded_basis(), lambda a, b: a.poisson(b), d21.structure_table(),
-                  h_k_weight=0, h_depth=0)
+    return _poisson_engine(alpha)
 
 
-@lru_cache(maxsize=None)
 def quantized_engine(alpha=None, h_depth=None) -> Engine:
     """Engine for the h-deformed algebra of differential-operator symbols.
 
@@ -279,10 +283,25 @@ def quantized_engine(alpha=None, h_depth=None) -> Engine:
     the test suite).  h powers in a block are bounded by the operator
     constraint; pass h_depth to cap them harder.
     """
+    return _quantized_engine(alpha, h_depth)
+
+
+# cached on positional arguments, so every way of calling the public
+# builders with the same values shares one engine
+@lru_cache(maxsize=None)
+def _poisson_engine(alpha) -> Engine:
+    if alpha is not None:
+        return _poisson_engine(None).evaluated(lambda c: c.specialize(alpha))
+    return Engine(d21.embedded_basis(), lambda a, b: a.poisson(b), d21.structure_table(),
+                  h_k_weight=0, h_depth=0)
+
+
+@lru_cache(maxsize=None)
+def _quantized_engine(alpha, h_depth) -> Engine:
     from . import quantize
 
     if alpha is not None:
-        return quantized_engine(h_depth=h_depth).evaluated(lambda c: c.specialize(alpha))
+        return _quantized_engine(None, h_depth).evaluated(lambda c: c.specialize(alpha))
     return Engine(quantize.gamma_h_basis(), quantize.h_bracket, d21.structure_table(),
                   h_k_weight=2, h_depth=h_depth)
 
@@ -460,7 +479,8 @@ class CohomologyReport:
 
     ``certificate`` names what established the dimensions: "exact" for
     elimination over Q(alpha), "modp-zero" for the F_p rank bound of
-    ``certify_zero`` (no representatives, no pivots).
+    ``certify_zero``, "cartan-zero" for the ad H1 argument on a block with
+    n != 0 (no representatives, no pivots for either).
     """
 
     block: BlockSpec
@@ -545,14 +565,15 @@ def h1_block(block: BlockSpec, engine: Engine | None = None,
     return CohomologyReport(block, dim_z, len(found0), dim_h1, reps, pivot_polys)
 
 
-def certify_zero(block: BlockSpec, image: Engine, brackets: dict | None = None):
+def certify_zero(block: BlockSpec, image: Engine):
     """A "modp-zero" report for the block, or None when H^1 may be nonzero.
 
-    ``image`` is an engine's F_p image.  The ranks r1, r0 of d1 and d0 over
-    F_p are lower bounds for the exact ones, so H^1 <= N - r1 - r0 for N
-    slots; when the bound is 0 the report is exact.  ``brackets`` is as for
-    ``_d1_columns``, over the image.
+    ``image`` is the F_p image of an engine with no h depth cap, so that
+    d0 stays inside the block.  The ranks r1, r0 of d1 and d0 over F_p are
+    lower bounds for the exact ones, so H^1 <= N - r1 - r0 for N slots;
+    when the bound is 0 the report is exact.
     """
+    brackets: dict = {}
     slots, columns = _d1_columns(block, image, brackets)
     rank_d1 = linalg.rank_mod_p(columns, FP_PRIME)
     rank_d0 = 0
@@ -566,20 +587,27 @@ def certify_zero(block: BlockSpec, image: Engine, brackets: dict | None = None):
 def h1_scan(k_range, n_range, target: str, engine: Engine | None = None, representatives: bool = True):
     """Reports for every block in the window (K4 targets pin k = 2).
 
-    Blocks that ``certify_zero`` settles over the engine's F_p image skip
-    the exact path; the rest go through ``h1_block``.
+    Blocks with n != 0 are "cartan-zero" with Z = B = |C^0| (module
+    docstring).  A block with n = 0 that ``certify_zero`` settles over the
+    engine's F_p image skips the exact path; the rest go through
+    ``h1_block``.  An engine with an h depth cap is refused: its blocks are
+    not subcomplexes.
     """
     engine = engine or poisson_engine()
+    if engine.h_k_weight and engine.h_depth is not None:
+        raise ValueError("h1_scan needs an engine with no h depth cap, got h_depth=%d"
+                         % engine.h_depth)
     image = engine.fp_image
     ks = [2] if target in ("K4", "K4'") else k_range
     reports = []
     for k in ks:
-        # blocks of one k share monomials (and so brackets) across n; no
-        # monomial is shared between rows, so the dict lives for one row
-        fp_brackets: dict = {}
         for n in n_range:
             block = BlockSpec(k, n, target)
-            report = certify_zero(block, image, fp_brackets) if image else None
+            if n:
+                m = len(enumerate_c0(block, engine))
+                reports.append(CohomologyReport(block, m, m, 0, [], [], "cartan-zero"))
+                continue
+            report = certify_zero(block, image) if image else None
             if report is None:
                 report = h1_block(block, engine, representatives=representatives)
             reports.append(report)

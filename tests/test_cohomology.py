@@ -479,8 +479,10 @@ def test_modp_certificate_matches_exact(scan):
     assert [(r.dim_cocycles, r.dim_coboundaries, r.dim_h1) for r in reports] == \
         _exact_dims(reports, engine)
     for rpt in reports:
-        assert rpt.certificate == ("exact" if rpt.dim_h1 else "modp-zero"), rpt.block
-    assert any(r.dim_cocycles for r in reports if r.certificate == "modp-zero")
+        expected = "exact" if rpt.dim_h1 else "modp-zero" if rpt.block.n == 0 else "cartan-zero"
+        assert rpt.certificate == expected, rpt.block
+    # a certificate settles some block with cocycles: not only empty ones
+    assert any(r.dim_cocycles for r in reports if r.certificate != "exact")
 
 
 def test_scan_without_fp_image_runs_exact():
@@ -489,7 +491,68 @@ def test_scan_without_fp_image_runs_exact():
     assert engine.fp_image is None
     window = range(-2, 3)
     reports = coh.h1_scan(window, window, "P+", engine, representatives=False)
-    assert {r.certificate for r in reports} == {"exact"}
+    for rpt in reports:
+        assert rpt.certificate == ("exact" if rpt.block.n == 0 else "cartan-zero"), rpt.block
     generic = coh.h1_scan(window, window, "P+", ENGINE, representatives=False)
     assert [(r.block, r.dim_cocycles, r.dim_coboundaries, r.dim_h1) for r in reports] == \
         [(r.block, r.dim_cocycles, r.dim_coboundaries, r.dim_h1) for r in generic]
+
+
+def test_scan_refuses_capped_engine():
+    # with a cap, d0 leaves the block; (0, -2) would read Z = 3 < B = 4
+    capped = coh.quantized_engine(h_depth=1)
+    with pytest.raises(ValueError, match="h depth cap"):
+        coh.h1_scan([0], [-2], "P+", capped)
+    with pytest.raises(ValueError, match="h depth cap"):
+        coh.h1_scan([0], [0], "P+", coh.quantized_engine(alpha=1, h_depth=2))
+
+
+def test_one_cache_entry_per_engine():
+    assert coh.poisson_engine() is coh.poisson_engine(alpha=None)
+    assert coh.poisson_engine(1) is coh.poisson_engine(alpha=1)
+    assert coh.quantized_engine() is coh.quantized_engine(h_depth=None)
+    assert coh.quantized_engine() is coh.quantized_engine(None, None)
+    assert coh.quantized_engine(1, 2) is coh.quantized_engine(alpha=1, h_depth=2)
+
+
+# -- the Cartan certificate: ad H1 acts on block (k, n) by n --------------------------
+
+
+CARTAN_ENGINES = {
+    "generic": lambda: coh.poisson_engine(),
+    "alpha=1": lambda: coh.poisson_engine(alpha=1),
+    "alpha=-1": lambda: coh.poisson_engine(alpha=-1),
+    "alpha=0": lambda: coh.poisson_engine(alpha=0),
+    "star": lambda: coh.quantized_engine(),
+}
+
+
+@pytest.mark.parametrize("engine_name", sorted(CARTAN_ENGINES))
+def test_ad_h1_is_the_n_degree(engine_name):
+    engine = CARTAN_ENGINES[engine_name]()
+    h1 = engine.basis["H1"]
+    star = bool(engine.h_k_weight)  # the star product needs tau >= 0
+    for a in range(-4, 5):
+        for b in range(0 if star else -4, 5):
+            for mask in range(16):
+                for h in range(3 if star else 1):
+                    m = mono(t=a, tau=b, mask=mask, h=h)
+                    assert engine.bracket(h1, m) == m * (a - b), (a, b, mask, h)
+
+
+@pytest.mark.parametrize("make_engine,target", [
+    (lambda: ENGINE, "P"),
+    (lambda: ENGINE, "P+"),
+    (lambda: coh.quantized_engine(), "P+"),
+], ids=["P", "P+", "star P+"])
+def test_cartan_preimage(make_engine, target):
+    engine = make_engine()
+    for k in range(-2, 3):
+        for n in (-2, -1, 1, 2):
+            block = coh.BlockSpec(k, n, target)
+            slots, columns = coh._d1_columns(block, engine)
+            kvecs, _ = linalg.kernel_basis(columns)
+            assert len(kvecs) == len(coh.enumerate_c0(block, engine)), block
+            for kv in kvecs:
+                c = coh._slots_to_cochain(slots, kv, block)
+                assert coh.d0(c.image("H1") * Fraction(1, n), engine, block) == c, block
