@@ -337,16 +337,17 @@ def cmd_solve_obstruction(args):
     target = args.target or (rho1.block.target if rho1.block else "P")
     block = _block_spec(args.k, args.n, target)
     sol = coh.solve_obstruction(rho1, block, engine)
+    solution = None if sol is None else {n: str(s) for n, s in sorted(sol.images.items())}
     payload = {
         "command": "solve-obstruction",
         "block": block.to_payload(),
         "solvable": sol is not None,
-        "solution": {n: str(s) for n, s in sorted(sol.images.items())} if sol else None,
+        "solution": solution,
     }
     if sol is None:
         lines = ["no solution in block (k=%d, n=%d, %s)" % (block.k, block.n, target)]
     else:
-        lines = ["solution:"] + ["  %s -> %s" % kv for kv in sorted(payload["solution"].items())]
+        lines = ["solution:"] + ["  %s -> %s" % kv for kv in sorted(solution.items())]
     _emit(args, payload, lines)
     return 0 if sol is not None else 1
 
@@ -481,8 +482,12 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     if args.cmd == "cocycle" and not args.name and not args.file:
         parser.error("cocycle: a name or --file is required")
+    if args.cmd == "cocycle" and args.name and args.file:
+        parser.error("cocycle: give a name or --file, not both")
     if args.cmd == "deform" and not args.case and not args.file:
         parser.error("deform verify: a case name or --file is required")
+    if args.cmd == "deform" and args.case and args.file:
+        parser.error("deform verify: give a case name or --file, not both")
     try:
         return args.fn(args)
     except (ExprError, PoleError, ValueError) as exc:

@@ -63,6 +63,20 @@ def add_terms(a: dict, b: dict) -> dict:
     return out
 
 
+def sub_terms(a: dict, b: dict) -> dict:
+    out = dict(a)
+    for key, coeff in b.items():
+        if key in out:
+            nv = out[key] - coeff
+            if nv:
+                out[key] = nv
+            else:
+                del out[key]
+        else:
+            out[key] = -coeff
+    return out
+
+
 def neg_terms(a: dict) -> dict:
     return {key: -coeff for key, coeff in a.items()}
 

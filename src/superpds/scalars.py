@@ -114,20 +114,21 @@ class AlphaPoly:
         c = self.c
         return not c or (len(c) == 1 and 0 in c)
 
-    def __add__(self, other: "AlphaPoly") -> "AlphaPoly":
+    def _add(self, other: "AlphaPoly", sign: int = 1) -> "AlphaPoly":
+        """self + sign * other, for sign 1 or -1."""
         b = other.c
         if not b:
             return self
         a = self.c
         if not a:
-            return other
+            return other if sign > 0 else -other
         da, db = self.d, other.d
         if da == db:
             out = dict(a)
-            fb = 1
+            fb = sign
         else:
             g = int_gcd(da, db)
-            fa, fb = db // g, da // g
+            fa, fb = db // g, sign * da // g
             out = {e: v * fa for e, v in a.items()}
             da *= fa
         for e, v in b.items():
@@ -138,11 +139,13 @@ class AlphaPoly:
                 del out[e]
         return AlphaPoly(out) if da == 1 else _poly(out, da)
 
+    __add__ = _add
+
     def __neg__(self) -> "AlphaPoly":
         return AlphaPoly({e: -v for e, v in self.c.items()}, self.d)
 
     def __sub__(self, other: "AlphaPoly") -> "AlphaPoly":
-        return self + (-other)
+        return self._add(other, -1)
 
     def __mul__(self, other: "AlphaPoly") -> "AlphaPoly":
         a, b = self.c, other.c
@@ -400,11 +403,15 @@ class Scalar:
         return Scalar(-self.an, self.ad, _reduced=True)
 
     def __sub__(self, other):
-        try:
-            other = Scalar.coerce(other)
-        except TypeError:
-            return NotImplemented
-        return self + (-other)
+        if not isinstance(other, Scalar):
+            try:
+                other = Scalar.coerce(other)
+            except TypeError:
+                return NotImplemented
+        n1, d1, n2, d2 = self.an, self.ad, other.an, other.ad
+        if d1 is _P_ONE and d2 is _P_ONE:
+            return Scalar(n1 - n2, _P_ONE, _reduced=True)
+        return Scalar(n1 * d2 - n2 * d1, d1 * d2)
 
     def __rsub__(self, other):
         return Scalar.coerce(other) - self

@@ -99,7 +99,7 @@ class Symbol:
     def __sub__(self, other):
         if not isinstance(other, Symbol):
             return NotImplemented
-        return Symbol(kernel.add_terms(self.terms, kernel.neg_terms(other.terms)))
+        return Symbol(kernel.sub_terms(self.terms, other.terms))
 
     def __neg__(self):
         return Symbol(kernel.neg_terms(self.terms))

@@ -180,6 +180,17 @@ def test_solve_obstruction_command(tmp_path, capsys):
     assert doc["solution"] == {"F1": "t^-2"}
 
 
+def test_solve_obstruction_zero_solution(tmp_path, capsys):
+    f = tmp_path / "h1.json"
+    f.write_text(json.dumps({"images": {"H1": "1"}, "block": {"k": 0, "n": 0, "target": "P"}}))
+    code, out, _ = run(capsys, "solve-obstruction", str(f), "--k", "0")
+    assert (code, out) == (0, "solution:\n")
+    code, out, _ = run(capsys, "solve-obstruction", str(f), "--k", "0", "--json")
+    assert code == 0
+    doc = json.loads(out)
+    assert (doc["solvable"], doc["solution"]) == (True, {})
+
+
 def test_deform_verify_cases(capsys):
     for case in ("cor42", "thm43", "thm45"):
         code, out, _ = run(capsys, "deform", "verify", case)
@@ -313,6 +324,24 @@ def test_bad_argument_is_usage_error(capsys, argv, message):
     code, out, err = run(capsys, *argv)
     assert (code, out) == (2, "")
     assert err == "error: %s\n" % message
+
+
+@pytest.mark.parametrize(
+    "argv,message",
+    [
+        (["cocycle", "theta1"], "cocycle: give a name or --file, not both"),
+        (["cocycle", "thetabar1"], "cocycle: give a name or --file, not both"),
+        (["deform", "verify", "cor42"], "deform verify: give a case name or --file, not both"),
+    ],
+    ids=["cocycle", "cocycle-star", "deform"],
+)
+def test_name_with_file_is_usage_error(tmp_path, capsys, argv, message):
+    path = tmp_path / "input.json"
+    path.write_text(json.dumps(THETA1_FILE))
+    with pytest.raises(SystemExit) as exc:
+        main(argv + ["--file", str(path)])
+    assert exc.value.code == 2
+    assert capsys.readouterr().err.endswith("error: %s\n" % message)
 
 
 def test_solve_obstruction_bad_block_is_usage_error(tmp_path, capsys):

@@ -2,7 +2,7 @@ from fractions import Fraction
 
 import pytest
 
-from superpds import d21
+from superpds import d21, kernel
 from superpds.expr import parse
 from superpds.scalars import ALPHA, S_ONE, Scalar
 
@@ -74,6 +74,94 @@ def test_jacobi_iff_sigma_sum_zero():
 
 def test_jacobi_embedded():
     assert d21.jacobi_check_embedded() is None
+
+
+def _full_scan(names, residual):
+    """Exhaustive oracle of the Jacobi checks: the first ordered triple, in
+    lexicographic order, with a nonzero residual, and that residual."""
+    for x in names:
+        for y in names:
+            for z in names:
+                r = residual(x, y, z)
+                if r:
+                    return (x, y, z), r
+    return None
+
+
+def _abstract_residual(alg):
+    par = alg.parity
+
+    def residual(x, y, z):
+        acc: dict = {}
+        for coeff_map, (p, q) in (
+            (alg.bracket_elements({x: S_ONE}, alg.table[(y, z)]), (x, z)),
+            (alg.bracket_elements({y: S_ONE}, alg.table[(z, x)]), (y, x)),
+            (alg.bracket_elements({z: S_ONE}, alg.table[(x, y)]), (z, y)),
+        ):
+            sign = -1 if par[p] and par[q] else 1
+            for n, c in coeff_map.items():
+                d21._add_into(acc, n, c * sign)
+        return acc
+
+    return residual
+
+
+def _embedded_residual(basis):
+    """-J(x, y, z) for the Poisson bracket, as ``jacobi_check_embedded``
+    reports it."""
+    pair = {(x, y): basis[x].poisson(basis[y]) for x in basis for y in basis}
+
+    def pref(p, q):
+        return Fraction(-1 if d21.PARITY[p] and d21.PARITY[q] else 1)
+
+    def residual(x, y, z):
+        return -(
+            basis[x].poisson(pair[(y, z)]) * pref(x, z)
+            + basis[y].poisson(pair[(z, x)]) * pref(y, x)
+            + basis[z].poisson(pair[(x, y)]) * pref(z, y)
+        )
+
+    return residual
+
+
+@pytest.mark.parametrize("sigma", [(1, 1, 1), (1, 2, 3), d21.standard_sigma()])
+def test_jacobi_abstract_matches_full_scan(sigma):
+    alg = d21.abstract_algebra(*sigma)
+    expected = _full_scan(alg.names, _abstract_residual(alg))
+    assert d21.jacobi_check_abstract(alg) == expected
+    assert (expected is None) == (sum(sigma) == 0)
+
+
+def test_jacobi_embedded_matches_full_scan(monkeypatch):
+    basis = d21.embedded_basis()
+    assert _full_scan(list(basis), _embedded_residual(basis)) is None
+    poisson = kernel.poisson_terms
+
+    def broken(a, b):
+        # breaks Jacobi: the coefficient at t^a is scaled by 1 + a^2
+        return {key: c * (1 + key[0] ** 2) for key, c in poisson(a, b).items()}
+
+    monkeypatch.setattr(kernel, "poisson_terms", broken)
+    expected = _full_scan(list(basis), _embedded_residual(basis))
+    found = d21.jacobi_check_embedded()
+    assert found == expected
+    assert (found[0], str(found[1])) == (("E1", "F1", "H1"), "-64*t*tau")
+
+
+def test_cyclic_orbit_triples():
+    names = d21.BASIS_NAMES
+    triples = list(d21._cyclic_orbit_triples(names))
+    assert len(triples) == (17 ** 3 + 2 * 17) // 3 == 1649
+    index = {name: i for i, name in enumerate(names)}
+
+    def key(triple):
+        return tuple(index[n] for n in triple)
+
+    assert [key(t) for t in triples] == sorted(key(t) for t in triples)
+    orbits = [frozenset({t, t[1:] + t[:1], t[2:] + t[:2]}) for t in triples]
+    assert len(set(orbits)) == len(orbits)
+    assert sum(map(len, orbits)) == len(names) ** 3
+    assert all(key(t) == min(map(key, orbit)) for t, orbit in zip(triples, orbits))
 
 
 # -- equivalence -----------------------------------------------------------------

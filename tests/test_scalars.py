@@ -117,6 +117,8 @@ def test_field_axioms(x, y, z):
     assert x * (y + z) == x * y + x * z
     assert x + y == y + x
     assert x * y == y * x
+    assert x - y == x + (-y)
+    assert (x - y) + y == x
     if x:
         assert x * x.inv() == S_ONE
 

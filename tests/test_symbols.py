@@ -212,6 +212,7 @@ def test_super_anticommutativity(a, b):
     lhs = a.poisson(b)
     rhs = b.poisson(a) * Fraction(-sign)
     assert lhs == rhs
+    assert a - b == a + (-b)
 
 
 @settings(max_examples=200, deadline=None)
