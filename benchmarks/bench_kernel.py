@@ -7,11 +7,9 @@ multi-term maps, then on monomial x monomial pairs (``*_mono``), the shape
 of the brackets block assembly makes.  The product and the Poisson bracket
 do one ``Scalar`` product per pair of terms; the star product and the
 h-bracket walk int coefficients, one alpha power at a time, and build
-``Scalar``s only once per output key.  ``star_fp`` and ``hbracket_fp``
-time the same star pairs mapped to F_p (alpha = 3, p = 2^61 - 1), the int
-maps that the scans' zero-block certificate feeds the kernel.  The last
-three columns time the coefficient layer alone: products and sums of
-``Scalar`` pairs, and ``Scalar`` times a small int.
+``Scalar``s only once per output key.  The last three columns time the
+coefficient layer alone: products and sums of ``Scalar`` pairs, and
+``Scalar`` times a small int.
 
     PYTHONPATH=src python3 benchmarks/bench_kernel.py
 """
@@ -75,26 +73,8 @@ def build_scalar_workloads(seed=13, count=2000):
     return pairs, int_pairs
 
 
-FP_PRIME = 2**61 - 1
-FP_ALPHA = 3
-
-
-def fp_pairs(pairs):
-    """The pairs with each coefficient mapped to F_p at alpha = FP_ALPHA."""
-    def image(terms):
-        out = {}
-        for key, c in terms.items():
-            v = c.mod_p(FP_ALPHA, FP_PRIME)
-            if v:
-                out[key] = v
-        return out
-
-    return [(image(a), image(b)) for a, b in pairs]
-
-
 def run(pairs, star_pairs, mono_pairs, mono_star_pairs, scalar_pairs, int_pairs):
     timings = {}
-    fp_star_pairs = fp_pairs(star_pairs)
     t0 = time.perf_counter()
     for a, b in pairs:
         kernel.mul_terms(a, b)
@@ -111,14 +91,6 @@ def run(pairs, star_pairs, mono_pairs, mono_star_pairs, scalar_pairs, int_pairs)
     for a, b in star_pairs:
         kernel.h_bracket_terms(a, b)
     timings["hbracket"] = time.perf_counter() - t0
-    t0 = time.perf_counter()
-    for a, b in fp_star_pairs:
-        kernel.moyal_terms(a, b)
-    timings["star_fp"] = time.perf_counter() - t0
-    t0 = time.perf_counter()
-    for a, b in fp_star_pairs:
-        kernel.h_bracket_terms(a, b)
-    timings["hbracket_fp"] = time.perf_counter() - t0
     t0 = time.perf_counter()
     for a, b in mono_pairs:
         kernel.poisson_terms(a, b)
@@ -148,8 +120,8 @@ def run(pairs, star_pairs, mono_pairs, mono_star_pairs, scalar_pairs, int_pairs)
 
 def main():
     timing = run(*build_workloads(), *build_monomial_workloads(), *build_scalar_workloads())
-    ops = ["product", "poisson", "star", "hbracket", "star_fp", "hbracket_fp", "poisson_mono",
-           "star_mono", "hbracket_mono", "scalar_mul", "scalar_mul_int", "scalar_add"]
+    ops = ["product", "poisson", "star", "hbracket", "poisson_mono", "star_mono",
+           "hbracket_mono", "scalar_mul", "scalar_mul_int", "scalar_add"]
     print("".join("%15s" % op for op in ops))
     print("".join("%14.3fs" % timing[op] for op in ops))
 

@@ -20,27 +20,25 @@ c([X, Y]) expanded through the cached structure-constant table.  Ranks are
 computed fraction-free over Q[alpha]; the recorded pivot polynomials are the
 only places a specialized alpha can change a dimension.
 
-An engine at a fixed alpha is the generic engine mapped through one ring
-homomorphism (``Engine.evaluated``): substitution of a rational alpha, or
-the image mod p below.
+An engine at a fixed rational alpha is the generic engine mapped through
+the substitution of that alpha (``Engine.evaluated``).
 
 Scans first try to certify each block over F_p, p = FP_PRIME = 2^61 - 1.
-Each engine has an image over F_p, built at its first scan: the engine
-evaluated at one alpha = a as plain ints.  The same assembly runs on it,
-since the term kernel needs ring operations only.
-Evaluation at a mod p is a ring homomorphism on the scalars whose
-denominators do not vanish there, so it maps the exact matrices of d1 and
-d0 to the F_p ones, and a minor that is nonzero mod p is nonzero over
-Q(alpha): specialization can only lower a rank.  With r1, r0 the ranks
-over F_p and N the number of slots,
+A block is assembled once, over the engine's own coefficients, and each
+entry of the matrices of d1 and d0 is mapped to F_p by ``Scalar.mod_p`` at
+alpha = FP_ALPHA.  Evaluation at FP_ALPHA mod p is a ring homomorphism on
+the scalars whose denominators do not vanish there, so a minor that is
+nonzero mod p is nonzero over Q(alpha): specialization can only lower a
+rank.  With r1, r0 the ranks over F_p and N the number of slots,
 
     H^1 = N - rank d1 - rank d0 <= N - r1 - r0.
 
 When the bound is 0, H^1 = 0.  Since B lies in Z (d1 o d0 = 0), H^1 >= 0
 forces rank d1 = r1 and rank d0 = r0, so Z = N - r1 and B = r0 are exact
-too, and the report carries the certificate "modp-zero".  Only blocks with
-a positive bound take the exact path, certificate "exact".  The F_p image
-keeps no pivots, so ``h1_block`` on its own is always exact.
+too, and the report carries the certificate "modp-zero".  Blocks with a
+positive bound, or with an entry that has no image over F_p, go on to the
+exact elimination with the same matrices, certificate "exact".
+``h1_block`` on its own is always exact.
 
 Blocks with n != 0 need no assembly.  ad H1 multiplies every monomial
 t^a tau^b xi^mask h^j by its n-degree a - b, in both engines (H1 is t*tau,
@@ -72,9 +70,8 @@ the star-product analogue reuses every formula with [.,.]_h substituted.
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import lru_cache
 
 from . import d21, linalg
 from .d21 import BASIS_NAMES, PARITY
@@ -107,10 +104,10 @@ class Cochain1:
     __slots__ = ("images", "block")
 
     def __init__(self, images: dict, block: BlockSpec | None = None):
-        self.images = {name: sym for name, sym in images.items() if sym}
-        for name in self.images:
+        for name in images:
             if name not in PARITY:
                 raise ValueError("unknown basis name %r" % (name,))
+        self.images = {name: sym for name, sym in images.items() if sym}
         self.block = block
 
     def image(self, name: str) -> Symbol:
@@ -151,29 +148,27 @@ class Cochain1:
         return "Cochain1(%s)" % ({n: str(s) for n, s in self.images.items()},)
 
 
-# The prime of the F_p image, and the seed of the generic engines' alpha
-# there.  Any alpha is sound; the seed only decides how often a block whose
-# H^1 vanishes still needs the exact path.
+# The prime of the zero-block certificate, and the alpha it evaluates at.
+# Any alpha is sound; this one only decides how often a block whose H^1
+# vanishes still needs the exact path.
 FP_PRIME = 2**61 - 1
-FP_SEED = 0
+FP_ALPHA = 888315200261588941
 
 
 class Engine:
     """Bracket engine: basis, bracket, structure table, h conventions.
 
-    ``one`` is the unit of the coefficient ring: ``S_ONE`` for an engine
-    over Q(alpha) or at a rational alpha, the int 1 for an image over F_p.
-    The star engine is the one whose h powers carry k-degree
-    (``h_k_weight`` nonzero).
+    Coefficients are Scalars: over Q(alpha), or rational constants for an
+    engine at a rational alpha.  The star engine is the one whose h powers
+    carry k-degree (``h_k_weight`` nonzero).
     """
 
-    def __init__(self, basis, bracket, struct, h_k_weight, h_depth, one=S_ONE):
+    def __init__(self, basis, bracket, struct, h_k_weight, h_depth):
         self.basis = basis
         self.bracket = bracket
         self.struct = struct
         self.h_k_weight = h_k_weight
         self.h_depth = h_depth
-        self.one = one
         self.metadata = d21.basis_metadata()
         names = list(BASIS_NAMES)
         self.pairs = [
@@ -211,9 +206,9 @@ class Engine:
         """This engine with every coefficient c of its basis and structure
         table replaced by ``value(c)``, zeros dropped.
 
-        ``value`` is a ring homomorphism on the scalars: substitution of a
-        rational alpha, or the image in F_p at one alpha.  The bracket
-        needs ring operations only, so it works on the images unchanged.
+        ``value`` is a ring homomorphism on the scalars, such as the
+        substitution of a rational alpha.  The bracket needs ring
+        operations only, so it works on the images unchanged.
         """
 
         def image(terms: dict) -> dict:
@@ -222,28 +217,7 @@ class Engine:
         return Engine({name: Symbol(image(sym.terms)) for name, sym in self.basis.items()},
                       self.bracket,
                       {pair: image(coeffs) for pair, coeffs in self.struct.items()},
-                      self.h_k_weight, self.h_depth, value(S_ONE))
-
-    @cached_property
-    def fp_image(self):
-        """This engine over F_p, or None; built on first use, then kept.
-
-        The engine is evaluated at alpha = a mod FP_PRIME, a drawn from a
-        Random(FP_SEED) and drawn again while it is a root of some
-        coefficient's denominator.  The coefficients of a specialized
-        engine are rational constants, so its image does not depend on a.
-        There is no image when FP_PRIME divides the denominator of a
-        rational coefficient.
-        """
-        rng = random.Random(FP_SEED)
-        while True:
-            a = rng.randrange(FP_PRIME)
-            try:
-                return self.evaluated(lambda c: c.mod_p(a, FP_PRIME))
-            except ValueError:  # FP_PRIME divides a rational denominator
-                return None
-            except ZeroDivisionError:  # a is a root of a denominator
-                continue
+                      self.h_k_weight, self.h_depth)
 
     def k_degree(self, sym: Symbol):
         """k-degree with h counted at the engine's weight (None if mixed)."""
@@ -408,7 +382,7 @@ def _bracket(engine: Engine, name: str, key, brackets: dict) -> dict:
     m = key, looked up in (or added to) ``brackets``."""
     terms = brackets.get((name, key))
     if terms is None:
-        terms = engine.bracket(engine.basis[name], Symbol({key: engine.one})).terms
+        terms = engine.bracket(engine.basis[name], Symbol({key: S_ONE})).terms
         brackets[(name, key)] = terms
     return terms
 
@@ -417,8 +391,7 @@ def _d1_columns(block: BlockSpec, engine: Engine, brackets: dict | None = None):
     """Elementary cochains of the block and their coboundary vectors.
 
     Returns (slots, columns) where slots = [(name, key)] and columns[i] is a
-    dict (pair_index, monomial_key) -> coefficient: a Scalar, or an int not
-    yet reduced mod p for an engine's F_p image.  Each column adds up the
+    dict (pair_index, monomial_key) -> Scalar.  Each column adds up the
     brackets and structure terms listed in ``engine.incidence`` for its
     name; brackets come from ``brackets`` (name, key) -> terms, which is
     filled as needed and may be shared between blocks of one engine.
@@ -479,7 +452,7 @@ class CohomologyReport:
 
     ``certificate`` names what established the dimensions: "exact" for
     elimination over Q(alpha), "modp-zero" for the F_p rank bound of
-    ``certify_zero``, "cartan-zero" for the ad H1 argument on a block with
+    ``h1_scan``, "cartan-zero" for the ad H1 argument on a block with
     n != 0 (no representatives, no pivots for either).
     """
 
@@ -515,7 +488,8 @@ def _slots_to_cochain(slots, coeffs: dict, block: BlockSpec) -> Cochain1:
 
 def h1_block(block: BlockSpec, engine: Engine | None = None,
              representatives: bool = True) -> CohomologyReport:
-    """Cocycle, coboundary and H^1 dimensions of one block.
+    """Cocycle, coboundary and H^1 dimensions of one block, by exact
+    elimination over the engine's coefficients.
 
     Representatives, when requested and the block is nontrivial, are kernel
     vectors of d1 certified independent modulo the coboundary span.  One
@@ -526,6 +500,13 @@ def h1_block(block: BlockSpec, engine: Engine | None = None,
     slots, columns = _d1_columns(block, engine, brackets)
     if not slots:
         return CohomologyReport(block, 0, 0, 0, [], [])
+    bcols = _d0_columns(block, engine, brackets)[1]
+    return _h1_exact(block, slots, columns, bcols, representatives)
+
+
+def _h1_exact(block: BlockSpec, slots, columns, bcols, representatives: bool) -> CohomologyReport:
+    """``h1_block`` after assembly: the exact report from the block's slots,
+    d1 columns and d0 columns."""
     if representatives:
         # one elimination of d1 gives its rank, pivots and kernel
         kvecs, found = linalg.kernel_basis(columns)
@@ -534,7 +515,6 @@ def h1_block(block: BlockSpec, engine: Engine | None = None,
         rank_d1, pivots1 = poly_rank(column_rows(columns))
     dim_z = len(slots) - rank_d1
 
-    mon0, bcols = _d0_columns(block, engine, brackets)
     col_index = {slot: i for i, slot in enumerate(slots)}
     span = SpanTracker()
     for i, vec in enumerate(bcols):
@@ -565,39 +545,49 @@ def h1_block(block: BlockSpec, engine: Engine | None = None,
     return CohomologyReport(block, dim_z, len(found0), dim_h1, reps, pivot_polys)
 
 
-def certify_zero(block: BlockSpec, image: Engine):
-    """A "modp-zero" report for the block, or None when H^1 may be nonzero.
+def _fp_rank(columns):
+    """Rank over F_p of the columns' images at alpha = FP_ALPHA, or None
+    when an entry has no image there."""
+    try:
+        images = [{key: c.mod_p(FP_ALPHA, FP_PRIME) for key, c in vec.items()} for vec in columns]
+    except (ValueError, ZeroDivisionError):
+        # FP_PRIME divides a rational denominator, or FP_ALPHA is a root of one
+        return None
+    return linalg.rank_mod_p(images, FP_PRIME)
 
-    ``image`` is the F_p image of an engine with no h depth cap, so that
-    d0 stays inside the block.  The ranks r1, r0 of d1 and d0 over F_p are
-    lower bounds for the exact ones, so H^1 <= N - r1 - r0 for N slots;
-    when the bound is 0 the report is exact.
+
+def _scan_block(block: BlockSpec, engine: Engine, representatives: bool) -> CohomologyReport:
+    """The report of a block with n = 0, from one assembly.
+
+    The ranks r1, r0 of d1 and d0 over F_p are lower bounds for the exact
+    ones, so H^1 <= N - r1 - r0 for N slots; when the bound is 0 the block
+    is "modp-zero" (module docstring).  Otherwise, or when an entry has no
+    image over F_p, the same matrices go to the exact elimination.
     """
     brackets: dict = {}
-    slots, columns = _d1_columns(block, image, brackets)
-    rank_d1 = linalg.rank_mod_p(columns, FP_PRIME)
-    rank_d0 = 0
-    if rank_d1 < len(slots):  # otherwise Z = 0, and B inside it is 0 too
-        rank_d0 = linalg.rank_mod_p(_d0_columns(block, image, brackets)[1], FP_PRIME)
-        if rank_d1 + rank_d0 < len(slots):
-            return None
-    return CohomologyReport(block, len(slots) - rank_d1, rank_d0, 0, [], [], "modp-zero")
+    slots, columns = _d1_columns(block, engine, brackets)
+    rank_d1 = _fp_rank(columns)
+    if rank_d1 == len(slots):  # Z = 0, and B inside it is 0 too
+        return CohomologyReport(block, 0, 0, 0, [], [], "modp-zero")
+    bcols = _d0_columns(block, engine, brackets)[1]
+    rank_d0 = None if rank_d1 is None else _fp_rank(bcols)
+    if rank_d0 is not None and rank_d1 + rank_d0 == len(slots):
+        return CohomologyReport(block, len(slots) - rank_d1, rank_d0, 0, [], [], "modp-zero")
+    return _h1_exact(block, slots, columns, bcols, representatives)
 
 
 def h1_scan(k_range, n_range, target: str, engine: Engine | None = None, representatives: bool = True):
     """Reports for every block in the window (K4 targets pin k = 2).
 
     Blocks with n != 0 are "cartan-zero" with Z = B = |C^0| (module
-    docstring).  A block with n = 0 that ``certify_zero`` settles over the
-    engine's F_p image skips the exact path; the rest go through
-    ``h1_block``.  An engine with an h depth cap is refused: its blocks are
-    not subcomplexes.
+    docstring).  A block with n = 0 is assembled once and certified over
+    F_p when it can be, else eliminated exactly.  An engine with an h depth
+    cap is refused: its blocks are not subcomplexes.
     """
     engine = engine or poisson_engine()
     if engine.h_k_weight and engine.h_depth is not None:
         raise ValueError("h1_scan needs an engine with no h depth cap, got h_depth=%d"
                          % engine.h_depth)
-    image = engine.fp_image
     ks = [2] if target in ("K4", "K4'") else k_range
     reports = []
     for k in ks:
@@ -606,11 +596,8 @@ def h1_scan(k_range, n_range, target: str, engine: Engine | None = None, represe
             if n:
                 m = len(enumerate_c0(block, engine))
                 reports.append(CohomologyReport(block, m, m, 0, [], [], "cartan-zero"))
-                continue
-            report = certify_zero(block, image) if image else None
-            if report is None:
-                report = h1_block(block, engine, representatives=representatives)
-            reports.append(report)
+            else:
+                reports.append(_scan_block(block, engine, representatives))
     return reports
 
 

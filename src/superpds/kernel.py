@@ -1,21 +1,19 @@
 """Term kernel of the sparse symbol algebra.
 
 A term map is a dict from monomial keys (t_exp, tau_exp, grassmann_mask,
-beta_exp, h_exp) to nonzero coefficients: ``Scalar``s, or ints for an
-engine's image over F_p, one kind per map.  The Poisson bracket and the
-plain product use only ring operations on them (+, *, unary -, truthiness
-and multiplication by ints).
+beta_exp, h_exp) to nonzero ``Scalar`` coefficients.  The Poisson bracket
+and the plain product use only ring operations on them (+, *, unary -,
+truthiness and multiplication by ints).
 
 Brackets and products walk pairs of terms, reading Koszul signs from
 tables built at import from ``merge_sign`` and the left-derivative rule.
 The Poisson bracket of two monomials is closed form: one coefficient product
 and at most five integer-weighted terms.  The star product and the
-h-bracket are one walk, ``_star_walk``, on int coefficients only: a
-``Scalar`` map is split into alpha-power layers, int maps over one
-denominator (``scalars.split_layers``), each pair of layers is walked, and
-each output key is folded back once into a canonical ``Scalar``
-(``scalars.fold_layers``).  Int maps go straight into the walk.  The first
-coefficient of A picks the path.
+h-bracket are one walk, ``_star_walk``, on int coefficients only: each
+map is split into alpha-power layers, int maps over one denominator
+(``scalars.split_layers``), each pair of layers is walked, and each output
+key is folded back once into a canonical ``Scalar``
+(``scalars.fold_layers``).
 
 Callers go through the module attribute (``kernel.poisson_terms(...)``),
 never a name imported from here, so the functions can be wrapped on the
@@ -345,20 +343,11 @@ def _layer_walk(a: dict, b: dict, table: tuple, shift: int, back=None) -> dict:
 
 def moyal_terms(a: dict, b: dict) -> dict:
     """Normal-ordered product of the h-deformed symbol algebra."""
-    if a and b and type(next(iter(a.values()))) is not int:
-        return _layer_walk(a, b, _PRODUCT, 0)
-    out: dict = {}
-    _star_walk(out, a, b, _PRODUCT, 0)
-    return out
+    return _layer_walk(a, b, _PRODUCT, 0)
 
 
 def h_bracket_terms(a: dict, b: dict) -> dict:
     """[A, B]_h = (A B - (-1)^(p(A)p(B)) B A)/h: walks over (A, B) and
     (B, A) into one map, the back-order sign taken per pair of terms, so
     mixed parity needs no split; the h^0 part is never emitted."""
-    if a and b and type(next(iter(a.values()))) is not int:
-        return _layer_walk(a, b, _BRACKET, -1, _BRACKET_BACK)
-    out: dict = {}
-    _star_walk(out, a, b, _BRACKET, -1)
-    _star_walk(out, b, a, _BRACKET_BACK, -1)
-    return out
+    return _layer_walk(a, b, _BRACKET, -1, _BRACKET_BACK)

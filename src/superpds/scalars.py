@@ -490,6 +490,11 @@ class Scalar:
         coefficient, so that no value gives an image, and ZeroDivisionError
         when ``value`` is a root of the denominator mod p.
         """
+        if self.ad is _P_ONE:  # a polynomial: no denominator to invert
+            an = self.an
+            if an.d == 1 and len(an.c) == 1 and 0 in an.c:  # an integer
+                return an.c[0] % p
+            return an.mod_p(value, p)
         den = self.ad.mod_p(value, p)
         if not den:
             raise ZeroDivisionError("alpha = %d is a root of %s mod %d" % (value, self.ad, p))

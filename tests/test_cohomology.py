@@ -193,6 +193,13 @@ def test_d1_after_d0_vanishes_on_random_blocks():
             checked += 1
 
 
+@pytest.mark.parametrize("image", [mono(t=1), coh.SYM_ZERO], ids=["nonzero", "zero"])
+def test_cochain_rejects_unknown_names(image):
+    # names are checked before zero images are dropped
+    with pytest.raises(ValueError, match="unknown basis name 'Q9'"):
+        coh.Cochain1({"Q9": image})
+
+
 def test_validate_cochain_block_membership():
     th = coh.named_cocycle("theta")
     ENGINE.validate_cochain(th, th.block)
@@ -382,7 +389,6 @@ def test_specialized_engines_are_evaluations(alpha):
             {n: _specialized(s.terms, alpha) for n, s in basis.items()}
         assert engine.struct == struct
         assert engine.h_depth == h_depth
-        assert engine.one == S_ONE
     # the star rule tau >= 0 holds for the star engine only
     block = coh.BlockSpec(0, 0, "P")
     poisson, star = (engine for engine, _, _ in cases)
@@ -395,11 +401,10 @@ def test_specialized_engines_are_evaluations(alpha):
     # rational constants: the F_p image does not depend on the alpha drawn
     for engine, _, _ in cases:
         images = [engine.evaluated(lambda c: c.mod_p(a, coh.FP_PRIME)) for a in (2, 12345)]
-        for image in images + [engine.fp_image]:
+        for image in images:
             assert {n: s.terms for n, s in image.basis.items()} == \
                 {n: s.terms for n, s in images[0].basis.items()}
             assert image.struct == images[0].struct
-            assert image.one == 1
 
 
 # -- block assembly ---------------------------------------------------------------
@@ -485,17 +490,57 @@ def test_modp_certificate_matches_exact(scan):
     assert any(r.dim_cocycles for r in reports if r.certificate != "exact")
 
 
+def _has_fp_image(columns):
+    try:
+        for vec in columns:
+            for c in vec.values():
+                c.mod_p(coh.FP_ALPHA, coh.FP_PRIME)
+    except ValueError:  # FP_PRIME divides a denominator
+        return False
+    return True
+
+
 def test_scan_without_fp_image_runs_exact():
-    # alpha = 1/p has no image over F_p, so every block takes the exact path
+    # at alpha = 1/p a block whose matrices meet that denominator is
+    # "exact"; every other label and every dimension stay the generic ones
     engine = coh.poisson_engine(alpha=Fraction(1, coh.FP_PRIME))
-    assert engine.fp_image is None
     window = range(-2, 3)
-    reports = coh.h1_scan(window, window, "P+", engine, representatives=False)
-    for rpt in reports:
-        assert rpt.certificate == ("exact" if rpt.block.n == 0 else "cartan-zero"), rpt.block
-    generic = coh.h1_scan(window, window, "P+", ENGINE, representatives=False)
-    assert [(r.block, r.dim_cocycles, r.dim_coboundaries, r.dim_h1) for r in reports] == \
-        [(r.block, r.dim_cocycles, r.dim_coboundaries, r.dim_h1) for r in generic]
+    for target, expected in (("P", [(-2, 0), (2, 0)]), ("P+", [(2, 0)])):
+        reports = coh.h1_scan(window, window, target, engine, representatives=False)
+        generic = coh.h1_scan(window, window, target, ENGINE, representatives=False)
+        no_image, relabelled = [], []
+        for rpt, ref in zip(reports, generic):
+            assert (rpt.block, rpt.dim_cocycles, rpt.dim_coboundaries, rpt.dim_h1) == \
+                (ref.block, ref.dim_cocycles, ref.dim_coboundaries, ref.dim_h1)
+            if rpt.certificate != ref.certificate:
+                relabelled.append((rpt.block.k, rpt.block.n))
+            if rpt.block.n == 0:
+                brackets: dict = {}
+                columns = coh._d1_columns(rpt.block, engine, brackets)[1]
+                columns += coh._d0_columns(rpt.block, engine, brackets)[1]
+                if not _has_fp_image(columns):
+                    no_image.append((rpt.block.k, rpt.block.n))
+                    assert rpt.certificate == "exact", rpt.block
+        assert set(relabelled) <= set(no_image)
+        assert relabelled == expected, target
+
+
+@pytest.mark.parametrize("scan", ["P+", "star P+"])
+def test_scan_assembles_each_block_once(scan, monkeypatch):
+    make_engine, target, window = CERTIFIED_SCANS[scan]
+    engine = make_engine()
+    blocks = []
+    assemble = coh._d1_columns
+
+    def counted(block, *args, **kwargs):
+        blocks.append(block)
+        return assemble(block, *args, **kwargs)
+
+    monkeypatch.setattr(coh, "_d1_columns", counted)
+    reports = coh.h1_scan(window, window, target, engine, representatives=False)
+    assert blocks == [r.block for r in reports if r.block.n == 0]
+    # nonzero blocks too: the exact path reuses the certificate's assembly
+    assert any(r.dim_h1 for r in reports)
 
 
 def test_scan_refuses_capped_engine():

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from superpds import kernel, quantize
+from superpds import kernel
 from superpds.scalars import ALPHA, S_ONE
 from superpds.symbols import (
     MixedParityError,
@@ -156,37 +156,6 @@ def test_poisson_kernel_matches_definition():
     for _ in range(2000):
         a, b = _random_map(rng), _random_map(rng)
         assert a.poisson(b) == _poisson_by_definition(a, b), (a, b)
-
-
-MERSENNE = 2**61 - 1
-
-
-def mod_image(terms, value):
-    """The F_p image of a term map: Scalars sent by alpha -> value, ints
-    reduced, zeros dropped."""
-    out = {}
-    for key, c in terms.items():
-        v = c % MERSENNE if isinstance(c, int) else c.mod_p(value, MERSENNE)
-        if v:
-            out[key] = v
-    return out
-
-
-def test_brackets_commute_with_the_mod_p_image():
-    # the F_p image of a cohomology engine runs the same brackets on ints
-    rng = random.Random(61)
-    for _ in range(300):
-        a, b = _random_map(rng), _random_map(rng)
-        value = rng.randrange(MERSENNE)
-        ints = kernel.poisson_terms(mod_image(a.terms, value), mod_image(b.terms, value))
-        assert mod_image(ints, value) == mod_image(a.poisson(b).terms, value), (a, b)
-    for _ in range(150):  # the star product wants tau exponents >= 0
-        a, b = _random_map(rng, tau_min=0), _random_map(rng, tau_min=0)
-        value = rng.randrange(MERSENNE)
-        ints = quantize.h_bracket(Symbol(mod_image(a.terms, value)),
-                                  Symbol(mod_image(b.terms, value)))
-        assert mod_image(ints.terms, value) == \
-            mod_image(quantize.h_bracket(a, b).terms, value), (a, b)
 
 
 def test_constants_central():
