@@ -12,12 +12,36 @@ lists them.  Two checkouts give the same outputs when
 
 prints nothing.  ``SUPERPDS_WINDOW`` is removed from the environment, so
 every ``h1`` scan runs its default window unless the command names one.
+The input files of the commands that read one (``FIXTURES``) are written to
+OUTDIR, and every command runs with OUTDIR as its working directory and
+names its files relative to it, so no output depends on where OUTDIR is.
 """
 
+import json
 import os
 import subprocess
 import sys
 from pathlib import Path
+
+THETA1 = {
+    "D1": "t^-1*xi1",
+    "D2": "t^-1*xi2",
+    "D3": "t^-1*eta1",
+    "D4": "t^-1*eta2",
+    "F1": "2*t^-1*tau",
+    "H1": "1",
+}
+
+FIXTURES = {
+    "theta1.json": {"block": {"k": 0, "n": 0, "target": "P+"}, "images": THETA1},
+    # closed, but h lies in no slot of a Poisson block
+    "h_theta1.json": {
+        "block": {"k": 0, "n": 0, "target": "P+"},
+        "images": {name: "h*(%s)" % text for name, text in THETA1.items()},
+    },
+    "rho2.json": {"block": {"k": -2, "n": 0, "target": "P+"}, "images": {"F1": "t^-2"}},
+    "deformation.json": {"engine": "poisson", "orders": ["theta1.json", "rho2.json"]},
+}
 
 H1_BLOCKS = [("0", "0"), ("4", "-2"), ("4", "0"), ("2", "-6")]
 
@@ -41,6 +65,11 @@ COMMANDS = (
         ["basis", "--alpha", "3/2", "--json"],
         ["cocycle", "thetabar1"],
         ["cocycle", "theta2", "--json"],
+        ["cocycle", "--file", "theta1.json"],
+        ["cocycle", "--file", "h_theta1.json"],
+        ["cup", "theta1.json", "theta1.json", "--json"],
+        ["solve-obstruction", "theta1.json", "--k", "-2", "--json"],
+        ["deform", "verify", "--file", "deformation.json", "--json"],
     ]
 )
 
@@ -51,13 +80,15 @@ def main(argv) -> int:
         return 2
     out = Path(argv[1])
     out.mkdir(parents=True, exist_ok=True)
+    for name, doc in FIXTURES.items():
+        (out / name).write_text(json.dumps(doc, indent=2) + "\n")
     env = dict(os.environ)
     env.pop("SUPERPDS_WINDOW", None)
     env["PYTHONPATH"] = str(Path(__file__).resolve().parent.parent / "src")
     listing = []
     for i, args in enumerate(COMMANDS):
         run = subprocess.run([sys.executable, "-m", "superpds.cli", *args],
-                             capture_output=True, env=env)
+                             capture_output=True, env=env, cwd=out)
         (out / ("%d.out" % i)).write_bytes(run.stdout)
         (out / ("%d.err" % i)).write_bytes(run.stderr)
         (out / ("%d.code" % i)).write_text("%d\n" % run.returncode)

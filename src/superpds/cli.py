@@ -218,10 +218,6 @@ def cmd_verify(args):
     return 0 if ok else 1
 
 
-def _report_payload(rpt):
-    return rpt.to_payload()
-
-
 def cmd_h1(args):
     if args.quantized and args.target != "P+":
         # the star engine keeps no tau < 0 monomial, so any other target
@@ -260,7 +256,7 @@ def cmd_h1(args):
         "quantized": bool(args.quantized),
         "blocks_scanned": scanned,
         "total_dim": total,
-        "blocks": [_report_payload(r) for r in (nonzero if scanned > 1 else reports)],
+        "blocks": [r.to_payload() for r in (nonzero if scanned > 1 else reports)],
     }
     lines = [
         "target %s: %d block(s) scanned, total dim H^1 = %d"

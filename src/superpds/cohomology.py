@@ -10,6 +10,12 @@ over blocks.  Coefficients may be the full symbol algebra P, differential-
 operator symbols P+, the contact algebra K4 (the k-degree-2 part) or its
 derived ideal K4'.
 
+A block is what ``enumerate_c0`` and ``enumerate_c1`` list: the C^0
+monomial keys and the C^1 slots (basis name, monomial key) of its gradings
+inside the target, with the engine's h conventions and no beta.  Validation
+(``Engine.validate_cochain``), block assembly and the scans all read that
+list.
+
 Differential conventions (the zero convention is pinned by d1 o d0 = 0):
 
     (d0 m)(X)    = [X, m]
@@ -77,7 +83,7 @@ from . import d21, linalg
 from .d21 import BASIS_NAMES, PARITY
 from .linalg import SpanTracker, clear_denominators, column_rows, poly_rank
 from .scalars import S_HALF, S_ONE, Scalar
-from .symbols import K4PRIME_GAP, SYM_ZERO, TARGETS, Symbol
+from .symbols import K4PRIME_GAP, SYM_ZERO, TARGETS, Symbol, mask_weight
 
 
 @dataclass(frozen=True)
@@ -219,30 +225,15 @@ class Engine:
                       {pair: image(coeffs) for pair, coeffs in self.struct.items()},
                       self.h_k_weight, self.h_depth)
 
-    def k_degree(self, sym: Symbol):
-        """k-degree with h counted at the engine's weight (None if mixed)."""
-        value = None
-        for (t, u, m, _b, h) in sym.terms:
-            v = t + u + m.bit_count() + self.h_k_weight * h
-            if value is None:
-                value = v
-            elif value != v:
-                return None
-        return 0 if value is None else value
-
     def validate_cochain(self, c: Cochain1, block: BlockSpec):
+        """Raise ValueError unless every image term of c is a slot of the
+        block, that is (name, key) is in ``enumerate_c1(block, self)``."""
+        slots = set(enumerate_c1(block, self))
         for name, sym in c.images.items():
-            par, n_deg, w = self.metadata[name]
-            if not sym.in_subalgebra(block.target):
-                raise ValueError("%s image leaves %s" % (name, block.target))
-            if sym.parity() != par:
-                raise ValueError("%s image has wrong parity" % (name,))
-            if self.k_degree(sym) != block.k:
-                raise ValueError("%s image has wrong k-degree" % (name,))
-            if sym.n_degree() != n_deg + block.n:
-                raise ValueError("%s image has wrong n-degree" % (name,))
-            if sym.weight() != w:
-                raise ValueError("%s image has wrong weight" % (name,))
+            for key in sym.terms:
+                if (name, key) not in slots:
+                    raise ValueError("%s image term %s is not a slot of block (k=%d, n=%d, %s)"
+                                     % (name, Symbol({key: S_ONE}), block.k, block.n, block.target))
 
 
 def poisson_engine(alpha=None) -> Engine:
@@ -280,10 +271,6 @@ def _quantized_engine(alpha, h_depth) -> Engine:
                   h_k_weight=2, h_depth=h_depth)
 
 
-def _mask_weight(mask: int):
-    return ((mask & 1) - (mask >> 2 & 1), (mask >> 1 & 1) - (mask >> 3 & 1))
-
-
 def _monomials(block: BlockSpec, engine: Engine, want_n, weight, parity):
     """Monomial keys in the target with the requested degrees.
 
@@ -296,7 +283,7 @@ def _monomials(block: BlockSpec, engine: Engine, want_n, weight, parity):
     for mask in range(16):
         if mask.bit_count() & 1 != parity:
             continue
-        if _mask_weight(mask) != weight:
+        if mask_weight(mask) != weight:
             continue
         if engine.h_k_weight:
             hi = (block.k - mask.bit_count() - want_n) // 2
@@ -394,7 +381,8 @@ def _d1_columns(block: BlockSpec, engine: Engine, brackets: dict | None = None):
     dict (pair_index, monomial_key) -> Scalar.  Each column adds up the
     brackets and structure terms listed in ``engine.incidence`` for its
     name; brackets come from ``brackets`` (name, key) -> terms, which is
-    filled as needed and may be shared between blocks of one engine.
+    filled as needed and may be shared with ``_d0_columns`` of the same
+    block.
     """
     if brackets is None:
         brackets = {}

@@ -195,9 +195,6 @@ class AbstractAlgebra:
                 table[(x, y)] = acc
         return table
 
-    def bracket(self, x, y) -> dict:
-        return self.table[(x, y)]
-
     def bracket_elements(self, ex: dict, ey: dict) -> dict:
         acc: dict = {}
         for n1, c1 in ex.items():

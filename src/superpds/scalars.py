@@ -77,10 +77,6 @@ class AlphaPoly:
         v = value if isinstance(value, int) else Fraction(value)
         return AlphaPoly({0: v.numerator}, v.denominator) if v else _P_ZERO
 
-    @staticmethod
-    def variable() -> "AlphaPoly":
-        return AlphaPoly({1: 1})
-
     def __bool__(self) -> bool:
         return bool(self.c)
 

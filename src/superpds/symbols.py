@@ -36,6 +36,13 @@ TARGETS = ("P", "P+", "K4", "K4'")
 K4PRIME_GAP = (-1, -1, 0b1111)
 
 
+def mask_weight(mask: int):
+    """Weight of a Grassmann mask: xi_i adds the i-th coordinate vector,
+    eta_i subtracts it.  The gradings of the package are fixed in this
+    module (module docstring)."""
+    return ((mask & 1) - (mask >> 2 & 1), (mask >> 1 & 1) - (mask >> 3 & 1))
+
+
 class MixedParityError(ValueError):
     """A parity-sensitive operation was fed a mixed-parity symbol."""
 
@@ -171,11 +178,7 @@ class Symbol:
         return (v if self.terms else 0) if ok else None
 
     def weight(self):
-        def w(key):
-            m = key[2]
-            return ((m >> 0 & 1) - (m >> 2 & 1), (m >> 1 & 1) - (m >> 3 & 1))
-
-        v, ok = self._common(w)
+        v, ok = self._common(lambda k: mask_weight(k[2]))
         return (v if self.terms else (0, 0)) if ok else None
 
     def gradings(self):

@@ -138,6 +138,37 @@ def test_cocycle_file_and_failure(tmp_path, capsys):
     assert "NOT a cocycle" in out
 
 
+def test_cocycle_file_outside_its_block(tmp_path, capsys):
+    # h * theta1 is closed, but no cochain of the Poisson block carries h
+    path = tmp_path / "h_theta1.json"
+    path.write_text(
+        json.dumps(
+            {
+                "block": {"k": 0, "n": 0, "target": "P+"},
+                "images": {
+                    "D1": "h*t^-1*xi1",
+                    "D2": "h*t^-1*xi2",
+                    "D3": "h*t^-1*eta1",
+                    "D4": "h*t^-1*eta2",
+                    "F1": "2*h*t^-1*tau",
+                    "H1": "h",
+                },
+            }
+        )
+    )
+    code, out, _ = run(capsys, "cocycle", "--file", str(path))
+    assert code == 1
+    assert out.startswith("%s: cocycle\n" % path)
+    assert [line for line in out.splitlines() if "violation" in line] == [
+        "  violation: D1 image term t^-1*xi1*h is not a slot of block (k=0, n=0, P+)"
+    ]
+    code, out, _ = run(capsys, "cocycle", "--file", str(path), "--json")
+    assert code == 1
+    doc = json.loads(out)
+    assert doc["is_cocycle"] is True
+    assert doc["block_violations"]
+
+
 def test_cup_command(tmp_path, capsys):
     theta1 = {
         "block": {"k": 0, "n": 0, "target": "P+"},

@@ -1,4 +1,5 @@
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -205,6 +206,61 @@ def test_validate_cochain_block_membership():
     ENGINE.validate_cochain(th, th.block)
     with pytest.raises(ValueError):
         ENGINE.validate_cochain(th, coh.BlockSpec(2, 2, "K4'"))
+    # each named cocycle lies in its own block, under the engine the
+    # cocycle command picks for it
+    for name in ("theta1", "theta2", "theta", "thetabar1"):
+        c = coh.named_cocycle(name)
+        engine = coh.quantized_engine() if name == "thetabar1" else ENGINE
+        engine.validate_cochain(c, c.block)
+
+
+VALIDATION_ENGINES = {
+    "poisson": coh.poisson_engine,
+    "poisson-alpha1": lambda: coh.poisson_engine(alpha=1),
+    "star": coh.quantized_engine,
+}
+
+
+def _validation_blocks():
+    for target in coh.TARGETS:
+        for k in [2] if target in ("K4", "K4'") else range(-2, 5):
+            for n in range(-3, 4):
+                yield coh.BlockSpec(k, n, target)
+
+
+def _elementary(name, key, block, beta=0, h=0):
+    t, u, m, b, hp = key
+    return coh.Cochain1({name: Symbol({(t, u, m, b + beta, hp + h): S_ONE})}, block)
+
+
+@pytest.mark.parametrize("engine_name", list(VALIDATION_ENGINES))
+def test_validate_cochain_is_slot_membership(engine_name):
+    engine = VALIDATION_ENGINES[engine_name]()
+    capped = coh.quantized_engine(h_depth=1)
+    kinds = set()
+    for block in _validation_blocks():
+        outside = re.escape("is not a slot of block (k=%d, n=%d, %s)"
+                            % (block.k, block.n, block.target))
+        bad = []
+        for name, key in coh.enumerate_c1(block, engine):
+            engine.validate_cochain(_elementary(name, key, block), block)
+            bad.append(("beta", engine, _elementary(name, key, block, beta=1)))
+            if not engine.h_k_weight:
+                bad.append(("h", engine, _elementary(name, key, block, h=1)))
+            elif key[4] > 1:
+                bad.append(("h above cap", capped, _elementary(name, key, block)))
+            else:
+                capped.validate_cochain(_elementary(name, key, block), block)
+        if block.target == "P+":
+            # the P slots of the same gradings that carry tau^-1
+            for name, key in coh.enumerate_c1(coh.BlockSpec(block.k, block.n, "P"), ENGINE):
+                if key[1] == -1:
+                    bad.append(("tau^-1", engine, _elementary(name, key, block)))
+        for kind, eng, c in bad:
+            with pytest.raises(ValueError, match=outside):
+                eng.validate_cochain(c, block)
+            kinds.add(kind)
+    assert kinds == {"beta", "tau^-1", "h above cap" if engine.h_k_weight else "h"}
 
 
 # -- block dimensions ------------------------------------------------------------
