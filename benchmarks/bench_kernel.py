@@ -7,9 +7,12 @@ multi-term maps, then on monomial x monomial pairs (``*_mono``), the shape
 of the brackets block assembly makes.  The product and the Poisson bracket
 do one ``Scalar`` product per pair of terms; the star product and the
 h-bracket walk int coefficients, one alpha power at a time, and build
-``Scalar``s only once per output key.  The last three columns time the
-coefficient layer alone: products and sums of ``Scalar`` pairs, and
-``Scalar`` times a small int.
+``Scalar``s only once per output key.  ``fold`` times that fold alone
+(``scalars.fold_layers``) on the alpha-power layers of the seeded star
+products, and ``sub_equal`` the subtraction of each star product from a
+copy of itself, which ``kernel.sub_terms`` cancels key by key by
+equality.  The last three columns time the coefficient layer alone:
+products and sums of ``Scalar`` pairs, and ``Scalar`` times a small int.
 
     PYTHONPATH=src python3 benchmarks/bench_kernel.py
 """
@@ -19,7 +22,7 @@ import time
 from fractions import Fraction
 
 from superpds import kernel
-from superpds.scalars import ALPHA, Scalar
+from superpds.scalars import ALPHA, Scalar, fold_layers, split_layers
 
 
 def random_terms(rng, n=6, tau_nonneg=False, with_alpha=True):
@@ -103,6 +106,18 @@ def run(pairs, star_pairs, mono_pairs, mono_star_pairs, scalar_pairs, int_pairs)
     for a, b in mono_star_pairs:
         kernel.h_bracket_terms(a, b)
     timings["hbracket_mono"] = time.perf_counter() - t0
+    # fold_layers consumes its layers, so each is split outside the timer
+    products = [kernel.moyal_terms(a, b) for a, b in star_pairs]
+    splits = [split_layers(m) for m in products]
+    t0 = time.perf_counter()
+    for layers, d, den in splits:
+        fold_layers(layers, d, den)
+    timings["fold"] = time.perf_counter() - t0
+    copies = [(m, dict(m)) for m in products]
+    t0 = time.perf_counter()
+    for m, same in copies:
+        kernel.sub_terms(m, same)
+    timings["sub_equal"] = time.perf_counter() - t0
     t0 = time.perf_counter()
     for x, y in scalar_pairs:
         x * y
@@ -121,7 +136,7 @@ def run(pairs, star_pairs, mono_pairs, mono_star_pairs, scalar_pairs, int_pairs)
 def main():
     timing = run(*build_workloads(), *build_monomial_workloads(), *build_scalar_workloads())
     ops = ["product", "poisson", "star", "hbracket", "poisson_mono", "star_mono",
-           "hbracket_mono", "scalar_mul", "scalar_mul_int", "scalar_add"]
+           "hbracket_mono", "fold", "sub_equal", "scalar_mul", "scalar_mul_int", "scalar_add"]
     print("".join("%15s" % op for op in ops))
     print("".join("%14.3fs" % timing[op] for op in ops))
 

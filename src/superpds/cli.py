@@ -87,6 +87,16 @@ def _load_cochain(path: str):
     return coh.Cochain1(images, block)
 
 
+def _check_block(c, path: str, engine) -> None:
+    """Raise InputError unless a cochain read from ``path`` that declares a
+    block lies in it, for the engine that will compute with it."""
+    if c.block is not None:
+        try:
+            engine.validate_cochain(c, c.block)
+        except ValueError as exc:
+            raise InputError("%s: %s" % (path, exc))
+
+
 def _block_spec(k, n, target, prefix=""):
     try:
         return coh.BlockSpec(k, n, target)
@@ -311,6 +321,8 @@ def cmd_cup(args):
     phi = _load_cochain(args.f)
     phi_prime = _load_cochain(args.g)
     engine = _engine(args)
+    _check_block(phi, args.f, engine)
+    _check_block(phi_prime, args.g, engine)
     pairs = coh.cup(phi, phi_prime, engine)
     nonzero = {"(%s,%s)" % p: str(v) for p, v in pairs.items() if v}
     payload = {
@@ -330,6 +342,7 @@ def cmd_cup(args):
 def cmd_solve_obstruction(args):
     rho1 = _load_cochain(args.f)
     engine = _engine(args)
+    _check_block(rho1, args.f, engine)
     target = args.target or (rho1.block.target if rho1.block else "P")
     block = _block_spec(args.k, args.n, target)
     sol = coh.solve_obstruction(rho1, block, engine)
@@ -366,7 +379,10 @@ def _load_deformation(path: str) -> deform.DeformedMap:
         if not isinstance(entry, str):
             raise InputError("%s: orders must name cochain files, got %s"
                              % (path, _type_name(entry)))
-        orders.append(_load_cochain(os.path.join(base, entry)))
+        order_path = os.path.join(base, entry)
+        order = _load_cochain(order_path)
+        _check_block(order, order_path, engine)
+        orders.append(order)
     return deform.DeformedMap(orders, engine)
 
 

@@ -3,7 +3,9 @@
 A term map is a dict from monomial keys (t_exp, tau_exp, grassmann_mask,
 beta_exp, h_exp) to nonzero ``Scalar`` coefficients.  The Poisson bracket
 and the plain product use only ring operations on them (+, *, unary -,
-truthiness and multiplication by ints).
+truthiness and multiplication by ints); ``sub_terms`` also uses ==, and
+drops a key whose two coefficients are equal without subtracting them, as
+coefficients are canonical, so unequal ones differ by a nonzero.
 
 Brackets and products walk pairs of terms, reading Koszul signs from
 tables built at import from ``merge_sign`` and the left-derivative rule.
@@ -65,11 +67,11 @@ def sub_terms(a: dict, b: dict) -> dict:
     out = dict(a)
     for key, coeff in b.items():
         if key in out:
-            nv = out[key] - coeff
-            if nv:
-                out[key] = nv
-            else:
+            old = out[key]
+            if old == coeff:
                 del out[key]
+            else:
+                out[key] = old - coeff
         else:
             out[key] = -coeff
     return out

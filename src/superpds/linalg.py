@@ -330,7 +330,7 @@ class SpanTracker(_Elimination):
         den = self.reduce(row, comb, den)
         if row:
             return None
-        return {t: Scalar(-p, den) for t, p in comb.items()}
+        return {t: Scalar.quotient(-p, den) for t, p in comb.items()}
 
     def rank(self) -> int:
         return len(self.pivots)

@@ -3,7 +3,10 @@
 Scalars live in the field Q(alpha) of rational functions in a formal
 parameter ``alpha`` with rational coefficients.  Every scalar is kept in a
 unique reduced form (a gcd-reduced fraction with a monic denominator), so two
-scalars are equal exactly when their stored representations coincide.
+scalars are equal exactly when their stored representations coincide.  The
+``Scalar`` constructor takes that form as given; ``Scalar.quotient``
+reduces any fraction of polynomials to it, and arithmetic calls it only
+where a polynomial denominator may leave a common factor.
 
 A polynomial in alpha is stored as integer coefficients over one positive
 integer denominator, c / d, with d coprime to the coefficients taken
@@ -13,7 +16,8 @@ result; division, gcd and rendering work on Fractions.
 
 ``split_layers`` and ``fold_layers`` carry a whole term map across to ints
 and back for the star kernel: one int map per alpha power over one common
-denominator, and one canonical Scalar per key on the way back.
+denominator, and one canonical Scalar per key on the way back, reduced by
+one integer gcd when the key holds a single alpha power.
 """
 
 from __future__ import annotations
@@ -295,50 +299,50 @@ def poly_str(p: AlphaPoly, var: str = "alpha") -> str:
     return out
 
 
-def _reduce_fraction(num: AlphaPoly, den: AlphaPoly):
-    """Reduce num/den to lowest terms with a monic denominator."""
-    if not den:
-        raise ZeroDivisionError("zero denominator")
-    if not num:
-        return _P_ZERO, _P_ONE
-    if den.is_one():
-        return num, _P_ONE
-    g = poly_gcd(num, den)
-    if g.degree() > 0:
-        num = num.exact_div(g)
-        den = den.exact_div(g)
-    lc = den.leading()
-    if lc != 1:
-        num = num.scaled(1 / lc)
-        den = den.monic()
-    return num, _P_ONE if den.is_one() else den
-
-
 class Scalar:
     """Element an/ad of Q(alpha), in canonical reduced form.
 
-    ``an`` and ``ad`` are polynomials in alpha with gcd 1 and ``ad`` monic.
-    A denominator equal to 1 is normally the shared ``_P_ONE``, which the
-    arithmetic tests with ``is`` for its fast paths; any other 1 takes the
-    general path, which gives the same result.
+    ``an`` and ``ad`` are polynomials in alpha with gcd 1 and ``ad`` monic,
+    and a denominator equal to 1 is the shared ``_P_ONE``, which the
+    arithmetic tests with ``is`` for its fast paths.  The constructor takes
+    that form as given, as ``AlphaPoly``'s does; ``quotient`` builds it
+    from any fraction of polynomials.  Equality compares the stored forms.
     """
 
     __slots__ = ("an", "ad")
 
-    def __init__(self, an, ad, _reduced=False):
-        if _reduced:
-            self.an, self.ad = an, ad
-        else:
-            self.an, self.ad = _reduce_fraction(an, ad)
+    def __init__(self, an, ad):
+        self.an = an
+        self.ad = ad
 
     # -- constructors -------------------------------------------------
     @staticmethod
+    def quotient(num: AlphaPoly, den: AlphaPoly) -> "Scalar":
+        """num/den for polynomials num and den != 0, reduced to the
+        canonical form: the polynomial gcd divided out, den made monic."""
+        if not den:
+            raise ZeroDivisionError("zero denominator")
+        if not num:
+            return S_ZERO
+        if den.is_one():
+            return Scalar(num, _P_ONE)
+        g = poly_gcd(num, den)
+        if g.degree() > 0:
+            num = num.exact_div(g)
+            den = den.exact_div(g)
+        lc = den.leading()
+        if lc != 1:
+            num = num.scaled(1 / lc)
+            den = den.monic()
+        return Scalar(num, _P_ONE if den.is_one() else den)
+
+    @staticmethod
     def from_fraction(value) -> "Scalar":
-        return Scalar(AlphaPoly.const(value), _P_ONE, _reduced=True)
+        return Scalar(AlphaPoly.const(value), _P_ONE)
 
     @staticmethod
     def from_poly(p: AlphaPoly) -> "Scalar":
-        return Scalar(p, _P_ONE, _reduced=True)
+        return Scalar(p, _P_ONE)
 
     @staticmethod
     def coerce(x) -> "Scalar":
@@ -355,6 +359,10 @@ class Scalar:
         return bool(self.an.c)
 
     def __eq__(self, other) -> bool:
+        if other.__class__ is Scalar:
+            # canonical forms: equal exactly when stored alike
+            a, b, da, db = self.an, other.an, self.ad, other.ad
+            return a.d == b.d and a.c == b.c and (da is db or da.d == db.d and da.c == db.c)
         if isinstance(other, int):
             an = self.an
             return an.d == 1 and an.c == ({0: other} if other else {}) and self.ad.is_one()
@@ -381,7 +389,7 @@ class Scalar:
             if not other:
                 return self
             d1 = self.ad
-            return Scalar(self.an + d1.scaled(other), d1, _reduced=True)
+            return Scalar(self.an + d1.scaled(other), d1)
         else:
             try:
                 other = Scalar.coerce(other)
@@ -390,13 +398,13 @@ class Scalar:
             n2, d2 = other.an, other.ad
         n1, d1 = self.an, self.ad
         if d1 is _P_ONE and d2 is _P_ONE:
-            return Scalar(n1 + n2, _P_ONE, _reduced=True)
-        return Scalar(n1 * d2 + n2 * d1, d1 * d2)
+            return Scalar(n1 + n2, _P_ONE)
+        return Scalar.quotient(n1 * d2 + n2 * d1, d1 * d2)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return Scalar(-self.an, self.ad, _reduced=True)
+        return Scalar(-self.an, self.ad)
 
     def __sub__(self, other):
         if not isinstance(other, Scalar):
@@ -406,8 +414,8 @@ class Scalar:
                 return NotImplemented
         n1, d1, n2, d2 = self.an, self.ad, other.an, other.ad
         if d1 is _P_ONE and d2 is _P_ONE:
-            return Scalar(n1 - n2, _P_ONE, _reduced=True)
-        return Scalar(n1 * d2 - n2 * d1, d1 * d2)
+            return Scalar(n1 - n2, _P_ONE)
+        return Scalar.quotient(n1 * d2 - n2 * d1, d1 * d2)
 
     def __rsub__(self, other):
         return Scalar.coerce(other) - self
@@ -420,7 +428,7 @@ class Scalar:
                 return self
             if not other or not self.an.c:
                 return S_ZERO
-            return Scalar(self.an.scaled(other), self.ad, _reduced=True)
+            return Scalar(self.an.scaled(other), self.ad)
         else:
             try:
                 other = Scalar.coerce(other)
@@ -431,15 +439,15 @@ class Scalar:
         if not n1.c or not n2.c:
             return S_ZERO
         if d1 is _P_ONE and d2 is _P_ONE:
-            return Scalar(n1 * n2, _P_ONE, _reduced=True)
-        return Scalar(n1 * n2, d1 * d2)
+            return Scalar(n1 * n2, _P_ONE)
+        return Scalar.quotient(n1 * n2, d1 * d2)
 
     __rmul__ = __mul__
 
     def inv(self) -> "Scalar":
         if not self:
             raise ZeroDivisionError("inverse of zero scalar")
-        return Scalar(self.ad, self.an)
+        return Scalar.quotient(self.ad, self.an)
 
     def __truediv__(self, other):
         try:
@@ -572,7 +580,7 @@ def _split_over_lcm(terms: dict):
             den = poly_lcm(den, c.ad)
     # each coefficient an/ad as (an den/ad) / den, the numerator carried
     # as a Scalar over 1 to the split above
-    nums = {key: Scalar(c.an * den.exact_div(c.ad), _P_ONE, True) for key, c in terms.items()}
+    nums = {key: Scalar(c.an * den.exact_div(c.ad), _P_ONE) for key, c in terms.items()}
     layers, d, _ = split_layers(nums)
     return layers, d, None if den.is_one() else den
 
@@ -580,26 +588,37 @@ def _split_over_lcm(terms: dict):
 def fold_layers(layers: dict, d: int, den) -> dict:
     """The term map with coefficients sum_e layers[e][key] alpha^e / (d den),
     each a canonical Scalar; ``layers`` holds nonzero ints, ``d`` is a
-    positive int and ``den`` a monic polynomial or None for 1.  Only a
-    polynomial ``den`` takes the polynomial gcd of the full reduction.
-    The layers are consumed: the result may reuse one of their dicts.
+    positive int and ``den`` a monic polynomial or None for 1.  A key met
+    in one layer only, as most are, is one power v alpha^e / d, reduced by
+    gcd(d, v) alone; a key met in several layers goes through ``_poly``.
+    Only a polynomial ``den`` takes the polynomial gcd of the full
+    reduction.  The layers are consumed: the result may reuse one of their
+    dicts.
     """
     if len(layers) == 1 and den is None:
         ((e, out),) = layers.items()
         for key, v in out.items():
             g = int_gcd(d, v)
-            out[key] = Scalar(AlphaPoly({e: v // g}, d // g), _P_ONE, True)
+            out[key] = Scalar(AlphaPoly({e: v // g}, d // g), _P_ONE)
         return out
     out: dict = {}
     for e, layer in layers.items():
         for key, v in layer.items():
             c = out.get(key)
             if c is None:
-                out[key] = {e: v}
+                out[key] = (e, v)
+            elif c.__class__ is tuple:
+                out[key] = {c[0]: c[1], e: v}
             else:
                 c[e] = v
     for key, c in out.items():
-        out[key] = Scalar(_poly(c, d), _P_ONE, True) if den is None else Scalar(_poly(c, d), den)
+        if c.__class__ is tuple:
+            e, v = c
+            g = int_gcd(d, v)
+            p = AlphaPoly({e: v // g}, d // g)
+        else:
+            p = _poly(c, d)
+        out[key] = Scalar(p, _P_ONE) if den is None else Scalar.quotient(p, den)
     return out
 
 

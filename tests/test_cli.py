@@ -138,35 +138,59 @@ def test_cocycle_file_and_failure(tmp_path, capsys):
     assert "NOT a cocycle" in out
 
 
+# h * theta1 is closed, but no cochain of the Poisson block carries h
+H_THETA1_FILE = {
+    "block": {"k": 0, "n": 0, "target": "P+"},
+    "images": {
+        "D1": "h*t^-1*xi1",
+        "D2": "h*t^-1*xi2",
+        "D3": "h*t^-1*eta1",
+        "D4": "h*t^-1*eta2",
+        "F1": "2*h*t^-1*tau",
+        "H1": "h",
+    },
+}
+H_THETA1_VIOLATION = "D1 image term t^-1*xi1*h is not a slot of block (k=0, n=0, P+)"
+
+
 def test_cocycle_file_outside_its_block(tmp_path, capsys):
-    # h * theta1 is closed, but no cochain of the Poisson block carries h
     path = tmp_path / "h_theta1.json"
-    path.write_text(
-        json.dumps(
-            {
-                "block": {"k": 0, "n": 0, "target": "P+"},
-                "images": {
-                    "D1": "h*t^-1*xi1",
-                    "D2": "h*t^-1*xi2",
-                    "D3": "h*t^-1*eta1",
-                    "D4": "h*t^-1*eta2",
-                    "F1": "2*h*t^-1*tau",
-                    "H1": "h",
-                },
-            }
-        )
-    )
+    path.write_text(json.dumps(H_THETA1_FILE))
     code, out, _ = run(capsys, "cocycle", "--file", str(path))
     assert code == 1
     assert out.startswith("%s: cocycle\n" % path)
     assert [line for line in out.splitlines() if "violation" in line] == [
-        "  violation: D1 image term t^-1*xi1*h is not a slot of block (k=0, n=0, P+)"
+        "  violation: " + H_THETA1_VIOLATION
     ]
     code, out, _ = run(capsys, "cocycle", "--file", str(path), "--json")
     assert code == 1
     doc = json.loads(out)
     assert doc["is_cocycle"] is True
     assert doc["block_violations"]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["cup", "h_theta1.json", "theta1.json"],
+        ["cup", "theta1.json", "h_theta1.json", "--json"],
+        ["solve-obstruction", "h_theta1.json", "--k", "-2"],
+        ["deform", "verify", "--file", "deformation.json"],
+    ],
+    ids=["cup-first", "cup-second", "solve-obstruction", "deformation"],
+)
+def test_cochain_file_outside_its_block_is_usage_error(tmp_path, capsys, argv):
+    # every command that reads a cochain file rejects one outside its block
+    # before computing with it, as one line naming the file
+    (tmp_path / "theta1.json").write_text(json.dumps(THETA1_FILE))
+    (tmp_path / "h_theta1.json").write_text(json.dumps(H_THETA1_FILE))
+    (tmp_path / "deformation.json").write_text(
+        json.dumps({"engine": "poisson", "orders": ["theta1.json", "h_theta1.json"]})
+    )
+    argv = [str(tmp_path / a) if a.endswith(".json") else a for a in argv]
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err == "error: %s: %s\n" % (tmp_path / "h_theta1.json", H_THETA1_VIOLATION)
 
 
 def test_cup_command(tmp_path, capsys):

@@ -2,10 +2,22 @@ from fractions import Fraction
 from math import gcd
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from superpds.scalars import ALPHA, AlphaPoly, PoleError, S_ONE, S_ZERO, Scalar
+from superpds import kernel
+from superpds.scalars import (
+    ALPHA,
+    POLY_ONE,
+    AlphaPoly,
+    PoleError,
+    S_ONE,
+    S_ZERO,
+    Scalar,
+    fold_layers,
+    poly_gcd,
+    split_layers,
+)
 
 
 MERSENNE = 2**61 - 1
@@ -243,6 +255,122 @@ def test_scalar_int_operands(x):
         assert x * k == x * s and k * x == x * s
         assert x + k == x + s and k + x == x + s
         assert (x == k) == (x == s)
+
+
+def _check_scalar(x):
+    """``x`` is in the canonical form the constructor takes as given:
+    canonical polynomials, gcd(an, ad) = 1, ``ad`` monic, and ``ad`` the
+    shared POLY_ONE whenever it is 1."""
+    _check(x.an, _ref(x.an))
+    _check(x.ad, _ref(x.ad))
+    assert x.ad.leading() == 1
+    assert poly_gcd(x.an, x.ad).is_one()
+    if x.ad.is_one():
+        assert x.ad is POLY_ONE
+
+
+@settings(max_examples=80, deadline=None)
+@given(scalars(), scalars(), st.one_of(st.integers(-7, 7), rationals))
+def test_results_are_canonical(x, y, k):
+    _check_scalar(x)
+    results = [x + y, x - y, x * y, -x, x * k, k * x, x + k, x - k, x * x]
+    if y:
+        results += [x / y, y.inv(), k / y]
+    for z in results:
+        _check_scalar(z)
+
+
+@settings(max_examples=80, deadline=None)
+@given(scalars(), st.one_of(scalars(), rationals, st.integers(-30, 30), polys()))
+def test_equality_fast_path(x, y):
+    # Scalar operands take the fast path; the reference compares the
+    # stored polynomials, or the value of a constant with an int or Fraction
+    copy = Scalar(AlphaPoly(dict(x.an.c), x.an.d), AlphaPoly(dict(x.ad.c), x.ad.d))
+    for other in (y, x, copy, -x, x + 1):
+        if isinstance(other, Scalar):
+            expected = other.an == x.an and other.ad == x.ad
+        elif isinstance(other, AlphaPoly):
+            expected = False
+        else:
+            expected = x.ad.is_one() and x.an.is_constant() and x.an.constant() == other
+        assert (x == other) is expected and (other == x) is expected
+        assert (x != other) is not expected
+    assert x == copy
+
+
+# -- term maps at the kernel boundary ------------------------------------------
+
+KEYS = range(6)
+nonzero_scalars = st.one_of(scalars(), polys().map(Scalar.from_poly)).filter(bool)
+term_maps = st.dictionaries(st.sampled_from(KEYS), nonzero_scalars, max_size=4)
+
+
+@st.composite
+def map_pairs(draw):
+    """(a, b) with some coefficients of b copied from a, so that sub_terms
+    meets keys whose coefficients are equal as well as unequal ones."""
+    a, b = draw(term_maps), draw(term_maps)
+    shared = draw(st.sets(st.sampled_from(KEYS)))
+    b.update((key, a[key]) for key in shared if key in a)
+    return a, b
+
+
+@settings(max_examples=40, deadline=None)
+@given(map_pairs())
+def test_sub_terms_cancels(pair):
+    a, b = pair
+    assert kernel.sub_terms(a, dict(a)) == {}
+    diff = kernel.sub_terms(a, b)
+    assert diff == kernel.add_terms(a, kernel.neg_terms(b))
+    assert all(diff.values())
+    assert diff == {k: v for k in a.keys() | b.keys()
+                    if (v := a.get(k, S_ZERO) - b.get(k, S_ZERO))}
+
+
+@settings(max_examples=50, deadline=None)
+@given(term_maps)
+def test_fold_inverts_split(m):
+    folded = fold_layers(*split_layers(m))
+    assert folded == m
+    for c in folded.values():
+        _check_scalar(c)
+
+
+def _ref_fold(layers, d, den):
+    """sum_e layers[e][key] alpha^e / (d den) per key, in Scalar arithmetic."""
+    out = {}
+    for e, layer in layers.items():
+        for key, v in layer.items():
+            out[key] = out.get(key, S_ZERO) + Scalar.coerce(v) * ALPHA**e / d
+    if den is not None:
+        out = {key: c / Scalar.from_poly(den) for key, c in out.items()}
+    return out
+
+
+monic_dens = polys(max_degree=2).filter(lambda p: p.degree() > 0).map(AlphaPoly.monic)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.dictionaries(st.integers(0, 3),
+                    st.dictionaries(st.sampled_from("abcde"),
+                                    st.integers(-24, 24).filter(bool), min_size=1)),
+    st.integers(1, 36),
+    st.one_of(st.none(), monic_dens),
+)
+# one layer, d sharing a factor with some values
+@example({2: {"a": 6, "b": -4, "c": 5}}, 12, None)
+# b in three layers with a common factor 3, a and c in one layer each
+@example({0: {"a": 6, "b": 3}, 1: {"b": 9, "c": 4}, 3: {"b": 6}}, 6, None)
+# a polynomial den cancelling against a, and against a one-power key
+@example({0: {"a": 2, "b": 1}, 1: {"a": 2, "c": 3}}, 4, AlphaPoly({0: 1, 1: 1}))
+@example({1: {"a": 3}}, 6, AlphaPoly({1: 1}))
+def test_fold_matches_reference(layers, d, den):
+    expected = _ref_fold(layers, d, den)
+    folded = fold_layers({e: dict(layer) for e, layer in layers.items()}, d, den)
+    assert folded == expected
+    for c in folded.values():
+        _check_scalar(c)
 
 
 # -- rendering ---------------------------------------------------------------
