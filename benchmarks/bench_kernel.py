@@ -11,8 +11,13 @@ h-bracket walk int coefficients, one alpha power at a time, and build
 (``scalars.fold_layers``) on the alpha-power layers of the seeded star
 products, and ``sub_equal`` the subtraction of each star product from a
 copy of itself, which ``kernel.sub_terms`` cancels key by key by
-equality.  The last three columns time the coefficient layer alone:
-products and sums of ``Scalar`` pairs, and ``Scalar`` times a small int.
+equality.  ``bracket_unit`` and ``bracket_tagged`` time what block
+assembly does: the bracket of every basis element, in both engines, with
+the unit monomials of a block (P (0, 0) for the Poisson engine, P+ (4, 0)
+for the star engine), once per monomial and then as one beta-tagged map
+per basis element (``cohomology._fill_brackets``).  The last three
+columns time the coefficient layer alone: products and sums of ``Scalar``
+pairs, and ``Scalar`` times a small int.
 
     PYTHONPATH=src python3 benchmarks/bench_kernel.py
 """
@@ -22,7 +27,8 @@ import time
 from fractions import Fraction
 
 from superpds import kernel
-from superpds.scalars import ALPHA, Scalar, fold_layers, split_layers
+from superpds.scalars import ALPHA, S_ONE, Scalar, fold_layers, split_layers
+from superpds.symbols import Symbol
 
 
 def random_terms(rng, n=6, tau_nonneg=False, with_alpha=True):
@@ -74,6 +80,36 @@ def build_scalar_workloads(seed=13, count=2000):
     pairs = list(zip(coeffs[0:2 * count:2], coeffs[1:2 * count:2]))
     int_pairs = [(c, rng.choice((-3, -2, -1, 2, 3, 6))) for c in coeffs[:count]]
     return pairs, int_pairs
+
+
+def build_bracket_workloads():
+    """(engine, unit monomial keys) for the Poisson engine with the slot
+    keys of block P (0, 0) and the star engine with those of P+ (4, 0);
+    nothing is drawn."""
+    from superpds import cohomology as coh
+
+    cases = []
+    for engine, block in ((coh.poisson_engine(), coh.BlockSpec(0, 0, "P")),
+                          (coh.quantized_engine(), coh.BlockSpec(4, 0, "P+"))):
+        cases.append((engine, list(dict.fromkeys(key for _, key in coh.enumerate_c1(block, engine)))))
+    return cases
+
+
+def time_brackets(cases):
+    from superpds.cohomology import _fill_brackets
+
+    timings = {}
+    t0 = time.perf_counter()
+    for engine, keys in cases:
+        for x in engine.basis.values():
+            for key in keys:
+                engine.bracket(x, Symbol({key: S_ONE}))
+    timings["bracket_unit"] = time.perf_counter() - t0
+    t0 = time.perf_counter()
+    for engine, keys in cases:
+        _fill_brackets(engine, dict.fromkeys(engine.basis, keys), {})
+    timings["bracket_tagged"] = time.perf_counter() - t0
+    return timings
 
 
 def run(pairs, star_pairs, mono_pairs, mono_star_pairs, scalar_pairs, int_pairs):
@@ -135,8 +171,10 @@ def run(pairs, star_pairs, mono_pairs, mono_star_pairs, scalar_pairs, int_pairs)
 
 def main():
     timing = run(*build_workloads(), *build_monomial_workloads(), *build_scalar_workloads())
+    timing.update(time_brackets(build_bracket_workloads()))
     ops = ["product", "poisson", "star", "hbracket", "poisson_mono", "star_mono",
-           "hbracket_mono", "fold", "sub_equal", "scalar_mul", "scalar_mul_int", "scalar_add"]
+           "hbracket_mono", "fold", "sub_equal", "bracket_unit", "bracket_tagged",
+           "scalar_mul", "scalar_mul_int", "scalar_add"]
     print("".join("%15s" % op for op in ops))
     print("".join("%14.3fs" % timing[op] for op in ops))
 

@@ -66,8 +66,17 @@ depth cap cannot be scanned.
 Block assembly builds the matrix of d1 column by column: the engine's
 incidence table lists, per basis name, the pairs on which an elementary
 cochain at that name is nonzero, so a column adds up a few bracket term maps
-[X, m] instead of evaluating d1 on all pairs.  The C^0 keys of a block are
-the slot keys of H1, so d0 reuses the brackets d1 made.
+[X, m] instead of evaluating d1 on all pairs.  Those brackets are made with
+one kernel call per basis element X and block.  beta is central and never
+differentiated, and both kernels add beta exponents; every block key has
+beta 0, and no basis term carries beta (``Engine`` refuses one).  So for the
+keys m_0, m_1, ... that X meets in the block,
+
+    [X, sum_i beta^i m_i] = sum_i beta^i [X, m_i],
+
+and each [X, m_i] is read off the beta^i terms of the one bracket, with its
+terms in the order a bracket with m_i alone would give them.  The C^0 keys
+of a block are the slot keys of H1, so d0 fills only the pairs d1 left out.
 
 The same machinery runs for the h-deformed algebra: an engine bundles the
 basis, the bracket, the structure table and the h-grading conventions, so
@@ -82,7 +91,7 @@ from functools import lru_cache
 from . import d21, linalg
 from .d21 import BASIS_NAMES, PARITY
 from .linalg import SpanTracker, clear_denominators, column_rows, poly_rank
-from .scalars import S_HALF, S_ONE, Scalar
+from .scalars import POLY_ONE, S_HALF, S_ONE, Scalar
 from .symbols import K4PRIME_GAP, SYM_ZERO, TARGETS, Symbol, mask_weight
 
 
@@ -165,16 +174,24 @@ class Engine:
     """Bracket engine: basis, bracket, structure table, h conventions.
 
     Coefficients are Scalars: over Q(alpha), or rational constants for an
-    engine at a rational alpha.  The star engine is the one whose h powers
-    carry k-degree (``h_k_weight`` nonzero).
+    engine at a rational alpha (``specialized``, built by ``evaluated``).
+    The star engine is the one whose h powers carry k-degree
+    (``h_k_weight`` nonzero).  No basis term may carry beta: block assembly
+    tags monomials with beta powers (``_fill_brackets``), so the constructor
+    raises ValueError on a basis term with a beta exponent.
     """
 
-    def __init__(self, basis, bracket, struct, h_k_weight, h_depth):
+    def __init__(self, basis, bracket, struct, h_k_weight, h_depth, specialized=False):
+        for name, sym in basis.items():
+            for key, c in sym.terms.items():
+                if key[3]:
+                    raise ValueError("basis element %s has a beta term %s" % (name, Symbol({key: c})))
         self.basis = basis
         self.bracket = bracket
         self.struct = struct
         self.h_k_weight = h_k_weight
         self.h_depth = h_depth
+        self.specialized = specialized
         self.metadata = d21.basis_metadata()
         names = list(BASIS_NAMES)
         self.pairs = [
@@ -214,7 +231,10 @@ class Engine:
 
         ``value`` is a ring homomorphism on the scalars, such as the
         substitution of a rational alpha.  The bracket needs ring
-        operations only, so it works on the images unchanged.
+        operations only, so it works on the images unchanged.  The result
+        is ``specialized``: ``d1``, ``cup``, ``solve_obstruction`` and the
+        coboundary searches refuse a cochain with a coefficient in alpha,
+        which it would bracket against a different algebra.
         """
 
         def image(terms: dict) -> dict:
@@ -223,7 +243,20 @@ class Engine:
         return Engine({name: Symbol(image(sym.terms)) for name, sym in self.basis.items()},
                       self.bracket,
                       {pair: image(coeffs) for pair, coeffs in self.struct.items()},
-                      self.h_k_weight, self.h_depth)
+                      self.h_k_weight, self.h_depth, specialized=True)
+
+    def check_constants(self, *cochains: Cochain1):
+        """On a specialized engine, raise ValueError unless every image
+        coefficient of the cochains is a rational constant."""
+        if not self.specialized:
+            return
+        for c in cochains:
+            for name, sym in c.images.items():
+                for key, coeff in sym.terms.items():
+                    if not (coeff.an.is_constant() and coeff.ad is POLY_ONE):
+                        raise ValueError("%s image term %s is not a rational constant; an engine "
+                                         "at a fixed alpha needs the cochain specialized too"
+                                         % (name, Symbol({key: coeff})))
 
     def validate_cochain(self, c: Cochain1, block: BlockSpec):
         """Raise ValueError unless every image term of c is a slot of the
@@ -332,6 +365,7 @@ def d0(m: Symbol, engine: Engine | None = None, block: BlockSpec | None = None) 
 def d1(c: Cochain1, engine: Engine | None = None) -> dict:
     """Values of the coboundary on the canonical ordered basis pairs."""
     engine = engine or poisson_engine()
+    engine.check_constants(c)
     out = {}
     for (x, y) in engine.pairs:
         val = engine.bracket(engine.basis[x], c.image(y))
@@ -347,6 +381,7 @@ def d1(c: Cochain1, engine: Engine | None = None) -> dict:
 def cup(phi: Cochain1, phi_prime: Cochain1, engine: Engine | None = None) -> dict:
     """[[phi, phi']](X, Y) = [phi X, phi' Y] + [phi' X, phi Y] per pair."""
     engine = engine or poisson_engine()
+    engine.check_constants(phi, phi_prime)
     out = {}
     for (x, y) in engine.pairs:
         val = engine.bracket(phi.image(x), phi_prime.image(y))
@@ -364,14 +399,25 @@ def pairmap_is_zero(pm: dict) -> bool:
 # ---------------------------------------------------------------------------
 
 
-def _bracket(engine: Engine, name: str, key, brackets: dict) -> dict:
-    """Terms of [X, m] for the basis element X = name and the unit monomial
-    m = key, looked up in (or added to) ``brackets``."""
-    terms = brackets.get((name, key))
-    if terms is None:
-        terms = engine.bracket(engine.basis[name], Symbol({key: S_ONE})).terms
-        brackets[(name, key)] = terms
-    return terms
+def _fill_brackets(engine: Engine, wanted: dict, brackets: dict) -> None:
+    """Add to ``brackets`` the terms of [X, m], keyed (name, key), for every
+    basis name X and unit monomial key m in ``wanted`` (name -> keys) that
+    it does not hold yet.
+
+    One bracket per name: X against the sum of beta^i m_i over the missing
+    keys m_i, whose beta^i terms are [X, m_i] (module docstring).
+    """
+    basis, bracket = engine.basis, engine.bracket
+    for name, keys in wanted.items():
+        keys = [key for key in keys if (name, key) not in brackets]
+        if not keys:
+            continue
+        tagged = {(t, u, mask, i, h): S_ONE for i, (t, u, mask, _, h) in enumerate(keys)}
+        results = [{} for _ in keys]
+        for (t, u, mask, i, h), c in bracket(basis[name], Symbol(tagged)).terms.items():
+            results[i][(t, u, mask, 0, h)] = c
+        for key, terms in zip(keys, results):
+            brackets[(name, key)] = terms
 
 
 def _d1_columns(block: BlockSpec, engine: Engine, brackets: dict | None = None):
@@ -380,13 +426,23 @@ def _d1_columns(block: BlockSpec, engine: Engine, brackets: dict | None = None):
     Returns (slots, columns) where slots = [(name, key)] and columns[i] is a
     dict (pair_index, monomial_key) -> Scalar.  Each column adds up the
     brackets and structure terms listed in ``engine.incidence`` for its
-    name; brackets come from ``brackets`` (name, key) -> terms, which is
-    filled as needed and may be shared with ``_d0_columns`` of the same
-    block.
+    name.  The brackets [X, m] the incidence table asks for, name X -> the
+    slot keys m in slot order, are made first by ``_fill_brackets``, at
+    most one kernel call per name, into ``brackets`` (name, key) -> terms; that dict
+    may be passed in and shared with ``_d0_columns`` of the same block.
     """
     if brackets is None:
         brackets = {}
     slots = enumerate_c1(block, engine)
+    keys_of: dict = {}
+    for name0, key0 in slots:
+        keys_of.setdefault(name0, []).append(key0)
+    wanted: dict = {}
+    for name0, keys in keys_of.items():
+        partners = dict.fromkeys(x for _, parts, _ in engine.incidence[name0] for x, _ in parts)
+        for name in partners:
+            wanted.setdefault(name, {}).update(dict.fromkeys(keys))
+    _fill_brackets(engine, wanted, brackets)
     columns = []
     for (name0, key0) in slots:
         vec: dict = {}
@@ -394,7 +450,7 @@ def _d1_columns(block: BlockSpec, engine: Engine, brackets: dict | None = None):
             # keys of one pair index follow each other, in the order a
             # running sum of the parts would hold them
             for name, sign in parts:
-                for mk, c in _bracket(engine, name, key0, brackets).items():
+                for mk, c in brackets[(name, key0)].items():
                     _accumulate(vec, (pi, mk), c if sign > 0 else -c)
             if coeff is not None:
                 _accumulate(vec, (pi, key0), coeff)
@@ -418,17 +474,20 @@ def _accumulate(vec: dict, key, c):
 def _d0_columns(block: BlockSpec, engine: Engine, brackets: dict | None = None):
     """C0 monomial keys and their coboundary vectors in (name, key) space.
 
-    The C0 keys are the slot keys of H1, so brackets filled by
-    ``_d1_columns`` for the same block are reused when passed in.
+    Every basis name is bracketed with the C0 keys by ``_fill_brackets``,
+    one kernel call per name at most.  The C0 keys are the slot keys of H1,
+    so when ``brackets`` comes filled by ``_d1_columns`` of the same block
+    only the pairs that pass left out are computed.
     """
     if brackets is None:
         brackets = {}
     mon0 = enumerate_c0(block, engine)
+    _fill_brackets(engine, dict.fromkeys(BASIS_NAMES, mon0), brackets)
     columns = []
     for key in mon0:
         vec = {}
         for name in BASIS_NAMES:
-            for mk, c in _bracket(engine, name, key, brackets).items():
+            for mk, c in brackets[(name, key)].items():
                 vec[(name, mk)] = c
         columns.append(vec)
     return mon0, columns
@@ -690,6 +749,7 @@ def _cochain_vector(c: Cochain1) -> dict:
 def _modulo_coboundaries(c: Cochain1, generators, block: BlockSpec, engine: Engine):
     """(coefficients a, preimage m) with c = sum a_j * generators[j] + d0(m)
     inside the block, or None when there are none."""
+    engine.check_constants(c, *generators)
     mon0, bcols = _d0_columns(block, engine)
     tracker = SpanTracker()
     for j, gen in enumerate(generators):
@@ -735,7 +795,7 @@ def solve_obstruction(rho1: Cochain1, order_block: BlockSpec, engine: Engine | N
     Returns a Cochain1 solution or None when the block contains none.
     """
     engine = engine or poisson_engine()
-    rhs_pairs = cup(rho1, rho1, engine)
+    rhs_pairs = cup(rho1, rho1, engine)  # refuses alpha in rho1 on a specialized engine
     rhs_vec = {}
     for pi, (x, y) in enumerate(engine.pairs):
         val = rhs_pairs[(x, y)] * (-S_HALF)

@@ -456,7 +456,7 @@ def structure_table():
 
 def derived_even_dim(alpha_value) -> int:
     """Dimension of span{[odd, odd]} inside the even part at a given alpha."""
-    from .linalg import rank_of_scalar_rows
+    from .linalg import clear_denominators, poly_rank
 
     table = structure_table()
     rows = []
@@ -465,4 +465,4 @@ def derived_even_dim(alpha_value) -> int:
             # zeros of the specialization are dropped by the rank
             rows.append({EVEN_NAMES.index(n): c.specialize(alpha_value)
                          for n, c in table[(x, y)].items()})
-    return rank_of_scalar_rows(rows)
+    return poly_rank([clear_denominators(r)[0] for r in rows])[0]

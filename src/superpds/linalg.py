@@ -220,11 +220,6 @@ def poly_rank(rows):
     return len(found), pivot_polynomials(found)
 
 
-def rank_of_scalar_rows(rows) -> int:
-    """Rank of rows of scalars over Q(alpha)."""
-    return poly_rank([clear_denominators(r)[0] for r in rows])[0]
-
-
 def rank_mod_p(vectors, p: int) -> int:
     """Rank over F_p (p prime) of sparse vectors (dicts key -> int).
 

@@ -509,6 +509,130 @@ def test_row_shared_brackets_give_fresh_columns(engine_name):
     assert shared
 
 
+PARITY_ENGINES = {
+    **ASSEMBLY_ENGINES,
+    "star h_depth=2": lambda: coh.quantized_engine(h_depth=2),
+}
+# star blocks (4, 0), (6, 0) and (4, -2) hold several h powers per slot name
+PARITY_BLOCKS = {
+    "poisson": [(0, 0, "P"), (-2, 0, "P+"), (2, -2, "P+"), (2, 0, "K4"), (2, 0, "K4'")],
+    "star": [(0, 0, "P+"), (4, 0, "P+"), (6, 0, "P+"), (4, -2, "P+")],
+}
+
+
+def _unit_bracket(engine, name, key):
+    return engine.bracket(engine.basis[name], Symbol({key: S_ONE})).terms
+
+
+def _reference_columns(block, engine):
+    """d1 and d0 columns of the block from one kernel call per (name, key)
+    pair, entries summed in incidence order, a cancelled entry dropped."""
+    d1_columns = []
+    for name0, key0 in coh.enumerate_c1(block, engine):
+        vec: dict = {}
+        for pi, parts, coeff in engine.incidence[name0]:
+            terms = [((pi, mk), c if sign > 0 else -c)
+                     for name, sign in parts
+                     for mk, c in _unit_bracket(engine, name, key0).items()]
+            if coeff is not None:
+                terms.append(((pi, key0), coeff))
+            for key, c in terms:
+                if key not in vec:
+                    vec[key] = c
+                elif vec[key] + c:
+                    vec[key] = vec[key] + c
+                else:
+                    del vec[key]
+        d1_columns.append(vec)
+    d0_columns = [{(name, mk): c for name in d21.BASIS_NAMES
+                   for mk, c in _unit_bracket(engine, name, key).items()}
+                  for key in coh.enumerate_c0(block, engine)]
+    return d1_columns, d0_columns
+
+
+def _entries(columns):
+    return [list(col.items()) for col in columns]
+
+
+@pytest.mark.parametrize("engine_name", sorted(PARITY_ENGINES))
+def test_batched_assembly_matches_per_pair_brackets(engine_name):
+    # entry for entry and in order: the order steers the pivot choice
+    engine = PARITY_ENGINES[engine_name]()
+    for k, n, target in PARITY_BLOCKS["star" if engine.h_k_weight else "poisson"]:
+        block = coh.BlockSpec(k, n, target)
+        ref_d1, ref_d0 = _reference_columns(block, engine)
+        shared: dict = {}
+        columns = coh._d1_columns(block, engine, shared)[1]
+        assert _entries(columns) == _entries(ref_d1), block
+        assert _entries(coh._d0_columns(block, engine, shared)[1]) == _entries(ref_d0), block
+        assert _entries(coh._d0_columns(block, engine)[1]) == _entries(ref_d0), block
+
+
+@pytest.mark.parametrize("engine_name", sorted(PARITY_ENGINES))
+def test_assembly_brackets_once_per_name(engine_name, monkeypatch):
+    engine = PARITY_ENGINES[engine_name]()
+    block = coh.BlockSpec(4, 0, "P+") if engine.h_k_weight else coh.BlockSpec(0, 0, "P")
+    calls = []
+    bracket = engine.bracket
+
+    def counted(a, b):
+        calls.append(a)
+        return bracket(a, b)
+
+    monkeypatch.setattr(engine, "bracket", counted)
+
+    def calls_of(assemble, *args):
+        calls.clear()
+        assemble(block, engine, *args)
+        # each call brackets a different basis element
+        assert len({id(a) for a in calls}) == len(calls)
+        return len(calls)
+
+    shared: dict = {}
+    assert 0 < calls_of(coh._d1_columns, shared) <= len(d21.BASIS_NAMES)
+    after_d1 = calls_of(coh._d0_columns, shared)
+    fresh = calls_of(coh._d0_columns)
+    assert after_d1 < fresh <= len(d21.BASIS_NAMES)
+
+
+def test_engine_refuses_beta_in_basis():
+    # beta tags the monomials of a batched bracket, so the basis must not carry it
+    basis = dict(d21.embedded_basis())
+    basis["E1"] = basis["E1"] + mono(t=2, beta=1)
+    with pytest.raises(ValueError, match="E1 has a beta term"):
+        coh.Engine(basis, lambda a, b: a.poisson(b), d21.structure_table(), 0, 0)
+
+
+def _specialized_cochain(c, alpha):
+    return coh.Cochain1({name: Symbol({key: v.specialize(alpha) for key, v in sym.terms.items()})
+                         for name, sym in c.images.items()}, c.block)
+
+
+def test_specialized_engine_refuses_alpha_coefficients():
+    engine = coh.poisson_engine(alpha=1)
+    theta1, theta2 = coh.named_cocycle("theta1"), coh.named_cocycle("theta2")
+    block = coh.BlockSpec(-2, 0, "P")
+    refused = [
+        lambda: coh.solve_obstruction(theta2, block, engine),
+        lambda: coh.d1(theta2, engine),
+        lambda: coh.cup(theta1, theta2, engine),
+        lambda: coh.is_coboundary(theta2, engine),
+        lambda: coh.express_modulo_coboundaries(theta1, [theta2], theta2.block, engine),
+    ]
+    for call in refused:
+        with pytest.raises(ValueError, match=r"^D3 image term .*alpha.* not a rational constant"):
+            call()
+    with pytest.raises(ValueError, match="^F1 image term"):
+        coh.d1(coh.named_cocycle("thetabar1"), coh.quantized_engine(alpha=1))
+    # specialized first, theta2 is a cocycle there and its obstruction solves
+    special = _specialized_cochain(theta2, 1)
+    assert coh.pairmap_is_zero(coh.d1(special, engine))
+    assert coh.solve_obstruction(special, block, engine) is not None
+    # rational constants pass, and the generic engine takes alpha as before
+    assert coh.pairmap_is_zero(coh.d1(theta1.scale(Fraction(1, 3)), engine))
+    assert coh.pairmap_is_zero(coh.d1(theta2, ENGINE))
+
+
 # -- the F_p certificate against the exact path ---------------------------------------
 
 
