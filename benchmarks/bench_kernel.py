@@ -15,7 +15,7 @@ equality.  ``bracket_unit`` and ``bracket_tagged`` time what block
 assembly does: the bracket of every basis element, in both engines, with
 the unit monomials of a block (P (0, 0) for the Poisson engine, P+ (4, 0)
 for the star engine), once per monomial and then as one beta-tagged map
-per basis element (``cohomology._fill_brackets``).  The last three
+per basis element (``cohomology._brackets``).  The last three
 columns time the coefficient layer alone: products and sums of ``Scalar``
 pairs, and ``Scalar`` times a small int.
 
@@ -96,7 +96,7 @@ def build_bracket_workloads():
 
 
 def time_brackets(cases):
-    from superpds.cohomology import _fill_brackets
+    from superpds.cohomology import _brackets
 
     timings = {}
     t0 = time.perf_counter()
@@ -107,7 +107,7 @@ def time_brackets(cases):
     timings["bracket_unit"] = time.perf_counter() - t0
     t0 = time.perf_counter()
     for engine, keys in cases:
-        _fill_brackets(engine, dict.fromkeys(engine.basis, keys), {})
+        _brackets(engine, keys)
     timings["bracket_tagged"] = time.perf_counter() - t0
     return timings
 

@@ -70,6 +70,8 @@ COMMANDS = (
         ["cup", "theta1.json", "theta1.json", "--json"],
         ["solve-obstruction", "theta1.json", "--k", "-2", "--json"],
         ["deform", "verify", "--file", "deformation.json", "--json"],
+        # refused: the star engine keeps no tau < 0 monomial
+        ["solve-obstruction", "theta1.json", "--k", "-2", "--target", "P", "--quantized"],
     ]
 )
 

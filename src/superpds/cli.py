@@ -340,10 +340,14 @@ def cmd_cup(args):
 
 
 def cmd_solve_obstruction(args):
+    if args.quantized and args.target not in (None, "P+"):
+        # as for h1 --quantized: the star engine keeps no tau < 0 monomial
+        raise InputError("solve-obstruction --quantized computes target P+ only, got %s"
+                         % args.target)
     rho1 = _load_cochain(args.f)
     engine = _engine(args)
     _check_block(rho1, args.f, engine)
-    target = args.target or (rho1.block.target if rho1.block else "P")
+    target = args.target or ("P+" if args.quantized else rho1.block.target if rho1.block else "P")
     block = _block_spec(args.k, args.n, target)
     sol = coh.solve_obstruction(rho1, block, engine)
     solution = None if sol is None else {n: str(s) for n, s in sorted(sol.images.items())}

@@ -66,17 +66,19 @@ depth cap cannot be scanned.
 Block assembly builds the matrix of d1 column by column: the engine's
 incidence table lists, per basis name, the pairs on which an elementary
 cochain at that name is nonzero, so a column adds up a few bracket term maps
-[X, m] instead of evaluating d1 on all pairs.  Those brackets are made with
-one kernel call per basis element X and block.  beta is central and never
-differentiated, and both kernels add beta exponents; every block key has
-beta 0, and no basis term carries beta (``Engine`` refuses one).  So for the
-keys m_0, m_1, ... that X meets in the block,
+[X, m] instead of evaluating d1 on all pairs.  Those brackets form one table
+per block: every basis element X against every distinct slot key of the
+block, one kernel call per X.  beta is central and never differentiated,
+and both kernels add beta exponents; every block key has beta 0, and no
+basis term carries beta (``Engine`` refuses one).  So for the slot keys
+m_0, m_1, ... of the block,
 
     [X, sum_i beta^i m_i] = sum_i beta^i [X, m_i],
 
 and each [X, m_i] is read off the beta^i terms of the one bracket, with its
 terms in the order a bracket with m_i alone would give them.  The C^0 keys
-of a block are the slot keys of H1, so d0 fills only the pairs d1 left out.
+of a block are the slot keys of H1 (``_monomials`` with the same degrees,
+weight and parity), so d0 reads its brackets from d1's table.
 
 The same machinery runs for the h-deformed algebra: an engine bundles the
 basis, the bracket, the structure table and the h-grading conventions, so
@@ -177,7 +179,7 @@ class Engine:
     engine at a rational alpha (``specialized``, built by ``evaluated``).
     The star engine is the one whose h powers carry k-degree
     (``h_k_weight`` nonzero).  No basis term may carry beta: block assembly
-    tags monomials with beta powers (``_fill_brackets``), so the constructor
+    tags monomials with beta powers (``_brackets``), so the constructor
     raises ValueError on a basis term with a beta exponent.
     """
 
@@ -399,25 +401,23 @@ def pairmap_is_zero(pm: dict) -> bool:
 # ---------------------------------------------------------------------------
 
 
-def _fill_brackets(engine: Engine, wanted: dict, brackets: dict) -> None:
-    """Add to ``brackets`` the terms of [X, m], keyed (name, key), for every
-    basis name X and unit monomial key m in ``wanted`` (name -> keys) that
-    it does not hold yet.
+def _brackets(engine: Engine, keys) -> dict:
+    """The terms of [X, m], keyed (name, m), for every basis name X and
+    every unit monomial key m in ``keys``; empty when ``keys`` is.
 
-    One bracket per name: X against the sum of beta^i m_i over the missing
-    keys m_i, whose beta^i terms are [X, m_i] (module docstring).
+    One bracket per name: X against the sum of beta^i m_i over the keys
+    m_i, whose beta^i terms are [X, m_i] (module docstring).
     """
-    basis, bracket = engine.basis, engine.bracket
-    for name, keys in wanted.items():
-        keys = [key for key in keys if (name, key) not in brackets]
-        if not keys:
-            continue
-        tagged = {(t, u, mask, i, h): S_ONE for i, (t, u, mask, _, h) in enumerate(keys)}
+    if not keys:
+        return {}
+    tagged = Symbol({(t, u, mask, i, h): S_ONE for i, (t, u, mask, _, h) in enumerate(keys)})
+    table = {}
+    for name in BASIS_NAMES:
         results = [{} for _ in keys]
-        for (t, u, mask, i, h), c in bracket(basis[name], Symbol(tagged)).terms.items():
+        for (t, u, mask, i, h), c in engine.bracket(engine.basis[name], tagged).terms.items():
             results[i][(t, u, mask, 0, h)] = c
-        for key, terms in zip(keys, results):
-            brackets[(name, key)] = terms
+        table.update(((name, key), terms) for key, terms in zip(keys, results))
+    return table
 
 
 def _d1_columns(block: BlockSpec, engine: Engine, brackets: dict | None = None):
@@ -426,23 +426,14 @@ def _d1_columns(block: BlockSpec, engine: Engine, brackets: dict | None = None):
     Returns (slots, columns) where slots = [(name, key)] and columns[i] is a
     dict (pair_index, monomial_key) -> Scalar.  Each column adds up the
     brackets and structure terms listed in ``engine.incidence`` for its
-    name.  The brackets [X, m] the incidence table asks for, name X -> the
-    slot keys m in slot order, are made first by ``_fill_brackets``, at
-    most one kernel call per name, into ``brackets`` (name, key) -> terms; that dict
-    may be passed in and shared with ``_d0_columns`` of the same block.
+    name, read from the table ``_brackets`` makes over the block's distinct
+    slot keys, one kernel call per basis name.  A ``brackets`` dict passed
+    in receives that table, for ``_d0_columns`` of the same block.
     """
-    if brackets is None:
-        brackets = {}
     slots = enumerate_c1(block, engine)
-    keys_of: dict = {}
-    for name0, key0 in slots:
-        keys_of.setdefault(name0, []).append(key0)
-    wanted: dict = {}
-    for name0, keys in keys_of.items():
-        partners = dict.fromkeys(x for _, parts, _ in engine.incidence[name0] for x, _ in parts)
-        for name in partners:
-            wanted.setdefault(name, {}).update(dict.fromkeys(keys))
-    _fill_brackets(engine, wanted, brackets)
+    table = _brackets(engine, list(dict.fromkeys(key for _, key in slots)))
+    if brackets is not None:
+        brackets.update(table)
     columns = []
     for (name0, key0) in slots:
         vec: dict = {}
@@ -450,21 +441,22 @@ def _d1_columns(block: BlockSpec, engine: Engine, brackets: dict | None = None):
             # keys of one pair index follow each other, in the order a
             # running sum of the parts would hold them
             for name, sign in parts:
-                for mk, c in brackets[(name, key0)].items():
-                    _accumulate(vec, (pi, mk), c if sign > 0 else -c)
+                for mk, c in table[(name, key0)].items():
+                    _accumulate(vec, (pi, mk), c, sign)
             if coeff is not None:
                 _accumulate(vec, (pi, key0), coeff)
         columns.append(vec)
     return slots, columns
 
 
-def _accumulate(vec: dict, key, c):
-    """vec[key] += c, dropping the entry when it cancels."""
+def _accumulate(vec: dict, key, c, sign=1):
+    """vec[key] += sign * c for sign 1 or -1, dropping the entry when it
+    cancels; c is negated only when the key is new."""
     old = vec.get(key)
     if old is None:
-        vec[key] = c
+        vec[key] = c if sign > 0 else -c
     else:
-        new = old + c
+        new = old + c if sign > 0 else old - c
         if new:
             vec[key] = new
         else:
@@ -474,15 +466,14 @@ def _accumulate(vec: dict, key, c):
 def _d0_columns(block: BlockSpec, engine: Engine, brackets: dict | None = None):
     """C0 monomial keys and their coboundary vectors in (name, key) space.
 
-    Every basis name is bracketed with the C0 keys by ``_fill_brackets``,
-    one kernel call per name at most.  The C0 keys are the slot keys of H1,
-    so when ``brackets`` comes filled by ``_d1_columns`` of the same block
-    only the pairs that pass left out are computed.
+    The columns read the brackets of every basis name with the C0 keys from
+    ``brackets``, the table ``_d1_columns`` of the same block wrote: the C0
+    keys are the slot keys of H1, so it holds them all.  With no table
+    passed, ``_brackets`` makes one over the C0 keys.
     """
-    if brackets is None:
-        brackets = {}
     mon0 = enumerate_c0(block, engine)
-    _fill_brackets(engine, dict.fromkeys(BASIS_NAMES, mon0), brackets)
+    if brackets is None:
+        brackets = _brackets(engine, mon0)
     columns = []
     for key in mon0:
         vec = {}

@@ -223,76 +223,48 @@ def poly_rank(rows):
 def rank_mod_p(vectors, p: int) -> int:
     """Rank over F_p (p prime) of sparse vectors (dicts key -> int).
 
-    Each entry is reduced once.  The vectors are eliminated as rows: the
-    pivot is the sparsest column, then the shortest row in it, so a column
-    met by one row costs no elimination.  Columns sit in buckets by the
-    number of waiting rows they meet, which keeps the choice cheap.
+    Each entry is reduced once.  The vectors are eliminated as rows, one
+    column at a time, sparsest first by the rows that meet it on input; in
+    each column the shortest row that meets it pivots and clears the column
+    from the others.  No row meets a column already taken, so fill-in only
+    reaches columns still to come, and ``occupancy``, grown by fill-in, is
+    filtered when its column comes up.  The rank is the same in any order.
     """
     rows: dict = {}
-    occupancy: dict = {}  # column -> ids of the waiting rows that meet it
+    occupancy: dict = {}  # column -> ids of rows that have met it
     for rid, vec in enumerate(vectors):
         row = {}
         for key, v in vec.items():
             v %= p
             if v:
                 row[key] = v
-        if row:
-            rows[rid] = row
-            for key in row:
                 occupancy.setdefault(key, set()).add(rid)
-    buckets = [set() for _ in range(len(rows) + 1)]
-    for key, rids in occupancy.items():
-        buckets[len(rids)].add(key)
-
-    def leave(key, rid):
-        """Row ``rid`` no longer meets column ``key``."""
-        rids = occupancy[key]
-        n = len(rids)
-        buckets[n].discard(key)
-        if n > 1:
-            rids.discard(rid)
-            buckets[n - 1].add(key)
-        else:
-            del occupancy[key]
-
+        rows[rid] = row
     rank = 0
-    while rows:
-        n = 1
-        while not buckets[n]:
-            n += 1
-        col = buckets[n].pop()
-        rids = occupancy.pop(col)
-        rid = min(rids, key=lambda r: len(rows[r]))
-        rids.discard(rid)
-        rank += 1
-        prow = rows.pop(rid)
-        piv = prow.pop(col)
-        for key in prow:
-            leave(key, rid)
+    for col in sorted(occupancy, key=lambda key: len(occupancy[key])):
+        rids = [rid for rid in occupancy.pop(col) if col in rows.get(rid, ())]
         if not rids:
             continue
-        inv = pow(piv, -1, p)
+        rank += 1
+        pid = min(rids, key=lambda rid: len(rows[rid]))
+        prow = rows.pop(pid)
+        inv = pow(prow.pop(col), -1, p)
         for tid in rids:
+            if tid == pid:
+                continue
             trow = rows[tid]
             f = trow.pop(col) * inv % p
             for key, v in prow.items():
                 old = trow.get(key)
                 if old is None:
                     trow[key] = -f * v % p
-                    krids = occupancy.setdefault(key, set())
-                    n = len(krids)
-                    buckets[n].discard(key)
-                    krids.add(tid)
-                    buckets[n + 1].add(key)
+                    occupancy[key].add(tid)
                     continue
                 new = (old - f * v) % p
                 if new:
                     trow[key] = new
                 else:
                     del trow[key]
-                    leave(key, tid)
-            if not trow:
-                del rows[tid]
     return rank
 
 

@@ -82,6 +82,21 @@ def test_h1_quantized_needs_target_p_plus(capsys, target):
     assert err == "error: h1 --quantized computes target P+ only, got %s\n" % target
 
 
+@pytest.mark.parametrize("target", ["P", "K4", "K4'"])
+def test_solve_obstruction_quantized_needs_target_p_plus(tmp_path, capsys, target):
+    # the same refusal as h1: a star solution would be labelled with the wrong target
+    f = tmp_path / "h1.json"
+    f.write_text(json.dumps({"images": {"H1": "1"}, "block": {"k": 0, "n": 0, "target": "P"}}))
+    code, out, err = run(capsys, "solve-obstruction", str(f), "--k", "-2", "--target", target,
+                         "--quantized")
+    assert (code, out) == (2, "")
+    assert err == "error: solve-obstruction --quantized computes target P+ only, got %s\n" % target
+    # with no --target the quantized block is P+, whatever block the file names
+    code, out, _ = run(capsys, "solve-obstruction", str(f), "--k", "0", "--quantized", "--json")
+    assert code == 0
+    assert json.loads(out)["block"] == {"k": 0, "n": 0, "target": "P+"}
+
+
 def test_h1_specialized(capsys):
     code, out, _ = run(
         capsys, "h1", "--target", "P", "--k", "0", "--n", "0", "--specialize", "-1", "--json"

@@ -589,10 +589,22 @@ def test_assembly_brackets_once_per_name(engine_name, monkeypatch):
         return len(calls)
 
     shared: dict = {}
-    assert 0 < calls_of(coh._d1_columns, shared) <= len(d21.BASIS_NAMES)
-    after_d1 = calls_of(coh._d0_columns, shared)
-    fresh = calls_of(coh._d0_columns)
-    assert after_d1 < fresh <= len(d21.BASIS_NAMES)
+    assert calls_of(coh._d1_columns, shared) == len(d21.BASIS_NAMES)
+    # the C^0 keys are H1's slot keys, so d1's table holds every d0 bracket
+    assert calls_of(coh._d0_columns, shared) == 0
+    assert calls_of(coh._d0_columns) == len(d21.BASIS_NAMES)
+
+
+@pytest.mark.parametrize("engine_name", sorted(PARITY_ENGINES))
+def test_c0_keys_are_h1_slot_keys(engine_name):
+    # what lets _d0_columns read the table _d1_columns made
+    engine = PARITY_ENGINES[engine_name]()
+    for target in ("P", "P+", "K4", "K4'"):
+        for k in [2] if target.startswith("K4") else range(-6, 7):
+            for n in range(-3, 4):
+                block = coh.BlockSpec(k, n, target)
+                h1_keys = [key for name, key in coh.enumerate_c1(block, engine) if name == "H1"]
+                assert coh.enumerate_c0(block, engine) == h1_keys, block
 
 
 def test_engine_refuses_beta_in_basis():

@@ -1,6 +1,9 @@
 import random
 from fractions import Fraction
 
+import pytest
+
+from superpds import cohomology as coh
 from superpds import linalg
 from superpds.linalg import (
     SpanTracker,
@@ -243,3 +246,20 @@ def test_rank_mod_p_matches_dense_reference():
             assert rank_mod_p(columns, p) == expected, (p, seed)
             assert vectors == random_int_vectors(random.Random(seed), p)[0]
     assert rank_mod_p([], 7) == 0 and rank_mod_p([{0: 14}, {}], 7) == 0
+
+
+@pytest.mark.parametrize("engine_name,k,target", [
+    ("poisson", 0, "P"), ("poisson", 2, "P+"), ("poisson", 2, "K4'"), ("star", 2, "P+"),
+])
+def test_rank_mod_p_on_block_images(engine_name, k, target):
+    # the matrices the F_p certificate of a scan ranks
+    engine = coh.quantized_engine() if engine_name == "star" else coh.poisson_engine()
+    block = coh.BlockSpec(k, 0, target)
+    brackets: dict = {}
+    d1_cols = coh._d1_columns(block, engine, brackets)[1]
+    for columns in (d1_cols, coh._d0_columns(block, engine, brackets)[1]):
+        images = [{key: c.mod_p(coh.FP_ALPHA, coh.FP_PRIME) for key, c in vec.items()}
+                  for vec in columns]
+        keys = list(dict.fromkeys(key for vec in images for key in vec))
+        expected = dense_rank_mod_p(images, keys, coh.FP_PRIME)
+        assert rank_mod_p(images, coh.FP_PRIME) == expected > 0
