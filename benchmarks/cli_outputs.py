@@ -72,6 +72,10 @@ COMMANDS = (
         ["deform", "verify", "--file", "deformation.json", "--json"],
         # refused: the star engine keeps no tau < 0 monomial
         ["solve-obstruction", "theta1.json", "--k", "-2", "--target", "P", "--quantized"],
+        # the largest eliminations: windows wider than the default of 6
+        ["h1", "--target", "P+", "--quantized", "--window", "10", "--json"],
+        ["h1", "--target", "P", "--window", "8", "--json"],
+        ["h1", "--target", "P+", "--quantized", "--specialize", "1", "--window", "8", "--json"],
     ]
 )
 

@@ -555,13 +555,14 @@ def _h1_exact(block: BlockSpec, slots, columns, bcols, representatives: bool) ->
 
     col_index = {slot: i for i, slot in enumerate(slots)}
     span = SpanTracker()
-    for i, vec in enumerate(bcols):
+    for vec in bcols:
         missing = vec.keys() - col_index.keys()
         if missing:
             raise AssertionError("coboundary leaves the enumerated block: %s %s" % min(missing))
-        row, den = clear_denominators({col_index[slot]: c for slot, c in vec.items()})
+        row = clear_denominators({col_index[slot]: c for slot, c in vec.items()})[0]
         if row:
-            span.add(row, {("b", i): den})
+            # nothing is expressed in this span: no combination is kept
+            span.add(row, {})
     # all columns queued before the first pivot: the core's cost order
     found0 = span.forward()
     dim_h1 = dim_z - len(found0)

@@ -4,12 +4,15 @@ One sparse fraction-free elimination serves ranks, kernels, span tests and
 solve certificates.  Pivots are chosen by cost (Markowitz, Management
 Sci. 3, 1957): constant before polynomial, then lower degree, then lower
 (row length - 1) * (column count - 1), with column counts kept up to date.
-Constant pivots are scaled to 1 and eliminate by rational multiples of
-rows; polynomial pivots cross-multiply (Bareiss, Math. Comp. 22, 1968,
-without his exact division: these blocks meet few of them), so every entry
-stays in Q[alpha].  Each entry is an integer polynomial over one integer
-denominator, so a row operation is integer arithmetic plus at most one
-integer gcd per entry.  Content and gcd are removed once per output vector.
+A lower bound on the row lengths of each column lets the scan skip a
+column that cannot beat the best entry so far: it picks as a full scan does.
+A constant pivot v / d is scaled to 1 by the integers d and v; polynomial
+pivots cross-multiply (Bareiss, Math. Comp. 22, 1968, without his exact
+division: these blocks meet few of them), so every entry stays in
+Q[alpha].  Each entry is an integer polynomial over one integer
+denominator, and a row update forms each new entry of row - e * pivot row
+as one integer combination over one denominator, reduced by one integer
+gcd.  Content and gcd are removed once per output vector.
 
 The roots of the polynomial pivots are the only alpha values at which a
 specialized rank may drop, so the pivot list doubles as the exceptional-
@@ -22,10 +25,10 @@ keeps no pivots and no combinations.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from itertools import count
+from math import gcd as int_gcd, inf
 
-from .scalars import POLY_ONE, Scalar, poly_gcd, poly_lcm
+from .scalars import POLY_ONE, Scalar, _poly, poly_gcd, poly_lcm
 
 
 def clear_denominators(row: dict):
@@ -50,21 +53,35 @@ def column_rows(columns) -> list:
     return [clear_denominators(row)[0] for row in rows.values()]
 
 
-def _add_multiple(target: dict, source: dict, factor, occupancy=None, rid=None):
-    """target += factor * source, dropping zeros; ``occupancy`` (col -> set
-    of row ids) follows the entries of row ``rid`` that appear or vanish."""
-    f = factor.constant() if factor.is_constant() else None
+def _subtract(target: dict, source: dict, factor, occupancy=None, rid=None):
+    """target -= factor * source, each new entry one integer combination
+    over one denominator reduced once by ``_poly``, zeros dropped; ``occupancy``
+    (col -> set of row ids) follows the entries of row ``rid``."""
+    fc, w = factor.c, factor.d
     for c, p in source.items():
-        add = p.scaled(f) if f is not None else p * factor
         old = target.get(c)
-        if old is None:
-            target[c] = add
-            if occupancy is not None:
+        # the new numerator over od: old's, plus s * factor's * p's
+        d = p.d * w
+        oc, od = ({}, d) if old is None else (old.c, old.d)
+        if od == d:
+            out, s = dict(oc), -1
+        else:
+            g = int_gcd(od, d)
+            out, s = {e: x * (d // g) for e, x in oc.items()}, -(od // g)
+            od *= d // g
+        for ef, vf in fc.items():
+            m = s * vf
+            for e, x in p.c.items():
+                e += ef
+                nx = out.get(e, 0) + m * x
+                if nx:
+                    out[e] = nx
+                else:
+                    del out[e]
+        if out:
+            target[c] = _poly(out, od)
+            if old is None and occupancy is not None:
                 occupancy.setdefault(c, set()).add(rid)
-            continue
-        new = old + add
-        if new:
-            target[c] = new
         else:
             del target[c]
             if occupancy is not None:
@@ -74,13 +91,14 @@ def _add_multiple(target: dict, source: dict, factor, occupancy=None, rid=None):
 def _eliminate(row, comb, col, piv, prow, pcomb, occupancy=None, rid=None):
     """row <- piv * row - row[col] * prow (piv * omitted when it is 1), and
     the same on ``comb``; returns piv, the factor row was multiplied by."""
-    neg = -row.pop(col)
+    factor = row.pop(col)
     if not piv.is_one():
         for d in (row, comb):
             for c in d:
                 d[c] = piv * d[c]
-    _add_multiple(row, prow, neg, occupancy, rid)
-    _add_multiple(comb, pcomb, neg)
+    _subtract(row, prow, factor, occupancy, rid)
+    if pcomb:
+        _subtract(comb, pcomb, factor)
     return piv
 
 
@@ -88,25 +106,32 @@ class _Elimination:
     """Fraction-free row echelon form, grown one cheapest pivot at a time.
 
     ``pivots`` holds (col, piv, row, comb) in pivot order, ``piv`` being 1
-    for constant pivots and each row free of the earlier pivot columns, so
-    reducing in that order clears them all.  ``comb`` (tag -> poly, empty
-    when no tags are kept) is the combination of inserted vectors a row
-    equals.  Rows still waiting sit in ``work``, indexed by column in
-    ``occupancy``; ``singles`` holds those of length one."""
+    for constant pivots, whose rows are scaled by integers, and each row
+    free of the earlier pivot columns, so reducing in that order clears
+    them all.  ``comb`` (tag -> poly, empty when no tags are kept) is the
+    combination of inserted vectors a row equals; each row update is one
+    fused ``_subtract``, and none runs for an empty pivot ``comb``.  Rows
+    still waiting sit in ``work``, indexed by column in ``occupancy``;
+    ``singles`` holds those of length one, and ``short[col]`` is at most
+    the length of every waiting row that meets col, so ``_choose`` skips
+    columns and still picks what a full scan picks."""
 
     def __init__(self):
         self.pivots = []
         self.work = {}
         self.occupancy = {}
+        self.short = {}
         self.singles = set()
         self._ids = count()
 
     def add(self, row: dict, comb: dict):
-        rid = next(self._ids)
+        rid, n, short = next(self._ids), len(row), self.short
         self.work[rid] = (row, comb)
         for col in row:
             self.occupancy.setdefault(col, set()).add(rid)
-        if len(row) == 1:
+            if n < short.get(col, inf):
+                short[col] = n
+        if n == 1:
             self.singles.add(rid)
 
     def add_rows(self, rows):
@@ -117,24 +142,30 @@ class _Elimination:
                 self.add(row, {})
 
     def _choose(self):
-        """(row id, col) minimizing (degree, Markowitz cost) over waiting rows."""
-        work, occupancy = self.work, self.occupancy
+        """(row id, col) minimizing (degree, Markowitz cost) over waiting
+        rows: the first such entry with columns taken by count, then age,
+        and rows in set order."""
+        work, occupancy, short = self.work, self.occupancy, self.short
         for rid in self.singles:
             ((col, p),) = work[rid][0].items()
             if p.is_constant():
                 return rid, col
-        best = cost = None
+        best, cost = None, inf
         for col in sorted(occupancy, key=lambda c: len(occupancy[c])):
-            k = len(occupancy[col]) - 1
+            rids = occupancy[col]
+            k = len(rids) - 1
             # no constant single is left, so a constant entry in this column
             # or a later one costs at least k
-            if cost is not None and cost <= k:
+            if cost <= k:
                 break
-            for rid in occupancy[col]:
-                row = work[rid][0]
-                c = (len(row) - 1) * k
-                if (cost is None or c < cost) and row[col].is_constant():
-                    best, cost = (rid, col), c
+            # and no row here has fewer than short[col] entries
+            if not rids or (short[col] - 1) * k >= cost:
+                continue
+            lens = [len(work[rid][0]) for rid in rids]
+            short[col] = min(lens)
+            for rid, n in zip(rids, lens):
+                if (n - 1) * k < cost and work[rid][0][col].is_constant():
+                    best, cost = (rid, col), (n - 1) * k
         if best is not None:
             return best
 
@@ -148,7 +179,7 @@ class _Elimination:
         """Pivot on the cheapest entry and clear its column from the other
         waiting rows; returns the pivot as found."""
         rid, col = self._choose()
-        work, occupancy, singles = self.work, self.occupancy, self.singles
+        work, occupancy, short, singles = self.work, self.occupancy, self.short, self.singles
         row, comb = work.pop(rid)
         singles.discard(rid)
         found = row.pop(col)
@@ -159,18 +190,25 @@ class _Elimination:
         piv = found
         if found.is_constant():
             piv = POLY_ONE
-            inv = 1 / Fraction(found.constant())
-            row = {c: p.scaled(inv) for c, p in row.items()}
-            comb = {t: p.scaled(inv) for t, p in comb.items()}
+            n, m = found.d, found.c[0]  # 1 / found = n / m
+            if m < 0:
+                n, m = -n, -m
+            if n != 1 or m != 1:
+                row, comb = ({c: _poly({e: x * n for e, x in p.c.items()}, p.d * m)
+                              for c, p in d.items()} for d in (row, comb))
         for tid in touched:
             trow, tcomb = work[tid]
             _eliminate(trow, tcomb, col, piv, row, comb, occupancy, tid)
-            if len(trow) == 1:
+            n = len(trow)
+            if n == 1:
                 singles.add(tid)
             else:
                 singles.discard(tid)
                 if not trow:
                     del work[tid]
+            for c in trow:
+                if short[c] > n:
+                    short[c] = n
         self.pivots.append((col, piv, row, comb))
         return found
 
@@ -313,7 +351,9 @@ def kernel_basis(columns):
     ``poly_rank(column_rows(columns))`` meets, so their number is the rank.
     """
     elim = _Elimination()
-    elim.add_rows(column_rows(columns))
+    for row in column_rows(columns):  # fresh rows: queued without a copy
+        if row:
+            elim.add(row, {})
     found = elim.forward()
     elim.back_substitute()
     out = []

@@ -2,6 +2,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from superpds import cohomology as coh
 from superpds import linalg
@@ -13,7 +15,7 @@ from superpds.linalg import (
     poly_rank,
     rank_mod_p,
 )
-from superpds.scalars import ALPHA, AlphaPoly, S_ONE, Scalar
+from superpds.scalars import ALPHA, POLY_ONE, AlphaPoly, S_ONE, Scalar
 
 
 def P(*coeffs):
@@ -190,6 +192,196 @@ def test_clear_denominators():
     assert row == {0: P(1), 1: P(0, 1, 1)}
     row, den = clear_denominators({0: ALPHA})
     assert row == {0: P(0, 1)} and den.is_one()
+
+
+# -- the elimination core against the reference core -------------------------
+#
+# The core before fused row updates, kept as the oracle: a row update adds
+# the negated multiple as separate polynomials, a constant pivot is scaled
+# by a Fraction and the pivot scan visits every row of each column it
+# reaches.  Both cores must choose the same pivots and build the same rows.
+
+
+def ref_add_multiple(target, source, factor, occupancy=None, rid=None):
+    f = factor.constant() if factor.is_constant() else None
+    for c, p in source.items():
+        add = p.scaled(f) if f is not None else p * factor
+        old = target.get(c)
+        if old is None:
+            target[c] = add
+            if occupancy is not None:
+                occupancy.setdefault(c, set()).add(rid)
+            continue
+        new = old + add
+        if new:
+            target[c] = new
+        else:
+            del target[c]
+            if occupancy is not None:
+                occupancy[c].discard(rid)
+
+
+def ref_eliminate(row, comb, col, piv, prow, pcomb, occupancy=None, rid=None):
+    neg = -row.pop(col)
+    if not piv.is_one():
+        for d in (row, comb):
+            for c in d:
+                d[c] = piv * d[c]
+    ref_add_multiple(row, prow, neg, occupancy, rid)
+    ref_add_multiple(comb, pcomb, neg)
+    return piv
+
+
+def ref_choose(self):
+    work, occupancy = self.work, self.occupancy
+    for rid in self.singles:
+        ((col, p),) = work[rid][0].items()
+        if p.is_constant():
+            return rid, col
+    best = cost = None
+    for col in sorted(occupancy, key=lambda c: len(occupancy[c])):
+        k = len(occupancy[col]) - 1
+        if cost is not None and cost <= k:
+            break
+        for rid in occupancy[col]:
+            row = work[rid][0]
+            c = (len(row) - 1) * k
+            if (cost is None or c < cost) and row[col].is_constant():
+                best, cost = (rid, col), c
+    if best is not None:
+        return best
+
+    def key(entry):
+        row = work[entry[0]][0]
+        return row[entry[1]].degree(), (len(row) - 1) * (len(occupancy[entry[1]]) - 1)
+
+    return min(((rid, col) for col, rids in occupancy.items() for rid in rids), key=key)
+
+
+def ref_step(self):
+    rid, col = self._choose()
+    work, occupancy, singles = self.work, self.occupancy, self.singles
+    row, comb = work.pop(rid)
+    singles.discard(rid)
+    found = row.pop(col)
+    for c in row:
+        occupancy[c].discard(rid)
+    touched = occupancy.pop(col)
+    touched.discard(rid)
+    piv = found
+    if found.is_constant():
+        piv = POLY_ONE
+        inv = 1 / Fraction(found.constant())
+        row = {c: p.scaled(inv) for c, p in row.items()}
+        comb = {t: p.scaled(inv) for t, p in comb.items()}
+    for tid in touched:
+        trow, tcomb = work[tid]
+        linalg._eliminate(trow, tcomb, col, piv, row, comb, occupancy, tid)
+        if len(trow) == 1:
+            singles.add(tid)
+        else:
+            singles.discard(tid)
+            if not trow:
+                del work[tid]
+    self.pivots.append((col, piv, row, comb))
+    return found
+
+
+def core_outputs(columns, vectors, probes):
+    """What the core computes from one matrix: the forward pivots (col, piv,
+    row, comb) with rows and combinations in stored order, the pivots as
+    found, the pivots after back substitution, the kernel basis, and a span
+    of ``vectors`` with its pivots and the expression of each probe."""
+    def snapshot(pivots):
+        return [(col, piv, list(row.items()), list(comb.items()))
+                for col, piv, row, comb in pivots]
+
+    elim = linalg._Elimination()
+    elim.add_rows(column_rows(columns))
+    found = elim.forward()
+    forward = snapshot(elim.pivots)
+    elim.back_substitute()
+    tracker = SpanTracker()
+    accepted = [tracker.insert(vec, i) for i, vec in enumerate(vectors)]
+    return (forward, found, snapshot(elim.pivots), kernel_basis(columns),
+            accepted, snapshot(tracker.pivots), [tracker.express(p) for p in probes])
+
+
+def assert_matches_reference_core(monkeypatch, columns, vectors, probes):
+    new = core_outputs(columns, vectors, probes)
+    with monkeypatch.context() as m:
+        m.setattr(linalg, "_eliminate", ref_eliminate)
+        m.setattr(linalg._Elimination, "_choose", ref_choose)
+        m.setattr(linalg._Elimination, "step", ref_step)
+        ref = core_outputs(columns, vectors, probes)
+    assert new == ref
+    return new
+
+
+def test_core_matches_reference_core_on_cases(monkeypatch):
+    expressed = 0
+    for seed, kind in CASES:
+        rng = random.Random(seed)
+        rows, ncols = random_matrix(rng, kind)
+        columns = [{i: r[j] for i, r in enumerate(rows) if j in r} for j in range(ncols)]
+        coeffs = {i: random_scalar(rng, "mixed") for i in range(len(rows))}
+        probes = [combine(coeffs, dict(enumerate(rows))),
+                  {j: random_scalar(rng, kind) for j in range(ncols)}]
+        out = assert_matches_reference_core(monkeypatch, columns, rows, probes)
+        expressed += out[-1][0] is not None
+    assert expressed == len(CASES)
+
+
+@pytest.mark.parametrize("engine_name,k,target", [
+    ("poisson", 0, "P"), ("poisson", 0, "P+"), ("poisson", 2, "K4'"),
+    ("star", 2, "P+"), ("star", 4, "P+"),
+])
+def test_core_matches_reference_core_on_blocks(monkeypatch, engine_name, k, target):
+    engine = coh.quantized_engine() if engine_name == "star" else coh.poisson_engine()
+    block = coh.BlockSpec(k, 0, target)
+    brackets: dict = {}
+    d1_cols = coh._d1_columns(block, engine, brackets)[1]
+    d0_cols = coh._d0_columns(block, engine, brackets)[1]
+    # a sum of d0 columns lies in their span; a d1 column need not
+    inside = combine({0: S_ONE, len(d0_cols) - 1: ALPHA}, dict(enumerate(d0_cols)))
+    for columns in (d1_cols, d0_cols):
+        out = assert_matches_reference_core(monkeypatch, columns, d0_cols, [inside, d1_cols[0]])
+        assert out[-1][0] is not None
+
+
+# -- the fused row update against polynomial arithmetic ------------------------
+
+coefficients = st.integers(-9, 9).filter(bool)
+constant_factors = st.builds(AlphaPoly.const, coefficients)
+rational_factors = st.builds(lambda v, d: AlphaPoly.const(Fraction(v, d)),
+                             coefficients, st.integers(2, 12))
+polynomials = st.builds(
+    lambda coeffs, d: AlphaPoly.from_rationals({e: Fraction(v, d) for e, v in coeffs.items()}),
+    st.dictionaries(st.integers(0, 3), coefficients, min_size=1, max_size=3),
+    st.integers(1, 6),
+)
+polynomial_factors = polynomials.filter(lambda p: not p.is_constant())
+poly_rows = st.dictionaries(st.integers(0, 5), polynomials, max_size=5)
+
+
+@settings(max_examples=300, deadline=None)
+@given(target=poly_rows, source=poly_rows,
+       factor=st.one_of(constant_factors, rational_factors, polynomial_factors))
+def test_fused_update_matches_polynomial_arithmetic(target, source, factor):
+    expected = dict(target)
+    for c, p in source.items():
+        new = expected.get(c, AlphaPoly({})) - p * factor
+        if new:
+            expected[c] = new
+        else:
+            expected.pop(c, None)
+    got = dict(target)
+    occupancy = {c: {7} for c in target}
+    linalg._subtract(got, source, factor, occupancy, 7)
+    # same entries in the same order, each stored as the same c / d
+    assert [(c, p.c, p.d) for c, p in got.items()] == [
+        (c, p.c, p.d) for c, p in expected.items()]
+    assert {c for c, rids in occupancy.items() if 7 in rids} == set(got)
 
 
 # -- the rank mod p against a dense reference --------------------------------
