@@ -11,7 +11,10 @@ h-bracket walk int coefficients, one alpha power at a time, and build
 (``scalars.fold_layers``) on the alpha-power layers of the seeded star
 products, and ``sub_equal`` the subtraction of each star product from a
 copy of itself, which ``kernel.sub_terms`` cancels key by key by
-equality.  ``bracket_unit`` and ``bracket_tagged`` time what block
+equality.  ``star_chain`` times the associativity residual
+(a b) c - a (b c) of seeded triples through ``quantize.moyal_mul``, whose
+products stay int layers until read, so no fold runs there.
+``bracket_unit`` and ``bracket_tagged`` time what block
 assembly does: the bracket of every basis element, in both engines, with
 the unit monomials of a block (P (0, 0) for the Poisson engine, P+ (4, 0)
 for the star engine), once per monomial and then as one beta-tagged map
@@ -80,6 +83,27 @@ def build_scalar_workloads(seed=13, count=2000):
     pairs = list(zip(coeffs[0:2 * count:2], coeffs[1:2 * count:2]))
     int_pairs = [(c, rng.choice((-3, -2, -1, 2, 3, 6))) for c in coeffs[:count]]
     return pairs, int_pairs
+
+
+def build_chain_workloads(seed=14, count=40):
+    """Triples of operator symbols for ``star_chain``, from their own
+    generator, so that the generators above draw exactly what they always
+    have."""
+    rng = random.Random(seed)
+    return [tuple(Symbol(random_terms(rng, tau_nonneg=True)) for _ in range(3))
+            for _ in range(count)]
+
+
+def time_star_chain(triples):
+    """(a b) c - a (b c) through ``quantize.moyal_mul``, whose products stay
+    int layers until read: the residual is zero, so nothing is folded."""
+    from superpds.quantize import moyal_mul
+
+    t0 = time.perf_counter()
+    for a, b, c in triples:
+        if moyal_mul(moyal_mul(a, b), c) - moyal_mul(a, moyal_mul(b, c)):
+            raise AssertionError("star product not associative")
+    return {"star_chain": time.perf_counter() - t0}
 
 
 def build_bracket_workloads():
@@ -172,9 +196,10 @@ def run(pairs, star_pairs, mono_pairs, mono_star_pairs, scalar_pairs, int_pairs)
 def main():
     timing = run(*build_workloads(), *build_monomial_workloads(), *build_scalar_workloads())
     timing.update(time_brackets(build_bracket_workloads()))
+    timing.update(time_star_chain(build_chain_workloads()))
     ops = ["product", "poisson", "star", "hbracket", "poisson_mono", "star_mono",
-           "hbracket_mono", "fold", "sub_equal", "bracket_unit", "bracket_tagged",
-           "scalar_mul", "scalar_mul_int", "scalar_add"]
+           "hbracket_mono", "fold", "sub_equal", "star_chain", "bracket_unit",
+           "bracket_tagged", "scalar_mul", "scalar_mul_int", "scalar_add"]
     print("".join("%15s" % op for op in ops))
     print("".join("%14.3fs" % timing[op] for op in ops))
 

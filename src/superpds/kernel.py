@@ -11,11 +11,15 @@ Brackets and products walk pairs of terms, reading Koszul signs from
 tables built at import from ``merge_sign`` and the left-derivative rule.
 The Poisson bracket of two monomials is closed form: one coefficient product
 and at most five integer-weighted terms.  The star product and the
-h-bracket are one walk, ``_star_walk``, on int coefficients only: each
-map is split into alpha-power layers, int maps over one denominator
-(``scalars.split_layers``), each pair of layers is walked, and each output
-key is folded back once into a canonical ``Scalar``
-(``scalars.fold_layers``).
+h-bracket are one walk, ``_star_walk``, on int coefficients only, over
+pairs of alpha-power layers: int maps over one denominator, given as the
+triple (layers, d, den) of ``scalars.split_layers``.  ``moyal_terms`` and
+``h_bracket_terms`` take either form.  Given two term maps they split them,
+walk, and fold each output key back once into a canonical ``Scalar``
+(``scalars.fold_layers``), so a term map comes out.  Given two layer
+triples they walk and return the product's layer triple unfolded: that is
+how ``quantize`` calls them, and the fold is left to whoever reads the
+coefficients (``symbols.LayeredSymbol``).
 
 Callers go through the module attribute (``kernel.poisson_terms(...)``),
 never a name imported from here, so the functions can be wrapped on the
@@ -328,11 +332,13 @@ def _star_walk(out: dict, a: dict, b: dict, table: tuple, shift: int) -> None:
                         del out[key]
 
 
-def _layer_walk(a: dict, b: dict, table: tuple, shift: int, back=None) -> dict:
-    """The star walk on Scalar maps: per pair of alpha-power layers of A and
-    B, A B (and, with a ``back`` table, B A) on ints, then one fold."""
-    la, da, pa = split_layers(a)
-    lb, db, pb = split_layers(b)
+def _layer_walk(a: tuple, b: tuple, table: tuple, shift: int, back=None) -> tuple:
+    """The star walk on alpha-power layers (``scalars.split_layers``
+    triples): per pair of layers of A and B, A B (and, with a ``back``
+    table, B A) on ints.  Returns the product's layers, unfolded; they are
+    fresh dicts, and the operands' are only read."""
+    la, da, pa = a
+    lb, db, pb = b
     layers: dict = {}
     for ea, ta in la.items():
         for eb, tb in lb.items():
@@ -340,16 +346,26 @@ def _layer_walk(a: dict, b: dict, table: tuple, shift: int, back=None) -> dict:
             _star_walk(layer, ta, tb, table, shift)
             if back:
                 _star_walk(layer, tb, ta, back, shift)
-    return fold_layers(layers, da * db, pa * pb if pa and pb else pa or pb)
+    return layers, da * db, pa * pb if pa and pb else pa or pb
 
 
-def moyal_terms(a: dict, b: dict) -> dict:
-    """Normal-ordered product of the h-deformed symbol algebra."""
-    return _layer_walk(a, b, _PRODUCT, 0)
+def _star(a, b, table: tuple, shift: int, back=None):
+    """Term maps in, a folded term map out; layer triples in, layers out."""
+    if isinstance(a, dict):
+        return fold_layers(*_layer_walk(split_layers(a), split_layers(b), table, shift, back))
+    return _layer_walk(a, b, table, shift, back)
 
 
-def h_bracket_terms(a: dict, b: dict) -> dict:
+def moyal_terms(a, b):
+    """Normal-ordered product of the h-deformed symbol algebra.  Of two
+    term maps, a term map; of two layer triples, the product's layers,
+    unfolded (module docstring)."""
+    return _star(a, b, _PRODUCT, 0)
+
+
+def h_bracket_terms(a, b):
     """[A, B]_h = (A B - (-1)^(p(A)p(B)) B A)/h: walks over (A, B) and
     (B, A) into one map, the back-order sign taken per pair of terms, so
-    mixed parity needs no split; the h^0 part is never emitted."""
-    return _layer_walk(a, b, _BRACKET, -1, _BRACKET_BACK)
+    mixed parity needs no split; the h^0 part is never emitted.  Operands
+    and result as for ``moyal_terms``."""
+    return _star(a, b, _BRACKET, -1, _BRACKET_BACK)

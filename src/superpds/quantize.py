@@ -15,6 +15,16 @@ every numeric value of it.  Product and h-bracket are one walk in
 Grassmann outcomes tabulated per pair of masks; the h-bracket never emits
 the h^0 part, which the two orders cancel term pair by term pair.
 
+Both return a ``LayeredSymbol``: the walk's int layers, folded into
+Scalars only when the result's ``terms`` are first read.  A product used
+as a star operand, or added to or subtracted from another such product
+over integer denominators, is not folded; so ``(A B) C - A (B C)`` folds
+nothing when the residual is zero, and ``contract`` of an h-bracket folds
+only its h-free keys.  Operands are passed as layers (``Symbol.layers``),
+through the module attribute ``kernel.moyal_terms``
+(``kernel.h_bracket_terms``), so a tracer wrapped on it counts every
+product.
+
 tau exponents must be nonnegative (differential operators); t stays Laurent.
 """
 
@@ -24,24 +34,27 @@ from functools import lru_cache
 
 from . import kernel
 from .scalars import ALPHA, S_HALF, S_ONE
-from .symbols import SYM_ZERO, Symbol
+from .symbols import SYM_ZERO, LayeredSymbol, Symbol
 
 
-def moyal_mul(a: Symbol, b: Symbol) -> Symbol:
+def moyal_mul(a: Symbol, b: Symbol) -> LayeredSymbol:
     """Associative normal-ordered product."""
-    return Symbol(kernel.moyal_terms(a.terms, b.terms))
+    return LayeredSymbol(kernel.moyal_terms(a.layers(), b.layers()))
 
 
-def h_bracket(a: Symbol, b: Symbol) -> Symbol:
+def h_bracket(a: Symbol, b: Symbol) -> LayeredSymbol:
     """[A, B]_h = (1/h)(A B - (-1)^(p(A)p(B)) B A); the division is exact."""
-    terms = kernel.h_bracket_terms(a.terms, b.terms)
-    for (t, u, m, be, h), c in terms.items():
-        if h < 0:
-            raise RuntimeError(
-                "h-commutator produced an h-free term %s; product broken"
-                % (Symbol({(t, u, m, be, h + 1): c}),)
-            )
-    return Symbol(terms)
+    layers = kernel.h_bracket_terms(a.layers(), b.layers())
+    out = LayeredSymbol(layers)
+    for layer in layers[0].values():
+        for key in layer:
+            if key[4] < 0:
+                t, u, m, be, h = key
+                raise RuntimeError(
+                    "h-commutator produced an h-free term %s; product broken"
+                    % (Symbol({(t, u, m, be, h + 1): out.terms[key]}),)
+                )
+    return out
 
 
 def contract(a: Symbol) -> Symbol:

@@ -17,7 +17,11 @@ result; division, gcd and rendering work on Fractions.
 ``split_layers`` and ``fold_layers`` carry a whole term map across to ints
 and back for the star kernel: one int map per alpha power over one common
 denominator, and one canonical Scalar per key on the way back, reduced by
-one integer gcd when the key holds a single alpha power.
+one integer gcd when the key holds a single alpha power.  The kernel folds
+only when it is given term maps; a star product or h-bracket taken through
+``quantize`` keeps its layers, and ``symbols.LayeredSymbol`` folds them
+when its terms are first read.  Substituting a rational alpha
+(``AlphaPoly.evaluate``) also runs on ints, with one Fraction per call.
 """
 
 from __future__ import annotations
@@ -191,11 +195,18 @@ class AlphaPoly:
             d //= g
         return AlphaPoly({e: v * n for e, v in self.c.items()}, d)
 
-    def evaluate(self, value: Fraction) -> Fraction:
+    def evaluate(self, value) -> Fraction:
+        """Value at a rational alpha = p/q, on ints: the sum of
+        v p^e q^(deg - e) over d q^deg, one Fraction per call."""
+        c = self.c
+        if not c:
+            return _F0
+        p, q = value.numerator, value.denominator
+        deg = max(c)
         acc = 0
-        for e, v in self.c.items():
-            acc += v * value**e
-        return Fraction(acc, self.d)
+        for e, v in c.items():
+            acc += v * p**e * q**(deg - e)
+        return Fraction(acc, self.d * q**deg)
 
     def mod_p(self, value: int, p: int) -> int:
         """Value at alpha = ``value`` in F_p (p prime); ValueError when p

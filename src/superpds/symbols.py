@@ -17,14 +17,22 @@ Conventions pinned here and used everywhere else:
 * Gradings: k(t) = k(tau) = k(xi_i) = k(eta_i) = 1 (so the bracket drops k
   by 2); n(t) = 1, n(tau) = -1; the weight of xi_i is the i-th coordinate
   vector, of eta_i its negative.
+
+A ``Symbol`` holds its term map from the start.  Star products and
+h-bracket results (``quantize``) are ``LayeredSymbol``s: they hold the star
+walk's int layers and fold them into Scalars (``scalars.fold_layers``) the
+first time ``terms`` is read.  Star operands, truth, ``without_h`` and sums
+and differences of two such results over integer denominators work on the
+layers; every other operation reads ``terms``.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import lcm as int_lcm
 
 from . import kernel
-from .scalars import Scalar, S_ONE, S_ZERO
+from .scalars import Scalar, S_ONE, S_ZERO, fold_layers, split_layers
 
 VAR_NAMES = ("t", "tau", "xi1", "xi2", "eta1", "eta2")
 _VAR_INDEX = {name: i for i, name in enumerate(VAR_NAMES)}
@@ -225,6 +233,11 @@ class Symbol:
             {key: c for key, c in self.terms.items() if key[4] == 0}
         )
 
+    def layers(self) -> tuple:
+        """The coefficients as alpha-power layers, the (layers, d, den)
+        triple of ``scalars.split_layers``: the star kernel's operand."""
+        return split_layers(self.terms)
+
     def specialize(self, alpha_value) -> "Symbol":
         out = {}
         for key, c in self.terms.items():
@@ -274,6 +287,80 @@ class Symbol:
 
 
 SYM_ZERO = Symbol.zero()
+
+
+class LayeredSymbol(Symbol):
+    """A star product or h-bracket as the star walk left it: int layers
+    (layers, d, den), as ``scalars.split_layers`` returns them, that are
+    folded into canonical Scalars (``scalars.fold_layers``) when ``terms``
+    is first read, and then dropped.
+
+    Until then, what needs no Scalar works on the layers: star operands
+    (``layers``), truth, ``without_h``, and + and - of two unfolded
+    symbols over integer denominators (den None).  A layer holds no zero
+    entry, so the symbol is zero exactly when no layer holds a key.  The
+    fold consumes the layer dicts, so every result here owns fresh ones.
+    """
+
+    __slots__ = ("_layers",)
+
+    def __init__(self, layers: tuple):
+        self._layers = layers
+
+    def __getattr__(self, name):
+        # reached only while the ``terms`` slot is unset
+        if name != "terms":
+            raise AttributeError(name)
+        self.terms = terms = fold_layers(*self._layers)
+        self._layers = None
+        return terms
+
+    def __bool__(self) -> bool:
+        if self._layers is None:
+            return bool(self.terms)
+        return any(self._layers[0].values())
+
+    def _combine(self, other, sign: int):
+        """self + sign * other on int layers over the lcm of the two d's,
+        or None unless both are unfolded with den None.  The kernel's
+        term-map sums need ring operations only, so they add int layers."""
+        if other.__class__ is not LayeredSymbol or self._layers is None or other._layers is None:
+            return None
+        la, da, pa = self._layers
+        lb, db, pb = other._layers
+        if pa is not None or pb is not None:
+            return None
+        d = int_lcm(da, db)
+        combine = kernel.add_terms if sign > 0 else kernel.sub_terms
+        out = {}
+        for e in dict.fromkeys((*la, *lb)):
+            layer = combine(kernel.scale_terms(la.get(e, {}), d // da),
+                            kernel.scale_terms(lb.get(e, {}), d // db))
+            if layer:
+                out[e] = layer
+        return LayeredSymbol((out, d, None))
+
+    def __add__(self, other):
+        out = self._combine(other, 1)
+        return super().__add__(other) if out is None else out
+
+    def __sub__(self, other):
+        out = self._combine(other, -1)
+        return super().__sub__(other) if out is None else out
+
+    def layers(self) -> tuple:
+        return self._layers or split_layers(self.terms)
+
+    def without_h(self) -> Symbol:
+        if self._layers is None:
+            return super().without_h()
+        layers, d, den = self._layers
+        out = {}
+        for e, layer in layers.items():
+            kept = {key: v for key, v in layer.items() if key[4] == 0}
+            if kept:
+                out[e] = kept
+        return LayeredSymbol((out, d, den))
 
 
 class SuperVectorField:

@@ -1,15 +1,18 @@
 import random
 from fractions import Fraction
+from itertools import permutations
 from math import comb
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from superpds import cohomology as coh
 from superpds import d21, kernel, quantize
 from superpds._exchange import normal_order_word
 from superpds.expr import parse
 from superpds.scalars import ALPHA, S_ONE
-from superpds.symbols import Symbol
+from superpds.symbols import LayeredSymbol, Symbol
 
 
 def mono(**kw):
@@ -221,10 +224,101 @@ def test_star_kernel_matches_term_pair_oracle():
 
 
 def test_h_bracket_rejects_h_free_terms(monkeypatch):
-    # a broken kernel leaves an h^0 term of the commutator, h^-1 after division
-    monkeypatch.setattr(kernel, "h_bracket_terms", lambda a, b: {(0, 0, 0, 0, -1): S_ONE})
-    with pytest.raises(RuntimeError, match="h-free term"):
+    # a broken kernel leaves an h^0 term of the commutator, h^-1 after
+    # division: here 3 alpha t / 2, in the layers quantize receives
+    broken = ({0: {(0, 0, 0, 0, 1): 5}, 1: {(1, 0, 0, 0, -1): 3}}, 2, None)
+    monkeypatch.setattr(kernel, "h_bracket_terms", lambda a, b: broken)
+    with pytest.raises(RuntimeError, match=r"h-free term 3\*alpha/2\*t;"):
         quantize.h_bracket(T, TAU)
+
+
+# -- the deferred form: products kept as int layers until read ---------------------
+
+# rational, alpha-polynomial and polynomial-denominator coefficients; the
+# last two put a polynomial ``den`` on the layers
+DEFERRED_COEFFS = (S_ONE, ALPHA, ALPHA * ALPHA - 1, (ALPHA - 2).inv(),
+                   (ALPHA + 1) / (ALPHA * ALPHA + 3))
+
+
+@st.composite
+def op_symbols(draw, poles=None):
+    if poles is None:
+        poles = draw(st.booleans())
+    kinds = DEFERRED_COEFFS if poles else DEFERRED_COEFFS[:3]
+    terms = draw(st.dictionaries(
+        st.tuples(st.integers(-3, 3), st.integers(0, 3), st.integers(0, 15),
+                  st.integers(0, 2), st.integers(0, 2)),
+        st.tuples(st.fractions(min_value=-6, max_value=6, max_denominator=6).filter(bool),
+                  st.sampled_from(kinds)),
+        max_size=4))
+    return Symbol({key: kind * value for key, (value, kind) in terms.items()})
+
+
+def _listed(sym):
+    """Terms in key order, with the stored form of each coefficient."""
+    return list(_stored(sym.terms).items())
+
+
+def _eager(op, a, b):
+    terms = {quantize.moyal_mul: kernel.moyal_terms,
+             quantize.h_bracket: kernel.h_bracket_terms}[op](a.terms, b.terms)
+    return Symbol(terms)
+
+
+@settings(max_examples=60, deadline=None)
+@given(op_symbols(), op_symbols(), op_symbols(), op_symbols(poles=False))
+def test_deferred_results_match_eager_fold(a, b, c, x):
+    for op in (quantize.moyal_mul, quantize.h_bracket):
+        eager, other = _eager(op, a, b), _eager(op, b, c)
+
+        def fresh():
+            r = op(a, b)
+            assert r.__class__ is LayeredSymbol and r._layers is not None
+            return r
+
+        def fresh_other():
+            return op(b, c)
+
+        assert _listed(fresh()) == _listed(eager)  # the same keys in the same order
+        assert bool(fresh()) == bool(eager)
+        assert fresh() == eager and (fresh() == other) == (eager == other)
+        assert fresh() + fresh_other() == eager + other
+        assert fresh() - fresh_other() == eager - other
+        assert fresh() + x == eager + x and x - fresh() == x - eager
+        assert not fresh() - fresh() and (fresh() - fresh()).terms == {}
+        assert _listed(fresh().without_h()) == _listed(eager.without_h())
+        assert fresh().poisson(x) == eager.poisson(x) and x.poisson(fresh()) == x.poisson(eager)
+        assert str(fresh()) == str(eager)
+        assert quantize.moyal_mul(fresh(), c) == quantize.moyal_mul(eager, c)
+        # a folded result behaves as it did unfolded
+        r = fresh()
+        r.terms
+        assert r + fresh_other() == eager + other and r.without_h() == eager.without_h()
+
+
+def test_deferred_results_own_their_layers():
+    # the fold consumes the layers it reads, so folding one of these must
+    # leave the values of the others as they were, in every order
+    rng = random.Random(19)
+    a, b, c, d = (
+        Symbol({(rng.randrange(-3, 4), rng.randrange(4), rng.randrange(16), 0, rng.randrange(2)):
+                rng.choice(DEFERRED_COEFFS[:3]) * Fraction(rng.randrange(1, 6), rng.randrange(1, 4))
+                for _ in range(4)})
+        for _ in range(4)
+    )
+
+    def derived():
+        s, t = quantize.moyal_mul(a, b), quantize.moyal_mul(c, d)
+        return [s, s - t, s.without_h(), quantize.moyal_mul(s, c)]
+
+    s, t = _eager(quantize.moyal_mul, a, b), _eager(quantize.moyal_mul, c, d)
+    expected = [s, s - t, s.without_h(), quantize.moyal_mul(s, c)]
+    assert all(expected)
+    for order in permutations(range(4)):
+        objs = derived()
+        assert all(o._layers is not None for o in objs)  # every one unfolded
+        for i in order:
+            assert objs[i] == expected[i], (order, i)
 
 
 # -- contraction ---------------------------------------------------------------------

@@ -92,6 +92,26 @@ def test_specialize_reduced_form_first():
     assert x.specialize(1) == frac(2)
 
 
+def _evaluate_by_fractions(p, value):
+    """The sum of c_e value^e over the rational coefficients c_e."""
+    return sum((Fraction(v, p.d) * Fraction(value) ** e for e, v in p.c.items()), Fraction(0))
+
+
+@settings(max_examples=300, deadline=None)
+@given(polys(max_degree=5), st.fractions(min_value=-40, max_value=40, max_denominator=60))
+@example(AlphaPoly({}), Fraction(3, 7))
+@example(AlphaPoly({0: 5}, 3), Fraction(-2, 9))
+def test_evaluate_matches_fraction_oracle(p, value):
+    for v in (value, value.numerator):  # a Fraction and an int
+        got = p.evaluate(v)
+        assert isinstance(got, Fraction) and got == _evaluate_by_fractions(p, v)
+    # a pole at value survives the integer evaluation of the denominator
+    if p and p.evaluate(value):
+        with pytest.raises(PoleError) as info:
+            (Scalar.from_poly(p) / (ALPHA - value)).specialize(value)
+        assert info.value.value == value
+
+
 @settings(max_examples=100, deadline=None)
 @given(scalars(), scalars(), st.sampled_from([0, 2, -3, 5]))
 def test_specialize_is_ring_hom(x, y, value):
