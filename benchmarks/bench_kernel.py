@@ -4,8 +4,8 @@
 Runs seeded products, Poisson brackets, star products and h-brackets
 through ``superpds.kernel`` and prints the seconds for each, first on
 multi-term maps, then on monomial x monomial pairs (``*_mono``), the shape
-of the brackets block assembly makes.  The product and the Poisson bracket
-do one ``Scalar`` product per pair of terms; the star product and the
+of the brackets block assembly makes.  The product does one ``Scalar``
+product per pair of terms; the Poisson bracket, the star product and the
 h-bracket walk int coefficients, one alpha power at a time, and build
 ``Scalar``s only once per output key.  ``fold`` times that fold alone
 (``scalars.fold_layers``) on the alpha-power layers of the seeded star
@@ -14,6 +14,10 @@ copy of itself, which ``kernel.sub_terms`` cancels key by key by
 equality.  ``star_chain`` times the associativity residual
 (a b) c - a (b c) of seeded triples through ``quantize.moyal_mul``, whose
 products stay int layers until read, so no fold runs there.
+``poisson_chain`` times the super-Jacobi residual
+{a, {b, c}} - {{a, b}, c} -+ {b, {a, c}} of seeded triples of homogeneous
+symbols through ``Symbol.poisson``, whose brackets stay int layers until
+read, so no fold runs there either.
 ``bracket_unit`` and ``bracket_tagged`` time what block
 assembly does: the bracket of every basis element, in both engines, with
 the unit monomials of a block (P (0, 0) for the Poisson engine, P+ (4, 0)
@@ -92,6 +96,32 @@ def build_chain_workloads(seed=14, count=40):
     rng = random.Random(seed)
     return [tuple(Symbol(random_terms(rng, tau_nonneg=True)) for _ in range(3))
             for _ in range(count)]
+
+
+def build_poisson_chain_workloads(seed=15, count=200):
+    """Triples of homogeneous-parity symbols for ``poisson_chain``, each
+    the even or the odd part of a ``random_terms`` map, from their own
+    generator, so that the generators above draw exactly what they always
+    have."""
+    rng = random.Random(seed)
+    triples = []
+    for _ in range(count):
+        parts = (kernel.parity_split(random_terms(rng)) for _ in range(3))
+        triples.append(tuple(Symbol(even or odd) for even, odd in parts))
+    return triples
+
+
+def time_poisson_chain(triples):
+    """{a, {b, c}} - {{a, b}, c} - (-1)^(p(a)p(b)) {b, {a, c}} through
+    ``Symbol.poisson``, whose brackets stay int layers until read: the
+    residual is zero, so nothing is folded."""
+    t0 = time.perf_counter()
+    for a, b, c in triples:
+        back = b.poisson(a.poisson(c))
+        r = a.poisson(b.poisson(c)) - a.poisson(b).poisson(c)
+        if r + back if a.parity() and b.parity() else r - back:
+            raise AssertionError("Poisson bracket fails super-Jacobi")
+    return {"poisson_chain": time.perf_counter() - t0}
 
 
 def time_star_chain(triples):
@@ -197,9 +227,10 @@ def main():
     timing = run(*build_workloads(), *build_monomial_workloads(), *build_scalar_workloads())
     timing.update(time_brackets(build_bracket_workloads()))
     timing.update(time_star_chain(build_chain_workloads()))
+    timing.update(time_poisson_chain(build_poisson_chain_workloads()))
     ops = ["product", "poisson", "star", "hbracket", "poisson_mono", "star_mono",
-           "hbracket_mono", "fold", "sub_equal", "star_chain", "bracket_unit",
-           "bracket_tagged", "scalar_mul", "scalar_mul_int", "scalar_add"]
+           "hbracket_mono", "fold", "sub_equal", "star_chain", "poisson_chain",
+           "bracket_unit", "bracket_tagged", "scalar_mul", "scalar_mul_int", "scalar_add"]
     print("".join("%15s" % op for op in ops))
     print("".join("%14.3fs" % timing[op] for op in ops))
 

@@ -45,6 +45,13 @@ FIXTURES = {
 
 H1_BLOCKS = [("0", "0"), ("4", "-2"), ("4", "0"), ("2", "-6")]
 
+BRACKETS = [
+    ("tau", "tau^2"),
+    ("alpha*t^2*tau + 1/3*xi1*eta1", "t*tau^2 - alpha^2*eta1*eta2 + 5/2*xi2"),
+    ("1/(alpha - 2)*t^-1*tau^3 + xi1*xi2*eta1", "(alpha + 1)/(alpha^2 + 3)*t^2*eta1 + 2/5*eta2*tau"),
+    ("beta*t*tau^2 + h*xi1*eta2 - alpha/7*t^3", "t^3*tau + alpha*beta^2*eta2 + h^2*xi2*tau"),
+]
+
 COMMANDS = (
     [["h1", "--target", t, "--json"] for t in ("P", "P+", "K4", "K4'")]
     + [
@@ -77,6 +84,10 @@ COMMANDS = (
         ["h1", "--target", "P", "--window", "8", "--json"],
         ["h1", "--target", "P+", "--quantized", "--specialize", "1", "--window", "8", "--json"],
     ]
+    # brackets of rational, alpha-polynomial and polynomial-denominator
+    # coefficients, mixed parities and beta/h powers; tau tau^2 is zero
+    + [["bracket", a, b, *flags] for a, b in BRACKETS for flags in ([], ["--quantized"])]
+    + [["bracket", BRACKETS[1][0], BRACKETS[1][1], "--json"]]
 )
 
 

@@ -406,7 +406,10 @@ def _brackets(engine: Engine, keys) -> dict:
     every unit monomial key m in ``keys``; empty when ``keys`` is.
 
     One bracket per name: X against the sum of beta^i m_i over the keys
-    m_i, whose beta^i terms are [X, m_i] (module docstring).
+    m_i, whose beta^i terms are [X, m_i] (module docstring).  Both
+    engines' brackets are one int walk on alpha-power layers, and X and
+    the tagged sum are each split once (``Symbol.layers``), so each name
+    costs one walk and one fold, when its terms are read here.
     """
     if not keys:
         return {}

@@ -1,25 +1,27 @@
 """Term kernel of the sparse symbol algebra.
 
 A term map is a dict from monomial keys (t_exp, tau_exp, grassmann_mask,
-beta_exp, h_exp) to nonzero ``Scalar`` coefficients.  The Poisson bracket
-and the plain product use only ring operations on them (+, *, unary -,
-truthiness and multiplication by ints); ``sub_terms`` also uses ==, and
-drops a key whose two coefficients are equal without subtracting them, as
-coefficients are canonical, so unequal ones differ by a nonzero.
+beta_exp, h_exp) to nonzero ``Scalar`` coefficients.  The plain product and
+the map sums use only ring operations on them (+, *, unary -, truthiness
+and multiplication by ints), so they run on int maps too; ``sub_terms``
+also uses ==, and drops a key whose two coefficients are equal without
+subtracting them, as coefficients are canonical, so unequal ones differ by
+a nonzero.
 
 Brackets and products walk pairs of terms, reading Koszul signs from
 tables built at import from ``merge_sign`` and the left-derivative rule.
-The Poisson bracket of two monomials is closed form: one coefficient product
-and at most five integer-weighted terms.  The star product and the
-h-bracket are one walk, ``_star_walk``, on int coefficients only, over
-pairs of alpha-power layers: int maps over one denominator, given as the
-triple (layers, d, den) of ``scalars.split_layers``.  ``moyal_terms`` and
-``h_bracket_terms`` take either form.  Given two term maps they split them,
-walk, and fold each output key back once into a canonical ``Scalar``
-(``scalars.fold_layers``), so a term map comes out.  Given two layer
-triples they walk and return the product's layer triple unfolded: that is
-how ``quantize`` calls them, and the fold is left to whoever reads the
-coefficients (``symbols.LayeredSymbol``).
+Both kernels walk int coefficients only and build no ``Scalar``: the
+Poisson bracket (``_poisson_walk``), in closed form, one product of two
+ints and at most five integer-weighted terms per pair, and the star
+product and the h-bracket (``_star_walk``).  They run over pairs of
+alpha-power layers: int maps over one denominator, given as the triple
+(layers, d, den) of ``scalars.split_layers``.  ``poisson_terms``,
+``moyal_terms`` and ``h_bracket_terms`` take either form.  Given two term
+maps they split them, walk, and fold each output key back once into a
+canonical ``Scalar`` (``scalars.fold_layers``), so a term map comes out.
+Given two layer triples they walk and return the result's layer triple
+unfolded: that is how ``symbols`` and ``quantize`` call them, and the fold
+is left to whoever reads the coefficients (``symbols.LayeredSymbol``).
 
 Callers go through the module attribute (``kernel.poisson_terms(...)``),
 never a name imported from here, so the functions can be wrapped on the
@@ -189,8 +191,9 @@ _MERGE = tuple(tuple(merge_sign(m1, m2) for m2 in _MASKS) for m1 in _MASKS)
 _CONTRACTIONS = tuple(tuple(_contractions(m1, m2) for m2 in _MASKS) for m1 in _MASKS)
 
 
-def poisson_terms(a: dict, b: dict) -> dict:
-    """Poisson superbracket of term maps.
+def _poisson_walk(out: dict, a: dict, b: dict) -> None:
+    """Add the pairwise Poisson superbrackets of A and B into ``out``; all
+    three carry int coefficients, and it builds no Scalar.
 
     {A, B} = dA/dtau dB/dt - dA/dt dB/dtau
              + (-1)^(p(A)+1) * sum_i (dA/dxi_i dB/deta_i + dA/deta_i dB/dxi_i)
@@ -200,33 +203,33 @@ def poisson_terms(a: dict, b: dict) -> dict:
     (u1 t2 - t1 u2) c1 c2 t^(t1+t2-1) tau^(u1+u2-1) g1 g2, and each of the
     at most four contractions gives +-c1 c2 t^(t1+t2) tau^(u1+u2) times the
     contracted word (signs tabulated by mask pair in ``_CONTRACTIONS``).
-    A pair costs one coefficient product and one small-integer multiple
-    per term.  Inhomogeneous A needs no splitting, since the parity factor
-    is taken per term; beta and h exponents ride along untouched.
+    Inhomogeneous A needs no splitting, since the parity factor is taken
+    per term; beta and h exponents ride along untouched.
     """
-    out: dict = {}
     for (t1, u1, m1, b1, h1), c1 in a.items():
         merges = _MERGE[m1]
         contractions = _CONTRACTIONS[m1]
         for (t2, u2, m2, b2, h2), c2 in b.items():
-            t, u, be, hh = t1 + t2, u1 + u2, b1 + b2, h1 + h2
             w = (u1 * t2 - t1 * u2) * merges[m2]
-            terms = [((t - 1, u - 1, m1 | m2, be, hh), w)] if w else []
-            terms += [((t, u, mask, be, hh), s) for mask, s in contractions[m2]]
-            if not terms:
+            cs = contractions[m2]
+            if not (w or cs):
                 continue
             c0 = c1 * c2
-            for key, w in terms:
-                c = c0 if w == 1 else -c0 if w == -1 else c0 * w
-                if key in out:
-                    nv = out[key] + c
-                    if nv:
-                        out[key] = nv
-                    else:
-                        del out[key]
-                elif c:
-                    out[key] = c
-    return out
+            t, u, be, hh = t1 + t2, u1 + u2, b1 + b2, h1 + h2
+            if w:
+                key = (t - 1, u - 1, m1 | m2, be, hh)
+                nv = out.get(key, 0) + c0 * w
+                if nv:
+                    out[key] = nv
+                else:
+                    del out[key]
+            for mask, s in cs:
+                key = (t, u, mask, be, hh)
+                nv = out.get(key, 0) + c0 * s
+                if nv:
+                    out[key] = nv
+                else:
+                    del out[key]
 
 
 def _star_tables():
@@ -332,40 +335,51 @@ def _star_walk(out: dict, a: dict, b: dict, table: tuple, shift: int) -> None:
                         del out[key]
 
 
-def _layer_walk(a: tuple, b: tuple, table: tuple, shift: int, back=None) -> tuple:
-    """The star walk on alpha-power layers (``scalars.split_layers``
-    triples): per pair of layers of A and B, A B (and, with a ``back``
-    table, B A) on ints.  Returns the product's layers, unfolded; they are
-    fresh dicts, and the operands' are only read."""
+def _h_bracket_walk(out: dict, a: dict, b: dict) -> None:
+    """A B and then B A, with the back-order signs, into one int map."""
+    _star_walk(out, a, b, _BRACKET, -1)
+    _star_walk(out, b, a, _BRACKET_BACK, -1)
+
+
+def _layer_walk(a: tuple, b: tuple, walk, *args) -> tuple:
+    """``walk`` on alpha-power layers (``scalars.split_layers`` triples):
+    per pair of layers of A and B, one walk on ints into the layer of the
+    sum of their powers.  Returns the result's layers, unfolded and none
+    of them empty; they are fresh dicts, and the operands' are only read."""
     la, da, pa = a
     lb, db, pb = b
     layers: dict = {}
     for ea, ta in la.items():
         for eb, tb in lb.items():
-            layer = layers.setdefault(ea + eb, {})
-            _star_walk(layer, ta, tb, table, shift)
-            if back:
-                _star_walk(layer, tb, ta, back, shift)
+            walk(layers.setdefault(ea + eb, {}), ta, tb, *args)
+    if not all(layers.values()):
+        layers = {e: layer for e, layer in layers.items() if layer}
     return layers, da * db, pa * pb if pa and pb else pa or pb
 
 
-def _star(a, b, table: tuple, shift: int, back=None):
+def _layered(a, b, walk, *args):
     """Term maps in, a folded term map out; layer triples in, layers out."""
     if isinstance(a, dict):
-        return fold_layers(*_layer_walk(split_layers(a), split_layers(b), table, shift, back))
-    return _layer_walk(a, b, table, shift, back)
+        return fold_layers(*_layer_walk(split_layers(a), split_layers(b), walk, *args))
+    return _layer_walk(a, b, walk, *args)
+
+
+def poisson_terms(a, b):
+    """Poisson superbracket (``_poisson_walk``).  Of two term maps, a term
+    map; of two layer triples, the bracket's layers, unfolded (module
+    docstring)."""
+    return _layered(a, b, _poisson_walk)
 
 
 def moyal_terms(a, b):
-    """Normal-ordered product of the h-deformed symbol algebra.  Of two
-    term maps, a term map; of two layer triples, the product's layers,
-    unfolded (module docstring)."""
-    return _star(a, b, _PRODUCT, 0)
+    """Normal-ordered product of the h-deformed symbol algebra.  Operands
+    and result as for ``poisson_terms``."""
+    return _layered(a, b, _star_walk, _PRODUCT, 0)
 
 
 def h_bracket_terms(a, b):
     """[A, B]_h = (A B - (-1)^(p(A)p(B)) B A)/h: walks over (A, B) and
     (B, A) into one map, the back-order sign taken per pair of terms, so
     mixed parity needs no split; the h^0 part is never emitted.  Operands
-    and result as for ``moyal_terms``."""
-    return _star(a, b, _BRACKET, -1, _BRACKET_BACK)
+    and result as for ``poisson_terms``."""
+    return _layered(a, b, _h_bracket_walk)

@@ -18,12 +18,16 @@ Conventions pinned here and used everywhere else:
   by 2); n(t) = 1, n(tau) = -1; the weight of xi_i is the i-th coordinate
   vector, of eta_i its negative.
 
-A ``Symbol`` holds its term map from the start.  Star products and
-h-bracket results (``quantize``) are ``LayeredSymbol``s: they hold the star
-walk's int layers and fold them into Scalars (``scalars.fold_layers``) the
-first time ``terms`` is read.  Star operands, truth, ``without_h`` and sums
-and differences of two such results over integer denominators work on the
-layers; every other operation reads ``terms``.
+A ``Symbol`` holds its term map from the start.  Both kernels walk int
+alpha-power layers (``kernel``), and their results are folded when read:
+Poisson brackets (``Symbol.poisson``), star products and h-brackets
+(``quantize``) are ``LayeredSymbol``s, which hold the walk's int layers
+and fold them into Scalars (``scalars.fold_layers``) the first time
+``terms`` is read.  Bracket and star operands, truth, unary minus,
+``without_h`` and sums and differences of two such results over integer
+denominators work on the layers; every other operation reads ``terms``.
+An operand is split into layers once (``Symbol.layers``), and the split is
+kept.
 """
 
 from __future__ import annotations
@@ -65,7 +69,7 @@ class Symbol:
     Instances are immutable values; all operations return fresh symbols.
     """
 
-    __slots__ = ("terms",)
+    __slots__ = ("terms", "_split")
 
     def __init__(self, terms: dict):
         self.terms = terms
@@ -147,8 +151,8 @@ class Symbol:
     def derive(self, var: str) -> "Symbol":
         return Symbol(kernel.derive_terms(self.terms, _VAR_INDEX[var]))
 
-    def poisson(self, other: "Symbol") -> "Symbol":
-        return Symbol(kernel.poisson_terms(self.terms, other.terms))
+    def poisson(self, other: "Symbol") -> "LayeredSymbol":
+        return LayeredSymbol(kernel.poisson_terms(self.layers(), other.layers()))
 
     # -- structure queries -------------------------------------------------
     def parity(self):
@@ -235,8 +239,13 @@ class Symbol:
 
     def layers(self) -> tuple:
         """The coefficients as alpha-power layers, the (layers, d, den)
-        triple of ``scalars.split_layers``: the star kernel's operand."""
-        return split_layers(self.terms)
+        triple of ``scalars.split_layers``: the kernels' operand.  Split on
+        the first call and kept; the kernels only read it."""
+        try:
+            return self._split
+        except AttributeError:
+            self._split = split = split_layers(self.terms)
+            return split
 
     def specialize(self, alpha_value) -> "Symbol":
         out = {}
@@ -290,15 +299,17 @@ SYM_ZERO = Symbol.zero()
 
 
 class LayeredSymbol(Symbol):
-    """A star product or h-bracket as the star walk left it: int layers
-    (layers, d, den), as ``scalars.split_layers`` returns them, that are
-    folded into canonical Scalars (``scalars.fold_layers``) when ``terms``
-    is first read, and then dropped.
+    """A Poisson bracket, star product or h-bracket as the kernel's int
+    walk left it: int layers (layers, d, den), as ``scalars.split_layers``
+    returns them, that are folded into canonical Scalars
+    (``scalars.fold_layers``) when ``terms`` is first read, and then
+    dropped.
 
-    Until then, what needs no Scalar works on the layers: star operands
-    (``layers``), truth, ``without_h``, and + and - of two unfolded
-    symbols over integer denominators (den None).  A layer holds no zero
-    entry, so the symbol is zero exactly when no layer holds a key.  The
+    Until then, what needs no Scalar works on the layers: bracket and star
+    operands (``layers``), truth, unary minus, ``without_h``, and + and -
+    of two unfolded symbols over integer denominators (den None); a sum
+    with zero is the other operand.  No layer is empty and none holds a
+    zero entry, so the symbol is zero exactly when it has no layer.  The
     fold consumes the layer dicts, so every result here owns fresh ones.
     """
 
@@ -318,7 +329,7 @@ class LayeredSymbol(Symbol):
     def __bool__(self) -> bool:
         if self._layers is None:
             return bool(self.terms)
-        return any(self._layers[0].values())
+        return bool(self._layers[0])
 
     def _combine(self, other, sign: int):
         """self + sign * other on int layers over the lcm of the two d's,
@@ -328,14 +339,21 @@ class LayeredSymbol(Symbol):
             return None
         la, da, pa = self._layers
         lb, db, pb = other._layers
+        if not lb:
+            return self
+        if not la:
+            return other if sign > 0 else -other
         if pa is not None or pb is not None:
             return None
         d = int_lcm(da, db)
         combine = kernel.add_terms if sign > 0 else kernel.sub_terms
+        fa, fb = d // da, d // db
         out = {}
         for e in dict.fromkeys((*la, *lb)):
-            layer = combine(kernel.scale_terms(la.get(e, {}), d // da),
-                            kernel.scale_terms(lb.get(e, {}), d // db))
+            # both sums return fresh dicts, so an unscaled layer is not copied
+            ta, tb = la.get(e, {}), lb.get(e, {})
+            layer = combine(ta if fa == 1 else kernel.scale_terms(ta, fa),
+                            tb if fb == 1 else kernel.scale_terms(tb, fb))
             if layer:
                 out[e] = layer
         return LayeredSymbol((out, d, None))
@@ -348,8 +366,14 @@ class LayeredSymbol(Symbol):
         out = self._combine(other, -1)
         return super().__sub__(other) if out is None else out
 
+    def __neg__(self):
+        if self._layers is None:
+            return super().__neg__()
+        layers, d, den = self._layers
+        return LayeredSymbol(({e: kernel.neg_terms(layer) for e, layer in layers.items()}, d, den))
+
     def layers(self) -> tuple:
-        return self._layers or split_layers(self.terms)
+        return self._layers or super().layers()
 
     def without_h(self) -> Symbol:
         if self._layers is None:

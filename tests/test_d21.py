@@ -138,8 +138,11 @@ def test_jacobi_embedded_matches_full_scan(monkeypatch):
     poisson = kernel.poisson_terms
 
     def broken(a, b):
-        # breaks Jacobi: the coefficient at t^a is scaled by 1 + a^2
-        return {key: c * (1 + key[0] ** 2) for key, c in poisson(a, b).items()}
+        # breaks Jacobi: the coefficient at t^a is scaled by 1 + a^2, on
+        # the int layers ``Symbol.poisson`` passes and gets back
+        layers, d, den = poisson(a, b)
+        return ({e: {key: v * (1 + key[0] ** 2) for key, v in layer.items()}
+                 for e, layer in layers.items()}, d, den)
 
     monkeypatch.setattr(kernel, "poisson_terms", broken)
     expected = _full_scan(list(basis), _embedded_residual(basis))

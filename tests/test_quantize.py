@@ -261,14 +261,17 @@ def _listed(sym):
 
 def _eager(op, a, b):
     terms = {quantize.moyal_mul: kernel.moyal_terms,
-             quantize.h_bracket: kernel.h_bracket_terms}[op](a.terms, b.terms)
+             quantize.h_bracket: kernel.h_bracket_terms,
+             Symbol.poisson: kernel.poisson_terms}[op](a.terms, b.terms)
     return Symbol(terms)
 
 
 @settings(max_examples=60, deadline=None)
 @given(op_symbols(), op_symbols(), op_symbols(), op_symbols(poles=False))
 def test_deferred_results_match_eager_fold(a, b, c, x):
-    for op in (quantize.moyal_mul, quantize.h_bracket):
+    # a Poisson bracket of symbols with tau >= 0 keeps tau >= 0, so it is
+    # a star operand too
+    for op in (quantize.moyal_mul, quantize.h_bracket, Symbol.poisson):
         eager, other = _eager(op, a, b), _eager(op, b, c)
 
         def fresh():
@@ -286,6 +289,7 @@ def test_deferred_results_match_eager_fold(a, b, c, x):
         assert fresh() - fresh_other() == eager - other
         assert fresh() + x == eager + x and x - fresh() == x - eager
         assert not fresh() - fresh() and (fresh() - fresh()).terms == {}
+        assert _listed(-fresh()) == _listed(-eager) and -fresh() - x == -eager - x
         assert _listed(fresh().without_h()) == _listed(eager.without_h())
         assert fresh().poisson(x) == eager.poisson(x) and x.poisson(fresh()) == x.poisson(eager)
         assert str(fresh()) == str(eager)
@@ -319,6 +323,37 @@ def test_deferred_results_own_their_layers():
         assert all(o._layers is not None for o in objs)  # every one unfolded
         for i in order:
             assert objs[i] == expected[i], (order, i)
+
+
+def test_poisson_results_own_their_layers():
+    # as above, for Poisson brackets, whose operands keep their split.  c
+    # has alpha coefficients and a, b, d rational ones, so s = {a, b} is
+    # one layer (alpha^0) and t = {c, d} another (alpha^1): s + t and
+    # s - t then hold a layer of s alone, unscaled when d(s) is their lcm
+    rng = random.Random(23)
+
+    def sym(kind):
+        return Symbol({(rng.randrange(-3, 4), rng.randrange(4), rng.randrange(16), 0, rng.randrange(2)):
+                       kind * Fraction(rng.randrange(1, 6), rng.randrange(1, 4))
+                       for _ in range(4)})
+
+    a, b, c, d = sym(S_ONE), sym(S_ONE), sym(ALPHA), sym(S_ONE)
+    splits = [x.layers() for x in (a, b, c, d)]
+
+    def derived():
+        s, t = a.poisson(b), c.poisson(d)
+        return [s, s + t, s - t, -s, s.without_h(), quantize.moyal_mul(s, c)]
+
+    s, t = _eager(Symbol.poisson, a, b), _eager(Symbol.poisson, c, d)
+    expected = [s, s + t, s - t, -s, s.without_h(), quantize.moyal_mul(s, c)]
+    assert all(expected) and list(s.layers()[0]) == [0] and list(t.layers()[0]) == [1]
+    for order in permutations(range(6)):
+        objs = derived()
+        assert all(o._layers is not None for o in objs)  # every one unfolded
+        for i in order:
+            assert objs[i] == expected[i], (order, i)
+    for x, split in zip((a, b, c, d), splits):
+        assert x.layers() is split and split == Symbol(dict(x.terms)).layers()
 
 
 # -- contraction ---------------------------------------------------------------------

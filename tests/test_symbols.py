@@ -158,6 +158,63 @@ def test_poisson_kernel_matches_definition():
         assert a.poisson(b) == _poisson_by_definition(a, b), (a, b)
 
 
+def _scalar_poisson_walk(a: dict, b: dict) -> dict:
+    """Reference: the closed-form bracket walked pair by pair on Scalar
+    coefficients, one coefficient product per pair of terms."""
+    out: dict = {}
+    for (t1, u1, m1, b1, h1), c1 in a.items():
+        for (t2, u2, m2, b2, h2), c2 in b.items():
+            t, u, be, hh = t1 + t2, u1 + u2, b1 + b2, h1 + h2
+            w = (u1 * t2 - t1 * u2) * kernel._MERGE[m1][m2]
+            terms = [((t - 1, u - 1, m1 | m2, be, hh), w)] if w else []
+            terms += [((t, u, mask, be, hh), s) for mask, s in kernel._CONTRACTIONS[m1][m2]]
+            for key, w in terms:
+                c = c1 * c2 * w
+                if key in out:
+                    nv = out[key] + c
+                    if nv:
+                        out[key] = nv
+                    else:
+                        del out[key]
+                else:
+                    out[key] = c
+    return out
+
+
+# rational, alpha-polynomial and polynomial-denominator coefficients
+ORACLE_COEFFS = (S_ONE, ALPHA, ALPHA * ALPHA - 1, (ALPHA - 2).inv(),
+                 (ALPHA + 1) / (ALPHA * ALPHA + 3))
+
+
+@st.composite
+def general_symbols(draw):
+    """Up to five terms of any parities, with beta and h powers."""
+    terms = draw(st.dictionaries(
+        st.tuples(st.integers(-3, 3), st.integers(-3, 3), st.integers(0, 15),
+                  st.integers(0, 2), st.integers(0, 2)),
+        st.tuples(st.fractions(min_value=-6, max_value=6, max_denominator=6).filter(bool),
+                  st.sampled_from(ORACLE_COEFFS)),
+        max_size=5))
+    return Symbol({key: kind * value for key, (value, kind) in terms.items()})
+
+
+@settings(max_examples=150, deadline=None)
+@given(general_symbols(), general_symbols())
+def test_int_walk_matches_scalar_walk(a, b):
+    expected = _scalar_poisson_walk(a.terms, b.terms)
+    assert kernel.poisson_terms(a.terms, b.terms) == expected
+    assert a.poisson(b).terms == expected
+    assert bool(a.poisson(b)) == bool(expected)
+
+
+def test_layers_split_once():
+    a = _random_map(random.Random(5))
+    split = a.layers()
+    assert a.layers() is split
+    a.poisson(a).terms, a.poisson(T).terms  # results fold; the operand split stays
+    assert a.layers() is split and split == _random_map(random.Random(5)).layers()
+
+
 def test_constants_central():
     rng = random.Random(3)
     for _ in range(20):
