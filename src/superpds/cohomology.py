@@ -43,8 +43,10 @@ When the bound is 0, H^1 = 0.  Since B lies in Z (d1 o d0 = 0), H^1 >= 0
 forces rank d1 = r1 and rank d0 = r0, so Z = N - r1 and B = r0 are exact
 too, and the report carries the certificate "modp-zero".  Blocks with a
 positive bound, or with an entry that has no image over F_p, go on to the
-exact elimination with the same matrices, certificate "exact".
-``h1_block`` on its own is always exact.
+exact elimination with the same matrices, certificate "exact".  A block
+with no slots (N = 0) is "empty": its dimensions are 0 by counting, and
+the bound certifies nothing there.  ``h1_block`` on its own is always
+exact.
 
 Blocks with n != 0 need no assembly.  ad H1 multiplies every monomial
 t^a tau^b xi^mask h^j by its n-degree a - b, in both engines (H1 is t*tau,
@@ -203,6 +205,7 @@ class Engine:
             if i != j or PARITY[names[i]]
         ]
         self.incidence = self._incidence()
+        self._slot_sets: dict = {}  # BlockSpec -> set(enumerate_c1(block, self))
 
     def _incidence(self):
         """Where an elementary cochain c (c(X) = m, zero elsewhere) lives.
@@ -262,8 +265,11 @@ class Engine:
 
     def validate_cochain(self, c: Cochain1, block: BlockSpec):
         """Raise ValueError unless every image term of c is a slot of the
-        block, that is (name, key) is in ``enumerate_c1(block, self)``."""
-        slots = set(enumerate_c1(block, self))
+        block, that is (name, key) is in ``enumerate_c1(block, self)``,
+        which runs once per block and engine."""
+        slots = self._slot_sets.get(block)
+        if slots is None:
+            slots = self._slot_sets[block] = set(enumerate_c1(block, self))
         for name, sym in c.images.items():
             for key in sym.terms:
                 if (name, key) not in slots:
@@ -494,7 +500,9 @@ class CohomologyReport:
     ``certificate`` names what established the dimensions: "exact" for
     elimination over Q(alpha), "modp-zero" for the F_p rank bound of
     ``h1_scan``, "cartan-zero" for the ad H1 argument on a block with
-    n != 0 (no representatives, no pivots for either).
+    n != 0 (no representatives, no pivots for either), and "empty" for a
+    block of ``h1_scan`` with n = 0 and no slots, where every dimension is
+    0 by counting.
     """
 
     block: BlockSpec
@@ -601,13 +609,16 @@ def _fp_rank(columns):
 def _scan_block(block: BlockSpec, engine: Engine, representatives: bool) -> CohomologyReport:
     """The report of a block with n = 0, from one assembly.
 
-    The ranks r1, r0 of d1 and d0 over F_p are lower bounds for the exact
-    ones, so H^1 <= N - r1 - r0 for N slots; when the bound is 0 the block
-    is "modp-zero" (module docstring).  Otherwise, or when an entry has no
-    image over F_p, the same matrices go to the exact elimination.
+    A block with no slots is "empty".  The ranks r1, r0 of d1 and d0 over
+    F_p are lower bounds for the exact ones, so H^1 <= N - r1 - r0 for N
+    slots; when the bound is 0 the block is "modp-zero" (module docstring).
+    Otherwise, or when an entry has no image over F_p, the same matrices go
+    to the exact elimination.
     """
     brackets: dict = {}
     slots, columns = _d1_columns(block, engine, brackets)
+    if not slots:
+        return CohomologyReport(block, 0, 0, 0, [], [], "empty")
     rank_d1 = _fp_rank(columns)
     if rank_d1 == len(slots):  # Z = 0, and B inside it is 0 too
         return CohomologyReport(block, 0, 0, 0, [], [], "modp-zero")

@@ -1,27 +1,30 @@
 """Term kernel of the sparse symbol algebra.
 
 A term map is a dict from monomial keys (t_exp, tau_exp, grassmann_mask,
-beta_exp, h_exp) to nonzero ``Scalar`` coefficients.  The plain product and
-the map sums use only ring operations on them (+, *, unary -, truthiness
-and multiplication by ints), so they run on int maps too; ``sub_terms``
+beta_exp, h_exp) to nonzero coefficients.  The map sums, negation, integer
+multiples (``scale_terms``) and derivatives (``derive_terms``) use only
+ring operations on them (+, *, unary -, truthiness and multiplication by
+ints), so they run on int maps as well as on ``Scalar`` ones; ``sub_terms``
 also uses ==, and drops a key whose two coefficients are equal without
 subtracting them, as coefficients are canonical, so unequal ones differ by
 a nonzero.
 
-Brackets and products walk pairs of terms, reading Koszul signs from
-tables built at import from ``merge_sign`` and the left-derivative rule.
-Both kernels walk int coefficients only and build no ``Scalar``: the
-Poisson bracket (``_poisson_walk``), in closed form, one product of two
-ints and at most five integer-weighted terms per pair, and the star
-product and the h-bracket (``_star_walk``).  They run over pairs of
-alpha-power layers: int maps over one denominator, given as the triple
-(layers, d, den) of ``scalars.split_layers``.  ``poisson_terms``,
-``moyal_terms`` and ``h_bracket_terms`` take either form.  Given two term
+Products and brackets walk pairs of terms on int coefficients and build no
+``Scalar``, reading Koszul signs from tables built at import from
+``merge_sign`` and the left-derivative rule: the supercommutative product
+(``_mul_walk``), the Poisson bracket (``_poisson_walk``), in closed form,
+one product of two ints and at most five integer-weighted terms per pair,
+and the star product and the h-bracket (``_star_walk``).  They run over
+pairs of alpha-power layers: int maps over one denominator, given as the
+triple (layers, d, den) of ``scalars.split_layers``.  Given two layer
+triples, ``mul_terms``, ``poisson_terms``, ``moyal_terms`` and
+``h_bracket_terms`` walk and return the result's layer triple unfolded:
+that is how ``symbols`` and ``quantize`` call them, and the fold is left to
+whoever reads the coefficients (``symbols.Symbol.terms``).  Given two term
 maps they split them, walk, and fold each output key back once into a
-canonical ``Scalar`` (``scalars.fold_layers``), so a term map comes out.
-Given two layer triples they walk and return the result's layer triple
-unfolded: that is how ``symbols`` and ``quantize`` call them, and the fold
-is left to whoever reads the coefficients (``symbols.LayeredSymbol``).
+canonical ``Scalar`` (``scalars.fold_layers``), so a term map comes out;
+the library no longer calls them that way, but the benchmark's kernel
+timings (``benchmarks/bench_kernel.py``, ``perfbench/micro.py``) do.
 
 Callers go through the module attribute (``kernel.poisson_terms(...)``),
 never a name imported from here, so the functions can be wrapped on the
@@ -98,28 +101,6 @@ def scale_terms(a: dict, factor) -> dict:
     return out
 
 
-def mul_terms(a: dict, b: dict) -> dict:
-    out: dict = {}
-    for (t1, u1, m1, b1, h1), c1 in a.items():
-        for (t2, u2, m2, b2, h2), c2 in b.items():
-            sign = _MERGE[m1][m2]
-            if not sign:
-                continue
-            key = (t1 + t2, u1 + u2, m1 | m2, b1 + b2, h1 + h2)
-            c = c1 * c2
-            if sign < 0:
-                c = -c
-            if key in out:
-                nv = out[key] + c
-                if nv:
-                    out[key] = nv
-                else:
-                    del out[key]
-            elif c:
-                out[key] = c
-    return out
-
-
 def derive_terms(a: dict, var: int) -> dict:
     """Partial derivative; var 0 = t, 1 = tau, 2..5 = Grassmann bits 0..3.
 
@@ -189,6 +170,24 @@ _MASKS = range(1 << NGEN)
 # indexed [m1][m2]; merge signs of m1 m2 (0 on overlap), contractions as above
 _MERGE = tuple(tuple(merge_sign(m1, m2) for m2 in _MASKS) for m1 in _MASKS)
 _CONTRACTIONS = tuple(tuple(_contractions(m1, m2) for m2 in _MASKS) for m1 in _MASKS)
+
+
+def _mul_walk(out: dict, a: dict, b: dict) -> None:
+    """Add the pairwise supercommutative products of A and B into ``out``;
+    all three carry int coefficients.  Overlapping Grassmann masks give 0,
+    and the merge sign reorders the rest into the generator order."""
+    for (t1, u1, m1, b1, h1), c1 in a.items():
+        merges = _MERGE[m1]
+        for (t2, u2, m2, b2, h2), c2 in b.items():
+            sign = merges[m2]
+            if not sign:
+                continue
+            key = (t1 + t2, u1 + u2, m1 | m2, b1 + b2, h1 + h2)
+            nv = out.get(key, 0) + c1 * c2 * sign
+            if nv:
+                out[key] = nv
+            else:
+                del out[key]
 
 
 def _poisson_walk(out: dict, a: dict, b: dict) -> None:
@@ -362,6 +361,12 @@ def _layered(a, b, walk, *args):
     if isinstance(a, dict):
         return fold_layers(*_layer_walk(split_layers(a), split_layers(b), walk, *args))
     return _layer_walk(a, b, walk, *args)
+
+
+def mul_terms(a, b):
+    """Supercommutative product (``_mul_walk``).  Operands and result as
+    for ``poisson_terms``."""
+    return _layered(a, b, _mul_walk)
 
 
 def poisson_terms(a, b):

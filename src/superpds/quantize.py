@@ -15,7 +15,7 @@ every numeric value of it.  Product and h-bracket are one walk in
 Grassmann outcomes tabulated per pair of masks; the h-bracket never emits
 the h^0 part, which the two orders cancel term pair by term pair.
 
-Both return a ``LayeredSymbol``: the walk's int layers, folded into
+Both return an unfolded ``Symbol``: the walk's int layers, folded into
 Scalars only when the result's ``terms`` are first read.  A product used
 as a star operand, or added to or subtracted from another such product
 over integer denominators, is not folded; so ``(A B) C - A (B C)`` folds
@@ -34,18 +34,18 @@ from functools import lru_cache
 
 from . import kernel
 from .scalars import ALPHA, S_HALF, S_ONE
-from .symbols import SYM_ZERO, LayeredSymbol, Symbol
+from .symbols import SYM_ZERO, Symbol
 
 
-def moyal_mul(a: Symbol, b: Symbol) -> LayeredSymbol:
+def moyal_mul(a: Symbol, b: Symbol) -> Symbol:
     """Associative normal-ordered product."""
-    return LayeredSymbol(kernel.moyal_terms(a.layers(), b.layers()))
+    return Symbol.from_layers(kernel.moyal_terms(a.layers(), b.layers()))
 
 
-def h_bracket(a: Symbol, b: Symbol) -> LayeredSymbol:
+def h_bracket(a: Symbol, b: Symbol) -> Symbol:
     """[A, B]_h = (1/h)(A B - (-1)^(p(A)p(B)) B A); the division is exact."""
     layers = kernel.h_bracket_terms(a.layers(), b.layers())
-    out = LayeredSymbol(layers)
+    out = Symbol.from_layers(layers)
     for layer in layers[0].values():
         for key in layer:
             if key[4] < 0:

@@ -17,10 +17,10 @@ result; division, gcd and rendering work on Fractions.
 ``split_layers`` and ``fold_layers`` carry a whole term map across to ints
 and back for the kernels: one int map per alpha power over one common
 denominator, and one canonical Scalar per key on the way back, reduced by
-one integer gcd when the key holds a single alpha power.  The kernels fold
-only when they are given term maps; a Poisson bracket (``Symbol.poisson``),
-star product or h-bracket (``quantize``) keeps its layers, and
-``symbols.LayeredSymbol`` folds them when its terms are first read.  Substituting a rational alpha
+one integer gcd when the key holds a single alpha power.  A
+``symbols.Symbol`` splits its terms once, when a kernel first needs them as
+an operand, and a symbol made by a kernel keeps its layers until its terms
+are first read, when it folds them.  Substituting a rational alpha
 (``AlphaPoly.evaluate``) also runs on ints, with one Fraction per call.
 """
 

@@ -18,16 +18,11 @@ Conventions pinned here and used everywhere else:
   by 2); n(t) = 1, n(tau) = -1; the weight of xi_i is the i-th coordinate
   vector, of eta_i its negative.
 
-A ``Symbol`` holds its term map from the start.  Both kernels walk int
-alpha-power layers (``kernel``), and their results are folded when read:
-Poisson brackets (``Symbol.poisson``), star products and h-brackets
-(``quantize``) are ``LayeredSymbol``s, which hold the walk's int layers
-and fold them into Scalars (``scalars.fold_layers``) the first time
-``terms`` is read.  Bracket and star operands, truth, unary minus,
-``without_h`` and sums and differences of two such results over integer
-denominators work on the layers; every other operation reads ``terms``.
-An operand is split into layers once (``Symbol.layers``), and the split is
-kept.
+Every kernel walks int alpha-power layers (``kernel``), and a result is
+folded into Scalars when it is read: a ``Symbol`` holds a term map, the
+layers, or both (``Symbol`` docstring).  Products, scalar multiples,
+derivatives, Poisson brackets and, in ``quantize``, star products and
+h-brackets come out as layers; an operand is split once and keeps the split.
 """
 
 from __future__ import annotations
@@ -67,12 +62,51 @@ class Symbol:
     """Sparse symbol: monomial-key -> nonzero Scalar.
 
     Instances are immutable values; all operations return fresh symbols.
+    A symbol holds its term map, its int alpha-power layers (the
+    (layers, d, den) triple of ``scalars.split_layers``), or both, and
+    makes the missing form on first use: ``terms`` folds the layers
+    (``scalars.fold_layers``) on its first read, which consumes them, and
+    ``layers`` splits the terms on its first call, and the split is kept.
+
+    A symbol that has no term map yet is unfolded.  Truth, unary minus,
+    ``without_h``, and + and - of two unfolded symbols over integer
+    denominators (den None) work on its layers and leave the result
+    unfolded; a sum with zero is the other operand.  No layer is empty and
+    none holds a zero entry, so the symbol is zero exactly when it has no
+    layer.  Every result made from layers owns fresh layer dicts, so a fold
+    leaves the operands and every other result as they were.
     """
 
-    __slots__ = ("terms", "_split")
+    __slots__ = ("_terms", "_layers")
 
     def __init__(self, terms: dict):
-        self.terms = terms
+        self._terms = terms
+        self._layers = None
+
+    @staticmethod
+    def from_layers(layers: tuple) -> "Symbol":
+        """The unfolded symbol of a layer triple, whose dicts it takes
+        over: its fold consumes them."""
+        out = Symbol.__new__(Symbol)
+        out._terms = None
+        out._layers = layers
+        return out
+
+    @property
+    def terms(self) -> dict:
+        terms = self._terms
+        if terms is None:
+            terms = self._terms = fold_layers(*self._layers)
+            self._layers = None
+        return terms
+
+    def layers(self) -> tuple:
+        """The coefficients as alpha-power layers: the kernels' operand,
+        which they only read."""
+        layers = self._layers
+        if layers is None:
+            layers = self._layers = split_layers(self._terms)
+        return layers
 
     # -- constructors ---------------------------------------------------
     @staticmethod
@@ -103,41 +137,70 @@ class Symbol:
 
     # -- ring structure ---------------------------------------------------
     def __bool__(self) -> bool:
-        return bool(self.terms)
+        terms = self._terms
+        return bool(self._layers[0]) if terms is None else bool(terms)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Symbol):
             return NotImplemented
         return self.terms == other.terms
 
+    def _combine(self, other, sign: int):
+        """self + sign * other on int layers over the lcm of the two d's,
+        or None unless both are unfolded with den None.  The kernel's
+        term-map sums need ring operations only, so they add int layers."""
+        if self._terms is not None or other._terms is not None:
+            return None
+        la, da, pa = self._layers
+        lb, db, pb = other._layers
+        if not lb:
+            return self
+        if not la:
+            return other if sign > 0 else -other
+        if pa is not None or pb is not None:
+            return None
+        d = int_lcm(da, db)
+        combine = kernel.add_terms if sign > 0 else kernel.sub_terms
+        fa, fb = d // da, d // db
+        out = {}
+        for e in dict.fromkeys((*la, *lb)):
+            # both sums return fresh dicts, so an unscaled layer is not copied
+            ta, tb = la.get(e, {}), lb.get(e, {})
+            layer = combine(ta if fa == 1 else kernel.scale_terms(ta, fa),
+                            tb if fb == 1 else kernel.scale_terms(tb, fb))
+            if layer:
+                out[e] = layer
+        return Symbol.from_layers((out, d, None))
+
     def __add__(self, other):
         if not isinstance(other, Symbol):
             return NotImplemented
-        return Symbol(kernel.add_terms(self.terms, other.terms))
+        out = self._combine(other, 1)
+        return Symbol(kernel.add_terms(self.terms, other.terms)) if out is None else out
 
     def __sub__(self, other):
         if not isinstance(other, Symbol):
             return NotImplemented
-        return Symbol(kernel.sub_terms(self.terms, other.terms))
+        out = self._combine(other, -1)
+        return Symbol(kernel.sub_terms(self.terms, other.terms)) if out is None else out
 
     def __neg__(self):
-        return Symbol(kernel.neg_terms(self.terms))
+        if self._terms is not None:
+            return Symbol(kernel.neg_terms(self._terms))
+        layers, d, den = self._layers
+        return Symbol.from_layers(({e: kernel.neg_terms(layer) for e, layer in layers.items()}, d, den))
 
     def __mul__(self, other):
-        if isinstance(other, Symbol):
-            return Symbol(kernel.mul_terms(self.terms, other.terms))
-        try:
-            c = _coerce_coeff(other)
-        except TypeError:
-            return NotImplemented
-        return Symbol(kernel.scale_terms(self.terms, c))
+        """Product with a symbol, or multiple by a scalar (an int,
+        Fraction, AlphaPoly or Scalar): the product with the constant."""
+        if not isinstance(other, Symbol):
+            try:
+                other = Symbol.constant(other)
+            except TypeError:
+                return NotImplemented
+        return Symbol.from_layers(kernel.mul_terms(self.layers(), other.layers()))
 
-    def __rmul__(self, other):
-        try:
-            c = _coerce_coeff(other)
-        except TypeError:
-            return NotImplemented
-        return Symbol(kernel.scale_terms(self.terms, c))
+    __rmul__ = __mul__
 
     def __pow__(self, n: int) -> "Symbol":
         if not isinstance(n, int) or n < 0:
@@ -149,10 +212,17 @@ class Symbol:
 
     # -- calculus ---------------------------------------------------------
     def derive(self, var: str) -> "Symbol":
-        return Symbol(kernel.derive_terms(self.terms, _VAR_INDEX[var]))
+        i = _VAR_INDEX[var]
+        layers, d, den = self.layers()
+        out = {}
+        for e, layer in layers.items():
+            derived = kernel.derive_terms(layer, i)
+            if derived:
+                out[e] = derived
+        return Symbol.from_layers((out, d, den))
 
-    def poisson(self, other: "Symbol") -> "LayeredSymbol":
-        return LayeredSymbol(kernel.poisson_terms(self.layers(), other.layers()))
+    def poisson(self, other: "Symbol") -> "Symbol":
+        return Symbol.from_layers(kernel.poisson_terms(self.layers(), other.layers()))
 
     # -- structure queries -------------------------------------------------
     def parity(self):
@@ -233,19 +303,15 @@ class Symbol:
 
     def without_h(self) -> "Symbol":
         """Drop every term carrying a positive h power (set h = 0)."""
-        return Symbol(
-            {key: c for key, c in self.terms.items() if key[4] == 0}
-        )
-
-    def layers(self) -> tuple:
-        """The coefficients as alpha-power layers, the (layers, d, den)
-        triple of ``scalars.split_layers``: the kernels' operand.  Split on
-        the first call and kept; the kernels only read it."""
-        try:
-            return self._split
-        except AttributeError:
-            self._split = split = split_layers(self.terms)
-            return split
+        if self._terms is not None:
+            return Symbol({key: c for key, c in self._terms.items() if key[4] == 0})
+        layers, d, den = self._layers
+        out = {}
+        for e, layer in layers.items():
+            kept = {key: v for key, v in layer.items() if key[4] == 0}
+            if kept:
+                out[e] = kept
+        return Symbol.from_layers((out, d, den))
 
     def specialize(self, alpha_value) -> "Symbol":
         out = {}
@@ -296,95 +362,6 @@ class Symbol:
 
 
 SYM_ZERO = Symbol.zero()
-
-
-class LayeredSymbol(Symbol):
-    """A Poisson bracket, star product or h-bracket as the kernel's int
-    walk left it: int layers (layers, d, den), as ``scalars.split_layers``
-    returns them, that are folded into canonical Scalars
-    (``scalars.fold_layers``) when ``terms`` is first read, and then
-    dropped.
-
-    Until then, what needs no Scalar works on the layers: bracket and star
-    operands (``layers``), truth, unary minus, ``without_h``, and + and -
-    of two unfolded symbols over integer denominators (den None); a sum
-    with zero is the other operand.  No layer is empty and none holds a
-    zero entry, so the symbol is zero exactly when it has no layer.  The
-    fold consumes the layer dicts, so every result here owns fresh ones.
-    """
-
-    __slots__ = ("_layers",)
-
-    def __init__(self, layers: tuple):
-        self._layers = layers
-
-    def __getattr__(self, name):
-        # reached only while the ``terms`` slot is unset
-        if name != "terms":
-            raise AttributeError(name)
-        self.terms = terms = fold_layers(*self._layers)
-        self._layers = None
-        return terms
-
-    def __bool__(self) -> bool:
-        if self._layers is None:
-            return bool(self.terms)
-        return bool(self._layers[0])
-
-    def _combine(self, other, sign: int):
-        """self + sign * other on int layers over the lcm of the two d's,
-        or None unless both are unfolded with den None.  The kernel's
-        term-map sums need ring operations only, so they add int layers."""
-        if other.__class__ is not LayeredSymbol or self._layers is None or other._layers is None:
-            return None
-        la, da, pa = self._layers
-        lb, db, pb = other._layers
-        if not lb:
-            return self
-        if not la:
-            return other if sign > 0 else -other
-        if pa is not None or pb is not None:
-            return None
-        d = int_lcm(da, db)
-        combine = kernel.add_terms if sign > 0 else kernel.sub_terms
-        fa, fb = d // da, d // db
-        out = {}
-        for e in dict.fromkeys((*la, *lb)):
-            # both sums return fresh dicts, so an unscaled layer is not copied
-            ta, tb = la.get(e, {}), lb.get(e, {})
-            layer = combine(ta if fa == 1 else kernel.scale_terms(ta, fa),
-                            tb if fb == 1 else kernel.scale_terms(tb, fb))
-            if layer:
-                out[e] = layer
-        return LayeredSymbol((out, d, None))
-
-    def __add__(self, other):
-        out = self._combine(other, 1)
-        return super().__add__(other) if out is None else out
-
-    def __sub__(self, other):
-        out = self._combine(other, -1)
-        return super().__sub__(other) if out is None else out
-
-    def __neg__(self):
-        if self._layers is None:
-            return super().__neg__()
-        layers, d, den = self._layers
-        return LayeredSymbol(({e: kernel.neg_terms(layer) for e, layer in layers.items()}, d, den))
-
-    def layers(self) -> tuple:
-        return self._layers or super().layers()
-
-    def without_h(self) -> Symbol:
-        if self._layers is None:
-            return super().without_h()
-        layers, d, den = self._layers
-        out = {}
-        for e, layer in layers.items():
-            kept = {key: v for key, v in layer.items() if key[4] == 0}
-            if kept:
-                out[e] = kept
-        return LayeredSymbol((out, d, den))
 
 
 class SuperVectorField:

@@ -12,7 +12,7 @@ from superpds import d21, kernel, quantize
 from superpds._exchange import normal_order_word
 from superpds.expr import parse
 from superpds.scalars import ALPHA, S_ONE
-from superpds.symbols import LayeredSymbol, Symbol
+from superpds.symbols import Symbol
 
 
 def mono(**kw):
@@ -262,21 +262,22 @@ def _listed(sym):
 def _eager(op, a, b):
     terms = {quantize.moyal_mul: kernel.moyal_terms,
              quantize.h_bracket: kernel.h_bracket_terms,
-             Symbol.poisson: kernel.poisson_terms}[op](a.terms, b.terms)
+             Symbol.poisson: kernel.poisson_terms,
+             Symbol.__mul__: kernel.mul_terms}[op](a.terms, b.terms)
     return Symbol(terms)
 
 
 @settings(max_examples=60, deadline=None)
 @given(op_symbols(), op_symbols(), op_symbols(), op_symbols(poles=False))
 def test_deferred_results_match_eager_fold(a, b, c, x):
-    # a Poisson bracket of symbols with tau >= 0 keeps tau >= 0, so it is
-    # a star operand too
-    for op in (quantize.moyal_mul, quantize.h_bracket, Symbol.poisson):
+    # a Poisson bracket or a product of symbols with tau >= 0 keeps
+    # tau >= 0, so it is a star operand too
+    for op in (quantize.moyal_mul, quantize.h_bracket, Symbol.poisson, Symbol.__mul__):
         eager, other = _eager(op, a, b), _eager(op, b, c)
 
         def fresh():
             r = op(a, b)
-            assert r.__class__ is LayeredSymbol and r._layers is not None
+            assert r.__class__ is Symbol and r._terms is None  # unfolded
             return r
 
         def fresh_other():
@@ -320,9 +321,16 @@ def test_deferred_results_own_their_layers():
     assert all(expected)
     for order in permutations(range(4)):
         objs = derived()
-        assert all(o._layers is not None for o in objs)  # every one unfolded
+        assert all(o._terms is None for o in objs)  # every one unfolded
         for i in order:
             assert objs[i] == expected[i], (order, i)
+
+
+def _owner_test_symbol(rng, kind):
+    """Four terms with tau >= 0, coefficients ``kind`` times rationals."""
+    return Symbol({(rng.randrange(-3, 4), rng.randrange(4), rng.randrange(16), 0, rng.randrange(2)):
+                   kind * Fraction(rng.randrange(1, 6), rng.randrange(1, 4))
+                   for _ in range(4)})
 
 
 def test_poisson_results_own_their_layers():
@@ -331,13 +339,7 @@ def test_poisson_results_own_their_layers():
     # one layer (alpha^0) and t = {c, d} another (alpha^1): s + t and
     # s - t then hold a layer of s alone, unscaled when d(s) is their lcm
     rng = random.Random(23)
-
-    def sym(kind):
-        return Symbol({(rng.randrange(-3, 4), rng.randrange(4), rng.randrange(16), 0, rng.randrange(2)):
-                       kind * Fraction(rng.randrange(1, 6), rng.randrange(1, 4))
-                       for _ in range(4)})
-
-    a, b, c, d = sym(S_ONE), sym(S_ONE), sym(ALPHA), sym(S_ONE)
+    a, b, c, d = (_owner_test_symbol(rng, kind) for kind in (S_ONE, S_ONE, ALPHA, S_ONE))
     splits = [x.layers() for x in (a, b, c, d)]
 
     def derived():
@@ -349,10 +351,32 @@ def test_poisson_results_own_their_layers():
     assert all(expected) and list(s.layers()[0]) == [0] and list(t.layers()[0]) == [1]
     for order in permutations(range(6)):
         objs = derived()
-        assert all(o._layers is not None for o in objs)  # every one unfolded
+        assert all(o._terms is None for o in objs)  # every one unfolded
         for i in order:
             assert objs[i] == expected[i], (order, i)
     for x, split in zip((a, b, c, d), splits):
+        assert x.layers() is split and split == Symbol(dict(x.terms)).layers()
+
+
+def test_product_results_own_their_layers():
+    # as above, for products, scalar multiples and derivatives: p = a b is
+    # unfolded, and what is made from it reads its layers
+    rng = random.Random(30)
+    a, b, c = (_owner_test_symbol(rng, kind) for kind in (S_ONE, ALPHA, S_ONE))
+    splits = [x.layers() for x in (a, b, c)]
+
+    def made(p):
+        return [p, p * c, p * (ALPHA - 2).inv(), Fraction(2, 3) * p, p.derive("t"),
+                p - c.derive("xi1") * 3]
+
+    expected = made(Symbol(kernel.mul_terms(a.terms, b.terms)))
+    assert all(expected)
+    for order in permutations(range(6)):
+        objs = made(a * b)
+        assert all(o._terms is None for o in objs)  # every one unfolded
+        for i in order:
+            assert objs[i] == expected[i], (order, i)
+    for x, split in zip((a, b, c), splits):
         assert x.layers() is split and split == Symbol(dict(x.terms)).layers()
 
 

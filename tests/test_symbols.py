@@ -6,8 +6,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from superpds import kernel
-from superpds.scalars import ALPHA, S_ONE
+from superpds.scalars import ALPHA, S_ONE, AlphaPoly, Scalar
 from superpds.symbols import (
+    VAR_NAMES,
     MixedParityError,
     Symbol,
     euler_field,
@@ -213,6 +214,71 @@ def test_layers_split_once():
     assert a.layers() is split
     a.poisson(a).terms, a.poisson(T).terms  # results fold; the operand split stays
     assert a.layers() is split and split == _random_map(random.Random(5)).layers()
+
+
+# -- products, multiples and derivatives on int layers ------------------------
+
+
+def _scalar_mul_terms(a: dict, b: dict) -> dict:
+    """Reference: the supercommutative product walked pair by pair on
+    Scalar coefficients, one coefficient product per pair of terms."""
+    out: dict = {}
+    for (t1, u1, m1, b1, h1), c1 in a.items():
+        for (t2, u2, m2, b2, h2), c2 in b.items():
+            sign = kernel.merge_sign(m1, m2)
+            if not sign:
+                continue
+            key = (t1 + t2, u1 + u2, m1 | m2, b1 + b2, h1 + h2)
+            c = c1 * c2 if sign > 0 else -(c1 * c2)
+            if key in out:
+                nv = out[key] + c
+                if nv:
+                    out[key] = nv
+                else:
+                    del out[key]
+            else:
+                out[key] = c
+    return out
+
+
+def _scalar_multiple(a: dict, k) -> dict:
+    """Reference: one Scalar product per term."""
+    return {key: v for key, c in a.items() if (v := c * k)}
+
+
+_FRACTIONS = st.fractions(min_value=-6, max_value=6, max_denominator=6)
+# zero, rational, alpha-polynomial and polynomial-denominator constants
+CONSTANTS = st.one_of(
+    st.integers(-4, 4),
+    _FRACTIONS,
+    st.builds(lambda f, g: AlphaPoly.from_rationals({0: f, 2: g}), _FRACTIONS, _FRACTIONS),
+    st.builds(lambda f, kind: kind * f, _FRACTIONS, st.sampled_from(ORACLE_COEFFS)),
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(general_symbols(), general_symbols(), CONSTANTS)
+def test_layer_products_match_scalar_oracle(a, b, k):
+    odd = Symbol(kernel.parity_split(a.terms)[1])
+    ab = _scalar_mul_terms(a.terms, b.terms)
+    cases = [
+        (a * b, ab),
+        (odd * odd, _scalar_mul_terms(odd.terms, odd.terms)),
+        (a * k, _scalar_multiple(a.terms, k)),
+        ((a * b) * k, _scalar_multiple(ab, k)),
+    ]
+    if not isinstance(k, AlphaPoly):  # AlphaPoly * x takes polynomials only
+        cases.append((k * a, _scalar_multiple(a.terms, k)))
+    for i, var in enumerate(VAR_NAMES):
+        # kernel.derive_terms on a Scalar map: one Scalar operation per term
+        cases.append((a.derive(var), kernel.derive_terms(a.terms, i)))
+        cases.append(((a * b).derive(var), kernel.derive_terms(ab, i)))
+    assert not _scalar_mul_terms(odd.terms, odd.terms)
+    for r, expected in cases:
+        assert r._terms is None and bool(r) == bool(expected)  # unfolded
+        assert r.terms == expected  # equal values on the same key set
+        assert all(isinstance(c, Scalar) for c in r.terms.values())
+    assert not (a * k + a * -k).terms
 
 
 def test_constants_central():
