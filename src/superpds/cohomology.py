@@ -41,11 +41,27 @@ rank.  With r1, r0 the ranks over F_p and N the number of slots,
 
 When the bound is 0, H^1 = 0.  Since B lies in Z (d1 o d0 = 0), H^1 >= 0
 forces rank d1 = r1 and rank d0 = r0, so Z = N - r1 and B = r0 are exact
-too, and the report carries the certificate "modp-zero".  Blocks with a
-positive bound, or with an entry that has no image over F_p, go on to the
-exact elimination with the same matrices, certificate "exact".  A block
-with no slots (N = 0) is "empty": its dimensions are 0 by counting, and
-the bound certifies nothing there.  ``h1_block`` on its own is always
+too, and the report carries the certificate "modp-zero".
+
+A block with a positive bound, scanned without representatives, is settled
+by a small exact witness (a certifying algorithm: McConnell, Mehlhorn,
+Naher and Schweitzer, Computer Science Review 5, 2011).  The F_p pivots of
+d1 pick r1 rows whose minor is nonzero mod p, rows with only rational
+constant entries first.  d1 restricted to those rows and d0 are eliminated
+exactly, b0 being the rank of d0; with h = N - r1 - b0, kernel vectors of
+the restricted d1, sparsest first, that enlarge the span of d0 are checked
+to be cocycles of the full d1 until h are found.  rank d1 >= r1 gives
+
+    H^1 <= N - r1 - b0 = h,
+
+and h cocycles independent modulo B give H^1 >= h, so Z = N - r1, B = b0
+and H^1 = h are exact, with the certificate "cocycle-witness".  A failed
+check sends the block to the exact elimination.  Blocks with a positive
+bound and representatives asked for, and blocks with an entry that has no
+image over F_p, go to the exact elimination with the same matrices,
+certificate "exact": representatives are read off its pivot columns.  A
+block with no slots (N = 0) is "empty": its dimensions are 0 by counting,
+and the bound certifies nothing there.  ``h1_block`` on its own is always
 exact.
 
 Blocks with n != 0 need no assembly.  ad H1 multiplies every monomial
@@ -374,14 +390,16 @@ def d1(c: Cochain1, engine: Engine | None = None) -> dict:
     """Values of the coboundary on the canonical ordered basis pairs."""
     engine = engine or poisson_engine()
     engine.check_constants(c)
+    images, basis = c.images, engine.basis
     out = {}
     for (x, y) in engine.pairs:
-        val = engine.bracket(engine.basis[x], c.image(y))
-        val = val + engine.bracket(c.image(x), engine.basis[y])
+        # brackets of the images c has: the others are zero
+        val = engine.bracket(basis[x], images[y]) if y in images else SYM_ZERO
+        if x in images:
+            val = val + engine.bracket(images[x], basis[y])
         for name, coeff in engine.struct[(x, y)].items():
-            img = c.image(name)
-            if img:
-                val = val - img * coeff
+            if name in images:
+                val = val - images[name] * coeff
         out[(x, y)] = val
     return out
 
@@ -390,10 +408,13 @@ def cup(phi: Cochain1, phi_prime: Cochain1, engine: Engine | None = None) -> dic
     """[[phi, phi']](X, Y) = [phi X, phi' Y] + [phi' X, phi Y] per pair."""
     engine = engine or poisson_engine()
     engine.check_constants(phi, phi_prime)
+    a, b = phi.images, phi_prime.images
     out = {}
     for (x, y) in engine.pairs:
-        val = engine.bracket(phi.image(x), phi_prime.image(y))
-        val = val + engine.bracket(phi_prime.image(x), phi.image(y))
+        # brackets of the images the cochains have: the others are zero
+        val = engine.bracket(a[x], b[y]) if x in a and y in b else SYM_ZERO
+        if x in b and y in a:
+            val = val + engine.bracket(b[x], a[y])
         out[(x, y)] = val
     return out
 
@@ -500,9 +521,11 @@ class CohomologyReport:
     ``certificate`` names what established the dimensions: "exact" for
     elimination over Q(alpha), "modp-zero" for the F_p rank bound of
     ``h1_scan``, "cartan-zero" for the ad H1 argument on a block with
-    n != 0 (no representatives, no pivots for either), and "empty" for a
-    block of ``h1_scan`` with n = 0 and no slots, where every dimension is
-    0 by counting.
+    n != 0 (no representatives, no pivots for either), "cocycle-witness"
+    for the F_p pivot rows of d1 and verified cocycles of a scan without
+    representatives (pivots of its two exact eliminations, no
+    representatives), and "empty" for a block of ``h1_scan`` with n = 0
+    and no slots, where every dimension is 0 by counting.
     """
 
     block: BlockSpec
@@ -563,24 +586,10 @@ def _h1_exact(block: BlockSpec, slots, columns, bcols, representatives: bool) ->
     else:
         rank_d1, pivots1 = poly_rank(column_rows(columns))
     dim_z = len(slots) - rank_d1
-
-    col_index = {slot: i for i, slot in enumerate(slots)}
-    span = SpanTracker()
-    for vec in bcols:
-        missing = vec.keys() - col_index.keys()
-        if missing:
-            raise AssertionError("coboundary leaves the enumerated block: %s %s" % min(missing))
-        row = clear_denominators({col_index[slot]: c for slot, c in vec.items()})[0]
-        if row:
-            # nothing is expressed in this span: no combination is kept
-            span.add(row, {})
-    # all columns queued before the first pivot: the core's cost order
-    found0 = span.forward()
+    span, found0 = _coboundary_span(slots, bcols)
     dim_h1 = dim_z - len(found0)
     if dim_h1 < 0:
         raise AssertionError("negative H^1 dimension in block %s" % (block,))
-
-    pivot_polys = list({str(p): p for p in pivots1 + linalg.pivot_polynomials(found0)}.values())
 
     reps = []
     if representatives and dim_h1 > 0:
@@ -592,18 +601,81 @@ def _h1_exact(block: BlockSpec, slots, columns, bcols, representatives: bool) ->
                 reps.append(_slots_to_cochain(slots, kv, block))
         if len(reps) != dim_h1:
             raise AssertionError("found %d of %d representatives" % (len(reps), dim_h1))
-    return CohomologyReport(block, dim_z, len(found0), dim_h1, reps, pivot_polys)
+    return CohomologyReport(block, dim_z, len(found0), dim_h1, reps,
+                            _pivot_union(pivots1, found0))
+
+
+def _coboundary_span(slots, bcols):
+    """(span, pivots as found) of the d0 columns, eliminated exactly in
+    slot coordinates."""
+    col_index = {slot: i for i, slot in enumerate(slots)}
+    span = SpanTracker()
+    for vec in bcols:
+        missing = vec.keys() - col_index.keys()
+        if missing:
+            raise AssertionError("coboundary leaves the enumerated block: %s %s" % min(missing))
+        row = clear_denominators({col_index[slot]: c for slot, c in vec.items()})[0]
+        if row:
+            # nothing is expressed in this span: no combination is kept
+            span.add(row, {})
+    # all columns queued before the first pivot: the core's cost order
+    return span, span.forward()
+
+
+def _pivot_union(pivots1, found0) -> list:
+    """d1's pivot polynomials, then d0's, each rendering once."""
+    return list({str(p): p for p in pivots1 + linalg.pivot_polynomials(found0)}.values())
+
+
+def _h1_witness(block: BlockSpec, slots, columns, bcols, rows1) -> CohomologyReport | None:
+    """The report of a block from the F_p pivot rows ``rows1`` of d1 and
+    verified cocycles, or None when a check fails (module docstring)."""
+    rows1 = set(rows1)
+    kvecs, found1 = linalg.kernel_basis(
+        [{key: c for key, c in vec.items() if key in rows1} for vec in columns])
+    span, found0 = _coboundary_span(slots, bcols)
+    dim_z = len(slots) - len(rows1)
+    dim_h1 = dim_z - len(found0)
+    if dim_h1 < 0:
+        return None
+    verified = 0
+    # sparsest kernel vectors first, as in _h1_exact
+    for kv in sorted(kvecs, key=len):
+        if verified == dim_h1:
+            break
+        if span.insert(kv, ("z", verified)):
+            if not _is_cocycle(kv, columns):
+                return None
+            verified += 1
+    if verified < dim_h1:
+        return None
+    return CohomologyReport(block, dim_z, len(found0), dim_h1, [],
+                            _pivot_union(linalg.pivot_polynomials(found1), found0),
+                            "cocycle-witness")
+
+
+def _is_cocycle(kv: dict, columns) -> bool:
+    """sum_j kv[j] * columns[j] == 0 exactly: every row of d1."""
+    total: dict = {}
+    for j, v in kv.items():
+        for key, c in columns[j].items():
+            _accumulate(total, key, v * c)
+    return not total
 
 
 def _fp_rank(columns):
-    """Rank over F_p of the columns' images at alpha = FP_ALPHA, or None
-    when an entry has no image there."""
+    """Pivot keys over F_p of the columns' images at alpha = FP_ALPHA
+    (``linalg.rank_mod_p``; their number is the rank), keys with an entry
+    that is not a rational constant taken last, or None when an entry has
+    no image there."""
     try:
         images = [{key: c.mod_p(FP_ALPHA, FP_PRIME) for key, c in vec.items()} for vec in columns]
     except (ValueError, ZeroDivisionError):
         # FP_PRIME divides a rational denominator, or FP_ALPHA is a root of one
         return None
-    return linalg.rank_mod_p(images, FP_PRIME)
+    late = {key for vec in columns for key, c in vec.items()
+            if c.ad is not POLY_ONE or not c.an.is_constant()}
+    return linalg.rank_mod_p(images, FP_PRIME, late)
 
 
 def _scan_block(block: BlockSpec, engine: Engine, representatives: bool) -> CohomologyReport:
@@ -612,20 +684,28 @@ def _scan_block(block: BlockSpec, engine: Engine, representatives: bool) -> Coho
     A block with no slots is "empty".  The ranks r1, r0 of d1 and d0 over
     F_p are lower bounds for the exact ones, so H^1 <= N - r1 - r0 for N
     slots; when the bound is 0 the block is "modp-zero" (module docstring).
-    Otherwise, or when an entry has no image over F_p, the same matrices go
-    to the exact elimination.
+    Otherwise, without representatives, the d1 rows of the F_p pivots and
+    verified cocycles settle it as "cocycle-witness".  When that fails,
+    representatives are asked for, or an entry has no image over F_p, the
+    same matrices go to the exact elimination.
     """
     brackets: dict = {}
     slots, columns = _d1_columns(block, engine, brackets)
     if not slots:
         return CohomologyReport(block, 0, 0, 0, [], [], "empty")
-    rank_d1 = _fp_rank(columns)
-    if rank_d1 == len(slots):  # Z = 0, and B inside it is 0 too
+    rows1 = _fp_rank(columns)
+    if rows1 is not None and len(rows1) == len(slots):  # Z = 0, and B inside it is 0 too
         return CohomologyReport(block, 0, 0, 0, [], [], "modp-zero")
     bcols = _d0_columns(block, engine, brackets)[1]
-    rank_d0 = None if rank_d1 is None else _fp_rank(bcols)
-    if rank_d0 is not None and rank_d1 + rank_d0 == len(slots):
-        return CohomologyReport(block, len(slots) - rank_d1, rank_d0, 0, [], [], "modp-zero")
+    rows0 = None if rows1 is None else _fp_rank(bcols)
+    if rows0 is not None:
+        rank_d1, rank_d0 = len(rows1), len(rows0)
+        if rank_d1 + rank_d0 == len(slots):
+            return CohomologyReport(block, len(slots) - rank_d1, rank_d0, 0, [], [], "modp-zero")
+        if not representatives:
+            report = _h1_witness(block, slots, columns, bcols, rows1)
+            if report is not None:
+                return report
     return _h1_exact(block, slots, columns, bcols, representatives)
 
 
@@ -634,8 +714,9 @@ def h1_scan(k_range, n_range, target: str, engine: Engine | None = None, represe
 
     Blocks with n != 0 are "cartan-zero" with Z = B = |C^0| (module
     docstring).  A block with n = 0 is assembled once and certified over
-    F_p when it can be, else eliminated exactly.  An engine with an h depth
-    cap is refused: its blocks are not subcomplexes.
+    F_p when it can be, or, without representatives, by a cocycle witness;
+    else it is eliminated exactly.  An engine with an h depth cap is
+    refused: its blocks are not subcomplexes.
     """
     engine = engine or poisson_engine()
     if engine.h_k_weight and engine.h_depth is not None:

@@ -18,9 +18,9 @@ The roots of the polynomial pivots are the only alpha values at which a
 specialized rank may drop, so the pivot list doubles as the exceptional-
 parameter report; which polynomials appear depends on the pivot order.
 
-``rank_mod_p`` is the certificate path: a rank over F_p of int vectors,
-which bounds the rank over Q(alpha) from below (see ``cohomology``).  It
-keeps no pivots and no combinations.
+``rank_mod_p`` is the certificate path: the pivot keys of an elimination
+over F_p of int vectors, whose number, the rank over F_p, bounds the rank
+over Q(alpha) from below (see ``cohomology``).  It keeps no combinations.
 """
 
 from __future__ import annotations
@@ -258,15 +258,20 @@ def poly_rank(rows):
     return len(found), pivot_polynomials(found)
 
 
-def rank_mod_p(vectors, p: int) -> int:
-    """Rank over F_p (p prime) of sparse vectors (dicts key -> int).
+def rank_mod_p(vectors, p: int, late=()) -> list:
+    """Pivot keys of sparse vectors (dicts key -> int) eliminated over F_p
+    (p prime); their number is the rank.
 
     Each entry is reduced once.  The vectors are eliminated as rows, one
-    column at a time, sparsest first by the rows that meet it on input; in
-    each column the shortest row that meets it pivots and clears the column
-    from the others.  No row meets a column already taken, so fill-in only
-    reaches columns still to come, and ``occupancy``, grown by fill-in, is
-    filtered when its column comes up.  The rank is the same in any order.
+    column (key) at a time: keys not in ``late`` first, and within each
+    group sparsest first by the rows that meet it on input; in each column
+    the shortest row that meets it pivots and clears the column from the
+    others.  No row meets a column already taken, so fill-in only reaches
+    columns still to come, and ``occupancy``, grown by fill-in, is filtered
+    when its column comes up.  The pivot rows, restricted to the returned
+    keys, are triangular with a nonzero diagonal, so those keys and the
+    input vectors that pivoted index a minor that is nonsingular mod p.
+    The rank is the same in any order.
     """
     rows: dict = {}
     occupancy: dict = {}  # column -> ids of rows that have met it
@@ -278,12 +283,12 @@ def rank_mod_p(vectors, p: int) -> int:
                 row[key] = v
                 occupancy.setdefault(key, set()).add(rid)
         rows[rid] = row
-    rank = 0
-    for col in sorted(occupancy, key=lambda key: len(occupancy[key])):
+    keys = []
+    for col in sorted(occupancy, key=lambda key: (key in late, len(occupancy[key]))):
         rids = [rid for rid in occupancy.pop(col) if col in rows.get(rid, ())]
         if not rids:
             continue
-        rank += 1
+        keys.append(col)
         pid = min(rids, key=lambda rid: len(rows[rid]))
         prow = rows.pop(pid)
         inv = pow(prow.pop(col), -1, p)
@@ -303,7 +308,7 @@ def rank_mod_p(vectors, p: int) -> int:
                     trow[key] = new
                 else:
                     del trow[key]
-    return rank
+    return keys
 
 
 class SpanTracker(_Elimination):

@@ -39,11 +39,15 @@ from .symbols import SYM_ZERO, Symbol
 
 def moyal_mul(a: Symbol, b: Symbol) -> Symbol:
     """Associative normal-ordered product."""
+    if not (a and b):  # nothing to split or walk
+        return Symbol.from_layers(({}, 1, None))
     return Symbol.from_layers(kernel.moyal_terms(a.layers(), b.layers()))
 
 
 def h_bracket(a: Symbol, b: Symbol) -> Symbol:
     """[A, B]_h = (1/h)(A B - (-1)^(p(A)p(B)) B A); the division is exact."""
+    if not (a and b):
+        return Symbol.from_layers(({}, 1, None))
     layers = kernel.h_bracket_terms(a.layers(), b.layers())
     out = Symbol.from_layers(layers)
     for layer in layers[0].values():

@@ -64,7 +64,9 @@ class AlphaPoly:
     gcd(d, every coefficient) = 1.  The constructor takes that form as
     given; ``from_rationals`` builds it from rational coefficients.  The
     zero polynomial is the empty map over 1, so ``bool(p)`` tests for
-    nonzero.
+    nonzero.  ``+``, ``-``, ``*`` and ``divmod`` take AlphaPoly operands and
+    return NotImplemented for any other, so a Scalar or Symbol operand
+    handles the operation.
     """
 
     __slots__ = ("c", "d")
@@ -120,7 +122,10 @@ class AlphaPoly:
 
     def _add(self, other: "AlphaPoly", sign: int = 1) -> "AlphaPoly":
         """self + sign * other, for sign 1 or -1."""
-        b = other.c
+        try:
+            b = other.c
+        except AttributeError:  # not an AlphaPoly: the other operand decides
+            return NotImplemented
         if not b:
             return self
         a = self.c
@@ -152,7 +157,10 @@ class AlphaPoly:
         return self._add(other, -1)
 
     def __mul__(self, other: "AlphaPoly") -> "AlphaPoly":
-        a, b = self.c, other.c
+        try:
+            a, b = self.c, other.c
+        except AttributeError:  # not an AlphaPoly: the other operand decides
+            return NotImplemented
         if not a or not b:
             return _P_ZERO
         d = self.d * other.d
@@ -219,6 +227,8 @@ class AlphaPoly:
         return acc % p
 
     def __divmod__(self, other: "AlphaPoly"):
+        if not isinstance(other, AlphaPoly):
+            return NotImplemented
         if not other.c:
             raise ZeroDivisionError("polynomial division by zero")
         b = other._fractions()

@@ -222,6 +222,8 @@ class Symbol:
         return Symbol.from_layers((out, d, den))
 
     def poisson(self, other: "Symbol") -> "Symbol":
+        if not (self and other):  # nothing to split or walk
+            return Symbol.from_layers(({}, 1, None))
         return Symbol.from_layers(kernel.poisson_terms(self.layers(), other.layers()))
 
     # -- structure queries -------------------------------------------------

@@ -681,7 +681,8 @@ def test_modp_certificate_matches_exact(scan):
         elif not coh.enumerate_c1(rpt.block, engine):
             expected = "empty"
         else:
-            expected = "exact" if rpt.dim_h1 else "modp-zero"
+            # every nonzero block of these scans has an F_p image
+            expected = "cocycle-witness" if rpt.dim_h1 else "modp-zero"
         assert rpt.certificate == expected, rpt.block
     # a certificate settles some block with cocycles: not only empty ones
     assert any(r.dim_cocycles for r in reports if r.certificate != "exact")
@@ -699,10 +700,12 @@ def _has_fp_image(columns):
 
 def test_scan_without_fp_image_runs_exact():
     # at alpha = 1/p a block whose matrices meet that denominator is
-    # "exact"; every other label and every dimension stay the generic ones
+    # "exact", where the generic scan reads "modp-zero" or, on a nonzero
+    # block, "cocycle-witness"; every other label and every dimension stay
+    # the generic ones
     engine = coh.poisson_engine(alpha=Fraction(1, coh.FP_PRIME))
     window = range(-2, 3)
-    for target, expected in (("P", [(-2, 0), (2, 0)]), ("P+", [(2, 0)])):
+    for target, expected in (("P", [(-2, 0), (0, 0), (2, 0)]), ("P+", [(0, 0), (2, 0)])):
         reports = coh.h1_scan(window, window, target, engine, representatives=False)
         generic = coh.h1_scan(window, window, target, ENGINE, representatives=False)
         no_image, relabelled = [], []
@@ -720,6 +723,82 @@ def test_scan_without_fp_image_runs_exact():
                     assert rpt.certificate == "exact", rpt.block
         assert set(relabelled) <= set(no_image)
         assert relabelled == expected, target
+
+
+# -- the cocycle witness against the exact path -----------------------------------------
+
+
+WITNESS_K = range(-8, 9)
+STAR_WITNESS_K = range(-6, 11)
+WITNESS_SCANS = (
+    [(lambda: ENGINE, target, WITNESS_K) for target in coh.TARGETS]
+    + [(lambda: coh.quantized_engine(), "P+", STAR_WITNESS_K),
+       (lambda: coh.poisson_engine(alpha=1), "P", WITNESS_K),
+       (lambda: coh.poisson_engine(alpha=-1), "P", WITNESS_K),
+       (lambda: coh.poisson_engine(alpha=-1), "P+", WITNESS_K),
+       (lambda: coh.quantized_engine(alpha=1), "P+", STAR_WITNESS_K),
+       (lambda: coh.quantized_engine(alpha=-1), "P+", STAR_WITNESS_K)]
+    + [(lambda: coh.poisson_engine(alpha=0), target, WITNESS_K) for target in coh.TARGETS]
+)
+
+
+def _report_key(rpt):
+    return (rpt.dim_cocycles, rpt.dim_coboundaries, rpt.dim_h1,
+            [str(p) for p in rpt.pivot_polynomials])
+
+
+def test_cocycle_witness_matches_exact():
+    # every n = 0 block of the set: the witness settles each nonzero one,
+    # with h1_block's dimensions and pivot list
+    blocks, settled = 0, 0
+    for make_engine, target, ks in WITNESS_SCANS:
+        engine = make_engine()
+        for rpt in coh.h1_scan(ks, [0], target, engine, representatives=False):
+            blocks += 1
+            assert rpt.certificate in ("empty", "modp-zero", "cocycle-witness"), rpt.block
+            if rpt.certificate == "cocycle-witness":
+                settled += 1
+                exact = coh.h1_block(rpt.block, engine, representatives=False)
+                assert _report_key(rpt) == _report_key(exact), (target, rpt.block)
+                assert rpt.dim_h1 and not rpt.representatives
+    assert (blocks, settled) == (174, 27)
+
+
+WITNESS_BLOCKS = [
+    (lambda: ENGINE, coh.BlockSpec(0, 0, "P")),
+    (lambda: ENGINE, coh.BlockSpec(2, 0, "K4'")),
+    (lambda: coh.quantized_engine(), coh.BlockSpec(2, 0, "P+")),
+    (lambda: coh.quantized_engine(), coh.BlockSpec(4, 0, "P+")),
+]
+
+
+@pytest.mark.parametrize("make_engine,block", WITNESS_BLOCKS,
+                         ids=["P(0,0)", "K4'(2,0)", "star(2,0)", "star(4,0)"])
+def test_cocycle_witness_falls_back_to_exact(make_engine, block, monkeypatch):
+    engine = make_engine()
+    exact = coh.h1_block(block, engine, representatives=False)
+    [rpt] = coh.h1_scan([block.k], [0], block.target, engine, representatives=False)
+    assert rpt.certificate == "cocycle-witness"
+    rank_mod_p, kernel_basis = linalg.rank_mod_p, linalg.kernel_basis
+
+    def forged(columns):
+        # each kernel vector with its first entry raised by one: no longer a cocycle
+        kvecs, found = kernel_basis(columns)
+        for kv in kvecs:
+            j = next(iter(kv))
+            kv[j] = kv[j] + 1
+        return kvecs, found
+
+    patches = [
+        (linalg, "rank_mod_p", lambda *args: rank_mod_p(*args)[:-1]),  # one pivot key dropped
+        (linalg, "kernel_basis", forged),
+    ]
+    for module, name, patch in patches:
+        with monkeypatch.context() as m:
+            m.setattr(module, name, patch)
+            [rpt] = coh.h1_scan([block.k], [0], block.target, engine, representatives=False)
+        assert rpt.certificate == "exact", name
+        assert _report_key(rpt) == _report_key(exact), name
 
 
 @pytest.mark.parametrize("scan", ["P+", "star P+"])

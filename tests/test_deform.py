@@ -1,5 +1,5 @@
 from superpds import cohomology as coh
-from superpds import deform, quantize
+from superpds import deform, kernel, quantize
 from superpds.scalars import S_HALF
 from superpds.symbols import Symbol
 
@@ -28,6 +28,22 @@ def test_thm43_is_formal_deformation():
     dm = deform.thm43_map()
     assert deform.verify_homomorphism(dm) is None
     assert deform.verify_order_relations(dm, 4) is None
+
+
+def test_order_relations_bracket_only_nonzero_images(monkeypatch):
+    # d1 and cup skip images a cochain does not have: 168 brackets of the
+    # 1,728 the order relations of thm43 to order 4 name
+    dm = deform.thm43_map()  # engine and structure table built first
+    calls = []
+    poisson_terms = kernel.poisson_terms
+
+    def counted(a, b):
+        calls.append((a, b))
+        return poisson_terms(a, b)
+
+    monkeypatch.setattr(kernel, "poisson_terms", counted)
+    assert deform.verify_order_relations(dm, 4) is None
+    assert 0 < len(calls) <= 168
 
 
 def test_higher_cups_of_thm43_data_vanish():

@@ -432,12 +432,34 @@ def test_rank_mod_p_matches_dense_reference():
             rng = random.Random(seed)
             vectors, keys = random_int_vectors(rng, p)
             expected = dense_rank_mod_p(vectors, keys, p)
-            assert rank_mod_p(vectors, p) == expected, (p, seed)
+            assert len(rank_mod_p(vectors, p)) == expected, (p, seed)
             # rank of the transpose, and input left untouched
             columns = [{i: v[key] for i, v in enumerate(vectors) if key in v} for key in keys]
-            assert rank_mod_p(columns, p) == expected, (p, seed)
+            assert len(rank_mod_p(columns, p)) == expected, (p, seed)
             assert vectors == random_int_vectors(random.Random(seed), p)[0]
-    assert rank_mod_p([], 7) == 0 and rank_mod_p([{0: 14}, {}], 7) == 0
+    assert rank_mod_p([], 7) == [] and rank_mod_p([{0: 14}, {}], 7) == []
+
+
+def _assert_pivot_minor(vectors, keys, p, late=()):
+    """The keys index a minor of the vectors that is nonsingular mod p, and
+    the keys in ``late`` come last."""
+    restricted = [{key: vec[key] for key in keys if key in vec} for vec in vectors]
+    assert dense_rank_mod_p(restricted, keys, p) == len(keys) == len(set(keys))
+    flags = [key in late for key in keys]
+    assert flags == sorted(flags)
+
+
+def test_rank_mod_p_pivot_keys_index_a_nonsingular_minor():
+    for p in (2, 7, MERSENNE):
+        for seed in range(40):
+            rng = random.Random(seed)
+            vectors, keys = random_int_vectors(rng, p)
+            expected = dense_rank_mod_p(vectors, keys, p)
+            late = set(rng.sample(keys, rng.randint(0, len(keys))))
+            for order in ((), late):
+                found = rank_mod_p(vectors, p, order)
+                assert len(found) == expected, (p, seed)
+                _assert_pivot_minor(vectors, found, p, order)
 
 
 @pytest.mark.parametrize("engine_name,k,target", [
@@ -454,4 +476,10 @@ def test_rank_mod_p_on_block_images(engine_name, k, target):
                   for vec in columns]
         keys = list(dict.fromkeys(key for vec in images for key in vec))
         expected = dense_rank_mod_p(images, keys, coh.FP_PRIME)
-        assert rank_mod_p(images, coh.FP_PRIME) == expected > 0
+        assert len(rank_mod_p(images, coh.FP_PRIME)) == expected > 0
+        # the pivot rows of the witness: constant rows first
+        found = coh._fp_rank(columns)
+        late = {key for vec in columns for key, c in vec.items() if not c.an.is_constant()
+                or not c.ad.is_one()}
+        assert len(found) == expected
+        _assert_pivot_minor(images, found, coh.FP_PRIME, late)

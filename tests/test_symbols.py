@@ -266,9 +266,8 @@ def test_layer_products_match_scalar_oracle(a, b, k):
         (odd * odd, _scalar_mul_terms(odd.terms, odd.terms)),
         (a * k, _scalar_multiple(a.terms, k)),
         ((a * b) * k, _scalar_multiple(ab, k)),
+        (k * a, _scalar_multiple(a.terms, k)),
     ]
-    if not isinstance(k, AlphaPoly):  # AlphaPoly * x takes polynomials only
-        cases.append((k * a, _scalar_multiple(a.terms, k)))
     for i, var in enumerate(VAR_NAMES):
         # kernel.derive_terms on a Scalar map: one Scalar operation per term
         cases.append((a.derive(var), kernel.derive_terms(a.terms, i)))
@@ -279,6 +278,30 @@ def test_layer_products_match_scalar_oracle(a, b, k):
         assert r.terms == expected  # equal values on the same key set
         assert all(isinstance(c, Scalar) for c in r.terms.values())
     assert not (a * k + a * -k).terms
+
+
+def test_alpha_poly_operand_defers_to_symbols_and_scalars():
+    # AlphaPoly arithmetic returns NotImplemented for other types
+    a = ALPHA.an
+    assert a * T == T * a == Symbol({(1, 0, 0, 0, 0): ALPHA})
+    assert a * S_ONE == ALPHA and a + S_ONE == ALPHA + 1 and a - S_ONE == ALPHA - 1
+    with pytest.raises(TypeError):
+        a * 2
+
+
+def test_zero_operands_skip_the_kernel(monkeypatch):
+    from superpds import quantize
+
+    a = mono(t=1, tau=2, mask=0b0101, coeff=ALPHA)
+    zeros = [Symbol.zero(), a - a, quantize.moyal_mul(XI1, XI1)]
+    assert zeros[2]._terms is None  # unfolded, from layers
+    for name in ("poisson_terms", "moyal_terms", "h_bracket_terms"):
+        monkeypatch.setattr(kernel, name, None)  # a kernel call would raise
+    for zero in zeros:
+        for r in (zero.poisson(a), a.poisson(zero), quantize.moyal_mul(zero, a),
+                  quantize.moyal_mul(a, zero), quantize.h_bracket(zero, a),
+                  quantize.h_bracket(a, zero), zero.poisson(zero)):
+            assert not r and r.terms == {} and r is not zero
 
 
 def test_constants_central():
