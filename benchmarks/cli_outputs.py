@@ -88,6 +88,8 @@ COMMANDS = (
     # coefficients, mixed parities and beta/h powers; tau tau^2 is zero
     + [["bracket", a, b, *flags] for a, b in BRACKETS for flags in ([], ["--quantized"])]
     + [["bracket", BRACKETS[1][0], BRACKETS[1][1], "--json"]]
+    # a cocycle witness with representatives on a specialized star engine
+    + [["h1", "--target", "P+", "--quantized", "--specialize=-1/2", "--window", "4", "--json"]]
 )
 
 

@@ -13,6 +13,7 @@ import argparse
 import json
 import os
 import random
+import re
 import sys
 from fractions import Fraction
 
@@ -493,9 +494,24 @@ def _build_parser():
     return parser
 
 
+# Options that take a rational.  argparse reads a value such as -1/2 as an
+# option string, since only integers and decimals pass for negative numbers,
+# so ``main`` joins it to its option first: --specialize=-1/2.
+_RATIONAL_OPTIONS = ("--specialize", "--alpha")
+
+
+def _join_negative_rationals(argv):
+    out = []
+    for arg in argv:
+        if out and out[-1] in _RATIONAL_OPTIONS and re.match(r"-[\d.]", arg):
+            arg = out.pop() + "=" + arg
+        out.append(arg)
+    return out
+
+
 def main(argv=None) -> int:
     parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = parser.parse_args(_join_negative_rationals(sys.argv[1:] if argv is None else argv))
     if args.cmd == "cocycle" and not args.name and not args.file:
         parser.error("cocycle: a name or --file is required")
     if args.cmd == "cocycle" and args.name and args.file:

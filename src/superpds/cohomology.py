@@ -43,26 +43,24 @@ When the bound is 0, H^1 = 0.  Since B lies in Z (d1 o d0 = 0), H^1 >= 0
 forces rank d1 = r1 and rank d0 = r0, so Z = N - r1 and B = r0 are exact
 too, and the report carries the certificate "modp-zero".
 
-A block with a positive bound, scanned without representatives, is settled
-by a small exact witness (a certifying algorithm: McConnell, Mehlhorn,
-Naher and Schweitzer, Computer Science Review 5, 2011).  The F_p pivots of
-d1 pick r1 rows whose minor is nonzero mod p, rows with only rational
-constant entries first.  d1 restricted to those rows and d0 are eliminated
-exactly, b0 being the rank of d0; with h = N - r1 - b0, kernel vectors of
-the restricted d1, sparsest first, that enlarge the span of d0 are checked
-to be cocycles of the full d1 until h are found.  rank d1 >= r1 gives
+A block with a positive bound is settled by a small exact witness (a
+certifying algorithm: McConnell, Mehlhorn, Naher and Schweitzer, Computer
+Science Review 5, 2011).  The F_p pivots of d1 pick r1 rows whose minor is
+nonzero mod p, rows with only rational constant entries first.  d1
+restricted to those rows and d0 are eliminated exactly, b0 being the rank
+of d0; with h = N - r1 - b0, kernel vectors of the restricted d1, sparsest
+first, that enlarge the span of d0 are checked to be cocycles of the full
+d1 until h are found.  rank d1 >= r1 gives
 
     H^1 <= N - r1 - b0 = h,
 
 and h cocycles independent modulo B give H^1 >= h, so Z = N - r1, B = b0
-and H^1 = h are exact, with the certificate "cocycle-witness".  A failed
-check sends the block to the exact elimination.  Blocks with a positive
-bound and representatives asked for, and blocks with an entry that has no
-image over F_p, go to the exact elimination with the same matrices,
-certificate "exact": representatives are read off its pivot columns.  A
-block with no slots (N = 0) is "empty": its dimensions are 0 by counting,
-and the bound certifies nothing there.  ``h1_block`` on its own is always
-exact.
+and H^1 = h are exact, with the certificate "cocycle-witness"; the h
+verified cocycles are the representatives when they are asked for.  A
+failed check, or an entry with no image over F_p, sends the block to the
+same routine with every row of d1, certificate "exact".  A block with no
+slots (N = 0) is "empty": its dimensions are 0 by counting, and the bound
+certifies nothing there.  ``h1_block`` on its own is always exact.
 
 Blocks with n != 0 need no assembly.  ad H1 multiplies every monomial
 t^a tau^b xi^mask h^j by its n-degree a - b, in both engines (H1 is t*tau,
@@ -110,7 +108,9 @@ from functools import lru_cache
 
 from . import d21, linalg
 from .d21 import BASIS_NAMES, PARITY
-from .linalg import SpanTracker, clear_denominators, column_rows, poly_rank
+from .linalg import SpanTracker, clear_denominators
+# unused here; perfbench/tracer.py patches it in this __dict__ (tests/test_tracer_contract.py)
+from .linalg import poly_rank  # noqa: F401
 from .scalars import POLY_ONE, S_HALF, S_ONE, Scalar
 from .symbols import K4PRIME_GAP, SYM_ZERO, TARGETS, Symbol, mask_weight
 
@@ -519,13 +519,13 @@ class CohomologyReport:
     """Dimensions and witnesses for one block.
 
     ``certificate`` names what established the dimensions: "exact" for
-    elimination over Q(alpha), "modp-zero" for the F_p rank bound of
-    ``h1_scan``, "cartan-zero" for the ad H1 argument on a block with
-    n != 0 (no representatives, no pivots for either), "cocycle-witness"
-    for the F_p pivot rows of d1 and verified cocycles of a scan without
-    representatives (pivots of its two exact eliminations, no
-    representatives), and "empty" for a block of ``h1_scan`` with n = 0
-    and no slots, where every dimension is 0 by counting.
+    elimination of every row of d1 over Q(alpha), "modp-zero" for the F_p
+    rank bound of ``h1_scan``, "cartan-zero" for the ad H1 argument on a
+    block with n != 0 (no representatives, no pivots for either),
+    "cocycle-witness" for the F_p pivot rows of d1 and verified cocycles of
+    a scan (pivots of its two exact eliminations; the verified cocycles are
+    the representatives), and "empty" for a block with no slots, where
+    every dimension is 0 by counting.
     """
 
     block: BlockSpec
@@ -565,44 +565,54 @@ def h1_block(block: BlockSpec, engine: Engine | None = None,
 
     Representatives, when requested and the block is nontrivial, are kernel
     vectors of d1 certified independent modulo the coboundary span.  One
-    span of the d0 columns gives both dim B and that certificate.
+    span of the d0 columns gives both dim B and that certificate.  A block
+    with no slots is "empty".
     """
     engine = engine or poisson_engine()
     brackets: dict = {}
     slots, columns = _d1_columns(block, engine, brackets)
     if not slots:
-        return CohomologyReport(block, 0, 0, 0, [], [])
+        return CohomologyReport(block, 0, 0, 0, [], [], "empty")
     bcols = _d0_columns(block, engine, brackets)[1]
     return _h1_exact(block, slots, columns, bcols, representatives)
 
 
-def _h1_exact(block: BlockSpec, slots, columns, bcols, representatives: bool) -> CohomologyReport:
-    """``h1_block`` after assembly: the exact report from the block's slots,
-    d1 columns and d0 columns."""
-    if representatives:
-        # one elimination of d1 gives its rank, pivots and kernel
-        kvecs, found = linalg.kernel_basis(columns)
-        rank_d1, pivots1 = len(found), linalg.pivot_polynomials(found)
-    else:
-        rank_d1, pivots1 = poly_rank(column_rows(columns))
-    dim_z = len(slots) - rank_d1
-    span, found0 = _coboundary_span(slots, bcols)
-    dim_h1 = dim_z - len(found0)
-    if dim_h1 < 0:
-        raise AssertionError("negative H^1 dimension in block %s" % (block,))
+def _h1_exact(block: BlockSpec, slots, columns, bcols, representatives: bool,
+              rows1=None) -> CohomologyReport | None:
+    """The exact report of an assembled block from its slots, d1 columns and
+    d0 columns, d1 eliminated on the rows ``rows1`` only (all rows when
+    None).
 
-    reps = []
-    if representatives and dim_h1 > 0:
-        # sparsest kernel vectors first, so representatives come out short
-        for kv in sorted(kvecs, key=len):
-            if len(reps) == dim_h1:
-                break
-            if span.insert(kv, ("z", len(reps))):
-                reps.append(_slots_to_cochain(slots, kv, block))
-        if len(reps) != dim_h1:
-            raise AssertionError("found %d of %d representatives" % (len(reps), dim_h1))
+    With rows given, every kernel vector kept is checked to be a cocycle of
+    the full d1, and the report is a "cocycle-witness", or None when a check
+    fails (module docstring).  Either way the kept vectors, independent
+    modulo the coboundaries, are the representatives when asked for.
+    """
+    restricted = columns
+    if rows1 is not None:
+        rows1 = set(rows1)
+        restricted = [{key: c for key, c in vec.items() if key in rows1} for vec in columns]
+    kvecs, found1 = linalg.kernel_basis(restricted)
+    span, found0 = _coboundary_span(slots, bcols)
+    dim_z = len(slots) - len(found1)
+    dim_h1 = dim_z - len(found0)
+    if dim_h1 < 0:  # B lies in Z, which lies in the kernel of any rows of d1
+        raise AssertionError("negative H^1 dimension in block %s" % (block,))
+    kept = []
+    # sparsest kernel vectors first, so representatives come out short
+    for kv in sorted(kvecs, key=len):
+        if len(kept) == dim_h1:
+            break
+        if span.insert(kv, ("z", len(kept))):
+            if rows1 is not None and not _is_cocycle(kv, columns):
+                return None
+            kept.append(kv)
+    if len(kept) != dim_h1:
+        raise AssertionError("found %d of %d representatives" % (len(kept), dim_h1))
+    reps = [_slots_to_cochain(slots, kv, block) for kv in kept] if representatives else []
     return CohomologyReport(block, dim_z, len(found0), dim_h1, reps,
-                            _pivot_union(pivots1, found0))
+                            _pivot_union(linalg.pivot_polynomials(found1), found0),
+                            "exact" if rows1 is None else "cocycle-witness")
 
 
 def _coboundary_span(slots, bcols):
@@ -625,33 +635,6 @@ def _coboundary_span(slots, bcols):
 def _pivot_union(pivots1, found0) -> list:
     """d1's pivot polynomials, then d0's, each rendering once."""
     return list({str(p): p for p in pivots1 + linalg.pivot_polynomials(found0)}.values())
-
-
-def _h1_witness(block: BlockSpec, slots, columns, bcols, rows1) -> CohomologyReport | None:
-    """The report of a block from the F_p pivot rows ``rows1`` of d1 and
-    verified cocycles, or None when a check fails (module docstring)."""
-    rows1 = set(rows1)
-    kvecs, found1 = linalg.kernel_basis(
-        [{key: c for key, c in vec.items() if key in rows1} for vec in columns])
-    span, found0 = _coboundary_span(slots, bcols)
-    dim_z = len(slots) - len(rows1)
-    dim_h1 = dim_z - len(found0)
-    if dim_h1 < 0:
-        return None
-    verified = 0
-    # sparsest kernel vectors first, as in _h1_exact
-    for kv in sorted(kvecs, key=len):
-        if verified == dim_h1:
-            break
-        if span.insert(kv, ("z", verified)):
-            if not _is_cocycle(kv, columns):
-                return None
-            verified += 1
-    if verified < dim_h1:
-        return None
-    return CohomologyReport(block, dim_z, len(found0), dim_h1, [],
-                            _pivot_union(linalg.pivot_polynomials(found1), found0),
-                            "cocycle-witness")
 
 
 def _is_cocycle(kv: dict, columns) -> bool:
@@ -684,10 +667,9 @@ def _scan_block(block: BlockSpec, engine: Engine, representatives: bool) -> Coho
     A block with no slots is "empty".  The ranks r1, r0 of d1 and d0 over
     F_p are lower bounds for the exact ones, so H^1 <= N - r1 - r0 for N
     slots; when the bound is 0 the block is "modp-zero" (module docstring).
-    Otherwise, without representatives, the d1 rows of the F_p pivots and
-    verified cocycles settle it as "cocycle-witness".  When that fails,
-    representatives are asked for, or an entry has no image over F_p, the
-    same matrices go to the exact elimination.
+    Otherwise ``_h1_exact`` on the d1 rows of the F_p pivots settles it as
+    "cocycle-witness", representatives included.  When a check fails, or
+    an entry has no image over F_p, it runs again on every row of d1.
     """
     brackets: dict = {}
     slots, columns = _d1_columns(block, engine, brackets)
@@ -702,10 +684,9 @@ def _scan_block(block: BlockSpec, engine: Engine, representatives: bool) -> Coho
         rank_d1, rank_d0 = len(rows1), len(rows0)
         if rank_d1 + rank_d0 == len(slots):
             return CohomologyReport(block, len(slots) - rank_d1, rank_d0, 0, [], [], "modp-zero")
-        if not representatives:
-            report = _h1_witness(block, slots, columns, bcols, rows1)
-            if report is not None:
-                return report
+        report = _h1_exact(block, slots, columns, bcols, representatives, rows1)
+        if report is not None:
+            return report
     return _h1_exact(block, slots, columns, bcols, representatives)
 
 
@@ -714,9 +695,10 @@ def h1_scan(k_range, n_range, target: str, engine: Engine | None = None, represe
 
     Blocks with n != 0 are "cartan-zero" with Z = B = |C^0| (module
     docstring).  A block with n = 0 is assembled once and certified over
-    F_p when it can be, or, without representatives, by a cocycle witness;
-    else it is eliminated exactly.  An engine with an h depth cap is
-    refused: its blocks are not subcomplexes.
+    F_p when it can be, by the F_p bound or by a cocycle witness, whose
+    verified cocycles are its representatives; else it is eliminated
+    exactly.  An engine with an h depth cap is refused: its blocks are not
+    subcomplexes.
     """
     engine = engine or poisson_engine()
     if engine.h_k_weight and engine.h_depth is not None:

@@ -342,9 +342,6 @@ class SpanTracker(_Elimination):
             return None
         return {t: Scalar.quotient(-p, den) for t, p in comb.items()}
 
-    def rank(self) -> int:
-        return len(self.pivots)
-
 
 def kernel_basis(columns):
     """Kernel of the linear map sending unit column i to ``columns[i]``.

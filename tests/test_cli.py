@@ -105,6 +105,19 @@ def test_h1_specialized(capsys):
     assert json.loads(out)["total_dim"] == 2
 
 
+@pytest.mark.parametrize(
+    "argv,option,value",
+    [(["h1", "--target", "P+", "--quantized", "--window", "2", "--json"], "--specialize", "-1/2"),
+     (["basis", "--json"], "--alpha", "-3/2")],
+    ids=["specialize", "alpha"],
+)
+def test_negative_rational_option_values(capsys, argv, option, value):
+    # the space form parses as the = form does
+    code, out, err = run(capsys, *argv, option, value)
+    assert (code, err) == (0, "")
+    assert run(capsys, *argv, "%s=%s" % (option, value)) == (0, out, "")
+
+
 def test_cocycle_named(capsys):
     code, out, _ = run(capsys, "cocycle", "theta1")
     assert code == 0

@@ -747,20 +747,37 @@ def _report_key(rpt):
             [str(p) for p in rpt.pivot_polynomials])
 
 
-def test_cocycle_witness_matches_exact():
+def _assert_same_classes(rpt, exact, engine):
+    """rpt's representatives are cocycles, and modulo the coboundaries an
+    invertible combination of exact's."""
+    rows = []
+    for rep in rpt.representatives:
+        assert coh.pairmap_is_zero(coh.d1(rep, engine)), rpt.block
+        solved = coh.express_modulo_coboundaries(rep, exact.representatives, rpt.block, engine)
+        assert solved is not None, rpt.block
+        rows.append(linalg.clear_denominators(dict(enumerate(solved[0])))[0])
+    assert linalg.poly_rank(rows)[0] == len(exact.representatives) == rpt.dim_h1, rpt.block
+
+
+@pytest.mark.parametrize("representatives", [False, True])
+def test_cocycle_witness_matches_exact(representatives):
     # every n = 0 block of the set: the witness settles each nonzero one,
-    # with h1_block's dimensions and pivot list
+    # with h1_block's dimensions and pivot list, and representatives that
+    # span the same classes as h1_block's
     blocks, settled = 0, 0
     for make_engine, target, ks in WITNESS_SCANS:
         engine = make_engine()
-        for rpt in coh.h1_scan(ks, [0], target, engine, representatives=False):
+        for rpt in coh.h1_scan(ks, [0], target, engine, representatives=representatives):
             blocks += 1
             assert rpt.certificate in ("empty", "modp-zero", "cocycle-witness"), rpt.block
             if rpt.certificate == "cocycle-witness":
                 settled += 1
-                exact = coh.h1_block(rpt.block, engine, representatives=False)
+                exact = coh.h1_block(rpt.block, engine, representatives=representatives)
                 assert _report_key(rpt) == _report_key(exact), (target, rpt.block)
-                assert rpt.dim_h1 and not rpt.representatives
+                assert rpt.dim_h1
+                assert len(rpt.representatives) == (rpt.dim_h1 if representatives else 0)
+                if representatives:
+                    _assert_same_classes(rpt, exact, engine)
     assert (blocks, settled) == (174, 27)
 
 
@@ -770,21 +787,28 @@ WITNESS_BLOCKS = [
     (lambda: coh.quantized_engine(), coh.BlockSpec(2, 0, "P+")),
     (lambda: coh.quantized_engine(), coh.BlockSpec(4, 0, "P+")),
 ]
+WITNESS_IDS = ["P(0,0)", "K4'(2,0)", "star(2,0)", "star(4,0)"]
 
 
-@pytest.mark.parametrize("make_engine,block", WITNESS_BLOCKS,
-                         ids=["P(0,0)", "K4'(2,0)", "star(2,0)", "star(4,0)"])
-def test_cocycle_witness_falls_back_to_exact(make_engine, block, monkeypatch):
+@pytest.mark.parametrize(
+    "make_engine,block,representatives",
+    [(*case, reps) for reps in (False, True) for case in WITNESS_BLOCKS],
+    ids=[name + ("+reps" if reps else "") for reps in (False, True) for name in WITNESS_IDS])
+def test_cocycle_witness_falls_back_to_exact(make_engine, block, representatives, monkeypatch):
     engine = make_engine()
-    exact = coh.h1_block(block, engine, representatives=False)
-    [rpt] = coh.h1_scan([block.k], [0], block.target, engine, representatives=False)
+    exact = coh.h1_block(block, engine, representatives=representatives)
+    [rpt] = coh.h1_scan([block.k], [0], block.target, engine, representatives=representatives)
     assert rpt.certificate == "cocycle-witness"
     rank_mod_p, kernel_basis = linalg.rank_mod_p, linalg.kernel_basis
 
+    calls = []
+
     def forged(columns):
-        # each kernel vector with its first entry raised by one: no longer a cocycle
+        # the first call is the witness's: each kernel vector with its first
+        # entry raised by one, no longer a cocycle; the exact path's are real
         kvecs, found = kernel_basis(columns)
-        for kv in kvecs:
+        calls.append(columns)
+        for kv in kvecs if len(calls) == 1 else ():
             j = next(iter(kv))
             kv[j] = kv[j] + 1
         return kvecs, found
@@ -796,9 +820,29 @@ def test_cocycle_witness_falls_back_to_exact(make_engine, block, monkeypatch):
     for module, name, patch in patches:
         with monkeypatch.context() as m:
             m.setattr(module, name, patch)
-            [rpt] = coh.h1_scan([block.k], [0], block.target, engine, representatives=False)
+            [rpt] = coh.h1_scan([block.k], [0], block.target, engine, representatives=representatives)
         assert rpt.certificate == "exact", name
         assert _report_key(rpt) == _report_key(exact), name
+        assert rpt.representatives == exact.representatives, name
+        assert len(rpt.representatives) == (rpt.dim_h1 if representatives else 0)
+
+
+def test_empty_blocks_are_labelled_empty():
+    # a block with no slots runs no elimination: "empty" in h1_block as in
+    # h1_scan, and the label stays out of the payload
+    for engine, block in ((ENGINE, coh.BlockSpec(1, 0, "P")),
+                          (ENGINE, coh.BlockSpec(-4, 0, "P+")),
+                          (coh.quantized_engine(), coh.BlockSpec(3, 0, "P+"))):
+        assert not coh.enumerate_c1(block, engine)
+        [scanned] = coh.h1_scan([block.k], [0], block.target, engine)
+        for rpt in (coh.h1_block(block, engine), scanned):
+            assert (rpt.certificate, rpt.dim_cocycles, rpt.dim_coboundaries, rpt.dim_h1) == \
+                ("empty", 0, 0, 0), block
+            assert "certificate" not in rpt.to_payload()
+    # h1_block labels an empty block with n != 0 so too; h1_scan, "cartan-zero"
+    block = coh.BlockSpec(0, 1, "P+")
+    assert not coh.enumerate_c1(block, ENGINE)
+    assert coh.h1_block(block, ENGINE).certificate == "empty"
 
 
 @pytest.mark.parametrize("scan", ["P+", "star P+"])
