@@ -161,7 +161,7 @@ def time_brackets(cases):
     timings["bracket_unit"] = time.perf_counter() - t0
     t0 = time.perf_counter()
     for engine, keys in cases:
-        _brackets(engine, keys)
+        _brackets(engine, dict.fromkeys(engine.basis, keys))
     timings["bracket_tagged"] = time.perf_counter() - t0
     return timings
 

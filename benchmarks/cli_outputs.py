@@ -90,6 +90,9 @@ COMMANDS = (
     + [["bracket", BRACKETS[1][0], BRACKETS[1][1], "--json"]]
     # a cocycle witness with representatives on a specialized star engine
     + [["h1", "--target", "P+", "--quantized", "--specialize=-1/2", "--window", "4", "--json"]]
+    # engines whose generating set does not certify: scans on every pair
+    + [["h1", "--target", "K4'", "--specialize", "1", "--json"],
+       ["h1", "--target", "P", "--specialize", "-1", "--window", "8", "--json"]]
 )
 
 

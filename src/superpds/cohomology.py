@@ -29,13 +29,50 @@ only places a specialized alpha can change a dimension.
 An engine at a fixed rational alpha is the generic engine mapped through
 the substitution of that alpha (``Engine.evaluated``).
 
+Scans need only some rows of d1.  Let c be a 1-cochain and delta = d1 c.
+The algebra acts on the target through the embedding, so d2 o d1 = 0 and
+d2 delta = 0: (d2 delta)(a, b, y) is a sum, each term with sign +1 or -1,
+of
+
+    [a, delta(b, y)], [b, delta(a, y)], [y, delta(a, b)],
+    delta([a, b], y), delta([a, y], b), delta([b, y], a).
+
+Let A be the set of a with delta(a, y) = 0 for every y.  delta is even,
+so for homogeneous y the values delta(a_0, y) and delta(a_1, y) of the
+even and odd parts of a have different parities, and both vanish when
+their sum does: A is graded.  For homogeneous a, b in A every term but
+delta([a, b], y) vanishes, so [a, b] lies in A: A is a subalgebra.  When
+A holds a generating set S, A is the whole algebra and delta = 0.  So c
+is a cocycle as soon as delta vanishes on the pairs with a name in S
+(Fuks, Cohomology of Infinite-Dimensional Lie Algebras, 1986, ch. 1: a
+derivation is fixed by its values on generators; by super skew-symmetry,
+delta(s, y) = 0 for all y is delta = 0 on the canonical pairs that hold
+s), and d1 restricted to those rows has the kernel Z of the full d1, and
+its rank.  The set S = GENERATORS, four root vectors, touches 59 of the
+144 pairs.  ``Engine.generators`` certifies, on the first scan of an
+engine, that S generates its algebra: the bracket closure of S over F_p
+(``generates``, below) has rank 17, so some 17 iterated brackets of S
+have a minor nonzero mod p, hence nonzero over Q(alpha) or Q.  At
+alpha = +-1 the closure is 15-dimensional and the engine scans on every
+pair.
+
+Which rows a path uses:
+
+* generator rows: the n = 0 blocks of ``h1_scan`` on an engine whose S
+  certifies, for the F_p ranks, the witness's exact elimination and its
+  cocycle checks;
+* every row: ``h1_block`` (the exact oracle of the tests), a scan's
+  fallback, scans on engines whose S does not certify, ``d1``, ``cup`` and
+  ``solve_obstruction``, which must meet a right-hand side on every pair.
+
 Scans first try to certify each block over F_p, p = FP_PRIME = 2^61 - 1.
 A block is assembled once, over the engine's own coefficients, and each
 entry of the matrices of d1 and d0 is mapped to F_p by ``Scalar.mod_p`` at
 alpha = FP_ALPHA.  Evaluation at FP_ALPHA mod p is a ring homomorphism on
 the scalars whose denominators do not vanish there, so a minor that is
 nonzero mod p is nonzero over Q(alpha): specialization can only lower a
-rank.  With r1, r0 the ranks over F_p and N the number of slots,
+rank.  With r1, r0 the ranks over F_p (r1 on the scan's rows of d1, which
+have the rank of the full d1) and N the number of slots,
 
     H^1 = N - rank d1 - rank d0 <= N - r1 - r0.
 
@@ -49,8 +86,8 @@ Science Review 5, 2011).  The F_p pivots of d1 pick r1 rows whose minor is
 nonzero mod p, rows with only rational constant entries first.  d1
 restricted to those rows and d0 are eliminated exactly, b0 being the rank
 of d0; with h = N - r1 - b0, kernel vectors of the restricted d1, sparsest
-first, that enlarge the span of d0 are checked to be cocycles of the full
-d1 until h are found.  rank d1 >= r1 gives
+first, that enlarge the span of d0 are checked to vanish on every row the
+scan assembled, so to be cocycles, until h are found.  rank d1 >= r1 gives
 
     H^1 <= N - r1 - b0 = h,
 
@@ -58,9 +95,11 @@ and h cocycles independent modulo B give H^1 >= h, so Z = N - r1, B = b0
 and H^1 = h are exact, with the certificate "cocycle-witness"; the h
 verified cocycles are the representatives when they are asked for.  A
 failed check, or an entry with no image over F_p, sends the block to the
-same routine with every row of d1, certificate "exact".  A block with no
-slots (N = 0) is "empty": its dimensions are 0 by counting, and the bound
-certifies nothing there.  ``h1_block`` on its own is always exact.
+same routine with every row of d1, reassembled on every pair, certificate
+"exact": that report, representatives included, is ``h1_block``'s.  A
+block with no slots (N = 0) is "empty": its dimensions are 0 by counting,
+and the bound certifies nothing there.  ``h1_block`` on its own is always
+exact.
 
 Blocks with n != 0 need no assembly.  ad H1 multiplies every monomial
 t^a tau^b xi^mask h^j by its n-degree a - b, in both engines (H1 is t*tau,
@@ -83,11 +122,13 @@ Block assembly builds the matrix of d1 column by column: the engine's
 incidence table lists, per basis name, the pairs on which an elementary
 cochain at that name is nonzero, so a column adds up a few bracket term maps
 [X, m] instead of evaluating d1 on all pairs.  Those brackets form one table
-per block: every basis element X against every distinct slot key of the
-block, one kernel call per X.  beta is central and never differentiated,
+per block, one kernel call per basis element X: X against every distinct
+slot key of the block, or, on the rows of a generating set S, a name of S
+against those and any other name against the slot keys of S and of H1
+only.  beta is central and never differentiated,
 and both kernels add beta exponents; every block key has beta 0, and no
-basis term carries beta (``Engine`` refuses one).  So for the slot keys
-m_0, m_1, ... of the block,
+basis term carries beta (``Engine`` refuses one).  So for the keys m_0,
+m_1, ... X is bracketed with,
 
     [X, sum_i beta^i m_i] = sum_i beta^i [X, m_i],
 
@@ -104,7 +145,7 @@ the star-product analogue reuses every formula with [.,.]_h substituted.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 from . import d21, linalg
 from .d21 import BASIS_NAMES, PARITY
@@ -189,6 +230,57 @@ class Cochain1:
 FP_PRIME = 2**61 - 1
 FP_ALPHA = 888315200261588941
 
+# Four root vectors that generate D(2,1;alpha) away from alpha = +-1.  Their
+# rows carry rational constants, so the witness meets no polynomial pivot
+# there; (E1, E2, D3, D4), whose rows carry alpha, scanned the star window 6
+# three times slower.
+GENERATORS = ("E1", "F2", "F3", "D1")
+
+
+def generates(engine: "Engine", names) -> bool:
+    """Whether the basis elements ``names`` generate the engine's algebra.
+
+    The span of the names is closed under the bracket over F_p, with the
+    structure table mapped to F_p at alpha = FP_ALPHA.  Each element found
+    after the names is a bracket of two found before (or of one with
+    itself), kept unreduced, so it is the image of an iterated bracket of
+    the names.  When 17 are independent over F_p, the 17 by 17 minor of
+    those iterated brackets is nonzero mod p, so nonzero over Q(alpha) or
+    over Q: they span the algebra.  False when the closure is smaller, or
+    when a structure constant has no image in F_p.
+    """
+    p = FP_PRIME
+    try:
+        struct = {pair: {n: c.mod_p(FP_ALPHA, p) for n, c in coeffs.items()}
+                  for pair, coeffs in engine.struct.items()}
+    except (ValueError, ZeroDivisionError):
+        # FP_PRIME divides a rational denominator, or FP_ALPHA is a root of one
+        return False
+    found, echelon = [], {}  # echelon: pivot name -> reduced row, pivot entry 1
+    candidates = [{name: 1} for name in names]
+    for vec in candidates:  # grows as elements are found
+        if len(found) == len(BASIS_NAMES):
+            break
+        row = dict(vec)
+        for piv, prow in echelon.items():
+            if f := row.get(piv):
+                for n, v in prow.items():
+                    row[n] = (row.get(n, 0) - f * v) % p
+        row = {n: v for n, v in row.items() if v}
+        if row:
+            piv = next(iter(row))
+            inv = pow(row[piv], -1, p)
+            echelon[piv] = {n: v * inv % p for n, v in row.items()}
+            found.append(vec)
+            for u in found:  # [u, vec] for every u found, vec itself included
+                out: dict = {}
+                for a, ua in u.items():
+                    for b, vb in vec.items():
+                        for n, c in struct[(a, b)].items():
+                            out[n] = (out.get(n, 0) + ua * vb * c) % p
+                candidates.append(out)
+    return len(found) == len(BASIS_NAMES)
+
 
 class Engine:
     """Bracket engine: basis, bracket, structure table, h conventions.
@@ -222,6 +314,17 @@ class Engine:
         ]
         self.incidence = self._incidence()
         self._slot_sets: dict = {}  # BlockSpec -> set(enumerate_c1(block, self))
+
+    @cached_property
+    def generators(self):
+        """GENERATORS when they generate this engine's algebra, else None.
+
+        The certificate is the bracket closure of their span over F_p
+        (``generates``); it runs on the first read, not at construction.
+        Scans assemble d1 on the pairs that touch this set (module
+        docstring), and on every pair when it is None.
+        """
+        return GENERATORS if generates(self, GENERATORS) else None
 
     def _incidence(self):
         """Where an elementary cochain c (c(X) = m, zero elsewhere) lives.
@@ -428,21 +531,25 @@ def pairmap_is_zero(pm: dict) -> bool:
 # ---------------------------------------------------------------------------
 
 
-def _brackets(engine: Engine, keys) -> dict:
-    """The terms of [X, m], keyed (name, m), for every basis name X and
-    every unit monomial key m in ``keys``; empty when ``keys`` is.
+def _brackets(engine: Engine, keys_of: dict) -> dict:
+    """The terms of [X, m], keyed (name, m), for every basis name X in
+    ``keys_of`` and every unit monomial key m in its list ``keys_of[X]``.
 
-    One bracket per name: X against the sum of beta^i m_i over the keys
-    m_i, whose beta^i terms are [X, m_i] (module docstring).  Both
-    engines' brackets are one int walk on alpha-power layers, and X and
-    the tagged sum are each split once (``Symbol.layers``), so each name
-    costs one walk and one fold, when its terms are read here.
+    One bracket per name with keys: X against the sum of beta^i m_i over
+    its keys m_i, whose beta^i terms are [X, m_i] (module docstring).
+    Names given the same list object share one tagged sum.  Both engines'
+    brackets are one int walk on alpha-power layers, and X and each tagged
+    sum are split once (``Symbol.layers``), so each name costs one walk and
+    one fold, when its terms are read here.
     """
-    if not keys:
-        return {}
-    tagged = Symbol({(t, u, mask, i, h): S_ONE for i, (t, u, mask, _, h) in enumerate(keys)})
-    table = {}
-    for name in BASIS_NAMES:
+    table, tagged_of = {}, {}
+    for name, keys in keys_of.items():
+        if not keys:
+            continue
+        tagged = tagged_of.get(id(keys))
+        if tagged is None:
+            tagged = tagged_of[id(keys)] = Symbol(
+                {(t, u, mask, i, h): S_ONE for i, (t, u, mask, _, h) in enumerate(keys)})
         results = [{} for _ in keys]
         for (t, u, mask, i, h), c in engine.bracket(engine.basis[name], tagged).terms.items():
             results[i][(t, u, mask, 0, h)] = c
@@ -450,24 +557,43 @@ def _brackets(engine: Engine, keys) -> dict:
     return table
 
 
-def _d1_columns(block: BlockSpec, engine: Engine, brackets: dict | None = None):
+def _d1_columns(block: BlockSpec, engine: Engine, brackets: dict | None = None,
+                generators=None):
     """Elementary cochains of the block and their coboundary vectors.
 
     Returns (slots, columns) where slots = [(name, key)] and columns[i] is a
-    dict (pair_index, monomial_key) -> Scalar.  Each column adds up the
-    brackets and structure terms listed in ``engine.incidence`` for its
-    name, read from the table ``_brackets`` makes over the block's distinct
-    slot keys, one kernel call per basis name.  A ``brackets`` dict passed
-    in receives that table, for ``_d0_columns`` of the same block.
+    dict (pair_index, monomial_key) -> Scalar: every row of d1, or with
+    ``generators`` only the rows of the pairs with a name in that set, each
+    column then the full one's entries on those rows, in their order.  Each
+    column adds up the brackets and structure terms listed in
+    ``engine.incidence`` for its name on those rows, read from the table
+    ``_brackets`` makes, one kernel call per basis name: with every row,
+    each name against the block's distinct slot keys; with ``generators``,
+    a name of the set against those, any other name only against the slot
+    keys of the set's names and of H1 (the C0 keys), all that the columns
+    and ``_d0_columns`` read of it.  A ``brackets`` dict passed in receives
+    that table, for ``_d0_columns`` of the same block.
     """
     slots = enumerate_c1(block, engine)
-    table = _brackets(engine, list(dict.fromkeys(key for _, key in slots)))
+    keys = list(dict.fromkeys(key for _, key in slots))
+    incidence = engine.incidence
+    if generators is None:
+        keys_of = dict.fromkeys(BASIS_NAMES, keys)
+    else:
+        narrow = list(dict.fromkeys(key for name, key in slots
+                                    if name in generators or name == "H1"))
+        keys_of = {name: keys if name in generators else narrow for name in BASIS_NAMES}
+        touched = {pi for pi, (x, y) in enumerate(engine.pairs)
+                   if x in generators or y in generators}
+        incidence = {name: [entry for entry in entries if entry[0] in touched]
+                     for name, entries in incidence.items()}
+    table = _brackets(engine, keys_of)
     if brackets is not None:
         brackets.update(table)
     columns = []
     for (name0, key0) in slots:
         vec: dict = {}
-        for pi, parts, coeff in engine.incidence[name0]:
+        for pi, parts, coeff in incidence[name0]:
             # keys of one pair index follow each other, in the order a
             # running sum of the parts would hold them
             for name, sign in parts:
@@ -503,7 +629,7 @@ def _d0_columns(block: BlockSpec, engine: Engine, brackets: dict | None = None):
     """
     mon0 = enumerate_c0(block, engine)
     if brackets is None:
-        brackets = _brackets(engine, mon0)
+        brackets = _brackets(engine, dict.fromkeys(BASIS_NAMES, mon0))
     columns = []
     for key in mon0:
         vec = {}
@@ -523,9 +649,10 @@ class CohomologyReport:
     rank bound of ``h1_scan``, "cartan-zero" for the ad H1 argument on a
     block with n != 0 (no representatives, no pivots for either),
     "cocycle-witness" for the F_p pivot rows of d1 and verified cocycles of
-    a scan (pivots of its two exact eliminations; the verified cocycles are
-    the representatives), and "empty" for a block with no slots, where
-    every dimension is 0 by counting.
+    a scan, checked on the rows it assembled, those of a certified
+    generating set (pivots of its two exact eliminations; the verified
+    cocycles are the representatives), and "empty" for a block with no
+    slots, where every dimension is 0 by counting.
     """
 
     block: BlockSpec
@@ -580,13 +707,15 @@ def h1_block(block: BlockSpec, engine: Engine | None = None,
 def _h1_exact(block: BlockSpec, slots, columns, bcols, representatives: bool,
               rows1=None) -> CohomologyReport | None:
     """The exact report of an assembled block from its slots, d1 columns and
-    d0 columns, d1 eliminated on the rows ``rows1`` only (all rows when
-    None).
+    d0 columns, d1 eliminated on the rows ``rows1`` only (every row of the
+    columns when None).
 
-    With rows given, every kernel vector kept is checked to be a cocycle of
-    the full d1, and the report is a "cocycle-witness", or None when a check
-    fails (module docstring).  Either way the kept vectors, independent
-    modulo the coboundaries, are the representatives when asked for.
+    With rows given, every kernel vector kept is checked to vanish on every
+    row of ``columns`` (``_is_cocycle``), which makes it a cocycle when the
+    columns hold all rows of d1 or those of a generating set, and the report
+    is a "cocycle-witness", or None when a check fails (module docstring).
+    Either way the kept vectors, independent modulo the coboundaries, are
+    the representatives when asked for.
     """
     restricted = columns
     if rows1 is not None:
@@ -638,7 +767,8 @@ def _pivot_union(pivots1, found0) -> list:
 
 
 def _is_cocycle(kv: dict, columns) -> bool:
-    """sum_j kv[j] * columns[j] == 0 exactly: every row of d1."""
+    """sum_j kv[j] * columns[j] == 0 exactly, on every row the columns
+    hold."""
     total: dict = {}
     for j, v in kv.items():
         for key, c in columns[j].items():
@@ -664,15 +794,20 @@ def _fp_rank(columns):
 def _scan_block(block: BlockSpec, engine: Engine, representatives: bool) -> CohomologyReport:
     """The report of a block with n = 0, from one assembly.
 
-    A block with no slots is "empty".  The ranks r1, r0 of d1 and d0 over
-    F_p are lower bounds for the exact ones, so H^1 <= N - r1 - r0 for N
-    slots; when the bound is 0 the block is "modp-zero" (module docstring).
-    Otherwise ``_h1_exact`` on the d1 rows of the F_p pivots settles it as
-    "cocycle-witness", representatives included.  When a check fails, or
-    an entry has no image over F_p, it runs again on every row of d1.
+    d1 is assembled on the pairs that touch the engine's generating set,
+    or on every pair when it has none (``Engine.generators``); those rows
+    have the kernel of the full d1 (module docstring).  A block with no
+    slots is "empty".  The ranks r1, r0 of d1 and d0 over F_p are lower
+    bounds for the exact ones, so H^1 <= N - r1 - r0 for N slots; when the
+    bound is 0 the block is "modp-zero".  Otherwise ``_h1_exact`` on the
+    d1 rows of the F_p pivots settles it as "cocycle-witness",
+    representatives included.  When a check fails, or an entry has no
+    image over F_p, d1 is assembled again on every pair and ``_h1_exact``
+    runs on all its rows, so the report is ``h1_block``'s.
     """
+    generators = engine.generators
     brackets: dict = {}
-    slots, columns = _d1_columns(block, engine, brackets)
+    slots, columns = _d1_columns(block, engine, brackets, generators)
     if not slots:
         return CohomologyReport(block, 0, 0, 0, [], [], "empty")
     rows1 = _fp_rank(columns)
@@ -687,6 +822,8 @@ def _scan_block(block: BlockSpec, engine: Engine, representatives: bool) -> Coho
         report = _h1_exact(block, slots, columns, bcols, representatives, rows1)
         if report is not None:
             return report
+    if generators is not None:  # h1_block's path: every row of d1
+        columns = _d1_columns(block, engine)[1]
     return _h1_exact(block, slots, columns, bcols, representatives)
 
 
@@ -694,10 +831,11 @@ def h1_scan(k_range, n_range, target: str, engine: Engine | None = None, represe
     """Reports for every block in the window (K4 targets pin k = 2).
 
     Blocks with n != 0 are "cartan-zero" with Z = B = |C^0| (module
-    docstring).  A block with n = 0 is assembled once and certified over
-    F_p when it can be, by the F_p bound or by a cocycle witness, whose
-    verified cocycles are its representatives; else it is eliminated
-    exactly.  An engine with an h depth cap is refused: its blocks are not
+    docstring).  A block with n = 0 is assembled once, on the rows of the
+    engine's generating set when it certifies, and certified over F_p when
+    it can be, by the F_p bound or by a cocycle witness, whose verified
+    cocycles are its representatives; else it is eliminated exactly on
+    every row.  An engine with an h depth cap is refused: its blocks are not
     subcomplexes.
     """
     engine = engine or poisson_engine()

@@ -556,15 +556,23 @@ def _entries(columns):
 
 @pytest.mark.parametrize("engine_name", sorted(PARITY_ENGINES))
 def test_batched_assembly_matches_per_pair_brackets(engine_name):
-    # entry for entry and in order: the order steers the pivot choice
+    # entry for entry and in order: the order steers the pivot choice.  On
+    # the generator rows, most names are bracketed with fewer keys, and the
+    # table still holds every bracket d0 reads
     engine = PARITY_ENGINES[engine_name]()
+    touched = {pi for pi, (x, y) in enumerate(engine.pairs)
+               if x in coh.GENERATORS or y in coh.GENERATORS}
+    assert (len(touched), len(engine.pairs)) == (59, 144)
     for k, n, target in PARITY_BLOCKS["star" if engine.h_k_weight else "poisson"]:
         block = coh.BlockSpec(k, n, target)
         ref_d1, ref_d0 = _reference_columns(block, engine)
-        shared: dict = {}
-        columns = coh._d1_columns(block, engine, shared)[1]
-        assert _entries(columns) == _entries(ref_d1), block
-        assert _entries(coh._d0_columns(block, engine, shared)[1]) == _entries(ref_d0), block
+        for generators, rows in ((None, None), (coh.GENERATORS, touched)):
+            shared: dict = {}
+            columns = coh._d1_columns(block, engine, shared, generators)[1]
+            assert _entries(columns) == [[(key, c) for key, c in col.items()
+                                          if rows is None or key[0] in rows]
+                                         for col in ref_d1], (block, generators)
+            assert _entries(coh._d0_columns(block, engine, shared)[1]) == _entries(ref_d0), block
         assert _entries(coh._d0_columns(block, engine)[1]) == _entries(ref_d0), block
 
 
@@ -588,10 +596,11 @@ def test_assembly_brackets_once_per_name(engine_name, monkeypatch):
         assert len({id(a) for a in calls}) == len(calls)
         return len(calls)
 
-    shared: dict = {}
-    assert calls_of(coh._d1_columns, shared) == len(d21.BASIS_NAMES)
-    # the C^0 keys are H1's slot keys, so d1's table holds every d0 bracket
-    assert calls_of(coh._d0_columns, shared) == 0
+    for generators in (None, coh.GENERATORS):
+        shared: dict = {}
+        assert calls_of(coh._d1_columns, shared, generators) == len(d21.BASIS_NAMES)
+        # the C^0 keys are H1's slot keys, so d1's table holds every d0 bracket
+        assert calls_of(coh._d0_columns, shared) == 0
     assert calls_of(coh._d0_columns) == len(d21.BASIS_NAMES)
 
 
@@ -825,6 +834,96 @@ def test_cocycle_witness_falls_back_to_exact(make_engine, block, representatives
         assert _report_key(rpt) == _report_key(exact), name
         assert rpt.representatives == exact.representatives, name
         assert len(rpt.representatives) == (rpt.dim_h1 if representatives else 0)
+
+
+# -- scans on the rows of a generating set ------------------------------------------
+
+
+def _fresh_poisson_engine():
+    # not the cached engine: its generating set is certified on first read
+    return coh.Engine(d21.embedded_basis(), lambda a, b: a.poisson(b), d21.structure_table(),
+                      h_k_weight=0, h_depth=0)
+
+
+CERTIFYING = [None, 2, Fraction(1, 2), Fraction(-1, 2), 3, -3]
+
+
+@pytest.mark.parametrize("make_engine", [coh.poisson_engine, coh.quantized_engine],
+                         ids=["poisson", "star"])
+def test_generating_set_certificate(make_engine):
+    for alpha in CERTIFYING:
+        assert make_engine(alpha).generators == coh.GENERATORS, alpha
+    # at alpha = +-1 the bracket closure of the four is 15-dimensional
+    for alpha in (1, -1):
+        engine = make_engine(alpha)
+        assert engine.generators is None, alpha
+        assert not coh.generates(engine, coh.GENERATORS)
+        assert coh.generates(engine, d21.BASIS_NAMES)
+
+
+def test_generating_set_is_certified_lazily():
+    # building an engine certifies nothing; the first scan does, once
+    engine = _fresh_poisson_engine()
+    assert "generators" not in vars(engine)
+    coh.h1_scan([0], [0], "P", engine, representatives=False)
+    assert vars(engine)["generators"] == coh.GENERATORS
+
+
+def test_rows_of_a_set_that_does_not_generate():
+    # (E1, F1, H1) spans an sl2, closed under the bracket: on its pairs d1 of
+    # P (0, 0) has rank 33, where every row gives 35, so a scan on them would
+    # overcount cocycles; the certificate refuses the set
+    non_generating = ("E1", "F1", "H1")
+    block = coh.BlockSpec(0, 0, "P")
+    for generators, rank in ((non_generating, 33), (coh.GENERATORS, 35), (None, 35)):
+        columns = coh._d1_columns(block, ENGINE, generators=generators)[1]
+        assert linalg.poly_rank(linalg.column_rows(columns))[0] == rank, generators
+    assert not coh.generates(ENGINE, non_generating)
+
+
+def test_patched_non_generating_set_gives_oracle_answers(monkeypatch):
+    monkeypatch.setattr(coh, "GENERATORS", ("E1", "F1", "H1"))
+    engine = _fresh_poisson_engine()
+    seen = []
+    assemble = coh._d1_columns
+
+    def recorded(block, engine, brackets=None, generators=None):
+        seen.append(generators)
+        return assemble(block, engine, brackets, generators)
+
+    monkeypatch.setattr(coh, "_d1_columns", recorded)
+    reports = coh.h1_scan(range(-4, 5), [0], "P", engine)
+    assert engine.generators is None
+    assert seen and set(seen) == {None}
+    monkeypatch.undo()
+    for rpt in reports:
+        exact = coh.h1_block(rpt.block, engine)
+        assert _report_key(rpt) == _report_key(exact), rpt.block
+        if rpt.dim_h1:
+            _assert_same_classes(rpt, exact, engine)
+
+
+ORACLE_ALPHAS = [None, 2, Fraction(-1, 2), 1, -1]
+ORACLE_SCANS = [(coh.poisson_engine, target) for target in coh.TARGETS] + \
+    [(coh.quantized_engine, "P+")]
+
+
+@pytest.mark.parametrize("alpha", ORACLE_ALPHAS, ids=["generic", "2", "-1/2", "1", "-1"])
+def test_generator_row_scans_match_the_oracle(alpha):
+    # window 6: h1_block's dimensions, and representatives that are
+    # cocycles on every pair and independent modulo the coboundaries
+    for make_engine, target in ORACLE_SCANS:
+        engine = make_engine(alpha)
+        assert (engine.generators is None) == (alpha in (1, -1))
+        for rpt in coh.h1_scan(WINDOW6, [0], target, engine):
+            exact = coh.h1_block(rpt.block, engine, representatives=False)
+            assert (rpt.dim_cocycles, rpt.dim_coboundaries, rpt.dim_h1) == \
+                (exact.dim_cocycles, exact.dim_coboundaries, exact.dim_h1), (target, rpt.block)
+            assert len(rpt.representatives) == rpt.dim_h1
+            for i, rep in enumerate(rpt.representatives):
+                assert coh.pairmap_is_zero(coh.d1(rep, engine)), (target, rpt.block)
+                assert coh.express_modulo_coboundaries(
+                    rep, rpt.representatives[:i], rpt.block, engine) is None, (target, rpt.block)
 
 
 def test_empty_blocks_are_labelled_empty():
