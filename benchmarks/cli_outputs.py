@@ -90,9 +90,14 @@ COMMANDS = (
     + [["bracket", BRACKETS[1][0], BRACKETS[1][1], "--json"]]
     # a cocycle witness with representatives on a specialized star engine
     + [["h1", "--target", "P+", "--quantized", "--specialize=-1/2", "--window", "4", "--json"]]
-    # engines whose generating set does not certify: scans on every pair
+    # engines at alpha = +-1, whose four generators do not certify: scans on
+    # the rows of the six-element generating set
     + [["h1", "--target", "K4'", "--specialize", "1", "--json"],
        ["h1", "--target", "P", "--specialize", "-1", "--window", "8", "--json"]]
+    # single blocks through h1_block: star, at alpha = 1, and K4'
+    + [["h1", "--target", "P+", "--quantized", "--k", "6", "--n", "0", "--json"],
+       ["h1", "--target", "P", "--k", "0", "--n", "0", "--specialize", "1", "--json"],
+       ["h1", "--target", "K4'", "--k", "2", "--n", "0", "--json"]]
 )
 
 

@@ -49,20 +49,24 @@ derivation is fixed by its values on generators; by super skew-symmetry,
 delta(s, y) = 0 for all y is delta = 0 on the canonical pairs that hold
 s), and d1 restricted to those rows has the kernel Z of the full d1, and
 its rank.  The set S = GENERATORS, four root vectors, touches 59 of the
-144 pairs.  ``Engine.generators`` certifies, on the first scan of an
-engine, that S generates its algebra: the bracket closure of S over F_p
-(``generates``, below) has rank 17, so some 17 iterated brackets of S
+144 pairs.  ``Engine.generators`` certifies, on the first read, that a
+set generates its algebra: the bracket closure of the set over F_p
+(``generates``, below) has rank 17, so some 17 iterated brackets of it
 have a minor nonzero mod p, hence nonzero over Q(alpha) or Q.  At
-alpha = +-1 the closure is 15-dimensional and the engine scans on every
-pair.
+alpha = +-1 the closure of S is 15-dimensional, and S with E2 and E3,
+which touches 82 pairs, certifies there instead (``GENERATING_SETS``).
+The lemma holds cochain by cochain, and the bracket is never truncated,
+so it holds on an engine with an h depth cap too: only the block's slots
+are capped, not d1 c.
 
 Which rows a path uses:
 
-* generator rows: the n = 0 blocks of ``h1_scan`` on an engine whose S
-  certifies, for the F_p ranks, the witness's exact elimination and its
-  cocycle checks;
-* every row: ``h1_block`` (the exact oracle of the tests), a scan's
-  fallback, scans on engines whose S does not certify, ``d1``, ``cup`` and
+* the rows of the certified set: ``h1_block`` and the n = 0 blocks of
+  ``h1_scan``, for the F_p ranks, the witness's exact elimination and its
+  cocycle checks, and the exact elimination both end in;
+* every row: the same paths on an engine with no certified set, the
+  every-row elimination (``_d1_columns`` with no set, then ``_h1_exact``)
+  that the tests compare both paths with, and ``d1``, ``cup`` and
   ``solve_obstruction``, which must meet a right-hand side on every pair.
 
 Scans first try to certify each block over F_p, p = FP_PRIME = 2^61 - 1.
@@ -95,11 +99,11 @@ and h cocycles independent modulo B give H^1 >= h, so Z = N - r1, B = b0
 and H^1 = h are exact, with the certificate "cocycle-witness"; the h
 verified cocycles are the representatives when they are asked for.  A
 failed check, or an entry with no image over F_p, sends the block to the
-same routine with every row of d1, reassembled on every pair, certificate
-"exact": that report, representatives included, is ``h1_block``'s.  A
-block with no slots (N = 0) is "empty": its dimensions are 0 by counting,
-and the bound certifies nothing there.  ``h1_block`` on its own is always
-exact.
+same routine on every row the scan assembled, certificate "exact": that
+report, representatives included, is ``h1_block``'s, which eliminates
+those rows exactly and certifies nothing over F_p.  A block with no slots
+(N = 0) is "empty": its dimensions are 0 by counting, and the bound
+certifies nothing there.
 
 Blocks with n != 0 need no assembly.  ad H1 multiplies every monomial
 t^a tau^b xi^mask h^j by its n-degree a - b, in both engines (H1 is t*tau,
@@ -235,6 +239,9 @@ FP_ALPHA = 888315200261588941
 # there; (E1, E2, D3, D4), whose rows carry alpha, scanned the star window 6
 # three times slower.
 GENERATORS = ("E1", "F2", "F3", "D1")
+# The sets ``Engine.generators`` tries, in order: at alpha = +-1 the
+# bracket closure of GENERATORS is 15-dimensional, and E2, E3 complete it.
+GENERATING_SETS = (GENERATORS, GENERATORS + ("E2", "E3"))
 
 
 def generates(engine: "Engine", names) -> bool:
@@ -317,14 +324,15 @@ class Engine:
 
     @cached_property
     def generators(self):
-        """GENERATORS when they generate this engine's algebra, else None.
+        """The first of GENERATING_SETS that generates this engine's
+        algebra, else None.
 
-        The certificate is the bracket closure of their span over F_p
+        The certificate is the bracket closure of the set's span over F_p
         (``generates``); it runs on the first read, not at construction.
-        Scans assemble d1 on the pairs that touch this set (module
-        docstring), and on every pair when it is None.
+        ``h1_block`` and scans assemble d1 on the pairs that touch this set
+        (module docstring), and on every pair when it is None.
         """
-        return GENERATORS if generates(self, GENERATORS) else None
+        return next((names for names in GENERATING_SETS if generates(self, names)), None)
 
     def _incidence(self):
         """Where an elementary cochain c (c(X) = m, zero elsewhere) lives.
@@ -645,7 +653,9 @@ class CohomologyReport:
     """Dimensions and witnesses for one block.
 
     ``certificate`` names what established the dimensions: "exact" for
-    elimination of every row of d1 over Q(alpha), "modp-zero" for the F_p
+    elimination over the engine's coefficients of the rows of d1 on the
+    pairs that touch the engine's certified generating set, or of every
+    row when it has none (``Engine.generators``), "modp-zero" for the F_p
     rank bound of ``h1_scan``, "cartan-zero" for the ad H1 argument on a
     block with n != 0 (no representatives, no pivots for either),
     "cocycle-witness" for the F_p pivot rows of d1 and verified cocycles of
@@ -688,19 +698,28 @@ def _slots_to_cochain(slots, coeffs: dict, block: BlockSpec) -> Cochain1:
 def h1_block(block: BlockSpec, engine: Engine | None = None,
              representatives: bool = True) -> CohomologyReport:
     """Cocycle, coboundary and H^1 dimensions of one block, by exact
-    elimination over the engine's coefficients.
+    elimination over the engine's coefficients of d1 on the rows of the
+    engine's certified generating set, or on every row when it has none;
+    those rows have the kernel of the full d1 (module docstring).
 
     Representatives, when requested and the block is nontrivial, are kernel
     vectors of d1 certified independent modulo the coboundary span.  One
     span of the d0 columns gives both dim B and that certificate.  A block
-    with no slots is "empty".
+    with no slots is "empty".  On an engine with an h depth cap, a block
+    that d0 leaves is not a subcomplex: ValueError.
     """
     engine = engine or poisson_engine()
     brackets: dict = {}
-    slots, columns = _d1_columns(block, engine, brackets)
+    slots, columns = _d1_columns(block, engine, brackets, engine.generators)
     if not slots:
         return CohomologyReport(block, 0, 0, 0, [], [], "empty")
     bcols = _d0_columns(block, engine, brackets)[1]
+    if engine.h_k_weight and engine.h_depth is not None:
+        inside = set(slots)
+        if any(not vec.keys() <= inside for vec in bcols):
+            raise ValueError("d0 leaves block (k=%d, n=%d, %s) under the h depth cap "
+                             "h_depth=%d: the block is not a subcomplex"
+                             % (block.k, block.n, block.target, engine.h_depth))
     return _h1_exact(block, slots, columns, bcols, representatives)
 
 
@@ -802,12 +821,11 @@ def _scan_block(block: BlockSpec, engine: Engine, representatives: bool) -> Coho
     bound is 0 the block is "modp-zero".  Otherwise ``_h1_exact`` on the
     d1 rows of the F_p pivots settles it as "cocycle-witness",
     representatives included.  When a check fails, or an entry has no
-    image over F_p, d1 is assembled again on every pair and ``_h1_exact``
-    runs on all its rows, so the report is ``h1_block``'s.
+    image over F_p, ``_h1_exact`` runs on every row assembled, as
+    ``h1_block`` does, so the report is ``h1_block``'s.
     """
-    generators = engine.generators
     brackets: dict = {}
-    slots, columns = _d1_columns(block, engine, brackets, generators)
+    slots, columns = _d1_columns(block, engine, brackets, engine.generators)
     if not slots:
         return CohomologyReport(block, 0, 0, 0, [], [], "empty")
     rows1 = _fp_rank(columns)
@@ -822,8 +840,6 @@ def _scan_block(block: BlockSpec, engine: Engine, representatives: bool) -> Coho
         report = _h1_exact(block, slots, columns, bcols, representatives, rows1)
         if report is not None:
             return report
-    if generators is not None:  # h1_block's path: every row of d1
-        columns = _d1_columns(block, engine)[1]
     return _h1_exact(block, slots, columns, bcols, representatives)
 
 
@@ -835,8 +851,8 @@ def h1_scan(k_range, n_range, target: str, engine: Engine | None = None, represe
     engine's generating set when it certifies, and certified over F_p when
     it can be, by the F_p bound or by a cocycle witness, whose verified
     cocycles are its representatives; else it is eliminated exactly on
-    every row.  An engine with an h depth cap is refused: its blocks are not
-    subcomplexes.
+    those rows, as ``h1_block`` does.  An engine with an h depth cap is
+    refused: its blocks are not subcomplexes.
     """
     engine = engine or poisson_engine()
     if engine.h_k_weight and engine.h_depth is not None:

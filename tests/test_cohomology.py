@@ -668,11 +668,23 @@ CERTIFIED_SCANS = {
 }
 
 
+def _every_row_report(block, engine, representatives=True):
+    """The exact report with d1 assembled and eliminated on every pair,
+    whatever generating set the engine certifies: the oracle of the paths
+    that use the rows of that set, ``h1_block`` and the scans."""
+    brackets: dict = {}
+    slots, columns = coh._d1_columns(block, engine, brackets)
+    if not slots:
+        return coh.CohomologyReport(block, 0, 0, 0, [], [], "empty")
+    bcols = coh._d0_columns(block, engine, brackets)[1]
+    return coh._h1_exact(block, slots, columns, bcols, representatives)
+
+
 def _exact_dims(reports, engine):
-    """(Z, B, H^1) of h1_block on each report's block."""
+    """(Z, B, H^1) of the every-row elimination on each report's block."""
     out = []
     for rpt in reports:
-        exact = coh.h1_block(rpt.block, engine, representatives=False)
+        exact = _every_row_report(rpt.block, engine, representatives=False)
         out.append((exact.dim_cocycles, exact.dim_coboundaries, exact.dim_h1))
     return out
 
@@ -771,8 +783,8 @@ def _assert_same_classes(rpt, exact, engine):
 @pytest.mark.parametrize("representatives", [False, True])
 def test_cocycle_witness_matches_exact(representatives):
     # every n = 0 block of the set: the witness settles each nonzero one,
-    # with h1_block's dimensions and pivot list, and representatives that
-    # span the same classes as h1_block's
+    # with the every-row elimination's dimensions and pivot list, and
+    # representatives that span the same classes as its representatives
     blocks, settled = 0, 0
     for make_engine, target, ks in WITNESS_SCANS:
         engine = make_engine()
@@ -781,7 +793,7 @@ def test_cocycle_witness_matches_exact(representatives):
             assert rpt.certificate in ("empty", "modp-zero", "cocycle-witness"), rpt.block
             if rpt.certificate == "cocycle-witness":
                 settled += 1
-                exact = coh.h1_block(rpt.block, engine, representatives=representatives)
+                exact = _every_row_report(rpt.block, engine, representatives)
                 assert _report_key(rpt) == _report_key(exact), (target, rpt.block)
                 assert rpt.dim_h1
                 assert len(rpt.representatives) == (rpt.dim_h1 if representatives else 0)
@@ -846,6 +858,7 @@ def _fresh_poisson_engine():
 
 
 CERTIFYING = [None, 2, Fraction(1, 2), Fraction(-1, 2), 3, -3]
+WIDER = coh.GENERATING_SETS[1]  # GENERATORS with E2 and E3
 
 
 @pytest.mark.parametrize("make_engine", [coh.poisson_engine, coh.quantized_engine],
@@ -853,12 +866,16 @@ CERTIFYING = [None, 2, Fraction(1, 2), Fraction(-1, 2), 3, -3]
 def test_generating_set_certificate(make_engine):
     for alpha in CERTIFYING:
         assert make_engine(alpha).generators == coh.GENERATORS, alpha
-    # at alpha = +-1 the bracket closure of the four is 15-dimensional
+    # at alpha = +-1 the bracket closure of the four is 15-dimensional, and
+    # the six-element set certifies instead
+    assert WIDER == coh.GENERATORS + ("E2", "E3")
     for alpha in (1, -1):
         engine = make_engine(alpha)
-        assert engine.generators is None, alpha
+        assert engine.generators == WIDER, alpha
         assert not coh.generates(engine, coh.GENERATORS)
         assert coh.generates(engine, d21.BASIS_NAMES)
+    touched = [pair for pair in ENGINE.pairs if set(pair) & set(WIDER)]
+    assert len(touched) == 82
 
 
 def test_generating_set_is_certified_lazily():
@@ -882,7 +899,7 @@ def test_rows_of_a_set_that_does_not_generate():
 
 
 def test_patched_non_generating_set_gives_oracle_answers(monkeypatch):
-    monkeypatch.setattr(coh, "GENERATORS", ("E1", "F1", "H1"))
+    monkeypatch.setattr(coh, "GENERATING_SETS", (("E1", "F1", "H1"),))
     engine = _fresh_poisson_engine()
     seen = []
     assemble = coh._d1_columns
@@ -892,15 +909,19 @@ def test_patched_non_generating_set_gives_oracle_answers(monkeypatch):
         return assemble(block, engine, brackets, generators)
 
     monkeypatch.setattr(coh, "_d1_columns", recorded)
-    reports = coh.h1_scan(range(-4, 5), [0], "P", engine)
-    assert engine.generators is None
-    assert seen and set(seen) == {None}
+    scanned = coh.h1_scan(range(-4, 5), [0], "P", engine)
+    blocks = [coh.h1_block(rpt.block, engine) for rpt in scanned]
     monkeypatch.undo()
-    for rpt in reports:
-        exact = coh.h1_block(rpt.block, engine)
+    # the scan's and h1_block's reports are the every-row elimination's
+    # (on the rows of the sl2, were it not refused, P (0, 0) reads Z = 7
+    # for 5), because both assembled every pair
+    for rpt in scanned + blocks:
+        exact = _every_row_report(rpt.block, engine)
         assert _report_key(rpt) == _report_key(exact), rpt.block
         if rpt.dim_h1:
             _assert_same_classes(rpt, exact, engine)
+    assert engine.generators is None
+    assert seen and set(seen) == {None}
 
 
 ORACLE_ALPHAS = [None, 2, Fraction(-1, 2), 1, -1]
@@ -910,13 +931,13 @@ ORACLE_SCANS = [(coh.poisson_engine, target) for target in coh.TARGETS] + \
 
 @pytest.mark.parametrize("alpha", ORACLE_ALPHAS, ids=["generic", "2", "-1/2", "1", "-1"])
 def test_generator_row_scans_match_the_oracle(alpha):
-    # window 6: h1_block's dimensions, and representatives that are
-    # cocycles on every pair and independent modulo the coboundaries
+    # window 6: the every-row elimination's dimensions, and representatives
+    # that are cocycles on every pair and independent modulo the coboundaries
     for make_engine, target in ORACLE_SCANS:
         engine = make_engine(alpha)
-        assert (engine.generators is None) == (alpha in (1, -1))
+        assert engine.generators == (WIDER if alpha in (1, -1) else coh.GENERATORS)
         for rpt in coh.h1_scan(WINDOW6, [0], target, engine):
-            exact = coh.h1_block(rpt.block, engine, representatives=False)
+            exact = _every_row_report(rpt.block, engine, representatives=False)
             assert (rpt.dim_cocycles, rpt.dim_coboundaries, rpt.dim_h1) == \
                 (exact.dim_cocycles, exact.dim_coboundaries, exact.dim_h1), (target, rpt.block)
             assert len(rpt.representatives) == rpt.dim_h1
@@ -924,6 +945,52 @@ def test_generator_row_scans_match_the_oracle(alpha):
                 assert coh.pairmap_is_zero(coh.d1(rep, engine)), (target, rpt.block)
                 assert coh.express_modulo_coboundaries(
                     rep, rpt.representatives[:i], rpt.block, engine) is None, (target, rpt.block)
+
+
+ROW_ORACLE_ENGINES = {
+    **{"poisson " + name: (lambda a=alpha: coh.poisson_engine(a), coh.TARGETS)
+       for name, alpha in (("generic", None), ("2", 2), ("1", 1), ("-1", -1))},
+    "star generic": (lambda: coh.quantized_engine(), ["P+"]),
+    "star -1/2": (lambda: coh.quantized_engine(Fraction(-1, 2)), ["P+"]),
+    "star h_depth=2": (lambda: coh.quantized_engine(h_depth=2), ["P+"]),
+}
+
+
+@pytest.mark.parametrize("engine_name", list(ROW_ORACLE_ENGINES))
+def test_h1_block_matches_every_row_elimination(engine_name):
+    # h1_block eliminates d1 on the rows of the certified set only: the
+    # every-row elimination's Z, B, H^1 and pivot list on every n = 0 block
+    # of window 6, and representatives that are cocycles on every pair and
+    # independent modulo the coboundaries
+    make_engine, targets = ROW_ORACLE_ENGINES[engine_name]
+    engine = make_engine()
+    assert engine.generators is not None
+    checked = 0
+    for target in targets:
+        for k in ([2] if target in ("K4", "K4'") else WINDOW6):
+            block = coh.BlockSpec(k, 0, target)
+            if engine.h_depth and k == 6:
+                continue  # d0 leaves (6, 0) under the cap (test below)
+            rpt = coh.h1_block(block, engine)
+            exact = _every_row_report(block, engine)
+            assert _report_key(rpt) == _report_key(exact), block
+            assert rpt.certificate == exact.certificate, block
+            assert len(rpt.representatives) == rpt.dim_h1
+            for i, rep in enumerate(rpt.representatives):
+                assert coh.pairmap_is_zero(coh.d1(rep, engine)), block
+                assert coh.express_modulo_coboundaries(
+                    rep, rpt.representatives[:i], block, engine) is None, block
+            checked += rpt.dim_h1 > 0
+    assert checked
+
+
+def test_h1_block_refuses_a_block_the_cap_cuts():
+    # h_depth=2 caps the h powers of (6, 0) at 2 where the operator rule
+    # allows 3, and d0 of a C^0 key then has terms outside the block
+    capped = coh.quantized_engine(h_depth=2)
+    with pytest.raises(ValueError, match=r"block \(k=6, n=0, P\+\) .*h_depth=2"):
+        coh.h1_block(coh.BlockSpec(6, 0, "P+"), capped)
+    assert coh.h1_block(coh.BlockSpec(6, 0, "P+"), coh.quantized_engine()).dim_h1 == 1
 
 
 def test_empty_blocks_are_labelled_empty():
