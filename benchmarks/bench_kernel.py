@@ -22,7 +22,11 @@ read, so no fold runs there either.
 assembly does: the bracket of every basis element, in both engines, with
 the unit monomials of a block (P (0, 0) for the Poisson engine, P+ (4, 0)
 for the star engine), once per monomial and then as one beta-tagged map
-per basis element (``cohomology._brackets``).  The last three
+per basis element (``cohomology._brackets``).  ``struct_table``,
+``engine_poisson`` and ``engine_star`` time the set-up every engine user
+pays, 20 times each and uncached: the structure table
+(``d21.structure_table``, one tagged bracket per basis element) and the
+construction of each engine from it.  The last three
 columns time the coefficient layer alone: products and sums of ``Scalar``
 pairs, and ``Scalar`` times a small int.
 
@@ -166,6 +170,22 @@ def time_brackets(cases):
     return timings
 
 
+def time_setup(repeat=20):
+    """``repeat`` uncached builds of the structure table and of each
+    engine; the engines read the cached table and bases."""
+    from superpds import cohomology as coh, d21
+
+    timings = {}
+    for op, build in (("struct_table", d21.structure_table.__wrapped__),
+                      ("engine_poisson", lambda: coh._poisson_engine.__wrapped__(None)),
+                      ("engine_star", lambda: coh._quantized_engine.__wrapped__(None, None))):
+        t0 = time.perf_counter()
+        for _ in range(repeat):
+            build()
+        timings[op] = time.perf_counter() - t0
+    return timings
+
+
 def run(pairs, star_pairs, mono_pairs, mono_star_pairs, scalar_pairs, int_pairs):
     timings = {}
     t0 = time.perf_counter()
@@ -226,11 +246,13 @@ def run(pairs, star_pairs, mono_pairs, mono_star_pairs, scalar_pairs, int_pairs)
 def main():
     timing = run(*build_workloads(), *build_monomial_workloads(), *build_scalar_workloads())
     timing.update(time_brackets(build_bracket_workloads()))
+    timing.update(time_setup())
     timing.update(time_star_chain(build_chain_workloads()))
     timing.update(time_poisson_chain(build_poisson_chain_workloads()))
     ops = ["product", "poisson", "star", "hbracket", "poisson_mono", "star_mono",
            "hbracket_mono", "fold", "sub_equal", "star_chain", "poisson_chain",
-           "bracket_unit", "bracket_tagged", "scalar_mul", "scalar_mul_int", "scalar_add"]
+           "bracket_unit", "bracket_tagged", "struct_table", "engine_poisson", "engine_star",
+           "scalar_mul", "scalar_mul_int", "scalar_add"]
     print("".join("%15s" % op for op in ops))
     print("".join("%14.3fs" % timing[op] for op in ops))
 

@@ -148,6 +148,7 @@ the star-product analogue reuses every formula with [.,.]_h substituted.
 
 from __future__ import annotations
 
+import copy
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
@@ -414,7 +415,11 @@ def quantized_engine(alpha=None, h_depth=None) -> Engine:
     One h power carries k-degree 2; the structure constants match the
     Poisson ones (checked by quantize.verify_h_structure_match, exercised in
     the test suite).  h powers in a block are bounded by the operator
-    constraint; pass h_depth to cap them harder.
+    constraint; pass h_depth to cap them harder.  A capped engine is the
+    uncapped one at the same alpha with the cap set: it shares basis,
+    bracket, structure table, pairs, incidence and metadata, and a
+    generating-set certificate already made (``generates`` reads only the
+    structure table), and has its own slot sets, which depend on the cap.
     """
     return _quantized_engine(alpha, h_depth)
 
@@ -433,10 +438,14 @@ def _poisson_engine(alpha) -> Engine:
 def _quantized_engine(alpha, h_depth) -> Engine:
     from . import quantize
 
+    if h_depth is not None:
+        engine = copy.copy(_quantized_engine(alpha, None))
+        engine.h_depth, engine._slot_sets = h_depth, {}
+        return engine
     if alpha is not None:
-        return _quantized_engine(None, h_depth).evaluated(lambda c: c.specialize(alpha))
+        return _quantized_engine(None, None).evaluated(lambda c: c.specialize(alpha))
     return Engine(quantize.gamma_h_basis(), quantize.h_bracket, d21.structure_table(),
-                  h_k_weight=2, h_depth=h_depth)
+                  h_k_weight=2, h_depth=None)
 
 
 def _monomials(block: BlockSpec, engine: Engine, want_n, weight, parity):

@@ -19,8 +19,9 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
+from math import lcm as int_lcm
 
-from .scalars import ALPHA, S_ONE, Scalar
+from .scalars import ALPHA, POLY_ONE, S_ONE, S_ZERO, Scalar
 from .symbols import Symbol
 
 EVEN_NAMES = ("E1", "F1", "H1", "E2", "F2", "H2", "E3", "F3", "H3")
@@ -364,26 +365,33 @@ def verify_iso():
         sum_n [x, y]_n c_n N = (-2)^(p(x) p(y)) c_x c_y {X, Y},
 
     exact over Q(alpha) with the parameter triple (2, -1-alpha, alpha-1).
-    Returns None on success or a mismatch record (pair, lhs, rhs) of the
-    two sides of that equation.
+    It runs as one bracket per abstract x, c_x X against the beta-tagged
+    sum of the c_y Y, with one residual per x (``_tagged_residuals``; the
+    beta-tag lemma is in the ``cohomology`` module docstring).  Returns
+    None on success or, for the first failing pair, the record
+    (pair, lhs, rhs) of the two sides of that equation.
     """
     alg = abstract_algebra(*standard_sigma())
     iso = _iso_map()
     basis = embedded_basis()
-    for x in alg.names:
-        cx, bx = iso[x]
-        for y in alg.names:
-            cy, by = iso[y]
-            coeff = cx * cy
-            if alg.parity[x] and alg.parity[y]:
-                coeff = coeff * -2
-            rhs = basis[bx].poisson(basis[by]) * coeff
+    names = alg.names
+
+    def rows_of(x, _):
+        # the left side over (-2)^(p(x) p(y)), so one tagged sum serves every x
+        return [{iso[n][1]: c * iso[n][0] * (Fraction(-1, 2) if alg.parity[x] and alg.parity[y] else 1)
+                 for n, c in alg.table[(x, y)].items()} for y in names]
+
+    for x, _, i in _tagged_residuals(Symbol.poisson, {x: basis[iso[x][1]] * iso[x][0] for x in names},
+                                     [basis[iso[y][1]] * iso[y][0] for y in names], basis, rows_of):
+        if i is not None:
+            y = names[i]
+            (cx, bx), (cy, by) = iso[x], iso[y]
+            coeff = cx * cy * (-2 if alg.parity[x] and alg.parity[y] else 1)
             lhs = Symbol.zero()
             for n, c in alg.table[(x, y)].items():
                 cn, target = iso[n]
                 lhs = lhs + basis[target] * (c * cn)
-            if lhs - rhs:
-                return (x, y), lhs, rhs
+            return (x, y), lhs, basis[bx].poisson(basis[by]) * coeff
     return None
 
 
@@ -411,6 +419,82 @@ _LEAD_KEYS = {
     "D4": (0, 1, 0b1000, 0, 0),
 }
 _H_KEYS = ((0, 0, 0b0101, 0, 0), (0, 0, 0b1010, 0, 0))
+# the place of each lead key, then of the two H keys, in a coefficient map
+_SLOTS = {key: i for i, key in enumerate((*_LEAD_KEYS.values(), *_H_KEYS))}
+_LEAD_NAMES = tuple(_LEAD_KEYS)
+
+
+def _coefficients(terms: dict, count: int) -> list:
+    """For each beta power i < count, the basis coefficients read off the
+    beta^i terms of a term map: at ``_LEAD_KEYS``, in their order, then H2
+    and H3 from the two ``_H_KEYS``.  A combination of the basis has no
+    other coefficients: ``expand_in_basis`` and ``_span_residual`` check
+    that."""
+    rows = [{} for _ in range(count)]
+    hs = {}
+    for slot, i, c in sorted((_SLOTS[key], i, c) for (t, u, m, i, h), c in terms.items()
+                             if i < count and (key := (t, u, m, 0, h)) in _SLOTS):
+        if slot < len(_LEAD_NAMES):
+            rows[i][_LEAD_NAMES[slot]] = c
+        else:
+            hs.setdefault(i, [S_ZERO, S_ZERO])[slot - len(_LEAD_NAMES)] = c
+    for i, (u, v) in hs.items():
+        if h2 := (u + v) * Fraction(1, 2):
+            rows[i]["H2"] = h2
+        if h3 := (u - v) * Fraction(1, 2):
+            rows[i]["H3"] = h3
+    return rows
+
+
+def _span_residual(value: Symbol, basis, rows) -> dict:
+    """value - sum_i beta^i sum_n rows[i][n] basis[n] on int alpha-power
+    layers over one denominator, as {power: {key: nonzero int}}.
+
+    ``value``, the coefficients and the basis must lie in Q[alpha], as
+    the bases and structure tables here do.
+    """
+    layers, d, den = value.layers()
+    parts = [(i, c, basis[name].layers()) for i, row in enumerate(rows) for name, c in row.items()]
+    if den is not None or any(c.ad is not POLY_ONE or bden is not None for _, c, (_, _, bden) in parts):
+        raise ValueError("span residual needs coefficients in Q[alpha]")
+    lcd = int_lcm(d, *(c.an.d * bd for _, c, (_, bd, _) in parts))
+    out = {e: {key: v * (lcd // d) for key, v in layer.items()} for e, layer in layers.items()}
+    for i, c, (blayers, bd, _) in parts:
+        f = lcd // (c.an.d * bd)
+        for e1, v1 in c.an.c.items():
+            for e2, blayer in blayers.items():
+                layer = out.setdefault(e1 + e2, {})
+                for (t, u, m, _, h), v2 in blayer.items():
+                    key = (t, u, m, i, h)
+                    if nv := layer.get(key, 0) - f * v1 * v2:
+                        layer[key] = nv
+                    else:
+                        del layer[key]
+    return {e: layer for e, layer in out.items() if layer}
+
+
+def _tagged_residuals(bracket, lefts: dict, rights, basis, rows_of):
+    """Check, for every name x of ``lefts``, that the bracket of lefts[x]
+    with each rights[i] is sum_n rows[i][n] basis[n], for the rows
+    ``rows_of(x, value)`` gives, with one bracket and one residual per x.
+
+    No term of ``lefts`` or ``rights`` carries beta, and beta is central
+    and never differentiated, so value = bracket(lefts[x], sum_i beta^i
+    rights[i]) has [lefts[x], rights[i]] as its beta^i slice: the lemma
+    of ``cohomology._brackets`` (``cohomology`` module docstring).  The
+    slices are independent, so the residual
+    value - sum_i beta^i sum_n rows[i][n] basis[n] (``_span_residual``)
+    is zero exactly when every pair's is.  Yields (x, rows, i) per x, in
+    order, i the lowest beta power of a residual term, or None when the
+    residual is zero.
+    """
+    tagged = Symbol({(t, u, m, i, h): c for i, sym in enumerate(rights)
+                     for (t, u, m, _, h), c in sym.terms.items()})
+    for x, left in lefts.items():
+        value = bracket(left, tagged)
+        rows = rows_of(x, value)
+        residual = _span_residual(value, basis, rows)
+        yield x, rows, min((key[3] for layer in residual.values() for key in layer), default=None)
 
 
 def expand_in_basis(value: Symbol, basis=None) -> dict:
@@ -419,19 +503,7 @@ def expand_in_basis(value: Symbol, basis=None) -> dict:
     Raises ValueError when the symbol is outside their span.
     """
     basis = basis or embedded_basis()
-    coeffs = {}
-    for name, key in _LEAD_KEYS.items():
-        c = value.coefficient(key)
-        if c:
-            coeffs[name] = c
-    u = value.coefficient(_H_KEYS[0])
-    v = value.coefficient(_H_KEYS[1])
-    h2 = (u + v) * Fraction(1, 2)
-    h3 = (u - v) * Fraction(1, 2)
-    if h2:
-        coeffs["H2"] = h2
-    if h3:
-        coeffs["H3"] = h3
+    coeffs = _coefficients(value.terms, 1)[0]
     check = value
     for name, c in coeffs.items():
         check = check - basis[name] * c
@@ -444,13 +516,31 @@ def expand_in_basis(value: Symbol, basis=None) -> dict:
 def structure_table():
     """Poisson structure constants of the named basis, computed once.
 
-    table[(x, y)] maps names to Q(alpha) coefficients of {x, y}.
+    table[(x, y)] maps names to Q(alpha) coefficients of {x, y}, keyed
+    in ``BASIS_NAMES`` order, each map in ``_LEAD_KEYS`` order and then
+    H2, H3, as ``expand_in_basis`` gives them.  One bracket per name x:
+    x against the beta-tagged sum of the basis, whose beta^i slice is
+    {x, y_i} since beta is central and no basis term carries it (the
+    lemma of ``cohomology._brackets``, in the ``cohomology`` module
+    docstring).  Each pair's coefficients are read off its slice, and one
+    exact residual per x checks that every slice lies in the span
+    (``_tagged_residuals``).  When one does not, ``expand_in_basis`` of
+    its lowest-tagged pair raises the ValueError.
     """
-    basis = embedded_basis()
+    return _structure_table(embedded_basis())
+
+
+def _structure_table(basis) -> dict:
+    """``structure_table`` for a ``basis`` with the names ``BASIS_NAMES``."""
     table = {}
-    for x in BASIS_NAMES:
-        for y in BASIS_NAMES:
-            table[(x, y)] = expand_in_basis(basis[x].poisson(basis[y]), basis)
+    for x, rows, i in _tagged_residuals(Symbol.poisson, {x: basis[x] for x in BASIS_NAMES},
+                                        [basis[y] for y in BASIS_NAMES], basis,
+                                        lambda x, value: _coefficients(value.terms, len(BASIS_NAMES))):
+        if i is not None:
+            y = BASIS_NAMES[i]
+            expand_in_basis(basis[x].poisson(basis[y]), basis)
+            raise AssertionError("residual at (%s, %s) but the pair is in the span" % (x, y))
+        table.update(((x, y), row) for y, row in zip(BASIS_NAMES, rows))
     return table
 
 

@@ -334,6 +334,15 @@ def _star_walk(out: dict, a: dict, b: dict, table: tuple, shift: int) -> None:
                         del out[key]
 
 
+def _product_walk(out: dict, a: dict, b: dict) -> None:
+    """A B into ``out``.  ``_star_walk`` checks the tau exponents of A
+    term by term, which covers both operands of the h-bracket's two
+    orders; those of B are checked here, once per walk."""
+    if any(key[1] < 0 for key in b):
+        raise ValueError("star product needs nonnegative tau exponents")
+    _star_walk(out, a, b, _PRODUCT, 0)
+
+
 def _h_bracket_walk(out: dict, a: dict, b: dict) -> None:
     """A B and then B A, with the back-order signs, into one int map."""
     _star_walk(out, a, b, _BRACKET, -1)
@@ -379,7 +388,7 @@ def poisson_terms(a, b):
 def moyal_terms(a, b):
     """Normal-ordered product of the h-deformed symbol algebra.  Operands
     and result as for ``poisson_terms``."""
-    return _layered(a, b, _star_walk, _PRODUCT, 0)
+    return _layered(a, b, _product_walk)
 
 
 def h_bracket_terms(a, b):

@@ -129,17 +129,23 @@ def gamma_h_basis():
 
 def verify_h_structure_match():
     """Check [X, Y]_h closes on the deformed basis with the classical
-    structure constants (independent of h).  Returns None or a mismatch."""
-    from .d21 import BASIS_NAMES, structure_table
+    structure constants (independent of h), with one h-bracket per name X
+    against the beta-tagged sum of the basis and one residual per X
+    (``d21._tagged_residuals``; the beta-tag lemma is in the
+    ``cohomology`` module docstring: the star product, too, adds beta
+    exponents and never differentiates beta).  Returns None, or for the
+    first failing pair the mismatch ((X, Y), [X, Y]_h, sum_n c_n N)."""
+    from .d21 import BASIS_NAMES, _tagged_residuals, structure_table
 
     basis = gamma_h_basis()
     table = structure_table()
-    for x in BASIS_NAMES:
-        for y in BASIS_NAMES:
-            lhs = h_bracket(basis[x], basis[y])
+    for x, _, i in _tagged_residuals(h_bracket, {x: basis[x] for x in BASIS_NAMES},
+                                     [basis[y] for y in BASIS_NAMES], basis,
+                                     lambda x, _: [table[(x, y)] for y in BASIS_NAMES]):
+        if i is not None:
+            y = BASIS_NAMES[i]
             rhs = SYM_ZERO
             for name, coeff in table[(x, y)].items():
                 rhs = rhs + basis[name] * coeff
-            if lhs != rhs:
-                return (x, y), lhs, rhs
+            return (x, y), h_bracket(basis[x], basis[y]), rhs
     return None

@@ -1046,6 +1046,20 @@ def test_one_cache_entry_per_engine():
     assert coh.quantized_engine(1, 2) is coh.quantized_engine(alpha=1, h_depth=2)
 
 
+@pytest.mark.parametrize("alpha", [None, 1])
+def test_capped_engine_is_the_uncapped_one_with_a_cap(alpha):
+    engine, capped = coh.quantized_engine(alpha), coh.quantized_engine(alpha, h_depth=2)
+    assert (capped.h_depth, engine.h_depth) == (2, None)
+    for name in ("basis", "bracket", "struct", "pairs", "incidence", "metadata"):
+        assert getattr(capped, name) is getattr(engine, name), name
+    assert capped._slot_sets is not engine._slot_sets
+    assert capped.specialized == engine.specialized == (alpha is not None)
+    # slots depend on the cap: (6, 0) has h powers up to 4 uncapped
+    block = coh.BlockSpec(6, 0, "P+")
+    assert max(key[4] for _, key in coh.enumerate_c1(block, capped)) == 2
+    assert max(key[4] for _, key in coh.enumerate_c1(block, engine)) == 4
+
+
 # -- the Cartan certificate: ad H1 acts on block (k, n) by n --------------------------
 
 

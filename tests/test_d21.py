@@ -5,6 +5,7 @@ import pytest
 from superpds import d21, kernel
 from superpds.expr import parse
 from superpds.scalars import ALPHA, S_ONE, Scalar
+from superpds.symbols import Symbol
 
 
 def test_basis_matches_frozen_expressions():
@@ -205,6 +206,28 @@ def test_verify_iso_full_scan():
     assert d21.verify_iso() is None
 
 
+def _verify_iso_reference():
+    """verify_iso pair by pair: the first failing (pair, lhs, rhs)."""
+    alg = d21.abstract_algebra(*d21.standard_sigma())
+    iso = d21._iso_map()
+    basis = d21.embedded_basis()
+    for x in alg.names:
+        cx, bx = iso[x]
+        for y in alg.names:
+            cy, by = iso[y]
+            coeff = cx * cy
+            if alg.parity[x] and alg.parity[y]:
+                coeff = coeff * -2
+            rhs = basis[bx].poisson(basis[by]) * coeff
+            lhs = Symbol.zero()
+            for n, c in alg.table[(x, y)].items():
+                cn, target = iso[n]
+                lhs = lhs + basis[target] * (c * cn)
+            if lhs - rhs:
+                return (x, y), lhs, rhs
+    return None
+
+
 def test_verify_iso_reports_a_flipped_odd_image(monkeypatch):
     iso_map = d21._iso_map
     alg = d21.abstract_algebra(*d21.standard_sigma())
@@ -223,6 +246,7 @@ def test_verify_iso_reports_a_flipped_odd_image(monkeypatch):
         # the first mismatch is a pair that meets the flipped image
         assert name in pair or name in alg.table[pair], (name, pair)
         assert lhs != rhs
+        assert bad == _verify_iso_reference(), name
 
 
 # -- structure table ---------------------------------------------------------------
@@ -254,6 +278,74 @@ def test_even_part_is_three_commuting_sp2_triples():
                 for x in (e, f, h):
                     for y in other:
                         assert tbl[(x, y)] == {}, (x, y)
+
+
+def _expand_reference(value, basis):
+    """expand_in_basis one key at a time, as the table was first built."""
+    coeffs = {}
+    for name, key in d21._LEAD_KEYS.items():
+        c = value.coefficient(key)
+        if c:
+            coeffs[name] = c
+    u = value.coefficient(d21._H_KEYS[0])
+    v = value.coefficient(d21._H_KEYS[1])
+    for name, c in (("H2", (u + v) * Fraction(1, 2)), ("H3", (u - v) * Fraction(1, 2))):
+        if c:
+            coeffs[name] = c
+    check = value
+    for name, c in coeffs.items():
+        check = check - basis[name] * c
+    if check:
+        raise ValueError("symbol outside the basis span, residual %s" % (check,))
+    return coeffs
+
+
+def _table_reference(basis):
+    """The structure table with one bracket and one expansion per pair."""
+    return {(x, y): _expand_reference(basis[x].poisson(basis[y]), basis)
+            for x in d21.BASIS_NAMES for y in d21.BASIS_NAMES}
+
+
+def test_structure_table_matches_per_pair_reference():
+    table = d21.structure_table()
+    reference = _table_reference(d21.embedded_basis())
+    # keys, their order, the order of each map and the canonical values
+    assert repr(list(table.items())) == repr(list(reference.items()))
+
+
+def _perturbed(name, extra):
+    basis = dict(d21.embedded_basis())
+    basis[name] = basis[name] + extra
+    return basis
+
+
+@pytest.mark.parametrize("name,extra", [
+    ("F1", Symbol.monomial(t=-2, mask=0b1111, coeff=ALPHA)),
+    ("D3", Symbol.monomial(t=1, mask=0b0100)),
+    ("D2", Symbol.monomial(t=-1, mask=0b0111, coeff=1)),
+    ("H3", Symbol.monomial(mask=0b1010, coeff=2)),
+])
+def test_perturbed_basis_raises_as_the_reference(name, extra):
+    # each perturbation takes some bracket out of the span
+    basis = _perturbed(name, extra)
+    with pytest.raises(ValueError) as expected:
+        _table_reference(basis)
+    with pytest.raises(ValueError) as got:
+        d21._structure_table(basis)
+    assert str(got.value) == str(expected.value)
+
+
+def test_structure_table_brackets_once_per_name(monkeypatch):
+    calls = []
+    poisson_terms = kernel.poisson_terms
+
+    def counted(a, b):
+        calls.append(1)
+        return poisson_terms(a, b)
+
+    monkeypatch.setattr(kernel, "poisson_terms", counted)
+    d21.structure_table.__wrapped__()
+    assert len(calls) == len(d21.BASIS_NAMES)
 
 
 def test_expand_in_basis_rejects_outside_span():

@@ -45,6 +45,12 @@ def test_star_product_examples():
 def test_star_product_requires_operator_symbols():
     with pytest.raises(ValueError):
         quantize.moyal_mul(mono(tau=-1), T)
+    # a negative tau power on the right, too, in either order of the walk
+    for a, b in ((TAU, T * mono(tau=-1)), (T, mono(tau=-1)), (T * mono(tau=-1), TAU)):
+        with pytest.raises(ValueError, match="nonnegative tau"):
+            quantize.moyal_mul(a, b)
+        with pytest.raises(ValueError, match="nonnegative tau"):
+            quantize.h_bracket(a, b)
 
 
 def test_star_associativity_randomized():
@@ -430,6 +436,36 @@ def test_deformed_basis_is_operator_valued():
 
 def test_h_structure_constants_match_poisson():
     assert quantize.verify_h_structure_match() is None
+
+
+def _h_structure_reference():
+    """verify_h_structure_match pair by pair: the first mismatch."""
+    basis = quantize.gamma_h_basis()
+    table = d21.structure_table()
+    for x in d21.BASIS_NAMES:
+        for y in d21.BASIS_NAMES:
+            lhs = quantize.h_bracket(basis[x], basis[y])
+            rhs = Symbol.zero()
+            for name, coeff in table[(x, y)].items():
+                rhs = rhs + basis[name] * coeff
+            if lhs != rhs:
+                return (x, y), lhs, rhs
+    return None
+
+
+@pytest.mark.parametrize("name,extra", [
+    ("F1", mono(t=-1, tau=1, h=1, coeff=-ALPHA)),  # F1 without its h t^-1 tau term
+    ("D3", mono(t=-1, mask=0b0100, h=1, coeff=-ALPHA)),
+    ("T2", mono(t=1, mask=0b0010, h=1)),
+])
+def test_perturbed_gamma_basis_fails_structure_match(monkeypatch, name, extra):
+    basis = dict(quantize.gamma_h_basis())
+    basis[name] = basis[name] + extra
+    monkeypatch.setattr(quantize, "gamma_h_basis", lambda: basis)
+    bad = quantize.verify_h_structure_match()
+    assert bad is not None
+    assert bad == _h_structure_reference()
+    assert bad[1] != bad[2]
 
 
 def test_contraction_on_basis_pairs():
