@@ -165,7 +165,7 @@ def time_brackets(cases):
     timings["bracket_unit"] = time.perf_counter() - t0
     t0 = time.perf_counter()
     for engine, keys in cases:
-        _brackets(engine, dict.fromkeys(engine.basis, keys))
+        _brackets(engine, engine.basis, keys)
     timings["bracket_tagged"] = time.perf_counter() - t0
     return timings
 

@@ -41,6 +41,9 @@ FIXTURES = {
     },
     "rho2.json": {"block": {"k": -2, "n": 0, "target": "P+"}, "images": {"F1": "t^-2"}},
     "deformation.json": {"engine": "poisson", "orders": ["theta1.json", "rho2.json"]},
+    # a tau < 0 image term, which the star engine refuses
+    "tau_neg.json": {"images": {"T3": "tau^-1*xi1"}},
+    "star_deformation.json": {"engine": "star", "orders": ["tau_neg.json"]},
 }
 
 H1_BLOCKS = [("0", "0"), ("4", "-2"), ("4", "0"), ("2", "-6")]
@@ -98,6 +101,17 @@ COMMANDS = (
     + [["h1", "--target", "P+", "--quantized", "--k", "6", "--n", "0", "--json"],
        ["h1", "--target", "P", "--k", "0", "--n", "0", "--specialize", "1", "--json"],
        ["h1", "--target", "K4'", "--k", "2", "--n", "0", "--json"]]
+    # alpha = 1/p: no structure constant has an F_p image, so no generating
+    # set certifies and scans eliminate d1 on the rows of the full basis
+    + [["h1", "--target", "P", "--specialize", "1/2305843009213693951", "--window", "2",
+        "--json"]]
+    # refused: a tau < 0 image term on the star engine, and a window in
+    # block mode
+    + [["cocycle", "theta2", "--quantized"],
+       ["cup", "tau_neg.json", "tau_neg.json", "--quantized"],
+       ["solve-obstruction", "tau_neg.json", "--k", "-2", "--quantized"],
+       ["deform", "verify", "--file", "star_deformation.json"],
+       ["h1", "--target", "P", "--k", "0", "--n", "0", "--window", "2"]]
 )
 
 

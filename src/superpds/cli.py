@@ -88,14 +88,24 @@ def _load_cochain(path: str):
     return coh.Cochain1(images, block)
 
 
-def _check_block(c, path: str, engine) -> None:
-    """Raise InputError unless a cochain read from ``path`` that declares a
-    block lies in it, for the engine that will compute with it."""
+def _check_cochain(c, path: str, engine) -> None:
+    """Raise InputError unless a cochain read from ``path`` fits its block and the engine."""
     if c.block is not None:
         try:
             engine.validate_cochain(c, c.block)
         except ValueError as exc:
             raise InputError("%s: %s" % (path, exc))
+    _check_star(c, path, engine)
+
+
+def _check_star(c, source: str, engine) -> None:
+    """Raise InputError naming ``source`` and the term when the star engine,
+    which keeps no tau < 0 monomial, gets a cochain with an image outside P+."""
+    for name, sym in c.images.items() if engine.h_k_weight else ():
+        for key, coeff in sym.terms.items():
+            if not (term := Symbol({key: coeff})).in_subalgebra("P+"):
+                raise InputError("%s: %s image term %s has tau < 0; the star engine "
+                                 "computes in P+ only" % (source, name, term))
 
 
 def _block_spec(k, n, target, prefix=""):
@@ -240,6 +250,9 @@ def cmd_h1(args):
         if args.k is None or args.n is None:
             print("h1: --k and --n must be given together", file=sys.stderr)
             return 2
+        if args.window is not None:
+            print("h1: --window scans a window, not the block of --k and --n", file=sys.stderr)
+            return 2
         block = _block_spec(args.k, args.n, args.target)
         reports = [coh.h1_block(block, engine, representatives=True)]
         scanned = 1
@@ -296,6 +309,7 @@ def cmd_cocycle(args):
         c = coh.named_cocycle(args.name)
         source = args.name
     engine = coh.quantized_engine() if (args.quantized or args.name == "thetabar1") else coh.poisson_engine()
+    _check_star(c, source, engine)
     problems = []
     if c.block is not None:
         try:
@@ -322,8 +336,8 @@ def cmd_cup(args):
     phi = _load_cochain(args.f)
     phi_prime = _load_cochain(args.g)
     engine = _engine(args)
-    _check_block(phi, args.f, engine)
-    _check_block(phi_prime, args.g, engine)
+    _check_cochain(phi, args.f, engine)
+    _check_cochain(phi_prime, args.g, engine)
     pairs = coh.cup(phi, phi_prime, engine)
     nonzero = {"(%s,%s)" % p: str(v) for p, v in pairs.items() if v}
     payload = {
@@ -347,7 +361,7 @@ def cmd_solve_obstruction(args):
                          % args.target)
     rho1 = _load_cochain(args.f)
     engine = _engine(args)
-    _check_block(rho1, args.f, engine)
+    _check_cochain(rho1, args.f, engine)
     target = args.target or ("P+" if args.quantized else rho1.block.target if rho1.block else "P")
     block = _block_spec(args.k, args.n, target)
     sol = coh.solve_obstruction(rho1, block, engine)
@@ -375,7 +389,7 @@ def _load_deformation(path: str) -> deform.DeformedMap:
         engine = coh.poisson_engine()
     else:
         raise InputError("%s: unknown engine %r" % (path, engine_name))
-    base = os.path.dirname(os.path.abspath(path))
+    base = os.path.dirname(path)
     entries = doc.get("orders", [])
     if not isinstance(entries, list):
         raise InputError("%s: orders must be a list, got %s" % (path, _type_name(entries)))
@@ -386,7 +400,7 @@ def _load_deformation(path: str) -> deform.DeformedMap:
                              % (path, _type_name(entry)))
         order_path = os.path.join(base, entry)
         order = _load_cochain(order_path)
-        _check_block(order, order_path, engine)
+        _check_cochain(order, order_path, engine)
         orders.append(order)
     return deform.DeformedMap(orders, engine)
 

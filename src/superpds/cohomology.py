@@ -55,19 +55,16 @@ set generates its algebra: the bracket closure of the set over F_p
 have a minor nonzero mod p, hence nonzero over Q(alpha) or Q.  At
 alpha = +-1 the closure of S is 15-dimensional, and S with E2 and E3,
 which touches 82 pairs, certifies there instead (``GENERATING_SETS``).
-The lemma holds cochain by cochain, and the bracket is never truncated,
-so it holds on an engine with an h depth cap too: only the block's slots
-are capped, not d1 c.
+When neither certifies, S is the whole basis, which generates the algebra
+by definition and touches every pair.  The lemma holds cochain by
+cochain, and the bracket is never truncated, so it holds on an engine
+with an h depth cap too: only the block's slots are capped, not d1 c.
 
-Which rows a path uses:
-
-* the rows of the certified set: ``h1_block`` and the n = 0 blocks of
-  ``h1_scan``, for the F_p ranks, the witness's exact elimination and its
-  cocycle checks, and the exact elimination both end in;
-* every row: the same paths on an engine with no certified set, the
-  every-row elimination (``_d1_columns`` with no set, then ``_h1_exact``)
-  that the tests compare both paths with, and ``d1``, ``cup`` and
-  ``solve_obstruction``, which must meet a right-hand side on every pair.
+Which rows a path uses: every report (``h1_block`` and ``h1_scan``, for
+the F_p ranks, the witness's exact elimination and its cocycle checks,
+and the exact elimination both end in) eliminates d1 on the rows of
+``engine.generators``, while ``d1``, ``cup`` and ``solve_obstruction``,
+which must meet a right-hand side on every pair, use every pair.
 
 Scans first try to certify each block over F_p, p = FP_PRIME = 2^61 - 1.
 A block is assembled once, over the engine's own coefficients, and each
@@ -126,10 +123,10 @@ Block assembly builds the matrix of d1 column by column: the engine's
 incidence table lists, per basis name, the pairs on which an elementary
 cochain at that name is nonzero, so a column adds up a few bracket term maps
 [X, m] instead of evaluating d1 on all pairs.  Those brackets form one table
-per block, one kernel call per basis element X: X against every distinct
-slot key of the block, or, on the rows of a generating set S, a name of S
-against those and any other name against the slot keys of S and of H1
-only.  beta is central and never differentiated,
+per block, one kernel call per basis element X: on the rows of a
+generating set S, a name of S against every distinct slot key of the
+block, and any other name against the slot keys of S and of H1 only.
+beta is central and never differentiated,
 and both kernels add beta exponents; every block key has beta 0, and no
 basis term carries beta (``Engine`` refuses one).  So for the keys m_0,
 m_1, ... X is bracketed with,
@@ -301,7 +298,7 @@ class Engine:
     raises ValueError on a basis term with a beta exponent.
     """
 
-    def __init__(self, basis, bracket, struct, h_k_weight, h_depth, specialized=False):
+    def __init__(self, basis, bracket, struct, h_k_weight, h_depth):
         for name, sym in basis.items():
             for key, c in sym.terms.items():
                 if key[3]:
@@ -311,7 +308,6 @@ class Engine:
         self.struct = struct
         self.h_k_weight = h_k_weight
         self.h_depth = h_depth
-        self.specialized = specialized
         self.metadata = d21.basis_metadata()
         names = list(BASIS_NAMES)
         self.pairs = [
@@ -326,14 +322,21 @@ class Engine:
     @cached_property
     def generators(self):
         """The first of GENERATING_SETS that generates this engine's
-        algebra, else None.
+        algebra, else BASIS_NAMES, which generates it by definition.
 
         The certificate is the bracket closure of the set's span over F_p
         (``generates``); it runs on the first read, not at construction.
         ``h1_block`` and scans assemble d1 on the pairs that touch this set
-        (module docstring), and on every pair when it is None.
+        (module docstring): every pair for BASIS_NAMES.
         """
-        return next((names for names in GENERATING_SETS if generates(self, names)), None)
+        return next((names for names in GENERATING_SETS if generates(self, names)), BASIS_NAMES)
+
+    @cached_property
+    def specialized(self) -> bool:
+        """Whether no coefficient of the basis carries alpha: the generic
+        bases of both engines do, and ``evaluated`` at a rational alpha not."""
+        return all(c.an.is_constant() and c.ad is POLY_ONE
+                   for sym in self.basis.values() for c in sym.terms.values())
 
     def _incidence(self):
         """Where an elementary cochain c (c(X) = m, zero elsewhere) lives.
@@ -364,10 +367,10 @@ class Engine:
 
         ``value`` is a ring homomorphism on the scalars, such as the
         substitution of a rational alpha.  The bracket needs ring
-        operations only, so it works on the images unchanged.  The result
-        is ``specialized``: ``d1``, ``cup``, ``solve_obstruction`` and the
-        coboundary searches refuse a cochain with a coefficient in alpha,
-        which it would bracket against a different algebra.
+        operations only, so it works on the images unchanged.  At a rational
+        alpha the result is ``specialized``: ``d1``, ``cup``, ``solve_obstruction``
+        and the coboundary searches refuse a cochain with a coefficient in
+        alpha, which it would bracket against a different algebra.
         """
 
         def image(terms: dict) -> dict:
@@ -376,7 +379,7 @@ class Engine:
         return Engine({name: Symbol(image(sym.terms)) for name, sym in self.basis.items()},
                       self.bracket,
                       {pair: image(coeffs) for pair, coeffs in self.struct.items()},
-                      self.h_k_weight, self.h_depth, specialized=True)
+                      self.h_k_weight, self.h_depth)
 
     def check_constants(self, *cochains: Cochain1):
         """On a specialized engine, raise ValueError unless every image
@@ -548,25 +551,21 @@ def pairmap_is_zero(pm: dict) -> bool:
 # ---------------------------------------------------------------------------
 
 
-def _brackets(engine: Engine, keys_of: dict) -> dict:
-    """The terms of [X, m], keyed (name, m), for every basis name X in
-    ``keys_of`` and every unit monomial key m in its list ``keys_of[X]``.
+def _brackets(engine: Engine, names, keys) -> dict:
+    """The terms of [X, m], keyed (X, m), for every basis name X in
+    ``names`` and every unit monomial key m in ``keys``.
 
-    One bracket per name with keys: X against the sum of beta^i m_i over
-    its keys m_i, whose beta^i terms are [X, m_i] (module docstring).
-    Names given the same list object share one tagged sum.  Both engines'
-    brackets are one int walk on alpha-power layers, and X and each tagged
+    One bracket per name: X against the sum of beta^i m_i over the keys
+    m_i, whose beta^i terms are [X, m_i] (module docstring).  Both engines'
+    brackets are one int walk on alpha-power layers, and X and the tagged
     sum are split once (``Symbol.layers``), so each name costs one walk and
     one fold, when its terms are read here.
     """
-    table, tagged_of = {}, {}
-    for name, keys in keys_of.items():
-        if not keys:
-            continue
-        tagged = tagged_of.get(id(keys))
-        if tagged is None:
-            tagged = tagged_of[id(keys)] = Symbol(
-                {(t, u, mask, i, h): S_ONE for i, (t, u, mask, _, h) in enumerate(keys)})
+    if not (names and keys):
+        return {}
+    tagged = Symbol({(t, u, mask, i, h): S_ONE for i, (t, u, mask, _, h) in enumerate(keys)})
+    table = {}
+    for name in names:
         results = [{} for _ in keys]
         for (t, u, mask, i, h), c in engine.bracket(engine.basis[name], tagged).terms.items():
             results[i][(t, u, mask, 0, h)] = c
@@ -574,39 +573,28 @@ def _brackets(engine: Engine, keys_of: dict) -> dict:
     return table
 
 
-def _d1_columns(block: BlockSpec, engine: Engine, brackets: dict | None = None,
-                generators=None):
-    """Elementary cochains of the block and their coboundary vectors.
+def _d1_columns(block: BlockSpec, engine: Engine, generators=BASIS_NAMES):
+    """Elementary cochains of the block, their coboundary vectors on the
+    rows of the pairs with a name in ``generators`` (every row for the full
+    basis), and the brackets those were read from.
 
-    Returns (slots, columns) where slots = [(name, key)] and columns[i] is a
-    dict (pair_index, monomial_key) -> Scalar: every row of d1, or with
-    ``generators`` only the rows of the pairs with a name in that set, each
-    column then the full one's entries on those rows, in their order.  Each
-    column adds up the brackets and structure terms listed in
-    ``engine.incidence`` for its name on those rows, read from the table
-    ``_brackets`` makes, one kernel call per basis name: with every row,
-    each name against the block's distinct slot keys; with ``generators``,
-    a name of the set against those, any other name only against the slot
-    keys of the set's names and of H1 (the C0 keys), all that the columns
-    and ``_d0_columns`` read of it.  A ``brackets`` dict passed in receives
-    that table, for ``_d0_columns`` of the same block.
+    Returns (slots, columns, table): slots = [(name, key)], and columns[i]
+    a dict (pair_index, monomial_key) -> Scalar, the full column's entries
+    on those rows, in their order, adding up the brackets and structure
+    terms ``engine.incidence`` lists for its name.  ``table`` (``_brackets``)
+    holds a name of the set against the block's distinct slot keys, any
+    other name only against those of the set's names and of H1 (the C0
+    keys): all that the columns and ``_d0_columns`` read.
     """
     slots = enumerate_c1(block, engine)
     keys = list(dict.fromkeys(key for _, key in slots))
-    incidence = engine.incidence
-    if generators is None:
-        keys_of = dict.fromkeys(BASIS_NAMES, keys)
-    else:
-        narrow = list(dict.fromkeys(key for name, key in slots
-                                    if name in generators or name == "H1"))
-        keys_of = {name: keys if name in generators else narrow for name in BASIS_NAMES}
-        touched = {pi for pi, (x, y) in enumerate(engine.pairs)
-                   if x in generators or y in generators}
-        incidence = {name: [entry for entry in entries if entry[0] in touched]
-                     for name, entries in incidence.items()}
-    table = _brackets(engine, keys_of)
-    if brackets is not None:
-        brackets.update(table)
+    narrow = list(dict.fromkeys(key for name, key in slots
+                                if name in generators or name == "H1"))
+    table = _brackets(engine, generators, keys)
+    table.update(_brackets(engine, [n for n in BASIS_NAMES if n not in generators], narrow))
+    touched = {pi for pi, (x, y) in enumerate(engine.pairs) if x in generators or y in generators}
+    incidence = {name: [entry for entry in entries if entry[0] in touched]
+                 for name, entries in engine.incidence.items()}
     columns = []
     for (name0, key0) in slots:
         vec: dict = {}
@@ -619,7 +607,7 @@ def _d1_columns(block: BlockSpec, engine: Engine, brackets: dict | None = None,
             if coeff is not None:
                 _accumulate(vec, (pi, key0), coeff)
         columns.append(vec)
-    return slots, columns
+    return slots, columns, table
 
 
 def _accumulate(vec: dict, key, c, sign=1):
@@ -636,22 +624,22 @@ def _accumulate(vec: dict, key, c, sign=1):
             del vec[key]
 
 
-def _d0_columns(block: BlockSpec, engine: Engine, brackets: dict | None = None):
+def _d0_columns(block: BlockSpec, engine: Engine, table: dict | None = None):
     """C0 monomial keys and their coboundary vectors in (name, key) space.
 
     The columns read the brackets of every basis name with the C0 keys from
-    ``brackets``, the table ``_d1_columns`` of the same block wrote: the C0
+    ``table``, the one ``_d1_columns`` of the same block returns: the C0
     keys are the slot keys of H1, so it holds them all.  With no table
-    passed, ``_brackets`` makes one over the C0 keys.
+    given, ``_brackets`` makes one over the C0 keys.
     """
     mon0 = enumerate_c0(block, engine)
-    if brackets is None:
-        brackets = _brackets(engine, dict.fromkeys(BASIS_NAMES, mon0))
+    if table is None:
+        table = _brackets(engine, BASIS_NAMES, mon0)
     columns = []
     for key in mon0:
         vec = {}
         for name in BASIS_NAMES:
-            for mk, c in brackets[(name, key)].items():
+            for mk, c in table[(name, key)].items():
                 vec[(name, mk)] = c
         columns.append(vec)
     return mon0, columns
@@ -663,13 +651,12 @@ class CohomologyReport:
 
     ``certificate`` names what established the dimensions: "exact" for
     elimination over the engine's coefficients of the rows of d1 on the
-    pairs that touch the engine's certified generating set, or of every
-    row when it has none (``Engine.generators``), "modp-zero" for the F_p
-    rank bound of ``h1_scan``, "cartan-zero" for the ad H1 argument on a
-    block with n != 0 (no representatives, no pivots for either),
-    "cocycle-witness" for the F_p pivot rows of d1 and verified cocycles of
-    a scan, checked on the rows it assembled, those of a certified
-    generating set (pivots of its two exact eliminations; the verified
+    pairs that touch the engine's generating set (``Engine.generators``),
+    "modp-zero" for the F_p rank bound of ``h1_scan``, "cartan-zero" for
+    the ad H1 argument on a block with n != 0 (no representatives, no
+    pivots for either), "cocycle-witness" for the F_p pivot rows of d1 and
+    verified cocycles of a scan, checked on the rows it assembled, those of
+    the generating set (pivots of its two exact eliminations; the verified
     cocycles are the representatives), and "empty" for a block with no
     slots, where every dimension is 0 by counting.
     """
@@ -708,8 +695,8 @@ def h1_block(block: BlockSpec, engine: Engine | None = None,
              representatives: bool = True) -> CohomologyReport:
     """Cocycle, coboundary and H^1 dimensions of one block, by exact
     elimination over the engine's coefficients of d1 on the rows of the
-    engine's certified generating set, or on every row when it has none;
-    those rows have the kernel of the full d1 (module docstring).
+    engine's generating set, which have the kernel of the full d1 (module
+    docstring).
 
     Representatives, when requested and the block is nontrivial, are kernel
     vectors of d1 certified independent modulo the coboundary span.  One
@@ -718,11 +705,10 @@ def h1_block(block: BlockSpec, engine: Engine | None = None,
     that d0 leaves is not a subcomplex: ValueError.
     """
     engine = engine or poisson_engine()
-    brackets: dict = {}
-    slots, columns = _d1_columns(block, engine, brackets, engine.generators)
+    slots, columns, table = _d1_columns(block, engine, engine.generators)
     if not slots:
         return CohomologyReport(block, 0, 0, 0, [], [], "empty")
-    bcols = _d0_columns(block, engine, brackets)[1]
+    bcols = _d0_columns(block, engine, table)[1]
     if engine.h_k_weight and engine.h_depth is not None:
         inside = set(slots)
         if any(not vec.keys() <= inside for vec in bcols):
@@ -740,7 +726,7 @@ def _h1_exact(block: BlockSpec, slots, columns, bcols, representatives: bool,
 
     With rows given, every kernel vector kept is checked to vanish on every
     row of ``columns`` (``_is_cocycle``), which makes it a cocycle when the
-    columns hold all rows of d1 or those of a generating set, and the report
+    columns hold the rows of a generating set, and the report
     is a "cocycle-witness", or None when a check fails (module docstring).
     Either way the kept vectors, independent modulo the coboundaries, are
     the representatives when asked for.
@@ -822,25 +808,24 @@ def _fp_rank(columns):
 def _scan_block(block: BlockSpec, engine: Engine, representatives: bool) -> CohomologyReport:
     """The report of a block with n = 0, from one assembly.
 
-    d1 is assembled on the pairs that touch the engine's generating set,
-    or on every pair when it has none (``Engine.generators``); those rows
-    have the kernel of the full d1 (module docstring).  A block with no
-    slots is "empty".  The ranks r1, r0 of d1 and d0 over F_p are lower
-    bounds for the exact ones, so H^1 <= N - r1 - r0 for N slots; when the
-    bound is 0 the block is "modp-zero".  Otherwise ``_h1_exact`` on the
-    d1 rows of the F_p pivots settles it as "cocycle-witness",
-    representatives included.  When a check fails, or an entry has no
-    image over F_p, ``_h1_exact`` runs on every row assembled, as
-    ``h1_block`` does, so the report is ``h1_block``'s.
+    d1 is assembled on the pairs that touch the engine's generating set
+    (``Engine.generators``), which have the kernel of the full d1 (module
+    docstring).  A block with no slots is "empty".  The ranks r1, r0 of d1
+    and d0 over F_p are lower bounds for the exact ones, so
+    H^1 <= N - r1 - r0 for N slots; when the bound is 0 the block is
+    "modp-zero".  Otherwise ``_h1_exact`` on the d1 rows of the F_p pivots
+    settles it as "cocycle-witness", representatives included.  When a
+    check fails, or an entry has no image over F_p, ``_h1_exact`` runs on
+    every row assembled, as ``h1_block`` does, so the report is
+    ``h1_block``'s.
     """
-    brackets: dict = {}
-    slots, columns = _d1_columns(block, engine, brackets, engine.generators)
+    slots, columns, table = _d1_columns(block, engine, engine.generators)
     if not slots:
         return CohomologyReport(block, 0, 0, 0, [], [], "empty")
     rows1 = _fp_rank(columns)
     if rows1 is not None and len(rows1) == len(slots):  # Z = 0, and B inside it is 0 too
         return CohomologyReport(block, 0, 0, 0, [], [], "modp-zero")
-    bcols = _d0_columns(block, engine, brackets)[1]
+    bcols = _d0_columns(block, engine, table)[1]
     rows0 = None if rows1 is None else _fp_rank(bcols)
     if rows0 is not None:
         rank_d1, rank_d0 = len(rows1), len(rows0)
@@ -857,11 +842,11 @@ def h1_scan(k_range, n_range, target: str, engine: Engine | None = None, represe
 
     Blocks with n != 0 are "cartan-zero" with Z = B = |C^0| (module
     docstring).  A block with n = 0 is assembled once, on the rows of the
-    engine's generating set when it certifies, and certified over F_p when
-    it can be, by the F_p bound or by a cocycle witness, whose verified
-    cocycles are its representatives; else it is eliminated exactly on
-    those rows, as ``h1_block`` does.  An engine with an h depth cap is
-    refused: its blocks are not subcomplexes.
+    engine's generating set, and certified over F_p when it can be, by the
+    F_p bound or by a cocycle witness, whose verified cocycles are its
+    representatives; else it is eliminated exactly on those rows, as
+    ``h1_block`` does.  An engine with an h depth cap is refused: its
+    blocks are not subcomplexes.
     """
     engine = engine or poisson_engine()
     if engine.h_k_weight and engine.h_depth is not None:
@@ -1033,7 +1018,7 @@ def solve_obstruction(rho1: Cochain1, order_block: BlockSpec, engine: Engine | N
         val = rhs_pairs[(x, y)] * (-S_HALF)
         for mk, coeff in val.terms.items():
             rhs_vec[(pi, mk)] = coeff
-    slots, columns = _d1_columns(order_block, engine)
+    slots, columns, _ = _d1_columns(order_block, engine)
     tracker = SpanTracker()
     for j, vec in enumerate(columns):
         tracker.insert(vec, j)

@@ -86,7 +86,7 @@ def _mono(t=0, tau=0, mask=0, h=0, coeff=1):
 
 @lru_cache(maxsize=None)
 def gamma_h_basis():
-    """The 17 generators of the deformed copy of D(2,1;alpha).
+    """The 17 generators of the deformed copy of D(2,1;alpha), in BASIS_NAMES order.
 
     Everything is transcribed in normal order except the last two odd
     elements, whose defining words put the etas first; those are built by
@@ -100,7 +100,6 @@ def gamma_h_basis():
     t_inv = _mono(t=-1)
     basis = {
         "E1": _mono(t=2),
-        "H1": _mono(t=1, tau=1) + _mono(h=1, coeff=(S_ONE + a) * S_HALF),
         "F1": _mono(tau=2)
         - (
             _mono(t=-2, mask=0b1111, coeff=2)
@@ -109,12 +108,13 @@ def gamma_h_basis():
             - _mono(t=-1, tau=1, h=1)
         )
         * a,
+        "H1": _mono(t=1, tau=1) + _mono(h=1, coeff=(S_ONE + a) * S_HALF),
         "E2": _mono(mask=0b0011),
-        "H2": _mono(mask=0b0101) + _mono(mask=0b1010) - _mono(h=1),
         "F2": _mono(mask=0b1100),
+        "H2": _mono(mask=0b0101) + _mono(mask=0b1010) - _mono(h=1),
         "E3": _mono(mask=0b1001),
-        "H3": _mono(mask=0b0101) - _mono(mask=0b1010),
         "F3": _mono(mask=0b0110),
+        "H3": _mono(mask=0b0101) - _mono(mask=0b1010),
         "T1": _mono(t=1, mask=0b0100),
         "T2": _mono(t=1, mask=0b1000),
         "T3": _mono(t=1, mask=0b0001),

@@ -221,6 +221,45 @@ def test_cochain_file_outside_its_block_is_usage_error(tmp_path, capsys, argv):
     assert err == "error: %s: %s\n" % (tmp_path / "h_theta1.json", H_THETA1_VIOLATION)
 
 
+TAU_NEG_FILE = {"images": {"T3": "tau^-1*xi1"}}
+TAU_NEG_MESSAGE = "T3 image term tau^-1*xi1 has tau < 0; the star engine computes in P+ only"
+
+
+@pytest.mark.parametrize(
+    "argv,source",
+    [
+        (["cocycle", "theta2", "--quantized"], "theta2"),
+        (["cup", "F.json", "F.json", "--quantized"], "F.json"),
+        (["solve-obstruction", "F.json", "--k", "-2", "--quantized"], "F.json"),
+        (["deform", "verify", "--file", "star.json"], "F.json"),
+    ],
+    ids=["cocycle", "cup", "solve-obstruction", "deformation"],
+)
+def test_star_engine_refuses_negative_tau(tmp_path, capsys, argv, source):
+    # the star product keeps no tau < 0 monomial: a usage error naming the
+    # source and the term, not a failure inside the kernel
+    (tmp_path / "F.json").write_text(json.dumps(TAU_NEG_FILE))
+    (tmp_path / "star.json").write_text(json.dumps({"engine": "star", "orders": ["F.json"]}))
+    argv = [str(tmp_path / a) if a.endswith(".json") else a for a in argv]
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (2, "")
+    if source.endswith(".json"):
+        source = str(tmp_path / source)
+    assert err == "error: %s: %s\n" % (source, TAU_NEG_MESSAGE)
+    # the Poisson engine computes with the same cochain
+    assert run(capsys, "cup", str(tmp_path / "F.json"), str(tmp_path / "F.json"))[0] == 0
+
+
+def test_h1_block_mode_refuses_a_window(monkeypatch, capsys):
+    code, out, err = run(capsys, "h1", "--target", "P", "--k", "0", "--n", "0", "--window", "2")
+    assert (code, out) == (2, "")
+    assert err == "h1: --window scans a window, not the block of --k and --n\n"
+    # SUPERPDS_WINDOW is a default, not an argument: block mode ignores it
+    monkeypatch.setenv("SUPERPDS_WINDOW", "abc")
+    code, out, _ = run(capsys, "h1", "--target", "K4'", "--k", "2", "--n", "0", "--json")
+    assert (code, json.loads(out)["blocks_scanned"]) == (0, 1)
+
+
 def test_cup_command(tmp_path, capsys):
     theta1 = {
         "block": {"k": 0, "n": 0, "target": "P+"},

@@ -479,7 +479,7 @@ def test_assembly_matches_d1_and_d0(engine_name, k, n, target):
     engine = ASSEMBLY_ENGINES[engine_name]()
     block = coh.BlockSpec(k, n, target)
     one = Scalar.from_fraction(1)
-    slots, columns = coh._d1_columns(block, engine)
+    slots, columns, _ = coh._d1_columns(block, engine)
     assert slots
     for (name, key), col in zip(slots, columns):
         values = coh.d1(coh.Cochain1({name: Symbol({key: one})}, block), engine)
@@ -496,17 +496,19 @@ def test_assembly_matches_d1_and_d0(engine_name, k, n, target):
 
 @pytest.mark.parametrize("engine_name", sorted(ASSEMBLY_ENGINES))
 def test_row_shared_brackets_give_fresh_columns(engine_name):
-    # entry order matters too: it steers the pivot choice of the elimination
+    # entry order matters too: it steers the pivot choice of the elimination.
+    # d0 read from d1's table gives the columns of its own table, and
+    # reading leaves the table as it was
     engine = ASSEMBLY_ENGINES[engine_name]()
-    shared: dict = {}
     for n in range(-3, 4):
         block = coh.BlockSpec(2, n, "P+")
-        for assemble in (coh._d1_columns, coh._d0_columns):
-            keys, cols = assemble(block, engine, shared)
-            fresh_keys, fresh = assemble(block, engine)
-            assert keys == fresh_keys
-            assert [list(c.items()) for c in cols] == [list(c.items()) for c in fresh]
-    assert shared
+        table = coh._d1_columns(block, engine)[2]
+        before = {pair: list(terms.items()) for pair, terms in table.items()}
+        keys, cols = coh._d0_columns(block, engine, table)
+        fresh_keys, fresh = coh._d0_columns(block, engine)
+        assert keys == fresh_keys
+        assert [list(c.items()) for c in cols] == [list(c.items()) for c in fresh]
+        assert {pair: list(terms.items()) for pair, terms in table.items()} == before
 
 
 PARITY_ENGINES = {
@@ -566,13 +568,12 @@ def test_batched_assembly_matches_per_pair_brackets(engine_name):
     for k, n, target in PARITY_BLOCKS["star" if engine.h_k_weight else "poisson"]:
         block = coh.BlockSpec(k, n, target)
         ref_d1, ref_d0 = _reference_columns(block, engine)
-        for generators, rows in ((None, None), (coh.GENERATORS, touched)):
-            shared: dict = {}
-            columns = coh._d1_columns(block, engine, shared, generators)[1]
+        for generators, rows in ((d21.BASIS_NAMES, None), (coh.GENERATORS, touched)):
+            _, columns, table = coh._d1_columns(block, engine, generators)
             assert _entries(columns) == [[(key, c) for key, c in col.items()
                                           if rows is None or key[0] in rows]
                                          for col in ref_d1], (block, generators)
-            assert _entries(coh._d0_columns(block, engine, shared)[1]) == _entries(ref_d0), block
+            assert _entries(coh._d0_columns(block, engine, table)[1]) == _entries(ref_d0), block
         assert _entries(coh._d0_columns(block, engine)[1]) == _entries(ref_d0), block
 
 
@@ -591,17 +592,17 @@ def test_assembly_brackets_once_per_name(engine_name, monkeypatch):
 
     def calls_of(assemble, *args):
         calls.clear()
-        assemble(block, engine, *args)
+        out = assemble(block, engine, *args)
         # each call brackets a different basis element
         assert len({id(a) for a in calls}) == len(calls)
-        return len(calls)
+        return len(calls), out
 
-    for generators in (None, coh.GENERATORS):
-        shared: dict = {}
-        assert calls_of(coh._d1_columns, shared, generators) == len(d21.BASIS_NAMES)
+    for generators in (d21.BASIS_NAMES, coh.GENERATORS):
+        count, (_, _, table) = calls_of(coh._d1_columns, generators)
+        assert count == len(d21.BASIS_NAMES)
         # the C^0 keys are H1's slot keys, so d1's table holds every d0 bracket
-        assert calls_of(coh._d0_columns, shared) == 0
-    assert calls_of(coh._d0_columns) == len(d21.BASIS_NAMES)
+        assert calls_of(coh._d0_columns, table)[0] == 0
+    assert calls_of(coh._d0_columns)[0] == len(d21.BASIS_NAMES)
 
 
 @pytest.mark.parametrize("engine_name", sorted(PARITY_ENGINES))
@@ -672,11 +673,10 @@ def _every_row_report(block, engine, representatives=True):
     """The exact report with d1 assembled and eliminated on every pair,
     whatever generating set the engine certifies: the oracle of the paths
     that use the rows of that set, ``h1_block`` and the scans."""
-    brackets: dict = {}
-    slots, columns = coh._d1_columns(block, engine, brackets)
+    slots, columns, table = coh._d1_columns(block, engine)
     if not slots:
         return coh.CohomologyReport(block, 0, 0, 0, [], [], "empty")
-    bcols = coh._d0_columns(block, engine, brackets)[1]
+    bcols = coh._d0_columns(block, engine, table)[1]
     return coh._h1_exact(block, slots, columns, bcols, representatives)
 
 
@@ -720,15 +720,20 @@ def _has_fp_image(columns):
 
 
 def test_scan_without_fp_image_runs_exact():
-    # at alpha = 1/p a block whose matrices meet that denominator is
-    # "exact", where the generic scan reads "modp-zero" or, on a nonzero
-    # block, "cocycle-witness"; every other label and every dimension stay
-    # the generic ones
+    # at alpha = 1/p no structure constant has an F_p image, so no set
+    # certifies and scans take the full basis, the every-row elimination's
+    # rows; a block whose matrices meet that denominator is "exact", where
+    # the generic scan reads "modp-zero" or, on a nonzero block,
+    # "cocycle-witness"; every other label and every dimension stay the
+    # generic ones
     engine = coh.poisson_engine(alpha=Fraction(1, coh.FP_PRIME))
+    assert engine.generators == d21.BASIS_NAMES
     window = range(-2, 3)
     for target, expected in (("P", [(-2, 0), (0, 0), (2, 0)]), ("P+", [(0, 0), (2, 0)])):
         reports = coh.h1_scan(window, window, target, engine, representatives=False)
         generic = coh.h1_scan(window, window, target, ENGINE, representatives=False)
+        assert [(r.dim_cocycles, r.dim_coboundaries, r.dim_h1) for r in reports] == \
+            _exact_dims(reports, engine)
         no_image, relabelled = [], []
         for rpt, ref in zip(reports, generic):
             assert (rpt.block, rpt.dim_cocycles, rpt.dim_coboundaries, rpt.dim_h1) == \
@@ -736,12 +741,13 @@ def test_scan_without_fp_image_runs_exact():
             if rpt.certificate != ref.certificate:
                 relabelled.append((rpt.block.k, rpt.block.n))
             if rpt.block.n == 0:
-                brackets: dict = {}
-                columns = coh._d1_columns(rpt.block, engine, brackets)[1]
-                columns += coh._d0_columns(rpt.block, engine, brackets)[1]
+                _, columns, table = coh._d1_columns(rpt.block, engine)
+                columns += coh._d0_columns(rpt.block, engine, table)[1]
                 if not _has_fp_image(columns):
                     no_image.append((rpt.block.k, rpt.block.n))
                     assert rpt.certificate == "exact", rpt.block
+                    exact = _every_row_report(rpt.block, engine, representatives=False)
+                    assert _report_key(rpt) == _report_key(exact), rpt.block
         assert set(relabelled) <= set(no_image)
         assert relabelled == expected, target
 
@@ -892,8 +898,8 @@ def test_rows_of_a_set_that_does_not_generate():
     # overcount cocycles; the certificate refuses the set
     non_generating = ("E1", "F1", "H1")
     block = coh.BlockSpec(0, 0, "P")
-    for generators, rank in ((non_generating, 33), (coh.GENERATORS, 35), (None, 35)):
-        columns = coh._d1_columns(block, ENGINE, generators=generators)[1]
+    for generators, rank in ((non_generating, 33), (coh.GENERATORS, 35), (d21.BASIS_NAMES, 35)):
+        columns = coh._d1_columns(block, ENGINE, generators)[1]
         assert linalg.poly_rank(linalg.column_rows(columns))[0] == rank, generators
     assert not coh.generates(ENGINE, non_generating)
 
@@ -904,9 +910,9 @@ def test_patched_non_generating_set_gives_oracle_answers(monkeypatch):
     seen = []
     assemble = coh._d1_columns
 
-    def recorded(block, engine, brackets=None, generators=None):
+    def recorded(block, engine, generators=d21.BASIS_NAMES):
         seen.append(generators)
-        return assemble(block, engine, brackets, generators)
+        return assemble(block, engine, generators)
 
     monkeypatch.setattr(coh, "_d1_columns", recorded)
     scanned = coh.h1_scan(range(-4, 5), [0], "P", engine)
@@ -914,14 +920,14 @@ def test_patched_non_generating_set_gives_oracle_answers(monkeypatch):
     monkeypatch.undo()
     # the scan's and h1_block's reports are the every-row elimination's
     # (on the rows of the sl2, were it not refused, P (0, 0) reads Z = 7
-    # for 5), because both assembled every pair
+    # for 5), because both assembled every pair: the full basis generates
     for rpt in scanned + blocks:
         exact = _every_row_report(rpt.block, engine)
         assert _report_key(rpt) == _report_key(exact), rpt.block
         if rpt.dim_h1:
             _assert_same_classes(rpt, exact, engine)
-    assert engine.generators is None
-    assert seen and set(seen) == {None}
+    assert engine.generators == d21.BASIS_NAMES
+    assert seen and set(seen) == {d21.BASIS_NAMES}
 
 
 ORACLE_ALPHAS = [None, 2, Fraction(-1, 2), 1, -1]
@@ -964,7 +970,7 @@ def test_h1_block_matches_every_row_elimination(engine_name):
     # independent modulo the coboundaries
     make_engine, targets = ROW_ORACLE_ENGINES[engine_name]
     engine = make_engine()
-    assert engine.generators is not None
+    assert engine.generators != d21.BASIS_NAMES
     checked = 0
     for target in targets:
         for k in ([2] if target in ("K4", "K4'") else WINDOW6):
@@ -1047,6 +1053,24 @@ def test_one_cache_entry_per_engine():
 
 
 @pytest.mark.parametrize("alpha", [None, 1])
+def test_engine_bases_list_the_names_in_order(alpha):
+    # both engines iterate their basis as BASIS_NAMES, so a beta tag built
+    # over ``basis`` reads back by BASIS_NAMES index
+    for engine in (coh.poisson_engine(alpha), coh.quantized_engine(alpha)):
+        assert list(engine.basis) == list(d21.BASIS_NAMES)
+
+
+def test_specialized_is_read_off_the_basis():
+    # an engine is at a fixed alpha exactly when no basis coefficient carries
+    # alpha, however it was built
+    basis = {n: Symbol(_specialized(s.terms, 2)) for n, s in d21.embedded_basis().items()}
+    built = coh.Engine(basis, lambda a, b: a.poisson(b), coh.poisson_engine(2).struct, 0, 0)
+    assert built.specialized and not _fresh_poisson_engine().specialized
+    with pytest.raises(ValueError, match="not a rational constant"):
+        built.check_constants(coh.named_cocycle("theta2"))
+
+
+@pytest.mark.parametrize("alpha", [None, 1])
 def test_capped_engine_is_the_uncapped_one_with_a_cap(alpha):
     engine, capped = coh.quantized_engine(alpha), coh.quantized_engine(alpha, h_depth=2)
     assert (capped.h_depth, engine.h_depth) == (2, None)
@@ -1095,7 +1119,7 @@ def test_cartan_preimage(make_engine, target):
     for k in range(-2, 3):
         for n in (-2, -1, 1, 2):
             block = coh.BlockSpec(k, n, target)
-            slots, columns = coh._d1_columns(block, engine)
+            slots, columns, _ = coh._d1_columns(block, engine)
             kvecs, _ = linalg.kernel_basis(columns)
             assert len(kvecs) == len(coh.enumerate_c0(block, engine)), block
             for kv in kvecs:

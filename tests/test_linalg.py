@@ -339,9 +339,8 @@ def test_core_matches_reference_core_on_cases(monkeypatch):
 def test_core_matches_reference_core_on_blocks(monkeypatch, engine_name, k, target):
     engine = coh.quantized_engine() if engine_name == "star" else coh.poisson_engine()
     block = coh.BlockSpec(k, 0, target)
-    brackets: dict = {}
-    d1_cols = coh._d1_columns(block, engine, brackets)[1]
-    d0_cols = coh._d0_columns(block, engine, brackets)[1]
+    _, d1_cols, table = coh._d1_columns(block, engine)
+    d0_cols = coh._d0_columns(block, engine, table)[1]
     # a sum of d0 columns lies in their span; a d1 column need not
     inside = combine({0: S_ONE, len(d0_cols) - 1: ALPHA}, dict(enumerate(d0_cols)))
     for columns in (d1_cols, d0_cols):
@@ -469,9 +468,8 @@ def test_rank_mod_p_on_block_images(engine_name, k, target):
     # the matrices the F_p certificate of a scan ranks
     engine = coh.quantized_engine() if engine_name == "star" else coh.poisson_engine()
     block = coh.BlockSpec(k, 0, target)
-    brackets: dict = {}
-    d1_cols = coh._d1_columns(block, engine, brackets)[1]
-    for columns in (d1_cols, coh._d0_columns(block, engine, brackets)[1]):
+    _, d1_cols, table = coh._d1_columns(block, engine)
+    for columns in (d1_cols, coh._d0_columns(block, engine, table)[1]):
         images = [{key: c.mod_p(coh.FP_ALPHA, coh.FP_PRIME) for key, c in vec.items()}
                   for vec in columns]
         keys = list(dict.fromkeys(key for vec in images for key in vec))
