@@ -177,8 +177,8 @@ def time_setup(repeat=20):
 
     timings = {}
     for op, build in (("struct_table", d21.structure_table.__wrapped__),
-                      ("engine_poisson", lambda: coh._poisson_engine.__wrapped__(None)),
-                      ("engine_star", lambda: coh._quantized_engine.__wrapped__(None, None))):
+                      ("engine_poisson", lambda: coh._engine.__wrapped__(False, None, None)),
+                      ("engine_star", lambda: coh._engine.__wrapped__(True, None, None))):
         t0 = time.perf_counter()
         for _ in range(repeat):
             build()

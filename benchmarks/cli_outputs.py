@@ -112,6 +112,9 @@ COMMANDS = (
        ["solve-obstruction", "tau_neg.json", "--k", "-2", "--quantized"],
        ["deform", "verify", "--file", "star_deformation.json"],
        ["h1", "--target", "P", "--k", "0", "--n", "0", "--window", "2"]]
+    # refused: a tau < 0 operand of the star product, in either place
+    + [["bracket", "--quantized", "tau^-1", "t"],
+       ["bracket", "--quantized", "t", "t + tau^-1"]]
 )
 
 

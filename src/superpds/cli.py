@@ -98,14 +98,22 @@ def _check_cochain(c, path: str, engine) -> None:
     _check_star(c, path, engine)
 
 
+def _term_outside_p_plus(sym):
+    """The first term of ``sym`` with tau < 0, which the star engine does
+    not keep, or None."""
+    for key, coeff in sym.terms.items():
+        if not (term := Symbol({key: coeff})).in_subalgebra("P+"):
+            return term
+    return None
+
+
 def _check_star(c, source: str, engine) -> None:
-    """Raise InputError naming ``source`` and the term when the star engine,
-    which keeps no tau < 0 monomial, gets a cochain with an image outside P+."""
+    """Raise InputError naming ``source`` and the term when the star engine
+    gets a cochain with an image outside P+."""
     for name, sym in c.images.items() if engine.h_k_weight else ():
-        for key, coeff in sym.terms.items():
-            if not (term := Symbol({key: coeff})).in_subalgebra("P+"):
-                raise InputError("%s: %s image term %s has tau < 0; the star engine "
-                                 "computes in P+ only" % (source, name, term))
+        if term := _term_outside_p_plus(sym):
+            raise InputError("%s: %s image term %s has tau < 0; the star engine "
+                             "computes in P+ only" % (source, name, term))
 
 
 def _block_spec(k, n, target, prefix=""):
@@ -132,6 +140,10 @@ def cmd_bracket(args):
     a = parse(args.a)
     b = parse(args.b)
     if args.quantized:
+        for operand, sym in (("a", a), ("b", b)):
+            if term := _term_outside_p_plus(sym):
+                raise InputError("operand %s term %s has tau < 0; the star product "
+                                 "computes in P+ only" % (operand, term))
         result = quantize.h_bracket(a, b)
         op = "h-bracket"
     else:

@@ -22,7 +22,11 @@ Differential conventions (the zero convention is pinned by d1 o d0 = 0):
     (d1 c)(X, Y) = [X, c(Y)] + [c(X), Y] - c([X, Y])
 
 with the bracket of the acting copy taken through the embedding, and
-c([X, Y]) expanded through the cached structure-constant table.  Ranks are
+c([X, Y]) expanded through the cached structure-constant table.  Taking
+the embedding rho as a 1-cochain, the first two terms are the cup product
+[[rho, c]] (Gerstenhaber, Ann. Math. 79, 1964; Nijenhuis and Richardson,
+Bull. AMS 72, 1966), and ``d1`` computes (d1 c) = [[rho, c]] - c([X, Y])
+through ``cup``.  Ranks are
 computed fraction-free over Q[alpha]; the recorded pivot polynomials are the
 only places a specialized alpha can change a dimension.
 
@@ -51,8 +55,9 @@ s), and d1 restricted to those rows has the kernel Z of the full d1, and
 its rank.  The set S = GENERATORS, four root vectors, touches 59 of the
 144 pairs.  ``Engine.generators`` certifies, on the first read, that a
 set generates its algebra: the bracket closure of the set over F_p
-(``generates``, below) has rank 17, so some 17 iterated brackets of it
-have a minor nonzero mod p, hence nonzero over Q(alpha) or Q.  At
+(``generates``, below, which eliminates with ``linalg.rank_mod_p``) has
+rank 17, so some 17 iterated brackets of it have a minor nonzero mod p,
+hence nonzero over Q(alpha) or Q.  At
 alpha = +-1 the closure of S is 15-dimensional, and S with E2 and E3,
 which touches 82 pairs, certifies there instead (``GENERATING_SETS``).
 When neither certifies, S is the whole basis, which generates the algebra
@@ -154,7 +159,7 @@ from .d21 import BASIS_NAMES, PARITY
 from .linalg import SpanTracker, clear_denominators
 # unused here; perfbench/tracer.py patches it in this __dict__ (tests/test_tracer_contract.py)
 from .linalg import poly_rank  # noqa: F401
-from .scalars import POLY_ONE, S_HALF, S_ONE, Scalar
+from .scalars import S_HALF, S_ONE, Scalar
 from .symbols import K4PRIME_GAP, SYM_ZERO, TARGETS, Symbol, mask_weight
 
 
@@ -246,13 +251,16 @@ def generates(engine: "Engine", names) -> bool:
     """Whether the basis elements ``names`` generate the engine's algebra.
 
     The span of the names is closed under the bracket over F_p, with the
-    structure table mapped to F_p at alpha = FP_ALPHA.  Each element found
-    after the names is a bracket of two found before (or of one with
-    itself), kept unreduced, so it is the image of an iterated bracket of
-    the names.  When 17 are independent over F_p, the 17 by 17 minor of
-    those iterated brackets is nonzero mod p, so nonzero over Q(alpha) or
-    over Q: they span the algebra.  False when the closure is smaller, or
-    when a structure constant has no image in F_p.
+    structure table mapped to F_p at alpha = FP_ALPHA, in rounds.  Each
+    round keeps the elements that ``linalg.rank_mod_p`` finds independent
+    of the ones kept before, which are taken first and so all stay, and
+    brackets each newly kept element with every kept element up to and
+    including itself; the rounds stop at 17 elements, or when one keeps
+    none.  Every kept element is unreduced, so it is the image of an
+    iterated bracket of the names.  When 17 are independent over F_p, the
+    17 by 17 minor of those iterated brackets is nonzero mod p, so nonzero
+    over Q(alpha) or over Q: they span the algebra.  False when the closure
+    is smaller, or when a structure constant has no image in F_p.
     """
     p = FP_PRIME
     try:
@@ -261,30 +269,25 @@ def generates(engine: "Engine", names) -> bool:
     except (ValueError, ZeroDivisionError):
         # FP_PRIME divides a rational denominator, or FP_ALPHA is a root of one
         return False
-    found, echelon = [], {}  # echelon: pivot name -> reduced row, pivot entry 1
-    candidates = [{name: 1} for name in names]
-    for vec in candidates:  # grows as elements are found
-        if len(found) == len(BASIS_NAMES):
-            break
-        row = dict(vec)
-        for piv, prow in echelon.items():
-            if f := row.get(piv):
-                for n, v in prow.items():
-                    row[n] = (row.get(n, 0) - f * v) % p
-        row = {n: v for n, v in row.items() if v}
-        if row:
-            piv = next(iter(row))
-            inv = pow(row[piv], -1, p)
-            echelon[piv] = {n: v * inv % p for n, v in row.items()}
-            found.append(vec)
-            for u in found:  # [u, vec] for every u found, vec itself included
+    kept, fresh = [], [{name: 1} for name in names]
+    while fresh and len(kept) < len(BASIS_NAMES):
+        elements = kept + fresh
+        vectors: dict = {}  # the elements transposed: basis name -> {index: entry}
+        for i, vec in enumerate(elements):
+            for n, v in vec.items():
+                vectors.setdefault(n, {})[i] = v
+        start = len(kept)
+        keys = linalg.rank_mod_p(vectors.values(), p, late=range(start, len(elements)))
+        kept, fresh = [elements[i] for i in sorted(keys)], []
+        for j, vec in enumerate(kept[start:], start):
+            for u in kept[:j + 1]:  # [u, vec], vec itself included
                 out: dict = {}
                 for a, ua in u.items():
                     for b, vb in vec.items():
                         for n, c in struct[(a, b)].items():
                             out[n] = (out.get(n, 0) + ua * vb * c) % p
-                candidates.append(out)
-    return len(found) == len(BASIS_NAMES)
+                fresh.append(out)
+    return len(kept) == len(BASIS_NAMES)
 
 
 class Engine:
@@ -324,7 +327,8 @@ class Engine:
         """The first of GENERATING_SETS that generates this engine's
         algebra, else BASIS_NAMES, which generates it by definition.
 
-        The certificate is the bracket closure of the set's span over F_p
+        The certificate is the bracket closure of the set's span over F_p,
+        17 iterated brackets of the set independent by ``linalg.rank_mod_p``
         (``generates``); it runs on the first read, not at construction.
         ``h1_block`` and scans assemble d1 on the pairs that touch this set
         (module docstring): every pair for BASIS_NAMES.
@@ -335,8 +339,7 @@ class Engine:
     def specialized(self) -> bool:
         """Whether no coefficient of the basis carries alpha: the generic
         bases of both engines do, and ``evaluated`` at a rational alpha not."""
-        return all(c.an.is_constant() and c.ad is POLY_ONE
-                   for sym in self.basis.values() for c in sym.terms.values())
+        return all(c.is_rational() for sym in self.basis.values() for c in sym.terms.values())
 
     def _incidence(self):
         """Where an elementary cochain c (c(X) = m, zero elsewhere) lives.
@@ -389,7 +392,7 @@ class Engine:
         for c in cochains:
             for name, sym in c.images.items():
                 for key, coeff in sym.terms.items():
-                    if not (coeff.an.is_constant() and coeff.ad is POLY_ONE):
+                    if not coeff.is_rational():
                         raise ValueError("%s image term %s is not a rational constant; an engine "
                                          "at a fixed alpha needs the cochain specialized too"
                                          % (name, Symbol({key: coeff})))
@@ -409,7 +412,7 @@ class Engine:
 
 
 def poisson_engine(alpha=None) -> Engine:
-    return _poisson_engine(alpha)
+    return _engine(False, alpha, None)
 
 
 def quantized_engine(alpha=None, h_depth=None) -> Engine:
@@ -418,37 +421,36 @@ def quantized_engine(alpha=None, h_depth=None) -> Engine:
     One h power carries k-degree 2; the structure constants match the
     Poisson ones (checked by quantize.verify_h_structure_match, exercised in
     the test suite).  h powers in a block are bounded by the operator
-    constraint; pass h_depth to cap them harder.  A capped engine is the
-    uncapped one at the same alpha with the cap set: it shares basis,
-    bracket, structure table, pairs, incidence and metadata, and a
-    generating-set certificate already made (``generates`` reads only the
-    structure table), and has its own slot sets, which depend on the cap.
+    constraint; pass h_depth to cap them harder.  Both public builders call
+    the one builder ``_engine``.  A capped engine is the uncapped one at
+    the same alpha with the cap set: it shares basis, bracket, structure
+    table, pairs, incidence and metadata, and a generating-set certificate
+    already made (``generates`` reads only the structure table), and has
+    its own slot sets, which depend on the cap.
     """
-    return _quantized_engine(alpha, h_depth)
+    return _engine(True, alpha, h_depth)
 
 
 # cached on positional arguments, so every way of calling the public
 # builders with the same values shares one engine
 @lru_cache(maxsize=None)
-def _poisson_engine(alpha) -> Engine:
-    if alpha is not None:
-        return _poisson_engine(None).evaluated(lambda c: c.specialize(alpha))
-    return Engine(d21.embedded_basis(), lambda a, b: a.poisson(b), d21.structure_table(),
-                  h_k_weight=0, h_depth=0)
-
-
-@lru_cache(maxsize=None)
-def _quantized_engine(alpha, h_depth) -> Engine:
-    from . import quantize
-
+def _engine(star: bool, alpha, h_depth) -> Engine:
+    """The star engine when ``star``, else the Poisson one: generic, at a
+    rational ``alpha`` (``evaluated``), or with an h depth cap, which only
+    ``quantized_engine`` passes."""
     if h_depth is not None:
-        engine = copy.copy(_quantized_engine(alpha, None))
+        engine = copy.copy(_engine(star, alpha, None))
         engine.h_depth, engine._slot_sets = h_depth, {}
         return engine
     if alpha is not None:
-        return _quantized_engine(None, None).evaluated(lambda c: c.specialize(alpha))
-    return Engine(quantize.gamma_h_basis(), quantize.h_bracket, d21.structure_table(),
-                  h_k_weight=2, h_depth=None)
+        return _engine(star, None, None).evaluated(lambda c: c.specialize(alpha))
+    if star:
+        from . import quantize
+
+        return Engine(quantize.gamma_h_basis(), quantize.h_bracket, d21.structure_table(),
+                      h_k_weight=2, h_depth=None)
+    return Engine(d21.embedded_basis(), lambda a, b: a.poisson(b), d21.structure_table(),
+                  h_k_weight=0, h_depth=0)
 
 
 def _monomials(block: BlockSpec, engine: Engine, want_n, weight, parity):
@@ -510,16 +512,13 @@ def d0(m: Symbol, engine: Engine | None = None, block: BlockSpec | None = None) 
 
 
 def d1(c: Cochain1, engine: Engine | None = None) -> dict:
-    """Values of the coboundary on the canonical ordered basis pairs."""
+    """Values of the coboundary on the canonical ordered basis pairs:
+    [[rho, c]](X, Y) - c([X, Y]), with rho the embedding as a 1-cochain
+    (``cup``)."""
     engine = engine or poisson_engine()
-    engine.check_constants(c)
-    images, basis = c.images, engine.basis
-    out = {}
-    for (x, y) in engine.pairs:
-        # brackets of the images c has: the others are zero
-        val = engine.bracket(basis[x], images[y]) if y in images else SYM_ZERO
-        if x in images:
-            val = val + engine.bracket(images[x], basis[y])
+    out = cup(Cochain1(engine.basis), c, engine)  # refuses alpha in c on a specialized engine
+    images = c.images
+    for (x, y), val in out.items():
         for name, coeff in engine.struct[(x, y)].items():
             if name in images:
                 val = val - images[name] * coeff
@@ -800,8 +799,7 @@ def _fp_rank(columns):
     except (ValueError, ZeroDivisionError):
         # FP_PRIME divides a rational denominator, or FP_ALPHA is a root of one
         return None
-    late = {key for vec in columns for key, c in vec.items()
-            if c.ad is not POLY_ONE or not c.an.is_constant()}
+    late = {key for vec in columns for key, c in vec.items() if not c.is_rational()}
     return linalg.rank_mod_p(images, FP_PRIME, late)
 
 
@@ -880,7 +878,8 @@ def named_cocycle(name: str) -> Cochain1:
 
     theta1 spans H^1 with differential-operator coefficients, theta2 joins
     it for the full symbol coefficients, theta spans the K4'-valued block,
-    thetabar1 is the h-deformed counterpart of theta1.
+    thetabar1 is the h-deformed counterpart of theta1: theta1 with
+    (alpha - 1) t^-2 h added to its F1 image.
     """
     from .scalars import ALPHA
 
@@ -937,17 +936,9 @@ def named_cocycle(name: str) -> Cochain1:
             BlockSpec(2, 0, "K4'"),
         )
     if name == "thetabar1":
-        return Cochain1(
-            {
-                "D1": _sym(t=-1, mask=0b0001),
-                "D2": _sym(t=-1, mask=0b0010),
-                "D3": _sym(t=-1, mask=0b0100),
-                "D4": _sym(t=-1, mask=0b1000),
-                "F1": _sym(t=-1, tau=1, coeff=2) + _sym(t=-2, h=1, coeff=a - S_ONE),
-                "H1": _sym(),
-            },
-            BlockSpec(0, 0, "P+"),
-        )
+        images = dict(named_cocycle("theta1").images)
+        images["F1"] = images["F1"] + _sym(t=-2, h=1, coeff=a - S_ONE)
+        return Cochain1(images, BlockSpec(0, 0, "P+"))
     raise ValueError("unknown cocycle %r" % (name,))
 
 

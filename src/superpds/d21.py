@@ -19,6 +19,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
+from itertools import permutations
 from math import lcm as int_lcm
 
 from .scalars import ALPHA, POLY_ONE, S_ONE, S_ZERO, Scalar
@@ -281,16 +282,6 @@ def jacobi_check_embedded(basis=None):
     return None
 
 
-_PERMUTATIONS = (
-    (0, 1, 2),
-    (0, 2, 1),
-    (1, 0, 2),
-    (1, 2, 0),
-    (2, 0, 1),
-    (2, 1, 0),
-)
-
-
 def sigma_equivalent(sigma, sigma_prime):
     """Search for (k, pi) with sigma'_i = k * sigma_{pi(i)}.
 
@@ -299,7 +290,7 @@ def sigma_equivalent(sigma, sigma_prime):
     """
     sigma = tuple(Scalar.coerce(v) for v in sigma)
     sigma_prime = tuple(Scalar.coerce(v) for v in sigma_prime)
-    for pi in _PERMUTATIONS:
+    for pi in permutations(range(3)):
         k = None
         ok = True
         for i in range(3):

@@ -86,11 +86,7 @@ def verify_order_relations(dm: DeformedMap, max_order: int):
     k = 1..max_order.  Returns None or (k, pair, residual)."""
     engine = dm.engine
     for k in range(1, max_order + 1):
-        acc = {pair: SYM_ZERO for pair in engine.pairs}
-        dk = d1(dm.order(k), engine) if dm.order(k) else None
-        if dk:
-            for pair, val in dk.items():
-                acc[pair] = acc[pair] + val
+        acc = d1(dm.order(k), engine)  # all zero for an empty order
         for i in range(1, k):
             j = k - i
             ci, cj = dm.order(i), dm.order(j)

@@ -395,10 +395,13 @@ class Scalar:
 
     def __hash__(self):
         # a constant hashes as the int or Fraction it equals
-        an = self.an
-        if an.is_constant() and self.ad.is_one():
-            return hash(an.constant())
-        return hash((an, self.ad))
+        if self.is_rational():
+            return hash(self.an.constant())
+        return hash((self.an, self.ad))
+
+    def is_rational(self) -> bool:
+        """Whether this is a rational constant: no alpha in it."""
+        return self.ad is _P_ONE and self.an.is_constant()
 
     # -- arithmetic ----------------------------------------------------
     # A nonzero rational is a unit of Q[alpha]: adding k * ad to the

@@ -35,6 +35,17 @@ def test_bracket_quantized(capsys):
     assert out.strip() == "1"
 
 
+@pytest.mark.parametrize("argv,operand", [(["tau^-1", "t"], "a"), (["t", "t + tau^-1"], "b")],
+                         ids=["a", "b"])
+def test_bracket_quantized_refuses_negative_tau(capsys, argv, operand):
+    # the star product keeps no tau < 0 monomial: a usage error naming the
+    # operand and the term, not a failure inside the kernel
+    code, out, err = run(capsys, "bracket", "--quantized", *argv)
+    assert (code, out) == (2, "")
+    assert err == ("error: operand %s term tau^-1 has tau < 0; the star product computes "
+                   "in P+ only\n" % operand)
+
+
 def test_basis_specialized(capsys):
     code, out, _ = run(capsys, "basis", "--alpha", "0", "--json")
     assert code == 0

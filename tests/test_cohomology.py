@@ -1125,3 +1125,109 @@ def test_cartan_preimage(make_engine, target):
             for kv in kvecs:
                 c = coh._slots_to_cochain(slots, kv, block)
                 assert coh.d0(c.image("H1") * Fraction(1, n), engine, block) == c, block
+
+
+# -- d1 through cup, generates through rank_mod_p: the former loops as oracles --------
+
+
+def _reference_d1(c, engine):
+    """d1 as one loop over the pairs, bracketing only the images c has."""
+    engine.check_constants(c)
+    images, basis = c.images, engine.basis
+    out = {}
+    for (x, y) in engine.pairs:
+        val = engine.bracket(basis[x], images[y]) if y in images else coh.SYM_ZERO
+        if x in images:
+            val = val + engine.bracket(images[x], basis[y])
+        for name, coeff in engine.struct[(x, y)].items():
+            if name in images:
+                val = val - images[name] * coeff
+        out[(x, y)] = val
+    return out
+
+
+D1_ORACLE_CASES = {
+    "poisson": (coh.poisson_engine, [(0, 0, "P"), (-2, 0, "P+"), (2, 0, "K4'")],
+                ("theta2", "theta1", "theta")),
+    "star": (coh.quantized_engine, [(2, 0, "P+")], ("thetabar1",)),
+}
+
+
+@pytest.mark.parametrize("alpha", [None, 1], ids=["generic", "1"])
+@pytest.mark.parametrize("case", sorted(D1_ORACLE_CASES))
+def test_d1_through_cup_matches_the_pair_loop(case, alpha):
+    make_engine, blocks, names = D1_ORACLE_CASES[case]
+    engine = make_engine(alpha)
+    cochains = []
+    for k, n, target in blocks:
+        block = coh.BlockSpec(k, n, target)
+        cochains += [coh.Cochain1({name: Symbol({key: S_ONE})}, block)
+                     for name, key in coh.enumerate_c1(block, engine)]
+    for name in names:
+        c = coh.named_cocycle(name)
+        cochains.append(c if alpha is None else _specialized_cochain(c, alpha))
+    for c in cochains:
+        values, expected = coh.d1(c, engine), _reference_d1(c, engine)
+        assert list(values) == list(expected) == engine.pairs
+        for pair, val in expected.items():
+            assert values[pair] == val, (c, pair)
+    if alpha is not None:  # both refuse alpha (names[0] has it) on a specialized engine
+        c = coh.named_cocycle(names[0])
+        for d in (coh.d1, _reference_d1):
+            with pytest.raises(ValueError, match="not a rational constant"):
+                d(c, engine)
+
+
+def _reference_generates(engine, names):
+    """generates with its own F_p echelon: each element found is reduced
+    against the rows kept so far, and bracketed with every element found."""
+    p = coh.FP_PRIME
+    try:
+        struct = {pair: {n: c.mod_p(coh.FP_ALPHA, p) for n, c in coeffs.items()}
+                  for pair, coeffs in engine.struct.items()}
+    except (ValueError, ZeroDivisionError):
+        return False
+    found, echelon = [], {}  # pivot name -> reduced row, pivot entry 1
+    candidates = [{name: 1} for name in names]
+    for vec in candidates:  # grows as elements are found
+        if len(found) == len(d21.BASIS_NAMES):
+            break
+        row = dict(vec)
+        for piv, prow in echelon.items():
+            if f := row.get(piv):
+                for n, v in prow.items():
+                    row[n] = (row.get(n, 0) - f * v) % p
+        row = {n: v for n, v in row.items() if v}
+        if row:
+            piv = next(iter(row))
+            inv = pow(row[piv], -1, p)
+            echelon[piv] = {n: v * inv % p for n, v in row.items()}
+            found.append(vec)
+            for u in found:
+                out: dict = {}
+                for a, ua in u.items():
+                    for b, vb in vec.items():
+                        for n, c in struct[(a, b)].items():
+                            out[n] = (out.get(n, 0) + ua * vb * c) % p
+                candidates.append(out)
+    return len(found) == len(d21.BASIS_NAMES)
+
+
+GENERATES_ALPHAS = [None, 0, 1, -1, 2, Fraction(1, 2), Fraction(-1, 2), 3, -3,
+                    Fraction(1, coh.FP_PRIME)]
+
+
+@pytest.mark.parametrize("alpha", GENERATES_ALPHAS, ids=str)
+@pytest.mark.parametrize("make_engine", [coh.poisson_engine, coh.quantized_engine],
+                         ids=["poisson", "star"])
+def test_generates_matches_the_echelon(make_engine, alpha):
+    engine = make_engine(alpha)
+    sets = [*coh.GENERATING_SETS, ("E1", "F1", "H1"), d21.BASIS_NAMES]
+    answers = [coh.generates(engine, names) for names in sets]
+    assert answers == [_reference_generates(engine, names) for names in sets]
+    if alpha is None or alpha == 2:
+        assert answers == [True, True, False, True]
+    # so every engine certifies the set it did with the echelon
+    assert engine.generators == next(
+        (names for names in coh.GENERATING_SETS if _reference_generates(engine, names)),
+        d21.BASIS_NAMES)
