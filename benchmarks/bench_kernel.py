@@ -26,7 +26,9 @@ per basis element (``cohomology._brackets``).  ``struct_table``,
 ``engine_poisson`` and ``engine_star`` time the set-up every engine user
 pays, 20 times each and uncached: the structure table
 (``d21.structure_table``, one tagged bracket per basis element) and the
-construction of each engine from it.  The last three
+construction of each engine from it.  ``engine_alpha`` times 20 uncached
+builds of the Poisson engine at alpha = 3/7 from the cached generic one:
+the specialization step alone (``Engine.evaluated``).  The last three
 columns time the coefficient layer alone: products and sums of ``Scalar``
 pairs, and ``Scalar`` times a small int.
 
@@ -172,13 +174,15 @@ def time_brackets(cases):
 
 def time_setup(repeat=20):
     """``repeat`` uncached builds of the structure table and of each
-    engine; the engines read the cached table and bases."""
+    engine; the engines read the cached table and bases, and the engine at
+    alpha the cached generic engine."""
     from superpds import cohomology as coh, d21
 
     timings = {}
     for op, build in (("struct_table", d21.structure_table.__wrapped__),
                       ("engine_poisson", lambda: coh._engine.__wrapped__(False, None, None)),
-                      ("engine_star", lambda: coh._engine.__wrapped__(True, None, None))):
+                      ("engine_star", lambda: coh._engine.__wrapped__(True, None, None)),
+                      ("engine_alpha", lambda: coh._engine.__wrapped__(False, Fraction(3, 7), None))):
         t0 = time.perf_counter()
         for _ in range(repeat):
             build()
@@ -251,7 +255,7 @@ def main():
     timing.update(time_poisson_chain(build_poisson_chain_workloads()))
     ops = ["product", "poisson", "star", "hbracket", "poisson_mono", "star_mono",
            "hbracket_mono", "fold", "sub_equal", "star_chain", "poisson_chain",
-           "bracket_unit", "bracket_tagged", "struct_table", "engine_poisson", "engine_star",
+           "bracket_unit", "bracket_tagged", "struct_table", "engine_poisson", "engine_star", "engine_alpha",
            "scalar_mul", "scalar_mul_int", "scalar_add"]
     print("".join("%15s" % op for op in ops))
     print("".join("%14.3fs" % timing[op] for op in ops))

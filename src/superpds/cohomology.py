@@ -143,6 +143,34 @@ terms in the order a bracket with m_i alone would give them.  The C^0 keys
 of a block are the slot keys of H1 (``_monomials`` with the same degrees,
 weight and parity), so d0 reads its brackets from d1's table.
 
+Each engine stores the blocks it assembles (``_assembly``), and every block
+request reads the store first.  The key is (k, n, target, rows), rows being
+the names whose pairs give d1's rows: ``engine.generators`` for the
+reports, BASIS_NAMES for ``solve_obstruction``.  A stored block is its
+slots, d1 columns, C^0 keys and d0 columns; no bracket table is kept.  The
+targets are nested: P+ lies in P, K4 is P at k = 2, and K4' is K4 less
+the gap monomial.  So the slots and C^0 keys of a P+, K4 or K4' block are
+P's of the same (k, n) with some left out, in P's order, and a column
+depends on its slot or key only.  Such a block is cut out of a stored P
+block with the same rows; with none stored it is assembled itself, so a
+lone P+ scan never pays for P's larger blocks.  ``is_coboundary`` and
+``express_modulo_coboundaries`` read d0 from a stored block, or else
+assemble d0 alone.
+
+An engine at a rational alpha keeps its generic engine as its source, and
+a block of it is the source's block on the same rows, those of its own
+generating set, with every entry evaluated at alpha, zeros dropped and
+entry order kept.  This is sound.  Substituting alpha is a ring
+homomorphism on the scalars whose denominators do not vanish there;
+``Engine.evaluated`` applies it to the basis and the structure table, and
+assembly uses ring operations only.  An entry is a sum of products of
+basis and table coefficients, so its reduced denominator divides a
+product of their denominators, none of which vanishes where the engine at
+alpha exists: no entry has a pole there, and each evaluated entry is the
+entry the engine at alpha assembles.  Only the order of a column's
+entries can differ from that assembly.  An engine with an h depth cap has
+a store of its own, and at alpha its source is the capped generic engine.
+
 The same machinery runs for the h-deformed algebra: an engine bundles the
 basis, the bracket, the structure table and the h-grading conventions, so
 the star-product analogue reuses every formula with [.,.]_h substituted.
@@ -321,6 +349,8 @@ class Engine:
         ]
         self.incidence = self._incidence()
         self._slot_sets: dict = {}  # BlockSpec -> set(enumerate_c1(block, self))
+        self._blocks: dict = {}  # (BlockSpec, rows) -> assembled block (``_assembly``)
+        self._source = None  # (engine, value): blocks are its blocks through value
 
     @cached_property
     def generators(self):
@@ -375,13 +405,9 @@ class Engine:
         and the coboundary searches refuse a cochain with a coefficient in
         alpha, which it would bracket against a different algebra.
         """
-
-        def image(terms: dict) -> dict:
-            return {key: v for key, c in terms.items() if (v := value(c))}
-
-        return Engine({name: Symbol(image(sym.terms)) for name, sym in self.basis.items()},
+        return Engine({name: Symbol(_image(sym.terms, value)) for name, sym in self.basis.items()},
                       self.bracket,
-                      {pair: image(coeffs) for pair, coeffs in self.struct.items()},
+                      {pair: _image(coeffs, value) for pair, coeffs in self.struct.items()},
                       self.h_k_weight, self.h_depth)
 
     def check_constants(self, *cochains: Cochain1):
@@ -411,6 +437,12 @@ class Engine:
                                      % (name, Symbol({key: S_ONE}), block.k, block.n, block.target))
 
 
+def _image(terms: dict, value) -> dict:
+    """The terms with each coefficient mapped through ``value``, zeros
+    dropped, in their order."""
+    return {key: v for key, c in terms.items() if (v := value(c))}
+
+
 def poisson_engine(alpha=None) -> Engine:
     return _engine(False, alpha, None)
 
@@ -426,7 +458,7 @@ def quantized_engine(alpha=None, h_depth=None) -> Engine:
     the same alpha with the cap set: it shares basis, bracket, structure
     table, pairs, incidence and metadata, and a generating-set certificate
     already made (``generates`` reads only the structure table), and has
-    its own slot sets, which depend on the cap.
+    its own slot sets and block store, which depend on the cap.
     """
     return _engine(True, alpha, h_depth)
 
@@ -436,14 +468,20 @@ def quantized_engine(alpha=None, h_depth=None) -> Engine:
 @lru_cache(maxsize=None)
 def _engine(star: bool, alpha, h_depth) -> Engine:
     """The star engine when ``star``, else the Poisson one: generic, at a
-    rational ``alpha`` (``evaluated``), or with an h depth cap, which only
-    ``quantized_engine`` passes."""
+    rational ``alpha`` (``evaluated``, with the generic engine as the source
+    of its blocks), or with an h depth cap, which only ``quantized_engine``
+    passes."""
     if h_depth is not None:
         engine = copy.copy(_engine(star, alpha, None))
-        engine.h_depth, engine._slot_sets = h_depth, {}
+        engine.h_depth, engine._slot_sets, engine._blocks = h_depth, {}, {}
+        if alpha is not None:  # the source's slots are capped too
+            engine._source = (_engine(star, None, h_depth), engine._source[1])
         return engine
     if alpha is not None:
-        return _engine(star, None, None).evaluated(lambda c: c.specialize(alpha))
+        generic = _engine(star, None, None)
+        engine = generic.evaluated(value := _substitution(alpha))
+        engine._source = (generic, value)
+        return engine
     if star:
         from . import quantize
 
@@ -451,6 +489,23 @@ def _engine(star: bool, alpha, h_depth) -> Engine:
                       h_k_weight=2, h_depth=None)
     return Engine(d21.embedded_basis(), lambda a, b: a.poisson(b), d21.structure_table(),
                   h_k_weight=0, h_depth=0)
+
+
+def _substitution(alpha):
+    """c -> ``c.specialize(alpha)``, each value in alpha specialized once:
+    the entries of a block take few distinct values (58 of the 1,626 star
+    P+ entries in alpha at window 8)."""
+    memo: dict = {}
+
+    def value(c: Scalar) -> Scalar:
+        if c.is_rational():
+            return c
+        v = memo.get(c)
+        if v is None:
+            v = memo[c] = c.specialize(alpha)
+        return v
+
+    return value
 
 
 def _monomials(block: BlockSpec, engine: Engine, want_n, weight, parity):
@@ -644,6 +699,48 @@ def _d0_columns(block: BlockSpec, engine: Engine, table: dict | None = None):
     return mon0, columns
 
 
+def _assembly(block: BlockSpec, engine: Engine, rows):
+    """(slots, d1 columns, C0 keys, d0 columns) of the block, d1 on the
+    rows of the pairs with a name in ``rows``, read from the engine's store
+    and assembled into it on the first request (module docstring).  An
+    engine with a source evaluates the source's block; on any other engine,
+    a P+, K4 or K4' block is cut out of a stored P block of the same k, n
+    and rows.  Callers must not mutate what it returns.
+    """
+    key = (block, rows)
+    stored = engine._blocks.get(key)
+    if stored is not None:
+        return stored
+    if engine._source is not None:
+        source, value = engine._source
+        slots, columns, mon0, bcols = _assembly(block, source, rows)
+        stored = (slots, [_image(vec, value) for vec in columns],
+                  mon0, [_image(vec, value) for vec in bcols])
+    elif (whole := engine._blocks.get((BlockSpec(block.k, block.n, "P"), rows))) is not None:
+        # the target's slots and C0 keys are subsequences of P's
+        column, bcolumn = dict(zip(whole[0], whole[1])), dict(zip(whole[2], whole[3]))
+        slots, mon0 = enumerate_c1(block, engine), enumerate_c0(block, engine)
+        stored = (slots, [column[slot] for slot in slots], mon0, [bcolumn[m] for m in mon0])
+    else:
+        slots, columns, table = _d1_columns(block, engine, rows)
+        stored = (slots, columns, *_d0_columns(block, engine, table))
+    engine._blocks[key] = stored
+    return stored
+
+
+def _coboundaries(block: BlockSpec, engine: Engine):
+    """C0 keys and d0 columns of the block: a stored block's, else d0
+    assembled alone, from the source's d0 on an engine with a source."""
+    stored = next((b for (spec, _), b in engine._blocks.items() if spec == block), None)
+    if stored is not None:
+        return stored[2], stored[3]
+    if engine._source is not None:
+        source, value = engine._source
+        mon0, bcols = _coboundaries(block, source)
+        return mon0, [_image(vec, value) for vec in bcols]
+    return _d0_columns(block, engine)
+
+
 @dataclass
 class CohomologyReport:
     """Dimensions and witnesses for one block.
@@ -701,20 +798,10 @@ def h1_block(block: BlockSpec, engine: Engine | None = None,
     vectors of d1 certified independent modulo the coboundary span.  One
     span of the d0 columns gives both dim B and that certificate.  A block
     with no slots is "empty".  On an engine with an h depth cap, a block
-    that d0 leaves is not a subcomplex: ValueError.
+    that d0 leaves is not a subcomplex: ValueError.  The block is read from
+    the engine's store (module docstring).
     """
-    engine = engine or poisson_engine()
-    slots, columns, table = _d1_columns(block, engine, engine.generators)
-    if not slots:
-        return CohomologyReport(block, 0, 0, 0, [], [], "empty")
-    bcols = _d0_columns(block, engine, table)[1]
-    if engine.h_k_weight and engine.h_depth is not None:
-        inside = set(slots)
-        if any(not vec.keys() <= inside for vec in bcols):
-            raise ValueError("d0 leaves block (k=%d, n=%d, %s) under the h depth cap "
-                             "h_depth=%d: the block is not a subcomplex"
-                             % (block.k, block.n, block.target, engine.h_depth))
-    return _h1_exact(block, slots, columns, bcols, representatives)
+    return _block_report(block, engine or poisson_engine(), representatives, False)
 
 
 def _h1_exact(block: BlockSpec, slots, columns, bcols, representatives: bool,
@@ -803,27 +890,38 @@ def _fp_rank(columns):
     return linalg.rank_mod_p(images, FP_PRIME, late)
 
 
-def _scan_block(block: BlockSpec, engine: Engine, representatives: bool) -> CohomologyReport:
-    """The report of a block with n = 0, from one assembly.
+def _block_report(block: BlockSpec, engine: Engine, representatives: bool,
+                  certify: bool) -> CohomologyReport:
+    """The report of a block from its stored assembly (``_assembly``).
 
     d1 is assembled on the pairs that touch the engine's generating set
     (``Engine.generators``), which have the kernel of the full d1 (module
-    docstring).  A block with no slots is "empty".  The ranks r1, r0 of d1
-    and d0 over F_p are lower bounds for the exact ones, so
-    H^1 <= N - r1 - r0 for N slots; when the bound is 0 the block is
-    "modp-zero".  Otherwise ``_h1_exact`` on the d1 rows of the F_p pivots
-    settles it as "cocycle-witness", representatives included.  When a
-    check fails, or an entry has no image over F_p, ``_h1_exact`` runs on
-    every row assembled, as ``h1_block`` does, so the report is
-    ``h1_block``'s.
+    docstring).  A block with no slots is "empty".  On an engine with an h
+    depth cap, a block that d0 leaves is not a subcomplex: ValueError.
+    Unless ``certify``, the block is eliminated exactly on those rows.
+
+    With ``certify``, the ranks r1, r0 of d1 and d0 over F_p are lower
+    bounds for the exact ones, so H^1 <= N - r1 - r0 for N slots; when the
+    bound is 0 the block is "modp-zero".  Otherwise ``_h1_exact`` on the d1
+    rows of the F_p pivots settles it as "cocycle-witness",
+    representatives included.  When a check fails, or an entry has no
+    image over F_p, ``_h1_exact`` runs on every row assembled, so the
+    report is ``h1_block``'s.
     """
-    slots, columns, table = _d1_columns(block, engine, engine.generators)
+    slots, columns, _, bcols = _assembly(block, engine, engine.generators)
     if not slots:
         return CohomologyReport(block, 0, 0, 0, [], [], "empty")
+    if engine.h_k_weight and engine.h_depth is not None:
+        inside = set(slots)
+        if any(not vec.keys() <= inside for vec in bcols):
+            raise ValueError("d0 leaves block (k=%d, n=%d, %s) under the h depth cap "
+                             "h_depth=%d: the block is not a subcomplex"
+                             % (block.k, block.n, block.target, engine.h_depth))
+    if not certify:
+        return _h1_exact(block, slots, columns, bcols, representatives)
     rows1 = _fp_rank(columns)
     if rows1 is not None and len(rows1) == len(slots):  # Z = 0, and B inside it is 0 too
         return CohomologyReport(block, 0, 0, 0, [], [], "modp-zero")
-    bcols = _d0_columns(block, engine, table)[1]
     rows0 = None if rows1 is None else _fp_rank(bcols)
     if rows0 is not None:
         rank_d1, rank_d0 = len(rows1), len(rows0)
@@ -839,11 +937,11 @@ def h1_scan(k_range, n_range, target: str, engine: Engine | None = None, represe
     """Reports for every block in the window (K4 targets pin k = 2).
 
     Blocks with n != 0 are "cartan-zero" with Z = B = |C^0| (module
-    docstring).  A block with n = 0 is assembled once, on the rows of the
-    engine's generating set, and certified over F_p when it can be, by the
-    F_p bound or by a cocycle witness, whose verified cocycles are its
-    representatives; else it is eliminated exactly on those rows, as
-    ``h1_block`` does.  An engine with an h depth cap is refused: its
+    docstring).  A block with n = 0 is read from the engine's store, on
+    the rows of the engine's generating set, and certified over F_p when it
+    can be, by the F_p bound or by a cocycle witness, whose verified
+    cocycles are its representatives; else it is eliminated exactly on
+    those rows, as ``h1_block`` does.  An engine with an h depth cap is refused: its
     blocks are not subcomplexes.
     """
     engine = engine or poisson_engine()
@@ -859,7 +957,7 @@ def h1_scan(k_range, n_range, target: str, engine: Engine | None = None, represe
                 m = len(enumerate_c0(block, engine))
                 reports.append(CohomologyReport(block, m, m, 0, [], [], "cartan-zero"))
             else:
-                reports.append(_scan_block(block, engine, representatives))
+                reports.append(_block_report(block, engine, representatives, True))
     return reports
 
 
@@ -958,7 +1056,7 @@ def _modulo_coboundaries(c: Cochain1, generators, block: BlockSpec, engine: Engi
     """(coefficients a, preimage m) with c = sum a_j * generators[j] + d0(m)
     inside the block, or None when there are none."""
     engine.check_constants(c, *generators)
-    mon0, bcols = _d0_columns(block, engine)
+    mon0, bcols = _coboundaries(block, engine)
     tracker = SpanTracker()
     for j, gen in enumerate(generators):
         tracker.insert(_cochain_vector(gen), ("g", j))
@@ -1009,7 +1107,7 @@ def solve_obstruction(rho1: Cochain1, order_block: BlockSpec, engine: Engine | N
         val = rhs_pairs[(x, y)] * (-S_HALF)
         for mk, coeff in val.terms.items():
             rhs_vec[(pi, mk)] = coeff
-    slots, columns, _ = _d1_columns(order_block, engine)
+    slots, columns = _assembly(order_block, engine, BASIS_NAMES)[:2]
     tracker = SpanTracker()
     for j, vec in enumerate(columns):
         tracker.insert(vec, j)

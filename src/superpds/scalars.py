@@ -503,8 +503,11 @@ class Scalar:
 
         Raises PoleError naming the denominator when the value is one of its
         roots.  Only the stored reduced form is consulted: no further
-        cancellation is attempted.
+        cancellation is attempted.  A rational constant has no pole and is
+        its own value; scalars are immutable, so it is returned itself.
         """
+        if self.is_rational():
+            return self
         value = Fraction(alpha_value)
         den = self.ad.evaluate(value)
         if not den:

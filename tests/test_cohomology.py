@@ -990,6 +990,30 @@ def test_h1_block_matches_every_row_elimination(engine_name):
     assert checked
 
 
+GATE_ALPHAS = [0, 1, -1, 2, Fraction(1, 2), Fraction(-1, 2), 3]
+
+
+@pytest.mark.parametrize("alpha", GATE_ALPHAS, ids=str)
+def test_alpha_blocks_are_the_evaluated_generic_blocks(alpha):
+    # an engine at alpha reads its generic engine's blocks evaluated at
+    # alpha: in values and key sets, the columns of its own assembly, which
+    # stays the reference here, and the same h1_block report
+    for make_engine, targets in ((coh.poisson_engine, coh.TARGETS), (coh.quantized_engine, ["P+"])):
+        engine = make_engine(alpha)
+        for target in targets:
+            for k in [2] if target in ("K4", "K4'") else WINDOW6:
+                block = coh.BlockSpec(k, 0, target)
+                slots, columns, mon0, bcols = coh._assembly(block, engine, engine.generators)
+                own_slots, own_columns, table = coh._d1_columns(block, engine, engine.generators)
+                own_mon0, own_bcols = coh._d0_columns(block, engine, table)
+                assert (slots, mon0) == (own_slots, own_mon0), block
+                assert (columns, bcols) == (own_columns, own_bcols), block
+                own = (coh._h1_exact(block, slots, own_columns, own_bcols, True) if slots else
+                       coh.CohomologyReport(block, 0, 0, 0, [], [], "empty"))
+                rpt = coh.h1_block(block, engine)
+                assert (rpt.to_payload(), rpt.certificate) == (own.to_payload(), own.certificate)
+
+
 def test_h1_block_refuses_a_block_the_cap_cuts():
     # h_depth=2 caps the h powers of (6, 0) at 2 where the operator rule
     # allows 3, and d0 of a C^0 key then has terms outside the block
@@ -1017,10 +1041,15 @@ def test_empty_blocks_are_labelled_empty():
     assert coh.h1_block(block, ENGINE).certificate == "empty"
 
 
+def _fresh_engine(star=False):
+    # not a cached engine: its block store is empty
+    return coh._engine.__wrapped__(star, None, None)
+
+
 @pytest.mark.parametrize("scan", ["P+", "star P+"])
 def test_scan_assembles_each_block_once(scan, monkeypatch):
-    make_engine, target, window = CERTIFIED_SCANS[scan]
-    engine = make_engine()
+    _, target, window = CERTIFIED_SCANS[scan]
+    engine = _fresh_engine(scan.startswith("star"))
     blocks = []
     assemble = coh._d1_columns
 
@@ -1033,6 +1062,64 @@ def test_scan_assembles_each_block_once(scan, monkeypatch):
     assert blocks == [r.block for r in reports if r.block.n == 0]
     # nonzero blocks too: the exact path reuses the certificate's assembly
     assert any(r.dim_h1 for r in reports)
+
+
+def _payloads(reports):
+    return [(r.to_payload(), r.certificate) for r in reports]
+
+
+def test_targets_are_cut_out_of_the_stored_p_block(monkeypatch):
+    # after a P scan, P+, K4 and K4' assemble nothing: their blocks are
+    # cut out of P's, and report what a fresh engine's own assembly does
+    ks, ns = range(-6, 7), range(-2, 3)
+    engine = _fresh_engine()
+    coh.h1_scan(ks, ns, "P", engine)
+    assembled = []
+    assemble = coh._d1_columns
+
+    def counted(block, *args, **kwargs):
+        assembled.append(block)
+        return assemble(block, *args, **kwargs)
+
+    monkeypatch.setattr(coh, "_d1_columns", counted)
+    derived = {target: coh.h1_scan(ks, ns, target, engine) for target in ("P+", "K4", "K4'")}
+    assert assembled == []
+    monkeypatch.undo()
+    for target, reports in derived.items():
+        assert _payloads(reports) == _payloads(coh.h1_scan(ks, ns, target, _fresh_engine()))
+    # a lone P+ scan assembles its own blocks, not P's
+    lone = _fresh_engine()
+    coh.h1_scan(ks, [0], "P+", lone)
+    assert {spec.target for spec, _ in lone._blocks} == {"P+"}
+
+
+def _store_snapshot(engine):
+    return {key: (list(slots), _entries(columns), list(mon0), _entries(bcols))
+            for key, (slots, columns, mon0, bcols) in engine._blocks.items()}
+
+
+def test_consumers_leave_the_store_as_it_was():
+    # every reader of a stored block, the exact paths with representatives
+    # included, leaves its lists and dicts as they were stored
+    theta1 = coh.named_cocycle("theta1")
+    for engine in (_fresh_engine(), coh._engine.__wrapped__(False, Fraction(-1, 2), None)):
+        calls = [
+            lambda: coh.h1_scan(range(-2, 3), [0], "P", engine),
+            lambda: coh.h1_scan(range(-2, 3), [0], "P+", engine),
+            lambda: [coh.h1_block(coh.BlockSpec(k, 0, t), engine) for k, t in
+                     ((0, "P"), (0, "P+"), (2, "K4'"), (-2, "P+"))],
+            lambda: coh.express_modulo_coboundaries(
+                theta1, [], coh.BlockSpec(0, 0, "P"), engine),
+            lambda: coh.is_coboundary(theta1, engine),
+            lambda: coh.solve_obstruction(theta1, coh.BlockSpec(-2, 0, "P+"), engine),
+        ]
+        for call in calls:  # fill the store
+            call()
+        snapshot = _store_snapshot(engine)
+        assert len(snapshot) == 12
+        for call in calls:  # read it
+            call()
+            assert _store_snapshot(engine) == snapshot
 
 
 def test_scan_refuses_capped_engine():
@@ -1077,11 +1164,19 @@ def test_capped_engine_is_the_uncapped_one_with_a_cap(alpha):
     for name in ("basis", "bracket", "struct", "pairs", "incidence", "metadata"):
         assert getattr(capped, name) is getattr(engine, name), name
     assert capped._slot_sets is not engine._slot_sets
+    assert capped._blocks is not engine._blocks
     assert capped.specialized == engine.specialized == (alpha is not None)
+    # blocks at alpha are the capped generic engine's, evaluated
+    if alpha is not None:
+        assert capped._source[0] is coh.quantized_engine(h_depth=2)
     # slots depend on the cap: (6, 0) has h powers up to 4 uncapped
     block = coh.BlockSpec(6, 0, "P+")
     assert max(key[4] for _, key in coh.enumerate_c1(block, capped)) == 2
     assert max(key[4] for _, key in coh.enumerate_c1(block, engine)) == 4
+    # the uncapped block, stored, is not the capped engine's
+    assert coh.h1_block(block, engine).dim_h1 == 1
+    with pytest.raises(ValueError, match=r"block \(k=6, n=0, P\+\) .*h_depth=2"):
+        coh.h1_block(block, capped)
 
 
 # -- the Cartan certificate: ad H1 acts on block (k, n) by n --------------------------

@@ -126,6 +126,38 @@ def test_specialize_is_ring_hom(x, y, value):
         assert z.mod_p(value % MERSENNE, MERSENNE) == z.specialize(value).mod_p(0, MERSENNE)
 
 
+def _specialize_by_formula(x, value):
+    """The value at alpha = ``value`` by numerator over denominator, for
+    every scalar alike: PoleError at a root of the denominator."""
+    value = Fraction(value)
+    den = x.ad.evaluate(value)
+    if not den:
+        raise PoleError(x.ad, value)
+    return Scalar.from_fraction(x.an.evaluate(value) / den)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(scalars(), rationals.map(Scalar.from_fraction)),
+       st.fractions(min_value=-3, max_value=3, max_denominator=2))
+@example(S_ZERO, Fraction(1))
+@example(frac(-7, 3), Fraction(1, 2))
+@example((S_ONE + ALPHA).inv(), Fraction(-1))
+@example(ALPHA / (ALPHA * ALPHA - frac(1, 4)), Fraction(1, 2))
+def test_specialize_matches_the_formula(x, value):
+    # a rational scalar is returned itself; every other scalar gets the
+    # formula's value, or its PoleError
+    try:
+        expected = _specialize_by_formula(x, value)
+    except PoleError as err:
+        with pytest.raises(PoleError) as info:
+            x.specialize(value)
+        assert (info.value.denominator, info.value.value) == (err.denominator, err.value)
+        return
+    got = x.specialize(value)
+    assert got == expected and got.ad is POLY_ONE
+    assert (got is x) == x.is_rational()
+
+
 def test_mod_p_values():
     assert (ALPHA * ALPHA + frac(1, 2)).mod_p(3, 7) == (9 + 4) % 7
     assert (S_ONE / (ALPHA - frac(2))).mod_p(5, 7) == 5  # 1/3 = 5 mod 7
