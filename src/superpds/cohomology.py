@@ -187,7 +187,7 @@ from .d21 import BASIS_NAMES, PARITY
 from .linalg import SpanTracker, clear_denominators
 # unused here; perfbench/tracer.py patches it in this __dict__ (tests/test_tracer_contract.py)
 from .linalg import poly_rank  # noqa: F401
-from .scalars import S_HALF, S_ONE, Scalar
+from .scalars import POLY_ONE, S_HALF, S_ONE, Scalar
 from .symbols import K4PRIME_GAP, SYM_ZERO, TARGETS, Symbol, mask_weight
 
 
@@ -492,17 +492,27 @@ def _engine(star: bool, alpha, h_depth) -> Engine:
 
 
 def _substitution(alpha):
-    """c -> ``c.specialize(alpha)``, each value in alpha specialized once:
-    the entries of a block take few distinct values (58 of the 1,626 star
-    P+ entries in alpha at window 8)."""
+    """c -> ``c.specialize(alpha)`` for the entries of blocks.
+
+    A rational constant is its own value.  Any other value is specialized
+    once: the entries in alpha take few distinct values (58 among the
+    1,626 of the star P+ blocks at window 8).  A polynomial is keyed by its
+    stored coefficients, which is cheaper than hashing the scalar; every
+    entry is tested, so the tests are spelled out inline.
+    """
     memo: dict = {}
 
     def value(c: Scalar) -> Scalar:
-        if c.is_rational():
-            return c
-        v = memo.get(c)
+        if c.ad is POLY_ONE:
+            terms = c.an.c
+            if not terms or len(terms) == 1 and 0 in terms:
+                return c
+            key = (c.an.d, *terms.items())
+        else:
+            key = c
+        v = memo.get(key)
         if v is None:
-            v = memo[c] = c.specialize(alpha)
+            v = memo[key] = c.specialize(alpha)
         return v
 
     return value

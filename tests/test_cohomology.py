@@ -857,10 +857,10 @@ def test_cocycle_witness_falls_back_to_exact(make_engine, block, representatives
 # -- scans on the rows of a generating set ------------------------------------------
 
 
-def _fresh_poisson_engine():
-    # not the cached engine: its generating set is certified on first read
-    return coh.Engine(d21.embedded_basis(), lambda a, b: a.poisson(b), d21.structure_table(),
-                      h_k_weight=0, h_depth=0)
+def _fresh_engine(star=False):
+    # not a cached engine: its generating set is certified on first read,
+    # and its block store is empty
+    return coh._engine.__wrapped__(star, None, None)
 
 
 CERTIFYING = [None, 2, Fraction(1, 2), Fraction(-1, 2), 3, -3]
@@ -886,7 +886,7 @@ def test_generating_set_certificate(make_engine):
 
 def test_generating_set_is_certified_lazily():
     # building an engine certifies nothing; the first scan does, once
-    engine = _fresh_poisson_engine()
+    engine = _fresh_engine()
     assert "generators" not in vars(engine)
     coh.h1_scan([0], [0], "P", engine, representatives=False)
     assert vars(engine)["generators"] == coh.GENERATORS
@@ -906,7 +906,7 @@ def test_rows_of_a_set_that_does_not_generate():
 
 def test_patched_non_generating_set_gives_oracle_answers(monkeypatch):
     monkeypatch.setattr(coh, "GENERATING_SETS", (("E1", "F1", "H1"),))
-    engine = _fresh_poisson_engine()
+    engine = _fresh_engine()
     seen = []
     assemble = coh._d1_columns
 
@@ -990,7 +990,7 @@ def test_h1_block_matches_every_row_elimination(engine_name):
     assert checked
 
 
-GATE_ALPHAS = [0, 1, -1, 2, Fraction(1, 2), Fraction(-1, 2), 3]
+GATE_ALPHAS = [0, 1, -1, 2, -2, Fraction(1, 2), Fraction(-1, 2), 3]
 
 
 @pytest.mark.parametrize("alpha", GATE_ALPHAS, ids=str)
@@ -1039,11 +1039,6 @@ def test_empty_blocks_are_labelled_empty():
     block = coh.BlockSpec(0, 1, "P+")
     assert not coh.enumerate_c1(block, ENGINE)
     assert coh.h1_block(block, ENGINE).certificate == "empty"
-
-
-def _fresh_engine(star=False):
-    # not a cached engine: its block store is empty
-    return coh._engine.__wrapped__(star, None, None)
 
 
 @pytest.mark.parametrize("scan", ["P+", "star P+"])
@@ -1152,7 +1147,7 @@ def test_specialized_is_read_off_the_basis():
     # alpha, however it was built
     basis = {n: Symbol(_specialized(s.terms, 2)) for n, s in d21.embedded_basis().items()}
     built = coh.Engine(basis, lambda a, b: a.poisson(b), coh.poisson_engine(2).struct, 0, 0)
-    assert built.specialized and not _fresh_poisson_engine().specialized
+    assert built.specialized and not _fresh_engine().specialized
     with pytest.raises(ValueError, match="not a rational constant"):
         built.check_constants(coh.named_cocycle("theta2"))
 
