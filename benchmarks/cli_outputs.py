@@ -15,6 +15,11 @@ every ``h1`` scan runs its default window unless the command names one.
 The input files of the commands that read one (``FIXTURES``) are written to
 OUTDIR, and every command runs with OUTDIR as its working directory and
 names its files relative to it, so no output depends on where OUTDIR is.
+
+``tests/test_cli_golden.py`` runs the same ``COMMANDS`` and ``FIXTURES``
+in one process through ``cli.main`` and compares them with the outputs
+recorded in ``tests/cli_golden.json``; this script stays the reference for
+what depends on start-up.
 """
 
 import json
