@@ -27,8 +27,9 @@ per basis element (``cohomology._brackets``).  ``struct_table``,
 pays, 20 times each and uncached: the structure table
 (``d21.structure_table``, one tagged bracket per basis element) and the
 construction of each engine from it.  ``engine_alpha`` times 20 uncached
-builds of the Poisson engine at alpha = 3/7 from the cached generic one:
-the specialization step alone (``Engine.evaluated``).  The last three
+builds of the Poisson engine at alpha = 3/7 from the cached generic one: a
+copy of it that reads its blocks through the substitution of alpha, so no
+table is specialized (``cohomology._engine``).  The last three
 columns time the coefficient layer alone: products and sums of ``Scalar``
 pairs, and ``Scalar`` times a small int.
 

@@ -30,9 +30,6 @@ through ``cup``.  Ranks are
 computed fraction-free over Q[alpha]; the recorded pivot polynomials are the
 only places a specialized alpha can change a dimension.
 
-An engine at a fixed rational alpha is the generic engine mapped through
-the substitution of that alpha (``Engine.evaluated``).
-
 Scans need only some rows of d1.  Let c be a 1-cochain and delta = d1 c.
 The algebra acts on the target through the embedding, so d2 o d1 = 0 and
 d2 delta = 0: (d2 delta)(a, b, y) is a sum, each term with sign +1 or -1,
@@ -157,19 +154,18 @@ lone P+ scan never pays for P's larger blocks.  ``is_coboundary`` and
 ``express_modulo_coboundaries`` read d0 from a stored block, or else
 assemble d0 alone.
 
-An engine at a rational alpha keeps its generic engine as its source, and
-a block of it is the source's block on the same rows, those of its own
-generating set, with every entry evaluated at alpha, zeros dropped and
-entry order kept.  This is sound.  Substituting alpha is a ring
-homomorphism on the scalars whose denominators do not vanish there;
-``Engine.evaluated`` applies it to the basis and the structure table, and
-assembly uses ring operations only.  An entry is a sum of products of
-basis and table coefficients, so its reduced denominator divides a
-product of their denominators, none of which vanishes where the engine at
-alpha exists: no entry has a pole there, and each evaluated entry is the
-entry the engine at alpha assembles.  Only the order of a column's
-entries can differ from that assembly.  An engine with an h depth cap has
-a store of its own, and at alpha its source is the capped generic engine.
+An engine at a rational alpha only scans.  It is a copy of the generic
+engine with the same cap, its source, and has no store: a block of it is
+the source's block on the rows of its own generating set, every entry
+evaluated at alpha, zeros dropped, order kept.  This is sound.  Every
+basis and table coefficient of both engines is a polynomial in alpha, and
+assembly uses ring operations only, so every entry is one too, and
+substituting alpha, a ring homomorphism on Q[alpha], meets no pole: each
+evaluated entry is the one an assembly over the basis and table evaluated
+at alpha gives, up to the order of a column's entries.  ``generates`` maps
+the table through the same substitution.  The copy's basis and table are
+the generic ones, so ``d0``, ``cup`` and what calls them refuse it
+(``cochain_engine``).  An engine with an h depth cap has its own store.
 
 The same machinery runs for the h-deformed algebra: an engine bundles the
 basis, the bracket, the structure table and the h-grading conventions, so
@@ -180,6 +176,7 @@ from __future__ import annotations
 
 import copy
 from dataclasses import dataclass
+from fractions import Fraction
 from functools import cached_property, lru_cache
 
 from . import d21, linalg
@@ -279,7 +276,8 @@ def generates(engine: "Engine", names) -> bool:
     """Whether the basis elements ``names`` generate the engine's algebra.
 
     The span of the names is closed under the bracket over F_p, with the
-    structure table mapped to F_p at alpha = FP_ALPHA, in rounds.  Each
+    structure table mapped to F_p at alpha = FP_ALPHA (at a fixed alpha,
+    through its substitution first), in rounds.  Each
     round keeps the elements that ``linalg.rank_mod_p`` finds independent
     of the ones kept before, which are taken first and so all stay, and
     brackets each newly kept element with every kept element up to and
@@ -290,10 +288,12 @@ def generates(engine: "Engine", names) -> bool:
     over Q(alpha) or over Q: they span the algebra.  False when the closure
     is smaller, or when a structure constant has no image in F_p.
     """
-    p = FP_PRIME
+    p, table = FP_PRIME, engine.struct
+    if engine._source is not None:
+        table = {pair: _image(coeffs, engine._source[1]) for pair, coeffs in table.items()}
     try:
         struct = {pair: {n: c.mod_p(FP_ALPHA, p) for n, c in coeffs.items()}
-                  for pair, coeffs in engine.struct.items()}
+                  for pair, coeffs in table.items()}
     except (ValueError, ZeroDivisionError):
         # FP_PRIME divides a rational denominator, or FP_ALPHA is a root of one
         return False
@@ -321,8 +321,8 @@ def generates(engine: "Engine", names) -> bool:
 class Engine:
     """Bracket engine: basis, bracket, structure table, h conventions.
 
-    Coefficients are Scalars: over Q(alpha), or rational constants for an
-    engine at a rational alpha (``specialized``, built by ``evaluated``).
+    Coefficients are Scalars over Q(alpha); an engine at a rational alpha
+    shares them with the generic engine (``_source``, module docstring).
     The star engine is the one whose h powers carry k-degree
     (``h_k_weight`` nonzero).  No basis term may carry beta: block assembly
     tags monomials with beta powers (``_brackets``), so the constructor
@@ -350,7 +350,7 @@ class Engine:
         self.incidence = self._incidence()
         self._slot_sets: dict = {}  # BlockSpec -> set(enumerate_c1(block, self))
         self._blocks: dict = {}  # (BlockSpec, rows) -> assembled block (``_assembly``)
-        self._source = None  # (engine, value): blocks are its blocks through value
+        self._source = None  # at a fixed alpha: (generic engine, its substitution)
 
     @cached_property
     def generators(self):
@@ -364,12 +364,6 @@ class Engine:
         (module docstring): every pair for BASIS_NAMES.
         """
         return next((names for names in GENERATING_SETS if generates(self, names)), BASIS_NAMES)
-
-    @cached_property
-    def specialized(self) -> bool:
-        """Whether no coefficient of the basis carries alpha: the generic
-        bases of both engines do, and ``evaluated`` at a rational alpha not."""
-        return all(c.is_rational() for sym in self.basis.values() for c in sym.terms.values())
 
     def _incidence(self):
         """Where an elementary cochain c (c(X) = m, zero elsewhere) lives.
@@ -394,35 +388,6 @@ class Engine:
                 table[name].append((pi, tuple(parts), -coeff if coeff else None))
         return table
 
-    def evaluated(self, value) -> "Engine":
-        """This engine with every coefficient c of its basis and structure
-        table replaced by ``value(c)``, zeros dropped.
-
-        ``value`` is a ring homomorphism on the scalars, such as the
-        substitution of a rational alpha.  The bracket needs ring
-        operations only, so it works on the images unchanged.  At a rational
-        alpha the result is ``specialized``: ``d1``, ``cup``, ``solve_obstruction``
-        and the coboundary searches refuse a cochain with a coefficient in
-        alpha, which it would bracket against a different algebra.
-        """
-        return Engine({name: Symbol(_image(sym.terms, value)) for name, sym in self.basis.items()},
-                      self.bracket,
-                      {pair: _image(coeffs, value) for pair, coeffs in self.struct.items()},
-                      self.h_k_weight, self.h_depth)
-
-    def check_constants(self, *cochains: Cochain1):
-        """On a specialized engine, raise ValueError unless every image
-        coefficient of the cochains is a rational constant."""
-        if not self.specialized:
-            return
-        for c in cochains:
-            for name, sym in c.images.items():
-                for key, coeff in sym.terms.items():
-                    if not coeff.is_rational():
-                        raise ValueError("%s image term %s is not a rational constant; an engine "
-                                         "at a fixed alpha needs the cochain specialized too"
-                                         % (name, Symbol({key: coeff})))
-
     def validate_cochain(self, c: Cochain1, block: BlockSpec):
         """Raise ValueError unless every image term of c is a slot of the
         block, that is (name, key) is in ``enumerate_c1(block, self)``,
@@ -444,7 +409,7 @@ def _image(terms: dict, value) -> dict:
 
 
 def poisson_engine(alpha=None) -> Engine:
-    return _engine(False, alpha, None)
+    return _engine(False, _rational(alpha), None)
 
 
 def quantized_engine(alpha=None, h_depth=None) -> Engine:
@@ -454,13 +419,23 @@ def quantized_engine(alpha=None, h_depth=None) -> Engine:
     Poisson ones (checked by quantize.verify_h_structure_match, exercised in
     the test suite).  h powers in a block are bounded by the operator
     constraint; pass h_depth to cap them harder.  Both public builders call
-    the one builder ``_engine``.  A capped engine is the uncapped one at
-    the same alpha with the cap set: it shares basis, bracket, structure
-    table, pairs, incidence and metadata, and a generating-set certificate
-    already made (``generates`` reads only the structure table), and has
-    its own slot sets and block store, which depend on the cap.
+    the one builder ``_engine`` and take alpha as None, an int or a
+    ``Fraction``.  A capped engine is the uncapped generic one with the cap
+    set: it shares basis, bracket, structure table, pairs, incidence and
+    metadata, and a generating-set certificate already made, and has its
+    own slot sets and block store, which depend on the cap.  An engine at
+    alpha, which only scans, is a copy of the generic one with the same
+    cap, slot sets included, with no store and its own certificate.
     """
-    return _engine(True, alpha, h_depth)
+    return _engine(True, _rational(alpha), h_depth)
+
+
+def _rational(alpha):
+    """alpha if None, an int or a ``Fraction``, else ValueError: checked
+    before the cache, which a float equal to a cached rational would read."""
+    if alpha is None or isinstance(alpha, (int, Fraction)) and not isinstance(alpha, bool):
+        return alpha
+    raise ValueError("alpha must be an int or a Fraction, got %r" % (alpha,))
 
 
 # cached on positional arguments, so every way of calling the public
@@ -468,19 +443,19 @@ def quantized_engine(alpha=None, h_depth=None) -> Engine:
 @lru_cache(maxsize=None)
 def _engine(star: bool, alpha, h_depth) -> Engine:
     """The star engine when ``star``, else the Poisson one: generic, at a
-    rational ``alpha`` (``evaluated``, with the generic engine as the source
-    of its blocks), or with an h depth cap, which only ``quantized_engine``
-    passes."""
-    if h_depth is not None:
-        engine = copy.copy(_engine(star, alpha, None))
-        engine.h_depth, engine._slot_sets, engine._blocks = h_depth, {}, {}
-        if alpha is not None:  # the source's slots are capped too
-            engine._source = (_engine(star, None, h_depth), engine._source[1])
-        return engine
+    rational ``alpha`` (a copy of the generic engine with the same cap, the
+    source of its blocks), or with an h depth cap, which only
+    ``quantized_engine`` passes."""
     if alpha is not None:
-        generic = _engine(star, None, None)
-        engine = generic.evaluated(value := _substitution(alpha))
-        engine._source = (generic, value)
+        source = _engine(star, None, h_depth)
+        engine = copy.copy(source)
+        # the source's generating set need not generate at alpha (+-1)
+        vars(engine).pop("generators", None)
+        engine._blocks, engine._source = None, (source, _substitution(alpha))
+        return engine
+    if h_depth is not None:
+        engine = copy.copy(_engine(star, None, None))
+        engine.h_depth, engine._slot_sets, engine._blocks = h_depth, {}, {}
         return engine
     if star:
         from . import quantize
@@ -569,8 +544,19 @@ def enumerate_c1(block: BlockSpec, engine: Engine | None = None):
     return out
 
 
-def d0(m: Symbol, engine: Engine | None = None, block: BlockSpec | None = None) -> Cochain1:
+def cochain_engine(engine: Engine | None) -> Engine:
+    """``engine``, or the Poisson one when None, for an operation that
+    brackets with its basis or table: ``d0``, ``cup`` and their callers.
+    ValueError at a fixed alpha, where those are the generic engine's."""
     engine = engine or poisson_engine()
+    if engine._source is not None:
+        raise ValueError("an engine at a fixed alpha only scans (h1_scan, h1_block); cochain "
+                         "operations need the generic engine")
+    return engine
+
+
+def d0(m: Symbol, engine: Engine | None = None, block: BlockSpec | None = None) -> Cochain1:
+    engine = cochain_engine(engine)
     return Cochain1(
         {name: engine.bracket(engine.basis[name], m) for name in BASIS_NAMES}, block
     )
@@ -581,7 +567,7 @@ def d1(c: Cochain1, engine: Engine | None = None) -> dict:
     [[rho, c]](X, Y) - c([X, Y]), with rho the embedding as a 1-cochain
     (``cup``)."""
     engine = engine or poisson_engine()
-    out = cup(Cochain1(engine.basis), c, engine)  # refuses alpha in c on a specialized engine
+    out = cup(Cochain1(engine.basis), c, engine)  # refuses an engine at a fixed alpha
     images = c.images
     for (x, y), val in out.items():
         for name, coeff in engine.struct[(x, y)].items():
@@ -593,8 +579,7 @@ def d1(c: Cochain1, engine: Engine | None = None) -> dict:
 
 def cup(phi: Cochain1, phi_prime: Cochain1, engine: Engine | None = None) -> dict:
     """[[phi, phi']](X, Y) = [phi X, phi' Y] + [phi' X, phi Y] per pair."""
-    engine = engine or poisson_engine()
-    engine.check_constants(phi, phi_prime)
+    engine = cochain_engine(engine)
     a, b = phi.images, phi_prime.images
     out = {}
     for (x, y) in engine.pairs:
@@ -713,20 +698,21 @@ def _assembly(block: BlockSpec, engine: Engine, rows):
     """(slots, d1 columns, C0 keys, d0 columns) of the block, d1 on the
     rows of the pairs with a name in ``rows``, read from the engine's store
     and assembled into it on the first request (module docstring).  An
-    engine with a source evaluates the source's block; on any other engine,
-    a P+, K4 or K4' block is cut out of a stored P block of the same k, n
-    and rows.  Callers must not mutate what it returns.
+    engine at a fixed alpha evaluates its source's block and stores
+    nothing; on any other engine, a P+, K4 or K4' block is cut out of a
+    stored P block of the same k, n and rows.  Callers must not mutate what
+    it returns.
     """
+    if engine._source is not None:
+        source, value = engine._source
+        slots, columns, mon0, bcols = _assembly(block, source, rows)
+        return (slots, [_image(vec, value) for vec in columns],
+                mon0, [_image(vec, value) for vec in bcols])
     key = (block, rows)
     stored = engine._blocks.get(key)
     if stored is not None:
         return stored
-    if engine._source is not None:
-        source, value = engine._source
-        slots, columns, mon0, bcols = _assembly(block, source, rows)
-        stored = (slots, [_image(vec, value) for vec in columns],
-                  mon0, [_image(vec, value) for vec in bcols])
-    elif (whole := engine._blocks.get((BlockSpec(block.k, block.n, "P"), rows))) is not None:
+    if (whole := engine._blocks.get((BlockSpec(block.k, block.n, "P"), rows))) is not None:
         # the target's slots and C0 keys are subsequences of P's
         column, bcolumn = dict(zip(whole[0], whole[1])), dict(zip(whole[2], whole[3]))
         slots, mon0 = enumerate_c1(block, engine), enumerate_c0(block, engine)
@@ -740,14 +726,10 @@ def _assembly(block: BlockSpec, engine: Engine, rows):
 
 def _coboundaries(block: BlockSpec, engine: Engine):
     """C0 keys and d0 columns of the block: a stored block's, else d0
-    assembled alone, from the source's d0 on an engine with a source."""
+    assembled alone."""
     stored = next((b for (spec, _), b in engine._blocks.items() if spec == block), None)
     if stored is not None:
         return stored[2], stored[3]
-    if engine._source is not None:
-        source, value = engine._source
-        mon0, bcols = _coboundaries(block, source)
-        return mon0, [_image(vec, value) for vec in bcols]
     return _d0_columns(block, engine)
 
 
@@ -1062,10 +1044,10 @@ def _cochain_vector(c: Cochain1) -> dict:
     }
 
 
-def _modulo_coboundaries(c: Cochain1, generators, block: BlockSpec, engine: Engine):
+def _modulo_coboundaries(c: Cochain1, generators, block: BlockSpec, engine: Engine | None):
     """(coefficients a, preimage m) with c = sum a_j * generators[j] + d0(m)
     inside the block, or None when there are none."""
-    engine.check_constants(c, *generators)
+    engine = cochain_engine(engine)
     mon0, bcols = _coboundaries(block, engine)
     tracker = SpanTracker()
     for j, gen in enumerate(generators):
@@ -1093,7 +1075,7 @@ def is_coboundary(c: Cochain1, engine: Engine | None = None, block: BlockSpec | 
     block = block or c.block
     if block is None:
         raise ValueError("cochain carries no block")
-    solved = _modulo_coboundaries(c, [], block, engine or poisson_engine())
+    solved = _modulo_coboundaries(c, [], block, engine)
     return None if solved is None else solved[1]
 
 
@@ -1102,7 +1084,7 @@ def express_modulo_coboundaries(c: Cochain1, generators, block: BlockSpec, engin
 
     Returns (coefficients list, preimage Symbol) or None when impossible.
     """
-    return _modulo_coboundaries(c, generators, block, engine or poisson_engine())
+    return _modulo_coboundaries(c, generators, block, engine)
 
 
 def solve_obstruction(rho1: Cochain1, order_block: BlockSpec, engine: Engine | None = None):
@@ -1111,7 +1093,7 @@ def solve_obstruction(rho1: Cochain1, order_block: BlockSpec, engine: Engine | N
     Returns a Cochain1 solution or None when the block contains none.
     """
     engine = engine or poisson_engine()
-    rhs_pairs = cup(rho1, rho1, engine)  # refuses alpha in rho1 on a specialized engine
+    rhs_pairs = cup(rho1, rho1, engine)  # refuses an engine at a fixed alpha
     rhs_vec = {}
     for pi, (x, y) in enumerate(engine.pairs):
         val = rhs_pairs[(x, y)] * (-S_HALF)

@@ -19,6 +19,7 @@ from .cohomology import (
     BlockSpec,
     Cochain1,
     Engine,
+    cochain_engine,
     cup,
     d1,
     named_cocycle,
@@ -34,7 +35,7 @@ class DeformedMap:
     """The embedding plus finitely many higher-order correction cochains."""
 
     def __init__(self, orders, engine: Engine | None = None):
-        self.engine = engine or poisson_engine()
+        self.engine = cochain_engine(engine)
         self.orders = [o if isinstance(o, Cochain1) else Cochain1(o) for o in orders]
 
     def total(self) -> dict:

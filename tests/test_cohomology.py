@@ -5,9 +5,9 @@ from fractions import Fraction
 import pytest
 
 from superpds import cohomology as coh
-from superpds import d21, linalg, quantize
+from superpds import d21, deform, linalg
 from superpds.expr import parse
-from superpds.scalars import S_ONE, Scalar
+from superpds.scalars import POLY_ONE, S_ONE, Scalar
 from superpds.symbols import Symbol
 
 ENGINE = coh.poisson_engine()
@@ -19,6 +19,37 @@ def mono(**kw):
 
 def keyset(block):
     return set(coh.enumerate_c0(block, ENGINE))
+
+
+def _specialized(terms, alpha):
+    out = {}
+    for key, c in terms.items():
+        v = c.specialize(alpha)
+        if v:
+            out[key] = v
+    return out
+
+
+def _reference_engine(star, alpha, h_depth=None):
+    """The engine at alpha with a basis and a structure table of its own,
+    the generic engine's specialized at alpha: the oracle of the engine the
+    builders return there, which scans the generic blocks evaluated at
+    alpha and has no tables of its own.  Built afresh on each call, so its
+    block store lives as long as the test that reads it."""
+    generic = coh.quantized_engine(h_depth=h_depth) if star else coh.poisson_engine()
+    return coh.Engine({name: Symbol(_specialized(sym.terms, alpha))
+                       for name, sym in generic.basis.items()},
+                      generic.bracket,
+                      {pair: _specialized(coeffs, alpha) for pair, coeffs in generic.struct.items()},
+                      generic.h_k_weight, generic.h_depth)
+
+
+def _engines(star, alpha=None, h_depth=None):
+    """(engine, oracle): the builder's engine, and the one the oracles
+    bracket with, the same engine when generic, ``_reference_engine`` at a
+    rational alpha."""
+    engine = coh.quantized_engine(alpha, h_depth) if star else coh.poisson_engine(alpha)
+    return engine, engine if alpha is None else _reference_engine(star, alpha, h_depth)
 
 
 # -- enumeration ----------------------------------------------------------------
@@ -424,43 +455,35 @@ def test_exceptional_alpha_dims_direct(alpha):
     assert coh.h1_block(coh.BlockSpec(2, 0, "K4'"), eng, representatives=False).dim_h1 == 1
 
 
-def _specialized(terms, alpha):
-    out = {}
-    for key, c in terms.items():
-        v = c.specialize(alpha)
-        if v:
-            out[key] = v
-    return out
-
-
 @pytest.mark.parametrize("alpha", [1, -1, 0, Fraction(3, 2)], ids=["1", "-1", "0", "3/2"])
 def test_specialized_engines_are_evaluations(alpha):
-    struct = {pair: _specialized(c, alpha) for pair, c in d21.structure_table().items()}
-    cases = [
-        (coh.poisson_engine(alpha), d21.embedded_basis(), 0),
-        (coh.quantized_engine(alpha, h_depth=2), quantize.gamma_h_basis(), 2),
-    ]
-    for engine, basis, h_depth in cases:
-        assert {n: s.terms for n, s in engine.basis.items()} == \
-            {n: _specialized(s.terms, alpha) for n, s in basis.items()}
-        assert engine.struct == struct
-        assert engine.h_depth == h_depth
+    # an engine at alpha is the generic engine with the same cap, read
+    # through the substitution of alpha: it shares its tables and slot sets
+    # and holds no block store
+    cases = [(coh.poisson_engine(alpha), coh.poisson_engine()),
+             (coh.quantized_engine(alpha, h_depth=2), coh.quantized_engine(h_depth=2))]
+    for engine, source in cases:
+        for name in ("basis", "bracket", "struct", "pairs", "incidence", "metadata", "_slot_sets"):
+            assert getattr(engine, name) is getattr(source, name), name
+        assert (engine.h_depth, engine.h_k_weight) == (source.h_depth, source.h_k_weight)
+        assert engine._source[0] is source and engine._blocks is None
     # the star rule tau >= 0 holds for the star engine only
     block = coh.BlockSpec(0, 0, "P")
-    poisson, star = (engine for engine, _, _ in cases)
+    poisson, star = (engine for engine, _ in cases)
     assert any(key[1] < 0 for _, key in coh.enumerate_c1(block, poisson))
     for k in (0, 2, 4):
         for n in (-2, 0, 2):
             block = coh.BlockSpec(k, n, "P")
             assert all(key[1] >= 0 for _, key in coh.enumerate_c1(block, star))
             assert all(key[1] >= 0 for key in coh.enumerate_c0(block, star))
-    # rational constants: the F_p image does not depend on the alpha drawn
-    for engine, _, _ in cases:
-        images = [engine.evaluated(lambda c: c.mod_p(a, coh.FP_PRIME)) for a in (2, 12345)]
-        for image in images:
-            assert {n: s.terms for n, s in image.basis.items()} == \
-                {n: s.terms for n, s in images[0].basis.items()}
-            assert image.struct == images[0].struct
+    # the substitution gives rational constants: their F_p image does not
+    # depend on the alpha drawn
+    for engine, _ in cases:
+        value = engine._source[1]
+        coeffs = [c for sym in engine.basis.values() for c in sym.terms.values()]
+        coeffs += [c for terms in engine.struct.values() for c in terms.values()]
+        for v in map(value, coeffs):
+            assert v.is_rational() and v.mod_p(2, coh.FP_PRIME) == v.mod_p(12345, coh.FP_PRIME)
 
 
 # -- block assembly ---------------------------------------------------------------
@@ -468,7 +491,7 @@ def test_specialized_engines_are_evaluations(alpha):
 
 ASSEMBLY_ENGINES = {
     "generic": lambda: coh.poisson_engine(),
-    "alpha=1": lambda: coh.poisson_engine(alpha=1),
+    "alpha=1": lambda: _reference_engine(False, 1),
     "star": lambda: coh.quantized_engine(),
 }
 
@@ -630,49 +653,54 @@ def _specialized_cochain(c, alpha):
                          for name, sym in c.images.items()}, c.block)
 
 
-def test_specialized_engine_refuses_alpha_coefficients():
-    engine = coh.poisson_engine(alpha=1)
-    theta1, theta2 = coh.named_cocycle("theta1"), coh.named_cocycle("theta2")
+def test_engine_at_alpha_refuses_cochain_operations():
+    # an engine at alpha has the generic basis and table, so every
+    # operation that brackets with them refuses it, with one message
+    engine, reference = _engines(False, 1)
+    theta1 = coh.named_cocycle("theta1")
+    theta2 = _specialized_cochain(coh.named_cocycle("theta2"), 1)
     block = coh.BlockSpec(-2, 0, "P")
     refused = [
-        lambda: coh.solve_obstruction(theta2, block, engine),
-        lambda: coh.d1(theta2, engine),
+        lambda: coh.d0(mono(t=1, tau=-1), engine),
         lambda: coh.cup(theta1, theta2, engine),
+        lambda: coh.d1(theta2, engine),
+        lambda: coh.solve_obstruction(theta2, block, engine),
         lambda: coh.is_coboundary(theta2, engine),
         lambda: coh.express_modulo_coboundaries(theta1, [theta2], theta2.block, engine),
+        lambda: deform.DeformedMap([theta1], engine),
+        lambda: coh.d1(_specialized_cochain(coh.named_cocycle("thetabar1"), 1),
+                       coh.quantized_engine(alpha=1)),
     ]
     for call in refused:
-        with pytest.raises(ValueError, match=r"^D3 image term .*alpha.* not a rational constant"):
+        with pytest.raises(ValueError, match="^an engine at a fixed alpha only scans"):
             call()
-    with pytest.raises(ValueError, match="^F1 image term"):
-        coh.d1(coh.named_cocycle("thetabar1"), coh.quantized_engine(alpha=1))
-    # specialized first, theta2 is a cocycle there and its obstruction solves
-    special = _specialized_cochain(theta2, 1)
-    assert coh.pairmap_is_zero(coh.d1(special, engine))
-    assert coh.solve_obstruction(special, block, engine) is not None
-    # rational constants pass, and the generic engine takes alpha as before
-    assert coh.pairmap_is_zero(coh.d1(theta1.scale(Fraction(1, 3)), engine))
-    assert coh.pairmap_is_zero(coh.d1(theta2, ENGINE))
+    # on the reference engine at alpha = 1, theta2 specialized is a cocycle
+    # and its obstruction solves; the generic engine takes alpha as before
+    assert coh.pairmap_is_zero(coh.d1(theta2, reference))
+    assert coh.solve_obstruction(theta2, block, reference) is not None
+    assert coh.pairmap_is_zero(coh.d1(theta1.scale(Fraction(1, 3)), reference))
+    assert coh.pairmap_is_zero(coh.d1(coh.named_cocycle("theta2"), ENGINE))
 
 
 # -- the F_p certificate against the exact path ---------------------------------------
 
 
 WINDOW6 = range(-6, 7)
-CERTIFIED_SCANS = {
-    "P": (lambda: ENGINE, "P", WINDOW6),
-    "P+": (lambda: ENGINE, "P+", WINDOW6),
-    "K4": (lambda: ENGINE, "K4", WINDOW6),
-    "K4'": (lambda: ENGINE, "K4'", WINDOW6),
-    "P@alpha=1": (lambda: coh.poisson_engine(alpha=1), "P", WINDOW6),
-    "star P+": (lambda: coh.quantized_engine(), "P+", range(-4, 5)),
+CERTIFIED_SCANS = {  # (star, alpha, target, window)
+    "P": (False, None, "P", WINDOW6),
+    "P+": (False, None, "P+", WINDOW6),
+    "K4": (False, None, "K4", WINDOW6),
+    "K4'": (False, None, "K4'", WINDOW6),
+    "P@alpha=1": (False, 1, "P", WINDOW6),
+    "star P+": (True, None, "P+", range(-4, 5)),
 }
 
 
 def _every_row_report(block, engine, representatives=True):
     """The exact report with d1 assembled and eliminated on every pair,
     whatever generating set the engine certifies: the oracle of the paths
-    that use the rows of that set, ``h1_block`` and the scans."""
+    that use the rows of that set, ``h1_block`` and the scans, given the
+    oracle's engine (``_engines``)."""
     slots, columns, table = coh._d1_columns(block, engine)
     if not slots:
         return coh.CohomologyReport(block, 0, 0, 0, [], [], "empty")
@@ -691,11 +719,11 @@ def _exact_dims(reports, engine):
 
 @pytest.mark.parametrize("scan", sorted(CERTIFIED_SCANS))
 def test_modp_certificate_matches_exact(scan):
-    make_engine, target, window = CERTIFIED_SCANS[scan]
-    engine = make_engine()
+    star, alpha, target, window = CERTIFIED_SCANS[scan]
+    engine, oracle = _engines(star, alpha)
     reports = coh.h1_scan(window, window, target, engine, representatives=False)
     assert [(r.dim_cocycles, r.dim_coboundaries, r.dim_h1) for r in reports] == \
-        _exact_dims(reports, engine)
+        _exact_dims(reports, oracle)
     for rpt in reports:
         if rpt.block.n:
             expected = "cartan-zero"
@@ -726,14 +754,14 @@ def test_scan_without_fp_image_runs_exact():
     # the generic scan reads "modp-zero" or, on a nonzero block,
     # "cocycle-witness"; every other label and every dimension stay the
     # generic ones
-    engine = coh.poisson_engine(alpha=Fraction(1, coh.FP_PRIME))
-    assert engine.generators == d21.BASIS_NAMES
+    engine, oracle = _engines(False, Fraction(1, coh.FP_PRIME))
+    assert engine.generators == oracle.generators == d21.BASIS_NAMES
     window = range(-2, 3)
     for target, expected in (("P", [(-2, 0), (0, 0), (2, 0)]), ("P+", [(0, 0), (2, 0)])):
         reports = coh.h1_scan(window, window, target, engine, representatives=False)
         generic = coh.h1_scan(window, window, target, ENGINE, representatives=False)
         assert [(r.dim_cocycles, r.dim_coboundaries, r.dim_h1) for r in reports] == \
-            _exact_dims(reports, engine)
+            _exact_dims(reports, oracle)
         no_image, relabelled = [], []
         for rpt, ref in zip(reports, generic):
             assert (rpt.block, rpt.dim_cocycles, rpt.dim_coboundaries, rpt.dim_h1) == \
@@ -741,12 +769,12 @@ def test_scan_without_fp_image_runs_exact():
             if rpt.certificate != ref.certificate:
                 relabelled.append((rpt.block.k, rpt.block.n))
             if rpt.block.n == 0:
-                _, columns, table = coh._d1_columns(rpt.block, engine)
-                columns += coh._d0_columns(rpt.block, engine, table)[1]
+                _, columns, table = coh._d1_columns(rpt.block, oracle)
+                columns += coh._d0_columns(rpt.block, oracle, table)[1]
                 if not _has_fp_image(columns):
                     no_image.append((rpt.block.k, rpt.block.n))
                     assert rpt.certificate == "exact", rpt.block
-                    exact = _every_row_report(rpt.block, engine, representatives=False)
+                    exact = _every_row_report(rpt.block, oracle, representatives=False)
                     assert _report_key(rpt) == _report_key(exact), rpt.block
         assert set(relabelled) <= set(no_image)
         assert relabelled == expected, target
@@ -757,15 +785,15 @@ def test_scan_without_fp_image_runs_exact():
 
 WITNESS_K = range(-8, 9)
 STAR_WITNESS_K = range(-6, 11)
-WITNESS_SCANS = (
-    [(lambda: ENGINE, target, WITNESS_K) for target in coh.TARGETS]
-    + [(lambda: coh.quantized_engine(), "P+", STAR_WITNESS_K),
-       (lambda: coh.poisson_engine(alpha=1), "P", WITNESS_K),
-       (lambda: coh.poisson_engine(alpha=-1), "P", WITNESS_K),
-       (lambda: coh.poisson_engine(alpha=-1), "P+", WITNESS_K),
-       (lambda: coh.quantized_engine(alpha=1), "P+", STAR_WITNESS_K),
-       (lambda: coh.quantized_engine(alpha=-1), "P+", STAR_WITNESS_K)]
-    + [(lambda: coh.poisson_engine(alpha=0), target, WITNESS_K) for target in coh.TARGETS]
+WITNESS_SCANS = (  # (star, alpha, target, ks)
+    [(False, None, target, WITNESS_K) for target in coh.TARGETS]
+    + [(True, None, "P+", STAR_WITNESS_K),
+       (False, 1, "P", WITNESS_K),
+       (False, -1, "P", WITNESS_K),
+       (False, -1, "P+", WITNESS_K),
+       (True, 1, "P+", STAR_WITNESS_K),
+       (True, -1, "P+", STAR_WITNESS_K)]
+    + [(False, 0, target, WITNESS_K) for target in coh.TARGETS]
 )
 
 
@@ -792,19 +820,19 @@ def test_cocycle_witness_matches_exact(representatives):
     # with the every-row elimination's dimensions and pivot list, and
     # representatives that span the same classes as its representatives
     blocks, settled = 0, 0
-    for make_engine, target, ks in WITNESS_SCANS:
-        engine = make_engine()
+    for star, alpha, target, ks in WITNESS_SCANS:
+        engine, oracle = _engines(star, alpha)
         for rpt in coh.h1_scan(ks, [0], target, engine, representatives=representatives):
             blocks += 1
             assert rpt.certificate in ("empty", "modp-zero", "cocycle-witness"), rpt.block
             if rpt.certificate == "cocycle-witness":
                 settled += 1
-                exact = _every_row_report(rpt.block, engine, representatives)
+                exact = _every_row_report(rpt.block, oracle, representatives)
                 assert _report_key(rpt) == _report_key(exact), (target, rpt.block)
                 assert rpt.dim_h1
                 assert len(rpt.representatives) == (rpt.dim_h1 if representatives else 0)
                 if representatives:
-                    _assert_same_classes(rpt, exact, engine)
+                    _assert_same_classes(rpt, exact, oracle)
     assert (blocks, settled) == (174, 27)
 
 
@@ -931,34 +959,33 @@ def test_patched_non_generating_set_gives_oracle_answers(monkeypatch):
 
 
 ORACLE_ALPHAS = [None, 2, Fraction(-1, 2), 1, -1]
-ORACLE_SCANS = [(coh.poisson_engine, target) for target in coh.TARGETS] + \
-    [(coh.quantized_engine, "P+")]
+ORACLE_SCANS = [(False, target) for target in coh.TARGETS] + [(True, "P+")]
 
 
 @pytest.mark.parametrize("alpha", ORACLE_ALPHAS, ids=["generic", "2", "-1/2", "1", "-1"])
 def test_generator_row_scans_match_the_oracle(alpha):
     # window 6: the every-row elimination's dimensions, and representatives
     # that are cocycles on every pair and independent modulo the coboundaries
-    for make_engine, target in ORACLE_SCANS:
-        engine = make_engine(alpha)
+    for star, target in ORACLE_SCANS:
+        engine, oracle = _engines(star, alpha)
         assert engine.generators == (WIDER if alpha in (1, -1) else coh.GENERATORS)
         for rpt in coh.h1_scan(WINDOW6, [0], target, engine):
-            exact = _every_row_report(rpt.block, engine, representatives=False)
+            exact = _every_row_report(rpt.block, oracle, representatives=False)
             assert (rpt.dim_cocycles, rpt.dim_coboundaries, rpt.dim_h1) == \
                 (exact.dim_cocycles, exact.dim_coboundaries, exact.dim_h1), (target, rpt.block)
             assert len(rpt.representatives) == rpt.dim_h1
             for i, rep in enumerate(rpt.representatives):
-                assert coh.pairmap_is_zero(coh.d1(rep, engine)), (target, rpt.block)
+                assert coh.pairmap_is_zero(coh.d1(rep, oracle)), (target, rpt.block)
                 assert coh.express_modulo_coboundaries(
-                    rep, rpt.representatives[:i], rpt.block, engine) is None, (target, rpt.block)
+                    rep, rpt.representatives[:i], rpt.block, oracle) is None, (target, rpt.block)
 
 
-ROW_ORACLE_ENGINES = {
-    **{"poisson " + name: (lambda a=alpha: coh.poisson_engine(a), coh.TARGETS)
+ROW_ORACLE_ENGINES = {  # (_engines arguments, targets)
+    **{"poisson " + name: ((False, alpha), coh.TARGETS)
        for name, alpha in (("generic", None), ("2", 2), ("1", 1), ("-1", -1))},
-    "star generic": (lambda: coh.quantized_engine(), ["P+"]),
-    "star -1/2": (lambda: coh.quantized_engine(Fraction(-1, 2)), ["P+"]),
-    "star h_depth=2": (lambda: coh.quantized_engine(h_depth=2), ["P+"]),
+    "star generic": ((True,), ["P+"]),
+    "star -1/2": ((True, Fraction(-1, 2)), ["P+"]),
+    "star h_depth=2": ((True, None, 2), ["P+"]),
 }
 
 
@@ -968,8 +995,8 @@ def test_h1_block_matches_every_row_elimination(engine_name):
     # every-row elimination's Z, B, H^1 and pivot list on every n = 0 block
     # of window 6, and representatives that are cocycles on every pair and
     # independent modulo the coboundaries
-    make_engine, targets = ROW_ORACLE_ENGINES[engine_name]
-    engine = make_engine()
+    args, targets = ROW_ORACLE_ENGINES[engine_name]
+    engine, oracle = _engines(*args)
     assert engine.generators != d21.BASIS_NAMES
     checked = 0
     for target in targets:
@@ -978,14 +1005,14 @@ def test_h1_block_matches_every_row_elimination(engine_name):
             if engine.h_depth and k == 6:
                 continue  # d0 leaves (6, 0) under the cap (test below)
             rpt = coh.h1_block(block, engine)
-            exact = _every_row_report(block, engine)
+            exact = _every_row_report(block, oracle)
             assert _report_key(rpt) == _report_key(exact), block
             assert rpt.certificate == exact.certificate, block
             assert len(rpt.representatives) == rpt.dim_h1
             for i, rep in enumerate(rpt.representatives):
-                assert coh.pairmap_is_zero(coh.d1(rep, engine)), block
+                assert coh.pairmap_is_zero(coh.d1(rep, oracle)), block
                 assert coh.express_modulo_coboundaries(
-                    rep, rpt.representatives[:i], block, engine) is None, block
+                    rep, rpt.representatives[:i], block, oracle) is None, block
             checked += rpt.dim_h1 > 0
     assert checked
 
@@ -993,25 +1020,30 @@ def test_h1_block_matches_every_row_elimination(engine_name):
 GATE_ALPHAS = [0, 1, -1, 2, -2, Fraction(1, 2), Fraction(-1, 2), 3]
 
 
-@pytest.mark.parametrize("alpha", GATE_ALPHAS, ids=str)
+@pytest.mark.parametrize("alpha", GATE_ALPHAS + [Fraction(1, coh.FP_PRIME)], ids=str)
 def test_alpha_blocks_are_the_evaluated_generic_blocks(alpha):
     # an engine at alpha reads its generic engine's blocks evaluated at
-    # alpha: in values and key sets, the columns of its own assembly, which
-    # stays the reference here, and the same h1_block report
-    for make_engine, targets in ((coh.poisson_engine, coh.TARGETS), (coh.quantized_engine, ["P+"])):
-        engine = make_engine(alpha)
+    # alpha: in values and key sets, the columns the reference engine
+    # assembles from its own tables, on the rows of the same certified set,
+    # the same h1_block report, and the same scan
+    for star, targets in ((False, coh.TARGETS), (True, ["P+"])):
+        engine, reference = _engines(star, alpha)
+        assert engine.generators == reference.generators
         for target in targets:
-            for k in [2] if target in ("K4", "K4'") else WINDOW6:
+            ks = [2] if target in ("K4", "K4'") else WINDOW6
+            for k in ks:
                 block = coh.BlockSpec(k, 0, target)
                 slots, columns, mon0, bcols = coh._assembly(block, engine, engine.generators)
-                own_slots, own_columns, table = coh._d1_columns(block, engine, engine.generators)
-                own_mon0, own_bcols = coh._d0_columns(block, engine, table)
+                own_slots, own_columns, table = coh._d1_columns(block, reference, engine.generators)
+                own_mon0, own_bcols = coh._d0_columns(block, reference, table)
                 assert (slots, mon0) == (own_slots, own_mon0), block
                 assert (columns, bcols) == (own_columns, own_bcols), block
                 own = (coh._h1_exact(block, slots, own_columns, own_bcols, True) if slots else
                        coh.CohomologyReport(block, 0, 0, 0, [], [], "empty"))
                 rpt = coh.h1_block(block, engine)
                 assert (rpt.to_payload(), rpt.certificate) == (own.to_payload(), own.certificate)
+            assert _payloads(coh.h1_scan(ks, [0], target, engine)) == \
+                _payloads(coh.h1_scan(ks, [0], target, reference)), target
 
 
 def test_h1_block_refuses_a_block_the_cap_cuts():
@@ -1043,7 +1075,7 @@ def test_empty_blocks_are_labelled_empty():
 
 @pytest.mark.parametrize("scan", ["P+", "star P+"])
 def test_scan_assembles_each_block_once(scan, monkeypatch):
-    _, target, window = CERTIFIED_SCANS[scan]
+    _, _, target, window = CERTIFIED_SCANS[scan]
     engine = _fresh_engine(scan.startswith("star"))
     blocks = []
     assemble = coh._d1_columns
@@ -1093,28 +1125,35 @@ def _store_snapshot(engine):
             for key, (slots, columns, mon0, bcols) in engine._blocks.items()}
 
 
+def _scans(engine):
+    return [
+        lambda: coh.h1_scan(range(-2, 3), [0], "P", engine),
+        lambda: coh.h1_scan(range(-2, 3), [0], "P+", engine),
+        lambda: [coh.h1_block(coh.BlockSpec(k, 0, t), engine) for k, t in
+                 ((0, "P"), (0, "P+"), (2, "K4'"), (-2, "P+"))],
+    ]
+
+
 def test_consumers_leave_the_store_as_it_was():
     # every reader of a stored block, the exact paths with representatives
-    # included, leaves its lists and dicts as they were stored
+    # included, leaves its lists and dicts as they were stored.  An engine
+    # at alpha scans on its generic engine's store and keeps none
     theta1 = coh.named_cocycle("theta1")
-    for engine in (_fresh_engine(), coh._engine.__wrapped__(False, Fraction(-1, 2), None)):
-        calls = [
-            lambda: coh.h1_scan(range(-2, 3), [0], "P", engine),
-            lambda: coh.h1_scan(range(-2, 3), [0], "P+", engine),
-            lambda: [coh.h1_block(coh.BlockSpec(k, 0, t), engine) for k, t in
-                     ((0, "P"), (0, "P+"), (2, "K4'"), (-2, "P+"))],
-            lambda: coh.express_modulo_coboundaries(
-                theta1, [], coh.BlockSpec(0, 0, "P"), engine),
-            lambda: coh.is_coboundary(theta1, engine),
-            lambda: coh.solve_obstruction(theta1, coh.BlockSpec(-2, 0, "P+"), engine),
-        ]
+    engine, view = _fresh_engine(), coh.poisson_engine(Fraction(-1, 2))
+    calls = _scans(engine) + [
+        lambda: coh.express_modulo_coboundaries(theta1, [], coh.BlockSpec(0, 0, "P"), engine),
+        lambda: coh.is_coboundary(theta1, engine),
+        lambda: coh.solve_obstruction(theta1, coh.BlockSpec(-2, 0, "P+"), engine),
+    ]
+    for store, calls in ((engine, calls), (view._source[0], _scans(view))):
         for call in calls:  # fill the store
             call()
-        snapshot = _store_snapshot(engine)
-        assert len(snapshot) == 12
+        snapshot = _store_snapshot(store)
         for call in calls:  # read it
             call()
-            assert _store_snapshot(engine) == snapshot
+            assert _store_snapshot(store) == snapshot
+    assert len(_store_snapshot(engine)) == 12
+    assert view._blocks is None
 
 
 def test_scan_refuses_capped_engine():
@@ -1134,22 +1173,52 @@ def test_one_cache_entry_per_engine():
     assert coh.quantized_engine(1, 2) is coh.quantized_engine(alpha=1, h_depth=2)
 
 
+@pytest.mark.parametrize("alpha", [0.1, 0.5, 1.0, "1/3", True, 1j],
+                         ids=["0.1", "0.5", "1.0", "'1/3'", "True", "1j"])
+def test_builders_take_only_an_int_or_a_fraction(alpha):
+    # a float would build an engine at the value it approximates (0.1 is
+    # 3602879701896397/36028797018963968), or, equal to a cached rational
+    # (0.5, 1.0), read that engine; a string would key a second engine.
+    # Refused before the cache, which gains no entry
+    coh.poisson_engine(Fraction(1, 2)), coh.quantized_engine(1)
+    entries = coh._engine.cache_info().currsize
+    for build in (coh.poisson_engine, coh.quantized_engine):
+        with pytest.raises(ValueError, match="^alpha must be an int or a Fraction, got %s$"
+                           % re.escape(repr(alpha))):
+            build(alpha)
+    assert coh._engine.cache_info().currsize == entries
+
+
+def test_block_entries_are_polynomials_in_alpha():
+    # the premise of evaluating generic blocks at alpha (module docstring):
+    # every basis and table coefficient of both engines has denominator 1,
+    # so every block entry is a polynomial in alpha and no substitution
+    # meets a pole
+    for engine in (ENGINE, coh.quantized_engine()):
+        coeffs = [c for sym in engine.basis.values() for c in sym.terms.values()]
+        coeffs += [c for terms in engine.struct.values() for c in terms.values()]
+        assert all(c.ad is POLY_ONE for c in coeffs)
+
+
+@pytest.mark.parametrize("star,h_depth", [(False, None), (True, None), (True, 2)],
+                         ids=["poisson", "star", "star h_depth=2"])
+def test_engine_at_alpha_certifies_its_own_generating_set(star, h_depth):
+    # built after its generic engine certified GENERATORS, an engine at
+    # +-1, where they generate 15 dimensions, still certifies the wider set
+    generic = coh._engine(star, None, h_depth)
+    assert generic.generators == coh.GENERATORS
+    for alpha in (1, -1):
+        engine = coh._engine.__wrapped__(star, alpha, h_depth)
+        assert engine._source[0] is generic
+        assert engine.generators == WIDER, alpha
+
+
 @pytest.mark.parametrize("alpha", [None, 1])
 def test_engine_bases_list_the_names_in_order(alpha):
     # both engines iterate their basis as BASIS_NAMES, so a beta tag built
     # over ``basis`` reads back by BASIS_NAMES index
     for engine in (coh.poisson_engine(alpha), coh.quantized_engine(alpha)):
         assert list(engine.basis) == list(d21.BASIS_NAMES)
-
-
-def test_specialized_is_read_off_the_basis():
-    # an engine is at a fixed alpha exactly when no basis coefficient carries
-    # alpha, however it was built
-    basis = {n: Symbol(_specialized(s.terms, 2)) for n, s in d21.embedded_basis().items()}
-    built = coh.Engine(basis, lambda a, b: a.poisson(b), coh.poisson_engine(2).struct, 0, 0)
-    assert built.specialized and not _fresh_engine().specialized
-    with pytest.raises(ValueError, match="not a rational constant"):
-        built.check_constants(coh.named_cocycle("theta2"))
 
 
 @pytest.mark.parametrize("alpha", [None, 1])
@@ -1159,11 +1228,12 @@ def test_capped_engine_is_the_uncapped_one_with_a_cap(alpha):
     for name in ("basis", "bracket", "struct", "pairs", "incidence", "metadata"):
         assert getattr(capped, name) is getattr(engine, name), name
     assert capped._slot_sets is not engine._slot_sets
-    assert capped._blocks is not engine._blocks
-    assert capped.specialized == engine.specialized == (alpha is not None)
-    # blocks at alpha are the capped generic engine's, evaluated
-    if alpha is not None:
+    if alpha is None:
+        assert capped._blocks is not engine._blocks
+    else:  # no store at alpha: blocks are the capped generic engine's, evaluated
+        assert capped._blocks is engine._blocks is None
         assert capped._source[0] is coh.quantized_engine(h_depth=2)
+        assert engine._source[0] is coh.quantized_engine()
     # slots depend on the cap: (6, 0) has h powers up to 4 uncapped
     block = coh.BlockSpec(6, 0, "P+")
     assert max(key[4] for _, key in coh.enumerate_c1(block, capped)) == 2
@@ -1179,9 +1249,9 @@ def test_capped_engine_is_the_uncapped_one_with_a_cap(alpha):
 
 CARTAN_ENGINES = {
     "generic": lambda: coh.poisson_engine(),
-    "alpha=1": lambda: coh.poisson_engine(alpha=1),
-    "alpha=-1": lambda: coh.poisson_engine(alpha=-1),
-    "alpha=0": lambda: coh.poisson_engine(alpha=0),
+    "alpha=1": lambda: _reference_engine(False, 1),
+    "alpha=-1": lambda: _reference_engine(False, -1),
+    "alpha=0": lambda: _reference_engine(False, 0),
     "star": lambda: coh.quantized_engine(),
 }
 
@@ -1222,7 +1292,6 @@ def test_cartan_preimage(make_engine, target):
 
 def _reference_d1(c, engine):
     """d1 as one loop over the pairs, bracketing only the images c has."""
-    engine.check_constants(c)
     images, basis = c.images, engine.basis
     out = {}
     for (x, y) in engine.pairs:
@@ -1236,18 +1305,18 @@ def _reference_d1(c, engine):
     return out
 
 
-D1_ORACLE_CASES = {
-    "poisson": (coh.poisson_engine, [(0, 0, "P"), (-2, 0, "P+"), (2, 0, "K4'")],
+D1_ORACLE_CASES = {  # (star, blocks, named cocycles)
+    "poisson": (False, [(0, 0, "P"), (-2, 0, "P+"), (2, 0, "K4'")],
                 ("theta2", "theta1", "theta")),
-    "star": (coh.quantized_engine, [(2, 0, "P+")], ("thetabar1",)),
+    "star": (True, [(2, 0, "P+")], ("thetabar1",)),
 }
 
 
 @pytest.mark.parametrize("alpha", [None, 1], ids=["generic", "1"])
 @pytest.mark.parametrize("case", sorted(D1_ORACLE_CASES))
 def test_d1_through_cup_matches_the_pair_loop(case, alpha):
-    make_engine, blocks, names = D1_ORACLE_CASES[case]
-    engine = make_engine(alpha)
+    star, blocks, names = D1_ORACLE_CASES[case]
+    engine, oracle = _engines(star, alpha)
     cochains = []
     for k, n, target in blocks:
         block = coh.BlockSpec(k, n, target)
@@ -1257,15 +1326,13 @@ def test_d1_through_cup_matches_the_pair_loop(case, alpha):
         c = coh.named_cocycle(name)
         cochains.append(c if alpha is None else _specialized_cochain(c, alpha))
     for c in cochains:
-        values, expected = coh.d1(c, engine), _reference_d1(c, engine)
-        assert list(values) == list(expected) == engine.pairs
+        values, expected = coh.d1(c, oracle), _reference_d1(c, oracle)
+        assert list(values) == list(expected) == oracle.pairs
         for pair, val in expected.items():
             assert values[pair] == val, (c, pair)
-    if alpha is not None:  # both refuse alpha (names[0] has it) on a specialized engine
-        c = coh.named_cocycle(names[0])
-        for d in (coh.d1, _reference_d1):
-            with pytest.raises(ValueError, match="not a rational constant"):
-                d(c, engine)
+    if alpha is not None:  # the engine at alpha only scans
+        with pytest.raises(ValueError, match="only scans"):
+            coh.d1(cochains[-1], engine)
 
 
 def _reference_generates(engine, names):
@@ -1308,16 +1375,17 @@ GENERATES_ALPHAS = [None, 0, 1, -1, 2, Fraction(1, 2), Fraction(-1, 2), 3, -3,
 
 
 @pytest.mark.parametrize("alpha", GENERATES_ALPHAS, ids=str)
-@pytest.mark.parametrize("make_engine", [coh.poisson_engine, coh.quantized_engine],
-                         ids=["poisson", "star"])
-def test_generates_matches_the_echelon(make_engine, alpha):
-    engine = make_engine(alpha)
+@pytest.mark.parametrize("star", [False, True], ids=["poisson", "star"])
+def test_generates_matches_the_echelon(star, alpha):
+    # at alpha, generates reads the generic table through the substitution;
+    # the echelon reads the reference engine's own table
+    engine, oracle = _engines(star, alpha)
     sets = [*coh.GENERATING_SETS, ("E1", "F1", "H1"), d21.BASIS_NAMES]
     answers = [coh.generates(engine, names) for names in sets]
-    assert answers == [_reference_generates(engine, names) for names in sets]
+    assert answers == [_reference_generates(oracle, names) for names in sets]
     if alpha is None or alpha == 2:
         assert answers == [True, True, False, True]
     # so every engine certifies the set it did with the echelon
     assert engine.generators == next(
-        (names for names in coh.GENERATING_SETS if _reference_generates(engine, names)),
+        (names for names in coh.GENERATING_SETS if _reference_generates(oracle, names)),
         d21.BASIS_NAMES)
