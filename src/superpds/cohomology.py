@@ -349,7 +349,7 @@ class Engine:
         ]
         self.incidence = self._incidence()
         self._slot_sets: dict = {}  # BlockSpec -> set(enumerate_c1(block, self))
-        self._blocks: dict = {}  # (BlockSpec, rows) -> assembled block (``_assembly``)
+        self._blocks: dict | None = {}  # (BlockSpec, rows) -> block (``_assembly``); None at alpha
         self._source = None  # at a fixed alpha: (generic engine, its substitution)
 
     @cached_property

@@ -32,10 +32,11 @@ def _specialized(terms, alpha):
 
 def _reference_engine(star, alpha, h_depth=None):
     """The engine at alpha with a basis and a structure table of its own,
-    the generic engine's specialized at alpha: the oracle of the engine the
-    builders return there, which scans the generic blocks evaluated at
-    alpha and has no tables of its own.  Built afresh on each call, so its
-    block store lives as long as the test that reads it."""
+    the generic engine's specialized at alpha: the oracle of the engine
+    ``poisson_engine`` and ``quantized_engine`` return there, which scans
+    the generic blocks evaluated at alpha and has no tables of its own.
+    Built afresh on each call, so its block store lives as long as the
+    test that reads it."""
     generic = coh.quantized_engine(h_depth=h_depth) if star else coh.poisson_engine()
     return coh.Engine({name: Symbol(_specialized(sym.terms, alpha))
                        for name, sym in generic.basis.items()},
@@ -45,9 +46,9 @@ def _reference_engine(star, alpha, h_depth=None):
 
 
 def _engines(star, alpha=None, h_depth=None):
-    """(engine, oracle): the builder's engine, and the one the oracles
-    bracket with, the same engine when generic, ``_reference_engine`` at a
-    rational alpha."""
+    """(engine, oracle): the engine ``poisson_engine`` or ``quantized_engine``
+    returns, and the one the oracles bracket with, the same engine when
+    generic, ``_reference_engine`` at a rational alpha."""
     engine = coh.quantized_engine(alpha, h_depth) if star else coh.poisson_engine(alpha)
     return engine, engine if alpha is None else _reference_engine(star, alpha, h_depth)
 
