@@ -140,32 +140,37 @@ terms in the order a bracket with m_i alone would give them.  The C^0 keys
 of a block are the slot keys of H1 (``_monomials`` with the same degrees,
 weight and parity), so d0 reads its brackets from d1's table.
 
-Each engine stores the blocks it assembles (``_assembly``), and every block
-request reads the store first.  The key is (k, n, target, rows), rows being
-the names whose pairs give d1's rows: ``engine.generators`` for the
-reports, BASIS_NAMES for ``solve_obstruction``.  A stored block is its
-slots, d1 columns, C^0 keys and d0 columns; no bracket table is kept.  The
-targets are nested: P+ lies in P, K4 is P at k = 2, and K4' is K4 less
-the gap monomial.  So the slots and C^0 keys of a P+, K4 or K4' block are
-P's of the same (k, n) with some left out, in P's order, and a column
-depends on its slot or key only.  Such a block is cut out of a stored P
-block with the same rows; with none stored it is assembled itself, so a
-lone P+ scan never pays for P's larger blocks.  ``is_coboundary`` and
-``express_modulo_coboundaries`` read d0 from a stored block, or else
-assemble d0 alone.
-
-An engine at a rational alpha only scans.  It is a copy of the generic
-engine with the same cap, its source, and has no store: a block of it is
-the source's block on the rows of its own generating set, every entry
-evaluated at alpha, zeros dropped, order kept.  This is sound.  Every
+Only the two generic engines, ``poisson_engine()`` and
+``quantized_engine()``, store blocks (``_assembly``), and only P blocks,
+keyed (k, n, rows), rows being the names whose pairs give d1's rows:
+``engine.generators`` for the reports, BASIS_NAMES for
+``solve_obstruction``.  A stored block is its slots, d1 columns, C^0 keys
+and d0 columns; no bracket table is kept.  Every other engine is a view: a
+copy of the uncapped generic engine of its kind, with an h depth cap, a
+rational alpha or both, and no store.  A block request, on any engine,
+reads the generic engine's P block with the same k, n and rows, and cuts
+it to the request's slots and C^0 keys when its target is not P or its
+engine has a cap.  With no such P block stored, the block is assembled on
+the requesting engine, whose basis and table are the generic ones, and
+stored only when it is that P block, so a lone
+P+ scan never pays for P's larger blocks and stores nothing.  On a view at
+alpha every entry is then evaluated at alpha, zeros dropped, order kept.
+The cut is sound.  A d1 column depends only on its slot, and a d0 column
+only on its C^0 key.  The slots and C^0 keys of any block are a
+subsequence of those of the uncapped P block with the same (k, n), in its
+order: P+ lies in P, K4 is P at k = 2, K4' is K4 less the gap monomial,
+and a cap only lowers the bound on h powers (``_monomials``), so it trims
+slots, not d1 c.  The evaluation is sound too.  Every
 basis and table coefficient of both engines is a polynomial in alpha, and
 assembly uses ring operations only, so every entry is one too, and
 substituting alpha, a ring homomorphism on Q[alpha], meets no pole: each
 evaluated entry is the one an assembly over the basis and table evaluated
 at alpha gives, up to the order of a column's entries.  ``generates`` maps
-the table through the same substitution.  The copy's basis and table are
-the generic ones, so ``d0``, ``cup`` and what calls them refuse it
-(``cochain_engine``).  An engine with an h depth cap has its own store.
+the table through the same substitution.  A view at alpha has the generic
+basis and table, so ``d0``, ``cup`` and what calls them refuse it
+(``cochain_engine``); a capped view keeps them.  ``is_coboundary`` and
+``express_modulo_coboundaries`` cut d0 out of a stored P block with the
+same (k, n), or else assemble d0 alone.
 
 The same machinery runs for the h-deformed algebra: an engine bundles the
 basis, the bracket, the structure table and the h-grading conventions, so
@@ -276,8 +281,8 @@ def generates(engine: "Engine", names) -> bool:
     """Whether the basis elements ``names`` generate the engine's algebra.
 
     The span of the names is closed under the bracket over F_p, with the
-    structure table mapped to F_p at alpha = FP_ALPHA (at a fixed alpha,
-    through its substitution first), in rounds.  Each
+    structure table mapped to F_p at alpha = FP_ALPHA (on a view at a fixed
+    alpha, through its substitution first), in rounds.  Each
     round keeps the elements that ``linalg.rank_mod_p`` finds independent
     of the ones kept before, which are taken first and so all stay, and
     brackets each newly kept element with every kept element up to and
@@ -289,7 +294,7 @@ def generates(engine: "Engine", names) -> bool:
     is smaller, or when a structure constant has no image in F_p.
     """
     p, table = FP_PRIME, engine.struct
-    if engine._source is not None:
+    if engine._source and engine._source[1]:
         table = {pair: _image(coeffs, engine._source[1]) for pair, coeffs in table.items()}
     try:
         struct = {pair: {n: c.mod_p(FP_ALPHA, p) for n, c in coeffs.items()}
@@ -321,8 +326,10 @@ def generates(engine: "Engine", names) -> bool:
 class Engine:
     """Bracket engine: basis, bracket, structure table, h conventions.
 
-    Coefficients are Scalars over Q(alpha); an engine at a rational alpha
-    shares them with the generic engine (``_source``, module docstring).
+    Coefficients are Scalars over Q(alpha).  An engine with an h depth cap
+    or at a rational alpha is a view of the uncapped generic engine: it
+    shares its tables, has no block store of its own, and reads the
+    generic engine's (``_source``, module docstring).
     The star engine is the one whose h powers carry k-degree
     (``h_k_weight`` nonzero).  No basis term may carry beta: block assembly
     tags monomials with beta powers (``_brackets``), so the constructor
@@ -349,8 +356,8 @@ class Engine:
         ]
         self.incidence = self._incidence()
         self._slot_sets: dict = {}  # BlockSpec -> set(enumerate_c1(block, self))
-        self._blocks: dict | None = {}  # (BlockSpec, rows) -> block (``_assembly``); None at alpha
-        self._source = None  # at a fixed alpha: (generic engine, its substitution)
+        self._blocks: dict | None = {}  # (k, n, rows) -> P block (``_assembly``); None on a view
+        self._source = None  # on a view: (generic engine, substitution of alpha or None)
 
     @cached_property
     def generators(self):
@@ -420,12 +427,9 @@ def quantized_engine(alpha=None, h_depth=None) -> Engine:
     the test suite).  h powers in a block are bounded by the operator
     constraint; pass h_depth to cap them harder.  Both public builders call
     the one builder ``_engine`` and take alpha as None, an int or a
-    ``Fraction``.  A capped engine is the uncapped generic one with the cap
-    set: it shares basis, bracket, structure table, pairs, incidence and
-    metadata, and a generating-set certificate already made, and has its
-    own slot sets and block store, which depend on the cap.  An engine at
-    alpha, which only scans, is a copy of the generic one with the same
-    cap, slot sets included, with no store and its own certificate.
+    ``Fraction``.  An engine with a cap, at alpha or both is a view
+    (``_engine``): it reads the uncapped generic engine's stored blocks,
+    cut to its own slots and evaluated at alpha.
     """
     return _engine(True, _rational(alpha), h_depth)
 
@@ -442,20 +446,23 @@ def _rational(alpha):
 # builders with the same values shares one engine
 @lru_cache(maxsize=None)
 def _engine(star: bool, alpha, h_depth) -> Engine:
-    """The star engine when ``star``, else the Poisson one: generic, at a
-    rational ``alpha`` (a copy of the generic engine with the same cap, the
-    source of its blocks), or with an h depth cap, which only
-    ``quantized_engine`` passes."""
-    if alpha is not None:
-        source = _engine(star, None, h_depth)
-        engine = copy.copy(source)
-        # the source's generating set need not generate at alpha (+-1)
+    """The star engine when ``star``, else the Poisson one: generic, or a
+    view of the generic engine at a rational ``alpha``, with an h depth cap
+    (which only ``quantized_engine`` passes) or both.  A view is a copy of
+    the generic engine, sharing basis, bracket, structure table, pairs,
+    incidence and metadata, with no store; ``_source`` is the generic
+    engine and the substitution of alpha, or None with no alpha.  It has
+    its own slot sets under a cap, and its own generating-set certificate.
+    """
+    if alpha is not None or h_depth is not None:
+        generic = _engine(star, None, None)
+        engine = copy.copy(generic)
+        # the generic generating set need not generate at alpha (+-1)
         vars(engine).pop("generators", None)
-        engine._blocks, engine._source = None, (source, _substitution(alpha))
-        return engine
-    if h_depth is not None:
-        engine = copy.copy(_engine(star, None, None))
-        engine.h_depth, engine._slot_sets, engine._blocks = h_depth, {}, {}
+        if h_depth is not None:
+            engine.h_depth, engine._slot_sets = h_depth, {}
+        engine._blocks = None
+        engine._source = (generic, None if alpha is None else _substitution(alpha))
         return engine
     if star:
         from . import quantize
@@ -547,9 +554,10 @@ def enumerate_c1(block: BlockSpec, engine: Engine | None = None):
 def cochain_engine(engine: Engine | None) -> Engine:
     """``engine``, or the Poisson one when None, for an operation that
     brackets with its basis or table: ``d0``, ``cup`` and their callers.
-    ValueError at a fixed alpha, where those are the generic engine's."""
+    ValueError on a view at a fixed alpha, whose basis and table are the
+    generic engine's; a capped view is accepted."""
     engine = engine or poisson_engine()
-    if engine._source is not None:
+    if engine._source and engine._source[1]:
         raise ValueError("an engine at a fixed alpha only scans (h1_scan, h1_block); cochain "
                          "operations need the generic engine")
     return engine
@@ -696,41 +704,44 @@ def _d0_columns(block: BlockSpec, engine: Engine, table: dict | None = None):
 
 def _assembly(block: BlockSpec, engine: Engine, rows):
     """(slots, d1 columns, C0 keys, d0 columns) of the block, d1 on the
-    rows of the pairs with a name in ``rows``, read from the engine's store
-    and assembled into it on the first request (module docstring).  An
-    engine at a fixed alpha evaluates its source's block and stores
-    nothing; on any other engine, a P+, K4 or K4' block is cut out of a
-    stored P block of the same k, n and rows.  Callers must not mutate what
-    it returns.
+    rows of the pairs with a name in ``rows`` (module docstring).
+
+    The generic engine's stored P block of the same k, n and rows is read;
+    with none stored, the block is assembled, and stored when it is that P
+    block.  A stored block is cut to the engine's own slots and C0 keys
+    when its target or h cap differs, and evaluated at alpha on a view
+    that has one.  Callers must not mutate what it returns.
     """
-    if engine._source is not None:
-        source, value = engine._source
-        slots, columns, mon0, bcols = _assembly(block, source, rows)
-        return (slots, [_image(vec, value) for vec in columns],
-                mon0, [_image(vec, value) for vec in bcols])
-    key = (block, rows)
-    stored = engine._blocks.get(key)
-    if stored is not None:
-        return stored
-    if (whole := engine._blocks.get((BlockSpec(block.k, block.n, "P"), rows))) is not None:
-        # the target's slots and C0 keys are subsequences of P's
-        column, bcolumn = dict(zip(whole[0], whole[1])), dict(zip(whole[2], whole[3]))
-        slots, mon0 = enumerate_c1(block, engine), enumerate_c0(block, engine)
-        stored = (slots, [column[slot] for slot in slots], mon0, [bcolumn[m] for m in mon0])
-    else:
+    generic, value = engine._source or (engine, None)
+    key = (block.k, block.n, rows)
+    p_block = block.target == "P" and engine.h_depth == generic.h_depth  # the kind stored
+    assembled = generic._blocks.get(key)
+    if assembled is None:
         slots, columns, table = _d1_columns(block, engine, rows)
-        stored = (slots, columns, *_d0_columns(block, engine, table))
-    engine._blocks[key] = stored
-    return stored
+        assembled = (slots, columns, *_d0_columns(block, engine, table))
+        if p_block:
+            generic._blocks[key] = assembled
+    elif not p_block:
+        slots, columns, mon0, bcols = assembled
+        column, bcolumn = dict(zip(slots, columns)), dict(zip(mon0, bcols))
+        slots, mon0 = enumerate_c1(block, engine), enumerate_c0(block, engine)
+        assembled = (slots, [column[slot] for slot in slots], mon0, [bcolumn[m] for m in mon0])
+    if value is None:
+        return assembled
+    slots, columns, mon0, bcols = assembled
+    return slots, [_image(vec, value) for vec in columns], mon0, [_image(vec, value) for vec in bcols]
 
 
 def _coboundaries(block: BlockSpec, engine: Engine):
-    """C0 keys and d0 columns of the block: a stored block's, else d0
-    assembled alone."""
-    stored = next((b for (spec, _), b in engine._blocks.items() if spec == block), None)
-    if stored is not None:
-        return stored[2], stored[3]
-    return _d0_columns(block, engine)
+    """C0 keys and d0 columns of the block, cut out of a stored P block of
+    the generic engine with the same (k, n), else d0 assembled alone."""
+    generic = engine._source[0] if engine._source else engine
+    whole = next((b for (k, n, _), b in generic._blocks.items() if (k, n) == (block.k, block.n)),
+                 None)
+    if whole is None:
+        return _d0_columns(block, engine)
+    bcolumn, mon0 = dict(zip(whole[2], whole[3])), enumerate_c0(block, engine)
+    return mon0, [bcolumn[m] for m in mon0]
 
 
 @dataclass
@@ -790,8 +801,9 @@ def h1_block(block: BlockSpec, engine: Engine | None = None,
     vectors of d1 certified independent modulo the coboundary span.  One
     span of the d0 columns gives both dim B and that certificate.  A block
     with no slots is "empty".  On an engine with an h depth cap, a block
-    that d0 leaves is not a subcomplex: ValueError.  The block is read from
-    the engine's store (module docstring).
+    that d0 leaves is not a subcomplex: ValueError.  The block comes from
+    ``_assembly``, cut out of a stored P block when there is one (module
+    docstring).
     """
     return _block_report(block, engine or poisson_engine(), representatives, False)
 
@@ -884,7 +896,7 @@ def _fp_rank(columns):
 
 def _block_report(block: BlockSpec, engine: Engine, representatives: bool,
                   certify: bool) -> CohomologyReport:
-    """The report of a block from its stored assembly (``_assembly``).
+    """The report of a block from its assembly (``_assembly``).
 
     d1 is assembled on the pairs that touch the engine's generating set
     (``Engine.generators``), which have the kernel of the full d1 (module
@@ -912,8 +924,6 @@ def _block_report(block: BlockSpec, engine: Engine, representatives: bool,
     if not certify:
         return _h1_exact(block, slots, columns, bcols, representatives)
     rows1 = _fp_rank(columns)
-    if rows1 is not None and len(rows1) == len(slots):  # Z = 0, and B inside it is 0 too
-        return CohomologyReport(block, 0, 0, 0, [], [], "modp-zero")
     rows0 = None if rows1 is None else _fp_rank(bcols)
     if rows0 is not None:
         rank_d1, rank_d0 = len(rows1), len(rows0)
@@ -929,8 +939,8 @@ def h1_scan(k_range, n_range, target: str, engine: Engine | None = None, represe
     """Reports for every block in the window (K4 targets pin k = 2).
 
     Blocks with n != 0 are "cartan-zero" with Z = B = |C^0| (module
-    docstring).  A block with n = 0 is read from the engine's store, on
-    the rows of the engine's generating set, and certified over F_p when it
+    docstring).  A block with n = 0 comes from ``_assembly``, on the rows
+    of the engine's generating set, and certified over F_p when it
     can be, by the F_p bound or by a cocycle witness, whose verified
     cocycles are its representatives; else it is eliminated exactly on
     those rows, as ``h1_block`` does.  An engine with an h depth cap is refused: its

@@ -21,8 +21,10 @@ Conventions pinned here and used everywhere else:
 Every kernel walks int alpha-power layers (``kernel``), and a result is
 folded into Scalars when it is read: a ``Symbol`` holds a term map, the
 layers, or both (``Symbol`` docstring).  Products, scalar multiples,
-derivatives, Poisson brackets and, in ``quantize``, star products and
-h-brackets come out as layers; an operand is split once and keeps the split.
+Poisson brackets and, in ``quantize``, star products and h-brackets come
+out as layers; an operand is split once and keeps the split.  A derivative
+needs ring operations only (``kernel.derive_terms``), so it walks the term
+map and comes out as one.
 """
 
 from __future__ import annotations
@@ -212,14 +214,7 @@ class Symbol:
 
     # -- calculus ---------------------------------------------------------
     def derive(self, var: str) -> "Symbol":
-        i = _VAR_INDEX[var]
-        layers, d, den = self.layers()
-        out = {}
-        for e, layer in layers.items():
-            derived = kernel.derive_terms(layer, i)
-            if derived:
-                out[e] = derived
-        return Symbol.from_layers((out, d, den))
+        return Symbol(kernel.derive_terms(self.terms, _VAR_INDEX[var]))
 
     def poisson(self, other: "Symbol") -> "Symbol":
         if not (self and other):  # nothing to split or walk

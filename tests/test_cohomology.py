@@ -1,3 +1,4 @@
+import itertools
 import random
 import re
 from fractions import Fraction
@@ -458,16 +459,19 @@ def test_exceptional_alpha_dims_direct(alpha):
 
 @pytest.mark.parametrize("alpha", [1, -1, 0, Fraction(3, 2)], ids=["1", "-1", "0", "3/2"])
 def test_specialized_engines_are_evaluations(alpha):
-    # an engine at alpha is the generic engine with the same cap, read
-    # through the substitution of alpha: it shares its tables and slot sets
-    # and holds no block store
+    # an engine at alpha is a view of the uncapped generic engine, read
+    # through the substitution of alpha: it shares its tables, its slot
+    # sets unless it has a cap, and holds no block store
     cases = [(coh.poisson_engine(alpha), coh.poisson_engine()),
-             (coh.quantized_engine(alpha, h_depth=2), coh.quantized_engine(h_depth=2))]
+             (coh.quantized_engine(alpha, h_depth=2), coh.quantized_engine())]
     for engine, source in cases:
-        for name in ("basis", "bracket", "struct", "pairs", "incidence", "metadata", "_slot_sets"):
+        for name in ("basis", "bracket", "struct", "pairs", "incidence", "metadata"):
             assert getattr(engine, name) is getattr(source, name), name
-        assert (engine.h_depth, engine.h_k_weight) == (source.h_depth, source.h_k_weight)
+        assert engine.h_k_weight == source.h_k_weight
         assert engine._source[0] is source and engine._blocks is None
+    assert (cases[0][0].h_depth, cases[1][0].h_depth) == (0, 2)
+    assert cases[0][0]._slot_sets is coh.poisson_engine()._slot_sets
+    assert cases[1][0]._slot_sets is not coh.quantized_engine()._slot_sets
     # the star rule tau >= 0 holds for the star engine only
     block = coh.BlockSpec(0, 0, "P")
     poisson, star = (engine for engine, _ in cases)
@@ -1115,10 +1119,13 @@ def test_targets_are_cut_out_of_the_stored_p_block(monkeypatch):
     monkeypatch.undo()
     for target, reports in derived.items():
         assert _payloads(reports) == _payloads(coh.h1_scan(ks, ns, target, _fresh_engine()))
-    # a lone P+ scan assembles its own blocks, not P's
-    lone = _fresh_engine()
-    coh.h1_scan(ks, [0], "P+", lone)
-    assert {spec.target for spec, _ in lone._blocks} == {"P+"}
+    # a lone P+ scan, classical or star, assembles its own blocks, not P's,
+    # and stores none
+    monkeypatch.setattr(coh, "_d1_columns", counted)
+    for star in (False, True):
+        lone = _fresh_engine(star)
+        coh.h1_scan(ks, [0], "P+", lone)
+        assert {block.target for block in assembled} == {"P+"} and lone._blocks == {}
 
 
 def _store_snapshot(engine):
@@ -1153,8 +1160,80 @@ def test_consumers_leave_the_store_as_it_was():
         for call in calls:  # read it
             call()
             assert _store_snapshot(store) == snapshot
-    assert len(_store_snapshot(engine)) == 12
+    # the five P blocks of the P scan: every other target, and the
+    # obstruction's P+ block on every row, is cut or assembled unstored
+    assert len(_store_snapshot(engine)) == 5
     assert view._blocks is None
+
+
+def test_capped_view_blocks_are_the_capped_engine_blocks(monkeypatch):
+    # a capped view reads the uncapped star engine's P blocks cut to its
+    # slots, P and P+ alike, or assembles its own when none is stored: in
+    # both cases the columns, entry order included, of an engine built with
+    # the cap from the generic basis and table, d0 read alone too.  The cap
+    # cuts (6, 0)
+    generic, capped = coh.quantized_engine(), coh.quantized_engine(h_depth=2)
+    monkeypatch.setattr(generic, "_blocks", {})  # leave the shared store as it was
+    reference = coh.Engine(generic.basis, generic.bracket, generic.struct,
+                           generic.h_k_weight, h_depth=2)
+    rows, cut = capped.generators, set()
+    assembled = []
+    assemble = coh._d1_columns
+
+    def counted(block, engine, *args):
+        assembled.append(engine)
+        return assemble(block, engine, *args)
+
+    monkeypatch.setattr(coh, "_d1_columns", counted)
+    for stored in (False, True):
+        for k, n, target in itertools.product(range(-6, 7), (-2, 0, 2), ("P+", "P")):
+            block = coh.BlockSpec(k, n, target)
+            if stored:
+                coh._assembly(coh.BlockSpec(k, n, "P"), generic, rows)
+            slots, columns, mon0, bcols = coh._assembly(block, capped, rows)
+            d0_alone = coh._coboundaries(block, capped)
+            own_slots, own_columns, table = assemble(block, reference, rows)
+            own_mon0, own_bcols = coh._d0_columns(block, reference, table)
+            assert (slots, mon0) == (own_slots, own_mon0), block
+            assert _entries(columns) == _entries(own_columns), block
+            assert _entries(bcols) == _entries(own_bcols), block
+            assert (d0_alone[0], _entries(d0_alone[1])) == (own_mon0, _entries(own_bcols))
+            if len(slots) < len(coh.enumerate_c1(block, generic)):
+                cut.add((k, n))
+        # the capped reads stored nothing, not even a capped P block
+        assert len(generic._blocks) == (39 if stored else 0)
+    # one assembly per capped block, none once the P blocks are stored
+    assert assembled.count(capped) == 78
+    assert capped._blocks is None
+    assert (6, 0) in cut
+
+
+def test_only_generic_engines_store_and_only_p_blocks(monkeypatch):
+    # after scans of every target on the generic engines and on views at
+    # alpha, and reports on capped views, each generic store holds P blocks
+    # only, keyed (k, n, rows), and no view has a store
+    window = range(-4, 5)
+    for star in (False, True):
+        generic = coh._engine(star, None, None)
+        monkeypatch.setattr(generic, "_blocks", {})  # leave the shared store as it was
+        targets = ["P+", "P"] if star else coh.TARGETS
+        views = [coh._engine(star, alpha, None) for alpha in (1, Fraction(-1, 2))]
+        for engine in [generic] + views:
+            for target in targets:
+                coh.h1_scan(window, [-2, 0, 2], target, engine, representatives=False)
+        if star:
+            capped = [coh.quantized_engine(alpha, h_depth=2) for alpha in (None, 1)]
+            for view, k, target in itertools.product(capped, range(-4, 5), ("P+", "P")):
+                coh.h1_block(coh.BlockSpec(k, 0, target), view)
+            coh.is_coboundary(coh.named_cocycle("thetabar1"), capped[0])
+            views += capped
+        assert all(view._blocks is None and view._source[0] is generic for view in views)
+        assert generic._blocks
+        for (k, n, rows), (slots, _, mon0, _) in generic._blocks.items():
+            assert rows in coh.GENERATING_SETS + (d21.BASIS_NAMES,)
+            block = coh.BlockSpec(k, n, "P")
+            assert (slots, mon0) == (coh.enumerate_c1(block, generic),
+                                     coh.enumerate_c0(block, generic)), (k, n)
 
 
 def test_scan_refuses_capped_engine():
@@ -1210,7 +1289,7 @@ def test_engine_at_alpha_certifies_its_own_generating_set(star, h_depth):
     assert generic.generators == coh.GENERATORS
     for alpha in (1, -1):
         engine = coh._engine.__wrapped__(star, alpha, h_depth)
-        assert engine._source[0] is generic
+        assert engine._source[0] is coh._engine(star, None, None)
         assert engine.generators == WIDER, alpha
 
 
@@ -1229,11 +1308,13 @@ def test_capped_engine_is_the_uncapped_one_with_a_cap(alpha):
     for name in ("basis", "bracket", "struct", "pairs", "incidence", "metadata"):
         assert getattr(capped, name) is getattr(engine, name), name
     assert capped._slot_sets is not engine._slot_sets
+    # no store on a view: blocks are the uncapped generic engine's, cut to
+    # the cap and evaluated at alpha
+    assert capped._blocks is None and capped._source[0] is coh.quantized_engine()
     if alpha is None:
         assert capped._blocks is not engine._blocks
-    else:  # no store at alpha: blocks are the capped generic engine's, evaluated
+    else:
         assert capped._blocks is engine._blocks is None
-        assert capped._source[0] is coh.quantized_engine(h_depth=2)
         assert engine._source[0] is coh.quantized_engine()
     # slots depend on the cap: (6, 0) has h powers up to 4 uncapped
     block = coh.BlockSpec(6, 0, "P+")

@@ -366,20 +366,22 @@ def test_poisson_results_own_their_layers():
 
 def test_product_results_own_their_layers():
     # as above, for products, scalar multiples and derivatives: p = a b is
-    # unfolded, and what is made from it reads its layers
+    # unfolded, and what is made from it reads its layers; the derivative,
+    # made last, walks p's term map and so folds p
     rng = random.Random(30)
     a, b, c = (_owner_test_symbol(rng, kind) for kind in (S_ONE, ALPHA, S_ONE))
     splits = [x.layers() for x in (a, b, c)]
 
     def made(p):
-        return [p, p * c, p * (ALPHA - 2).inv(), Fraction(2, 3) * p, p.derive("t"),
-                p - c.derive("xi1") * 3]
+        return [p, p * c, p * (ALPHA - 2).inv(), Fraction(2, 3) * p,
+                p - c.derive("xi1") * 3, p.derive("t")]
 
     expected = made(Symbol(kernel.mul_terms(a.terms, b.terms)))
     assert all(expected)
     for order in permutations(range(6)):
         objs = made(a * b)
-        assert all(o._terms is None for o in objs)  # every one unfolded
+        # unfolded but for p and its derivative, which walks p's term map
+        assert [o._terms is None for o in objs] == [False, True, True, True, True, False]
         for i in order:
             assert objs[i] == expected[i], (order, i)
     for x, split in zip((a, b, c), splits):

@@ -268,13 +268,15 @@ def test_layer_products_match_scalar_oracle(a, b, k):
         ((a * b) * k, _scalar_multiple(ab, k)),
         (k * a, _scalar_multiple(a.terms, k)),
     ]
+    derived = []
     for i, var in enumerate(VAR_NAMES):
         # kernel.derive_terms on a Scalar map: one Scalar operation per term
-        cases.append((a.derive(var), kernel.derive_terms(a.terms, i)))
-        cases.append(((a * b).derive(var), kernel.derive_terms(ab, i)))
+        derived.append((a.derive(var), kernel.derive_terms(a.terms, i)))
+        derived.append(((a * b).derive(var), kernel.derive_terms(ab, i)))
     assert not _scalar_mul_terms(odd.terms, odd.terms)
-    for r, expected in cases:
-        assert r._terms is None and bool(r) == bool(expected)  # unfolded
+    for j, (r, expected) in enumerate(cases + derived):
+        # unfolded, but for a derivative, which walks the term map
+        assert (r._terms is None) == (j < len(cases)) and bool(r) == bool(expected)
         assert r.terms == expected  # equal values on the same key set
         assert all(isinstance(c, Scalar) for c in r.terms.values())
     assert not (a * k + a * -k).terms
