@@ -22,7 +22,10 @@ read, so no fold runs there either.
 assembly does: the bracket of every basis element, in both engines, with
 the unit monomials of a block (P (0, 0) for the Poisson engine, P+ (4, 0)
 for the star engine), once per monomial and then as one beta-tagged map
-per basis element (``cohomology._brackets``).  ``struct_table``,
+per basis element (``cohomology._brackets``).  ``kernel_tables`` times
+the set-up every import of ``superpds.kernel`` pays, 20 uncached builds of
+the five Grassmann tables the walks read (``kernel._tables``), reducing
+the 256 words of mask pairs included.  ``struct_table``,
 ``engine_poisson`` and ``engine_star`` time the set-up every engine user
 pays, 20 times each and uncached: the structure table
 (``d21.structure_table``, one tagged bracket per basis element) and the
@@ -174,13 +177,14 @@ def time_brackets(cases):
 
 
 def time_setup(repeat=20):
-    """``repeat`` uncached builds of the structure table and of each
-    engine; the engines read the cached table and bases, and the engine at
-    alpha the cached generic engine."""
+    """``repeat`` uncached builds of the kernel's Grassmann tables, of the
+    structure table and of each engine; the engines read the cached table
+    and bases, and the engine at alpha the cached generic engine."""
     from superpds import cohomology as coh, d21
 
     timings = {}
-    for op, build in (("struct_table", d21.structure_table.__wrapped__),
+    for op, build in (("kernel_tables", kernel._tables),
+                      ("struct_table", d21.structure_table.__wrapped__),
                       ("engine_poisson", lambda: coh._engine.__wrapped__(False, None, None)),
                       ("engine_star", lambda: coh._engine.__wrapped__(True, None, None)),
                       ("engine_alpha", lambda: coh._engine.__wrapped__(False, Fraction(3, 7), None))):
@@ -256,7 +260,7 @@ def main():
     timing.update(time_poisson_chain(build_poisson_chain_workloads()))
     ops = ["product", "poisson", "star", "hbracket", "poisson_mono", "star_mono",
            "hbracket_mono", "fold", "sub_equal", "star_chain", "poisson_chain",
-           "bracket_unit", "bracket_tagged", "struct_table", "engine_poisson", "engine_star", "engine_alpha",
+           "bracket_unit", "bracket_tagged", "kernel_tables", "struct_table", "engine_poisson", "engine_star", "engine_alpha",
            "scalar_mul", "scalar_mul_int", "scalar_add"]
     print("".join("%15s" % op for op in ops))
     print("".join("%14.3fs" % timing[op] for op in ops))

@@ -429,8 +429,11 @@ def quantized_engine(alpha=None, h_depth=None) -> Engine:
     the one builder ``_engine`` and take alpha as None, an int or a
     ``Fraction``.  An engine with a cap, at alpha or both is a view
     (``_engine``): it reads the uncapped generic engine's stored blocks,
-    cut to its own slots and evaluated at alpha.
+    cut to its own slots and evaluated at alpha.  h_depth must be None or
+    an int >= 0, checked before the cache as alpha is (``_rational``).
     """
+    if h_depth is not None and (type(h_depth) is not int or h_depth < 0):
+        raise ValueError("h_depth must be None or an int >= 0, got %r" % (h_depth,))
     return _engine(True, _rational(alpha), h_depth)
 
 

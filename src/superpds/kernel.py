@@ -10,13 +10,13 @@ subtracting them, as coefficients are canonical, so unequal ones differ by
 a nonzero.
 
 Products and brackets walk pairs of terms on int coefficients and build no
-``Scalar``, reading Koszul signs from tables built at import from
-``merge_sign`` and the left-derivative rule: the supercommutative product
-(``_mul_walk``), the Poisson bracket (``_poisson_walk``), in closed form,
-one product of two ints and at most five integer-weighted terms per pair,
-and the star product and the h-bracket (``_star_walk``).  They run over
-pairs of alpha-power layers: int maps over one denominator, given as the
-triple (layers, d, den) of ``scalars.split_layers``.  Given two layer
+``Scalar``, reading Grassmann signs from tables built at import: the
+supercommutative product (``_mul_walk``), the Poisson bracket
+(``_poisson_walk``), in closed form, one product of two ints and at most
+five integer-weighted terms per pair, and the star product and the
+h-bracket (``_star_walk``).  They run over pairs of alpha-power layers:
+int maps over one denominator, given as the triple (layers, d, den) of
+``scalars.split_layers``.  Given two layer
 triples, ``mul_terms``, ``poisson_terms``, ``moyal_terms`` and
 ``h_bracket_terms`` walk and return the result's layer triple unfolded:
 that is how ``symbols`` and ``quantize`` call them, and the fold is left to
@@ -25,6 +25,18 @@ maps they split them, walk, and fold each output key back once into a
 canonical ``Scalar`` (``scalars.fold_layers``), so a term map comes out;
 the library no longer calls them that way, but the benchmark's kernel
 timings (``benchmarks/bench_kernel.py``, ``perfbench/micro.py``) do.
+
+Every Grassmann table is read off one reducer, ``normal_order_word``,
+which normal-orders words of generators by the deformed exterior relations
+eta_i xi_j = h delta_ij - xi_j eta_i (``_tables``).  For unit monomials
+g1, g2 of parities p1, p2, the h^0 part of the word g1 g2 is the product
+in the plain exterior algebra, so its coefficient at the union of the two
+masks is the merge sign of the supercommutative product.  The h-bracket
+(g1 g2 - (-1)^(p1 p2) g2 g1)/h contracts at h = 0 to the Poisson
+superbracket (criterion 8), and g1, g2 carry no t or tau, so the h^1 part
+of g1 g2 - (-1)^(p1 p2) g2 g1 is {g1, g2}, the Poisson contraction.  One
+definition of the relations thus gives every sign, and the reducer's
+confluence test underwrites them all.
 
 Callers go through the module attribute (``kernel.poisson_terms(...)``),
 never a name imported from here, so the functions can be wrapped on the
@@ -35,25 +47,51 @@ from __future__ import annotations
 
 from math import comb
 
-from ._exchange import EXCHANGE
 from .scalars import fold_layers, split_layers
 
 IMPLEMENTATION = "python"  # recorded with every benchmark run
 
-NGEN = 4  # xi1, xi2, eta1, eta2
-XI_MASK = 0b0011
-ETA_SHIFT = 2
+NGEN = 4  # xi1, xi2, eta1, eta2: generator g is bit g of a Grassmann mask
 
 
-def merge_sign(m1: int, m2: int) -> int:
-    """Koszul sign for merging two ordered Grassmann blocks; 0 on overlap."""
-    if m1 & m2:
-        return 0
-    swaps = 0
-    for j in range(NGEN):
-        if m2 >> j & 1:
-            swaps += (m1 >> (j + 1)).bit_count()
-    return -1 if swaps & 1 else 1
+def normal_order_word(word, order_choice=None) -> dict:
+    """Reduce a word of generator ids (0..3: xi1, xi2, eta1, eta2) to
+    normal-ordered terms, as a dict {(mask, h power): int coefficient}.
+
+    A word is in normal order when its ids strictly increase, which puts
+    every xi left of every eta.  Each adjacent pair x y with x >= y is
+    rewritten by
+
+        g g           -> 0              (repeated generator)
+        xi_j xi_i     -> -xi_i xi_j     (j > i, same for etas)
+        eta_i xi_j    -> h delta_ij - xi_j eta_i
+
+    so the deformed exterior algebra and the plain one (its h^0 part) share
+    one reducer.  ``order_choice`` picks which such pair to rewrite next,
+    given the list of their positions (default the leftmost); it exists so
+    confluence can be tested by varying the reduction strategy.
+    """
+    result: dict = {}
+    stack = [(tuple(word), 1, 0)]
+    while stack:
+        w, coeff, h = stack.pop()
+        spots = [i for i in range(len(w) - 1) if w[i] >= w[i + 1]]
+        if not spots:
+            key = (sum(1 << g for g in w), h)
+            nv = result.get(key, 0) + coeff
+            if nv:
+                result[key] = nv
+            else:
+                del result[key]
+            continue
+        i = spots[0] if order_choice is None else order_choice(spots)
+        x, y = w[i], w[i + 1]
+        if x == y:
+            continue
+        stack.append((w[:i] + (y, x) + w[i + 2 :], -coeff, h))
+        if x - NGEN // 2 == y:  # eta_i xi_i: the h term too
+            stack.append((w[:i] + w[i + 2 :], coeff, h + 1))
+    return result
 
 
 def add_terms(a: dict, b: dict) -> dict:
@@ -140,36 +178,59 @@ def parity_split(a: dict):
     return even, odd
 
 
-def _contractions(m1: int, m2: int) -> tuple:
-    """Grassmann part of the bracket of two monomials with masks m1, m2.
+def _tables() -> tuple:
+    """The five Grassmann tables the walks read, indexed [m1][m2] by the
+    masks of two unit monomials g1, g2 of parities p1, p2, and read off the
+    normal-ordered words g1 g2 and g2 g1 (module docstring):
 
-    (-1)^(p(A)+1) sum_i (dA/dxi_i dB/deta_i + dA/deta_i dB/dxi_i) on unit
-    monomials, as (mask, sign) pairs with coinciding masks summed: each
-    contraction removes xi_i (eta_i) from the left factor and eta_i (xi_i)
-    from the right one, with both left-derivative signs and the merge sign.
+    - ``_MERGE``: the h^0 coefficient of g1 g2 at m1 | m2, the Koszul sign
+      of the supercommutative product (0 when the masks overlap);
+    - ``_CONTRACTIONS``: the h^1 part of g1 g2 - (-1)^(p1 p2) g2 g1, the
+      Grassmann part of the Poisson bracket, as (mask, sign) pairs with
+      masks descending;
+    - ``_PRODUCT``, ``_BRACKET``, ``_BRACKET_BACK``: the star product's
+      cells, (outcomes at n = 0, outcomes at n >= 1), where the outcomes
+      are the (mask, h power, sign) terms of g1 g2 sorted by (mask, h): the
+      product, the h-bracket's A B, and its B A with every sign also times
+      -(-1)^(p1 p2).  The h-bracket tables leave out the n = 0 outcomes of
+      h power 0: they are the supercommutative product, so the two orders
+      cancel them pair by pair.  Equal cells are stored once.
+
+    The order inside a cell sets the key order of every product, and with
+    it elimination's tie-breaks and the printed representatives.
     """
-    out: dict = {}
-    for i in range(ETA_SHIFT):  # xi_i is bit i, eta_i bit i + ETA_SHIFT
-        for ga, gb in ((i, i + ETA_SHIFT), (i + ETA_SHIFT, i)):
-            fa, fb = 1 << ga, 1 << gb
-            if not (m1 & fa and m2 & fb):
-                continue
-            r1, r2 = m1 ^ fa, m2 ^ fb
-            sign = _MERGE[r1][r2]
-            if not sign:
-                continue
-            if ((m1 & (fa - 1)).bit_count() + (m2 & (fb - 1)).bit_count()) & 1:
-                sign = -sign
-            if not m1.bit_count() & 1:
-                sign = -sign
-            out[r1 | r2] = out.get(r1 | r2, 0) + sign
-    return tuple((mask, sign) for mask, sign in out.items() if sign)
+    masks = range(1 << NGEN)
+    gens = [tuple(g for g in range(NGEN) if m >> g & 1) for m in masks]
+    words = [[normal_order_word(gens[m1] + gens[m2]) for m2 in masks] for m1 in masks]
+    tables = ([], [], [], [], [])
+    cells: dict = {}  # (outcomes, flip) -> the three star cells
+    for m1 in masks:
+        p1 = m1.bit_count() & 1
+        rows = ([], [], [], [], [])
+        for m2 in masks:
+            word = words[m1][m2]
+            flip = 1 if p1 & m2.bit_count() else -1  # -(-1)^(p1 p2)
+            h1: dict = {}
+            for w, s in ((word, 1), (words[m2][m1], flip)):
+                for (mask, hp), c in w.items():
+                    if hp == 1:
+                        h1[mask] = h1.get(mask, 0) + s * c
+            key = (tuple((mask, hp, c) for (mask, hp), c in sorted(word.items())), flip)
+            if key not in cells:
+                out = key[0]
+                back = tuple((mask, hp, c * flip) for mask, hp, c in out)
+                cells[key] = ((out, out), (tuple(o for o in out if o[1]), out),
+                              (tuple(o for o in back if o[1]), back))
+            rows[0].append(word.get((m1 | m2, 0), 0))
+            rows[1].append(tuple((mask, c) for mask, c in sorted(h1.items(), reverse=True) if c))
+            for row, cell in zip(rows[2:], cells[key]):
+                row.append(cell)
+        for table, row in zip(tables, rows):
+            table.append(tuple(row))
+    return tuple(tuple(table) for table in tables)
 
 
-_MASKS = range(1 << NGEN)
-# indexed [m1][m2]; merge signs of m1 m2 (0 on overlap), contractions as above
-_MERGE = tuple(tuple(merge_sign(m1, m2) for m2 in _MASKS) for m1 in _MASKS)
-_CONTRACTIONS = tuple(tuple(_contractions(m1, m2) for m2 in _MASKS) for m1 in _MASKS)
+_MERGE, _CONTRACTIONS, _PRODUCT, _BRACKET, _BRACKET_BACK = _tables()
 
 
 def _mul_walk(out: dict, a: dict, b: dict) -> None:
@@ -231,47 +292,6 @@ def _poisson_walk(out: dict, a: dict, b: dict) -> None:
                     del out[key]
 
 
-def _star_tables():
-    """Grassmann parts of the star product, tabulated by mask pair.
-
-    For unit monomials g1 = xi-block s1 then eta-block e1, and g2 likewise,
-    the normal-ordered word g1 g2 is a few (mask, h power, sign) outcomes:
-    e1 s2 is rewritten by ``EXCHANGE`` and the outer blocks merge in with
-    their Koszul signs.  Three tables [m1][m2] -> (outcomes at n = 0,
-    outcomes at n >= 1) are returned: the product, the h-bracket's A B, and
-    its B A with every sign also times -(-1)^(p p') of the two parities.
-    The h-bracket tables leave out the n = 0 outcomes of h power 0: they
-    are the supercommutative product, so the two orders cancel them pair
-    by pair.
-    """
-    tables = ([], [], [])
-    cells: dict = {}  # (outcomes, flip) -> the three cells, each stored once
-    for m1 in _MASKS:
-        s1, e1, p1 = m1 & XI_MASK, m1 >> ETA_SHIFT, m1.bit_count() & 1
-        merge_xi = _MERGE[s1]
-        rows = ([], [], [])
-        for m2 in _MASKS:
-            eta2 = m2 & ~XI_MASK
-            outcomes = []
-            for xi_out, eta_out, hp, exc in EXCHANGE[(e1, m2 & XI_MASK)]:
-                sign = exc * merge_xi[xi_out] * _MERGE[eta_out << ETA_SHIFT][eta2]
-                if sign:
-                    outcomes.append((s1 | xi_out | eta_out << ETA_SHIFT | eta2, hp, sign))
-            key = (tuple(outcomes), 1 if p1 & m2.bit_count() else -1)
-            if key not in cells:
-                out, flip = key
-                back = tuple((mask, hp, sign * flip) for mask, hp, sign in out)
-                cells[key] = ((out, out), (tuple(o for o in out if o[1]), out),
-                              (tuple(o for o in back if o[1]), back))
-            for row, cell in zip(rows, cells[key]):
-                row.append(cell)
-        for table, row in zip(tables, rows):
-            table.append(tuple(row))
-    return tuple(tuple(table) for table in tables)
-
-
-_PRODUCT, _BRACKET, _BRACKET_BACK = _star_tables()
-
 # (u1, t2) -> ((n, comb(u1, n) t2 (t2 - 1) ... (t2 - n + 1)), ...) over the
 # 1 <= n <= u1 with nonzero weight; filled on first use, and small, since
 # exponents stay within the scanned windows
@@ -300,7 +320,7 @@ def _star_walk(out: dict, a: dict, b: dict, table: tuple, shift: int) -> None:
     sum_n h^n/n! d^n_tau A d^n_t B (finite because tau exponents are
     nonnegative here), with the weights comb(u1, n) t2 (t2 - 1) ...
     (t2 - n + 1) cached per (u1, t2).  The Grassmann part is read from
-    ``table`` per mask pair, as built by ``_star_tables``, with every sign
+    ``table`` per mask pair, as built by ``_tables``, with every sign
     folded in.  Every stored monomial means the normal-ordered word
     t^a tau^b xi... eta... .
     """

@@ -12,8 +12,11 @@ h-bracket [A, B]_h = (A B -+ B A)/h contracts to the Poisson bracket at
 h = 0; h is a formal central variable, so identities checked here hold for
 every numeric value of it.  Product and h-bracket are one walk in
 ``kernel``, on int coefficients one alpha power at a time, with the
-Grassmann outcomes tabulated per pair of masks; the h-bracket never emits
-the h^0 part, which the two orders cancel term pair by term pair.
+Grassmann outcomes tabulated per pair of masks: at import,
+``kernel._tables`` reduces the word of each pair of unit monomials with
+``kernel.normal_order_word``, which rewrites by the relations above, and
+reads the outcomes off it.  The h-bracket never emits the h^0 part, which
+the two orders cancel term pair by term pair.
 
 Both return an unfolded ``Symbol``: the walk's int layers, folded into
 Scalars only when the result's ``terms`` are first read.  A product used

@@ -1269,6 +1269,20 @@ def test_builders_take_only_an_int_or_a_fraction(alpha):
     assert coh._engine.cache_info().currsize == entries
 
 
+@pytest.mark.parametrize("h_depth", [-1, 1.5, "2", True],
+                         ids=["-1", "1.5", "'2'", "True"])
+def test_quantized_engine_takes_only_a_nonnegative_int_cap(h_depth):
+    # -1 gave empty blocks (dim H^1 = 0 at P+ (4, 0)), 1.5 and "2" a
+    # TypeError from inside the slot enumeration, and True a cap of 1.
+    # Refused before the cache, which gains no entry
+    coh.quantized_engine(h_depth=2)
+    entries = coh._engine.cache_info().currsize
+    with pytest.raises(ValueError, match="^h_depth must be None or an int >= 0, got %s$"
+                       % re.escape(repr(h_depth))):
+        coh.quantized_engine(h_depth=h_depth)
+    assert coh._engine.cache_info().currsize == entries
+
+
 def test_block_entries_are_polynomials_in_alpha():
     # the premise of evaluating generic blocks at alpha (module docstring):
     # every basis and table coefficient of both engines has denominator 1,

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from superpds import cohomology as coh
 from superpds import d21, kernel, quantize
-from superpds._exchange import normal_order_word
+from superpds.kernel import normal_order_word
 from superpds.expr import parse
 from superpds.scalars import ALPHA, S_ONE
 from superpds.symbols import Symbol

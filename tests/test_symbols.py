@@ -68,16 +68,55 @@ def test_reorder_without_sign():
     assert (T * ETA1) * (T * ETA2) == mono(t=2, mask=0b1100)
 
 
-def test_merge_sign_counts_inversions():
-    def gens(mask):
-        return [g for g in range(4) if mask >> g & 1]
+def _merge_sign(m1: int, m2: int) -> int:
+    """Reference: the sign of sorting the generator list of m1 followed by
+    that of m2, counted in inversions; 0 when the masks overlap."""
+    if m1 & m2:
+        return 0
+    word = [g for g in range(4) if m1 >> g & 1] + [g for g in range(4) if m2 >> g & 1]
+    inversions = sum(x > y for i, x in enumerate(word) for y in word[i + 1 :])
+    return (-1) ** inversions
 
+
+def test_merge_sign_counts_inversions():
     for m1 in range(16):
         for m2 in range(16):
-            word = gens(m1) + gens(m2)
-            inversions = sum(x > y for i, x in enumerate(word) for y in word[i + 1 :])
-            expected = 0 if m1 & m2 else (-1) ** inversions
-            assert kernel.merge_sign(m1, m2) == expected, (m1, m2)
+            assert kernel._MERGE[m1][m2] == _merge_sign(m1, m2), (m1, m2)
+
+
+def _unit(mask: int) -> dict:
+    return {(0, 0, mask, 0, 0): 1}
+
+
+def test_sign_tables_match_derivative_definitions():
+    """Every mask pair: the contraction table is the Poisson contraction
+    written with ``derive_terms`` and inversion-count products, masks
+    descending; every star cell lists its outcomes by (mask, h); and a
+    left derivative's sign is that of moving the generator to the front."""
+    for m in range(16):
+        for g in range(4):
+            flag = 1 << g
+            want = {(0, 0, m ^ flag, 0, 0): _merge_sign(flag, m ^ flag)} if m & flag else {}
+            assert kernel.derive_terms(_unit(m), 2 + g) == want, (m, g)
+    for m1 in range(16):
+        for m2 in range(16):
+            sums: dict = {}
+            for i in range(2):  # xi_i is bit i, eta_i bit i + 2
+                for ga, gb in ((i, i + 2), (i + 2, i)):
+                    da = kernel.derive_terms(_unit(m1), 2 + ga)
+                    db = kernel.derive_terms(_unit(m2), 2 + gb)
+                    for (_, _, r1, _, _), c1 in da.items():
+                        for (_, _, r2, _, _), c2 in db.items():
+                            sums[r1 | r2] = sums.get(r1 | r2, 0) + c1 * c2 * _merge_sign(r1, r2)
+            sign = -1 if m1.bit_count() % 2 == 0 else 1  # (-1)^(p1 + 1)
+            want = {mask: sign * c for mask, c in sums.items() if c}
+            cell = kernel._CONTRACTIONS[m1][m2]
+            assert dict(cell) == want, (m1, m2)
+            assert [mask for mask, _ in cell] == sorted(want, reverse=True), (m1, m2)
+            for table in (kernel._PRODUCT, kernel._BRACKET, kernel._BRACKET_BACK):
+                for outcomes in table[m1][m2]:
+                    keys = [o[:2] for o in outcomes]
+                    assert keys == sorted(set(keys)), (m1, m2)
 
 
 def test_central_deformation_exponents():
@@ -225,7 +264,7 @@ def _scalar_mul_terms(a: dict, b: dict) -> dict:
     out: dict = {}
     for (t1, u1, m1, b1, h1), c1 in a.items():
         for (t2, u2, m2, b2, h2), c2 in b.items():
-            sign = kernel.merge_sign(m1, m2)
+            sign = _merge_sign(m1, m2)
             if not sign:
                 continue
             key = (t1 + t2, u1 + u2, m1 | m2, b1 + b2, h1 + h2)
