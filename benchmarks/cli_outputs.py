@@ -49,6 +49,8 @@ FIXTURES = {
     # a tau < 0 image term, which the star engine refuses
     "tau_neg.json": {"images": {"T3": "tau^-1*xi1"}},
     "star_deformation.json": {"engine": "star", "orders": ["tau_neg.json"]},
+    # an image that does not parse
+    "bad_image.json": {"images": {"H1": "1/0"}},
 }
 
 H1_BLOCKS = [("0", "0"), ("4", "-2"), ("4", "0"), ("2", "-6")]
@@ -120,6 +122,8 @@ COMMANDS = (
     # refused: a tau < 0 operand of the star product, in either place
     + [["bracket", "--quantized", "tau^-1", "t"],
        ["bracket", "--quantized", "t", "t + tau^-1"]]
+    # a cochain file whose image does not parse: exit 1, naming file and image
+    + [["cup", "theta1.json", "bad_image.json"]]
 )
 
 

@@ -69,7 +69,10 @@ def _load_cochain(path: str):
         if not isinstance(text, str):
             raise InputError("%s: image of %s must be an expression string, got %s"
                              % (path, name, _type_name(text)))
-        images[name] = parse(text)
+        try:
+            images[name] = parse(text)
+        except ValueError as exc:  # ExprError among them: exit code 1, as in ``main``
+            raise ValueError("%s: image of %s: %s" % (path, name, exc)) from exc
     block = None
     if "block" in doc:
         b = doc["block"]

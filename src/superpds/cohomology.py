@@ -63,10 +63,10 @@ cochain, and the bracket is never truncated, so it holds on an engine
 with an h depth cap too: only the block's slots are capped, not d1 c.
 
 Which rows a path uses: every report (``h1_block`` and ``h1_scan``, for
-the F_p ranks, the witness's exact elimination and its cocycle checks,
-and the exact elimination both end in) eliminates d1 on the rows of
-``engine.generators``, while ``d1``, ``cup`` and ``solve_obstruction``,
-which must meet a right-hand side on every pair, use every pair.
+the F_p ranks, the witness's cocycle checks and the exact elimination
+both end in) reads d1 on the rows of ``engine.generators``, while ``d1``,
+``cup`` and ``solve_obstruction``, which must meet a right-hand side on
+every pair, use every pair.
 
 Scans first try to certify each block over F_p, p = FP_PRIME = 2^61 - 1.
 A block is assembled once, over the engine's own coefficients, and each
@@ -83,26 +83,32 @@ When the bound is 0, H^1 = 0.  Since B lies in Z (d1 o d0 = 0), H^1 >= 0
 forces rank d1 = r1 and rank d0 = r0, so Z = N - r1 and B = r0 are exact
 too, and the report carries the certificate "modp-zero".
 
-A block with a positive bound is settled by a small exact witness (a
+A block with a positive bound is settled by a witness checked exactly (a
 certifying algorithm: McConnell, Mehlhorn, Naher and Schweitzer, Computer
-Science Review 5, 2011).  The F_p pivots of d1 pick r1 rows whose minor is
-nonzero mod p, rows with only rational constant entries first.  d1
-restricted to those rows and d0 are eliminated exactly, b0 being the rank
-of d0; with h = N - r1 - b0, kernel vectors of the restricted d1, sparsest
-first, that enlarge the span of d0 are checked to vanish on every row the
-scan assembled, so to be cocycles, until h are found.  rank d1 >= r1 gives
+Science Review 5, 2011), built from the paper's own cocycles
+(``_witness_candidates``, ``named_cocycle``): theta1, theta2 and theta on
+the Poisson engine, and h^j thetabar1 on the star engine at k = 2j >= 0.
+h is central in the star algebra, so d1(h^j c) = h^j d1(c), and h^j
+thetabar1 is a cocycle because thetabar1 is one; it lies in block (2j, 0).
+On a view at alpha each candidate is evaluated through the engine's
+substitution.  A candidate is kept when its terms are slots of the block,
+it vanishes exactly on every row the scan assembled (``_is_cocycle``), so
+it is a cocycle by the lemma above, and it enlarges the exact span of the
+d0 columns and of the candidates kept before it.  With b0 the exact rank
+of d0 and h = N - r1 - b0, rank d1 >= r1 gives
 
     H^1 <= N - r1 - b0 = h,
 
-and h cocycles independent modulo B give H^1 >= h, so Z = N - r1, B = b0
-and H^1 = h are exact, with the certificate "cocycle-witness"; the h
-verified cocycles are the representatives when they are asked for.  A
-failed check, or an entry with no image over F_p, sends the block to the
-same routine on every row the scan assembled, certificate "exact": that
-report, representatives included, is ``h1_block``'s, which eliminates
-those rows exactly and certifies nothing over F_p.  A block with no slots
-(N = 0) is "empty": its dimensions are 0 by counting, and the bound
-certifies nothing there.
+and h kept cocycles, independent modulo B, give H^1 >= h.  So when h are
+kept, Z = N - r1, B = b0 and H^1 = h are exact, with the certificate
+"cocycle-witness", and the kept cocycles are the representatives when they
+are asked for.  d1 is never eliminated over Q[alpha] there, so the report
+lists the pivot polynomials of d0 only.  Fewer kept candidates, or an
+entry with no image over F_p, send the block to the exact elimination of
+d1 on every row the scan assembled, certificate "exact": that report,
+representatives included, is ``h1_block``'s, which certifies nothing over
+F_p.  A block with no slots (N = 0) is "empty": its dimensions are 0 by
+counting, and the bound certifies nothing there.
 
 Blocks with n != 0 need no assembly.  ad H1 multiplies every monomial
 t^a tau^b xi^mask h^j by its n-degree a - b, in both engines (H1 is t*tau,
@@ -268,9 +274,10 @@ FP_PRIME = 2**61 - 1
 FP_ALPHA = 888315200261588941
 
 # Four root vectors that generate D(2,1;alpha) away from alpha = +-1.  Their
-# rows carry rational constants, so the witness meets no polynomial pivot
-# there; (E1, E2, D3, D4), whose rows carry alpha, scanned the star window 6
-# three times slower.
+# rows carry rational constants, which the exact elimination of d1
+# (``h1_block``) pivots on first; with (E1, E2, D3, D4), whose rows carry
+# alpha, ``h1_block`` on the n = 0 star P+ blocks of window 6 took 40 ms,
+# not 22.
 GENERATORS = ("E1", "F2", "F3", "D1")
 # The sets ``Engine.generators`` tries, in order: at alpha = +-1 the
 # bracket closure of GENERATORS is 15-dimensional, and E2, E3 complete it.
@@ -756,11 +763,12 @@ class CohomologyReport:
     pairs that touch the engine's generating set (``Engine.generators``),
     "modp-zero" for the F_p rank bound of ``h1_scan``, "cartan-zero" for
     the ad H1 argument on a block with n != 0 (no representatives, no
-    pivots for either), "cocycle-witness" for the F_p pivot rows of d1 and
-    verified cocycles of a scan, checked on the rows it assembled, those of
-    the generating set (pivots of its two exact eliminations; the verified
-    cocycles are the representatives), and "empty" for a block with no
-    slots, where every dimension is 0 by counting.
+    pivots for either), "cocycle-witness" for the F_p rank of d1 with the
+    paper's cocycles, checked by a scan on the rows it assembled, those of
+    the generating set, and independent modulo the exact span of d0 (the
+    pivots of d0 only; the checked cocycles are the representatives), and
+    "empty" for a block with no slots, where every dimension is 0 by
+    counting.
     """
 
     block: BlockSpec
@@ -811,24 +819,13 @@ def h1_block(block: BlockSpec, engine: Engine | None = None,
     return _block_report(block, engine or poisson_engine(), representatives, False)
 
 
-def _h1_exact(block: BlockSpec, slots, columns, bcols, representatives: bool,
-              rows1=None) -> CohomologyReport | None:
+def _h1_exact(block: BlockSpec, slots, columns, bcols, representatives: bool) -> CohomologyReport:
     """The exact report of an assembled block from its slots, d1 columns and
-    d0 columns, d1 eliminated on the rows ``rows1`` only (every row of the
-    columns when None).
-
-    With rows given, every kernel vector kept is checked to vanish on every
-    row of ``columns`` (``_is_cocycle``), which makes it a cocycle when the
-    columns hold the rows of a generating set, and the report
-    is a "cocycle-witness", or None when a check fails (module docstring).
-    Either way the kept vectors, independent modulo the coboundaries, are
+    d0 columns, d1 eliminated on every row of the columns.  The kernel
+    vectors kept, sparsest first, independent modulo the coboundaries, are
     the representatives when asked for.
     """
-    restricted = columns
-    if rows1 is not None:
-        rows1 = set(rows1)
-        restricted = [{key: c for key, c in vec.items() if key in rows1} for vec in columns]
-    kvecs, found1 = linalg.kernel_basis(restricted)
+    kvecs, found1 = linalg.kernel_basis(columns)
     span, found0 = _coboundary_span(slots, bcols)
     dim_z = len(slots) - len(found1)
     dim_h1 = dim_z - len(found0)
@@ -840,15 +837,55 @@ def _h1_exact(block: BlockSpec, slots, columns, bcols, representatives: bool,
         if len(kept) == dim_h1:
             break
         if span.insert(kv, ("z", len(kept))):
-            if rows1 is not None and not _is_cocycle(kv, columns):
-                return None
             kept.append(kv)
     if len(kept) != dim_h1:
         raise AssertionError("found %d of %d representatives" % (len(kept), dim_h1))
     reps = [_slots_to_cochain(slots, kv, block) for kv in kept] if representatives else []
     return CohomologyReport(block, dim_z, len(found0), dim_h1, reps,
-                            _pivot_union(linalg.pivot_polynomials(found1), found0),
-                            "exact" if rows1 is None else "cocycle-witness")
+                            _pivot_union(linalg.pivot_polynomials(found1), found0))
+
+
+def _witness_candidates(block: BlockSpec, engine: Engine) -> list:
+    """The paper's cocycles that may span H^1 of the block: theta1, theta2
+    and theta on the Poisson engine, h^(k/2) thetabar1 on the star engine
+    at even k >= 0 (module docstring).  Each is checked before it is used."""
+    if not engine.h_k_weight:
+        return [named_cocycle(name) for name in ("theta1", "theta2", "theta")]
+    if block.k < 0 or block.k % 2:
+        return []
+    return [named_cocycle("thetabar1").scale(_sym(h=block.k // 2))]
+
+
+def _witness_report(block: BlockSpec, engine: Engine, slots, columns, bcols, rank_d1: int,
+                    representatives: bool) -> CohomologyReport | None:
+    """The "cocycle-witness" report of an assembled block whose d1 has F_p
+    rank ``rank_d1``, or None unless exactly h = N - rank_d1 - rank d0
+    candidates are kept (module docstring).
+
+    A candidate of ``_witness_candidates``, evaluated at the engine's alpha
+    on a view, is kept when its terms are slots of the block, it vanishes
+    on every row of ``columns`` (``_is_cocycle``), and it enlarges the
+    exact span of the d0 columns and of the candidates kept before it.
+    """
+    value = engine._source[1] if engine._source else None
+    index = {slot: j for j, slot in enumerate(slots)}
+    span, found0 = _coboundary_span(slots, bcols)
+    dim_h1 = len(slots) - rank_d1 - len(found0)
+    kept = []
+    for c in _witness_candidates(block, engine):
+        vec = _cochain_vector(c)
+        if not vec.keys() <= index.keys():
+            continue
+        kv = {index[slot]: coeff for slot, coeff in vec.items()}
+        if value is not None:
+            kv = _image(kv, value)
+        if _is_cocycle(kv, columns) and span.insert(kv, ("z", len(kept))):
+            kept.append(kv)
+    if len(kept) != dim_h1:
+        return None
+    reps = [_slots_to_cochain(slots, kv, block) for kv in kept] if representatives else []
+    return CohomologyReport(block, len(slots) - rank_d1, len(found0), dim_h1, reps,
+                            linalg.pivot_polynomials(found0), "cocycle-witness")
 
 
 def _coboundary_span(slots, bcols):
@@ -885,16 +922,14 @@ def _is_cocycle(kv: dict, columns) -> bool:
 
 def _fp_rank(columns):
     """Pivot keys over F_p of the columns' images at alpha = FP_ALPHA
-    (``linalg.rank_mod_p``; their number is the rank), keys with an entry
-    that is not a rational constant taken last, or None when an entry has
-    no image there."""
+    (``linalg.rank_mod_p``; their number is the rank), or None when an entry
+    has no image there."""
     try:
         images = [{key: c.mod_p(FP_ALPHA, FP_PRIME) for key, c in vec.items()} for vec in columns]
     except (ValueError, ZeroDivisionError):
         # FP_PRIME divides a rational denominator, or FP_ALPHA is a root of one
         return None
-    late = {key for vec in columns for key, c in vec.items() if not c.is_rational()}
-    return linalg.rank_mod_p(images, FP_PRIME, late)
+    return linalg.rank_mod_p(images, FP_PRIME)
 
 
 def _block_report(block: BlockSpec, engine: Engine, representatives: bool,
@@ -909,11 +944,11 @@ def _block_report(block: BlockSpec, engine: Engine, representatives: bool,
 
     With ``certify``, the ranks r1, r0 of d1 and d0 over F_p are lower
     bounds for the exact ones, so H^1 <= N - r1 - r0 for N slots; when the
-    bound is 0 the block is "modp-zero".  Otherwise ``_h1_exact`` on the d1
-    rows of the F_p pivots settles it as "cocycle-witness",
-    representatives included.  When a check fails, or an entry has no
-    image over F_p, ``_h1_exact`` runs on every row assembled, so the
-    report is ``h1_block``'s.
+    bound is 0 the block is "modp-zero".  Otherwise ``_witness_report``
+    settles it as "cocycle-witness" with the paper's cocycles,
+    representatives included.  When too few candidates pass its checks, or
+    an entry has no image over F_p, ``_h1_exact`` runs on every row
+    assembled, so the report is ``h1_block``'s.
     """
     slots, columns, _, bcols = _assembly(block, engine, engine.generators)
     if not slots:
@@ -932,7 +967,7 @@ def _block_report(block: BlockSpec, engine: Engine, representatives: bool,
         rank_d1, rank_d0 = len(rows1), len(rows0)
         if rank_d1 + rank_d0 == len(slots):
             return CohomologyReport(block, len(slots) - rank_d1, rank_d0, 0, [], [], "modp-zero")
-        report = _h1_exact(block, slots, columns, bcols, representatives, rows1)
+        report = _witness_report(block, engine, slots, columns, bcols, rank_d1, representatives)
         if report is not None:
             return report
     return _h1_exact(block, slots, columns, bcols, representatives)
@@ -945,9 +980,9 @@ def h1_scan(k_range, n_range, target: str, engine: Engine | None = None, represe
     docstring).  A block with n = 0 comes from ``_assembly``, on the rows
     of the engine's generating set, and certified over F_p when it
     can be, by the F_p bound or by a cocycle witness, whose verified
-    cocycles are its representatives; else it is eliminated exactly on
-    those rows, as ``h1_block`` does.  An engine with an h depth cap is refused: its
-    blocks are not subcomplexes.
+    cocycles of the paper are its representatives; else it is eliminated
+    exactly on those rows, as ``h1_block`` does.  An engine with an h depth
+    cap is refused: its blocks are not subcomplexes.
     """
     engine = engine or poisson_engine()
     if engine.h_k_weight and engine.h_depth is not None:

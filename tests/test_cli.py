@@ -232,6 +232,26 @@ def test_cochain_file_outside_its_block_is_usage_error(tmp_path, capsys, argv):
     assert err == "error: %s: %s\n" % (tmp_path / "h_theta1.json", H_THETA1_VIOLATION)
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [["cup", "theta1.json", "bad.json"], ["deform", "verify", "--file", "deformation.json"]],
+    ids=["cup", "deformation"],
+)
+def test_cochain_file_image_that_does_not_parse(tmp_path, capsys, argv):
+    # exit code 1, as for any expression that does not parse, on one line
+    # naming the file and the image
+    (tmp_path / "theta1.json").write_text(json.dumps(THETA1_FILE))
+    (tmp_path / "bad.json").write_text(json.dumps({"images": {"H1": "1/0"}}))
+    (tmp_path / "deformation.json").write_text(
+        json.dumps({"engine": "poisson", "orders": ["theta1.json", "bad.json"]})
+    )
+    argv = [str(tmp_path / a) if a.endswith(".json") else a for a in argv]
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (1, "")
+    assert err == "error: %s: image of H1: division by zero (at position 1)\n" % (
+        tmp_path / "bad.json")
+
+
 TAU_NEG_FILE = {"images": {"T3": "tau^-1*xi1"}}
 TAU_NEG_MESSAGE = "T3 image term tau^-1*xi1 has tau < 0; the star engine computes in P+ only"
 

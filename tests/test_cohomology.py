@@ -859,31 +859,39 @@ def test_cocycle_witness_falls_back_to_exact(make_engine, block, representatives
     exact = coh.h1_block(block, engine, representatives=representatives)
     [rpt] = coh.h1_scan([block.k], [0], block.target, engine, representatives=representatives)
     assert rpt.certificate == "cocycle-witness"
-    rank_mod_p, kernel_basis = linalg.rank_mod_p, linalg.kernel_basis
+    rank_mod_p, candidates = linalg.rank_mod_p, coh._witness_candidates
 
-    calls = []
+    def raised(block, engine):
+        # each candidate with its first coefficient raised by one: no cocycle
+        out = []
+        for c in candidates(block, engine):
+            images = dict(c.images)
+            name, sym = next(iter(images.items()))
+            images[name] = sym + Symbol({next(iter(sym.terms)): S_ONE})
+            out.append(coh.Cochain1(images, c.block))
+        return out
 
-    def forged(columns):
-        # the first call is the witness's: each kernel vector with its first
-        # entry raised by one, no longer a cocycle; the exact path's are real
-        kvecs, found = kernel_basis(columns)
-        calls.append(columns)
-        for kv in kvecs if len(calls) == 1 else ():
-            j = next(iter(kv))
-            kv[j] = kv[j] + 1
-        return kvecs, found
+    def coboundary(block, engine):
+        return [coh.d0(Symbol({coh.enumerate_c0(block, engine)[0]: S_ONE}), engine, block)]
+
+    def outside(block, engine):
+        # an H1 image term of n-degree 1, in no block with n = 0
+        return [c + coh.Cochain1({"H1": mono(t=1)}) for c in candidates(block, engine)]
 
     patches = [
         (linalg, "rank_mod_p", lambda *args: rank_mod_p(*args)[:-1]),  # one pivot key dropped
-        (linalg, "kernel_basis", forged),
+        (coh, "_witness_candidates", raised),
+        (coh, "_witness_candidates", coboundary),
+        (coh, "_witness_candidates", outside),
+        (coh, "_witness_candidates", lambda block, engine: []),
     ]
-    for module, name, patch in patches:
+    for i, (module, name, patch) in enumerate(patches):
         with monkeypatch.context() as m:
             m.setattr(module, name, patch)
             [rpt] = coh.h1_scan([block.k], [0], block.target, engine, representatives=representatives)
-        assert rpt.certificate == "exact", name
-        assert _report_key(rpt) == _report_key(exact), name
-        assert rpt.representatives == exact.representatives, name
+        assert rpt.certificate == "exact", i
+        assert _report_key(rpt) == _report_key(exact), i
+        assert rpt.representatives == exact.representatives, i
         assert len(rpt.representatives) == (rpt.dim_h1 if representatives else 0)
 
 
@@ -1026,11 +1034,14 @@ GATE_ALPHAS = [0, 1, -1, 2, -2, Fraction(1, 2), Fraction(-1, 2), 3]
 
 
 @pytest.mark.parametrize("alpha", GATE_ALPHAS + [Fraction(1, coh.FP_PRIME)], ids=str)
-def test_alpha_blocks_are_the_evaluated_generic_blocks(alpha):
+def test_alpha_blocks_are_the_evaluated_generic_blocks(alpha, monkeypatch):
     # an engine at alpha reads its generic engine's blocks evaluated at
     # alpha: in values and key sets, the columns the reference engine
     # assembles from its own tables, on the rows of the same certified set,
-    # the same h1_block report, and the same scan
+    # the same h1_block report, and the same scan with no witness
+    # candidates (the reference engine knows no alpha, so the paper's
+    # cocycles fail its checks); the view's own scan has its dimensions
+    # and pivot lists
     for star, targets in ((False, coh.TARGETS), (True, ["P+"])):
         engine, reference = _engines(star, alpha)
         assert engine.generators == reference.generators
@@ -1047,8 +1058,12 @@ def test_alpha_blocks_are_the_evaluated_generic_blocks(alpha):
                        coh.CohomologyReport(block, 0, 0, 0, [], [], "empty"))
                 rpt = coh.h1_block(block, engine)
                 assert (rpt.to_payload(), rpt.certificate) == (own.to_payload(), own.certificate)
-            assert _payloads(coh.h1_scan(ks, [0], target, engine)) == \
-                _payloads(coh.h1_scan(ks, [0], target, reference)), target
+            scan = coh.h1_scan(ks, [0], target, engine)
+            with monkeypatch.context() as m:
+                m.setattr(coh, "_witness_candidates", lambda block, engine: [])
+                exact = coh.h1_scan(ks, [0], target, reference)
+                assert _payloads(coh.h1_scan(ks, [0], target, engine)) == _payloads(exact), target
+            assert [_report_key(r) for r in scan] == [_report_key(r) for r in exact], target
 
 
 def test_h1_block_refuses_a_block_the_cap_cuts():
