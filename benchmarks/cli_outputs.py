@@ -124,6 +124,8 @@ COMMANDS = (
        ["bracket", "--quantized", "t", "t + tau^-1"]]
     # a cochain file whose image does not parse: exit 1, naming file and image
     + [["cup", "theta1.json", "bad_image.json"]]
+    # refused: an empty alpha, which is no rational
+    + [["h1", "--target", "P", "--specialize", ""]]
 )
 
 

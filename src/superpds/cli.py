@@ -47,11 +47,13 @@ def _type_name(value) -> str:
 
 
 def _load_object(path: str) -> dict:
-    with open(path) as fh:
+    with open(path, encoding="utf-8") as fh:
         try:
             doc = json.load(fh)
         except json.JSONDecodeError as exc:
             raise InputError("%s: not valid JSON: %s" % (path, exc))
+        except UnicodeDecodeError as exc:
+            raise InputError("%s: not UTF-8 text: %s" % (path, exc))
     if not isinstance(doc, dict):
         raise InputError("%s: expected a JSON object, got %s" % (path, _type_name(doc)))
     return doc
@@ -259,7 +261,7 @@ def cmd_h1(args):
         # the star engine keeps no tau < 0 monomial, so any other target
         # would report a slice of the P+ computation under its own name
         raise InputError("h1 --quantized computes target P+ only, got %s" % args.target)
-    alpha = _fraction(args.specialize) if args.specialize else None
+    alpha = _fraction(args.specialize) if args.specialize is not None else None
     engine = _engine(args, alpha=alpha)
     if args.k is not None or args.n is not None:
         if args.k is None or args.n is None:

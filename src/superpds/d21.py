@@ -13,16 +13,29 @@ Two realizations live here:
 The isomorphism between the two multiplies the odd part by the constant
 sqrt(2)i.  ``verify_iso`` tracks that factor by parity, so every coefficient
 stays in Q(alpha).
+
+Both super-Jacobi checks take one triple per cyclic orbit, numbered in
+lexicographic order (``_orbit_terms``), and check all orbits in one pass;
+the first failing orbit is the first failing triple of the full
+lexicographic scan.  ``jacobi_check_abstract`` sums each orbit's J on the
+ints of the table, split once over one common denominator D: every product
+carries the same nonzero 1/D^2, so an int sum is zero exactly when J is.
+``jacobi_check_embedded`` tags orbit o with beta^o, which is central and
+never differentiated, so 2 n brackets for n names give every orbit's J as
+its own beta slice, independent of the others; the lowest tag of a nonzero
+sum is the first failing orbit.  That orbit's residual is computed from
+its three terms.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from itertools import permutations
+from itertools import islice, permutations
 from math import lcm as int_lcm
 
-from .scalars import ALPHA, POLY_ONE, S_ONE, S_ZERO, Scalar
+from . import kernel
+from .scalars import ALPHA, POLY_ONE, S_ONE, S_ZERO, Scalar, split_layers
 from .symbols import Symbol
 
 EVEN_NAMES = ("E1", "F1", "H1", "E2", "F2", "H2", "E3", "F3", "H3")
@@ -228,32 +241,76 @@ def _cyclic_orbit_triples(names):
                 yield x, names[j], z
 
 
+def _orbit_terms(names, parity):
+    """The graded Jacobi sum of each orbit, as three terms.
+
+    Yields, per triple (x, y, z) of ``_cyclic_orbit_triples(names)`` and in
+    its order, the triple and its terms (a, (b, c), sign): (x, (y, z)),
+    (y, (z, x)) and (z, (x, y)), the sign -1 when both names of (x, z),
+    (y, x) or (z, y) respectively are odd, so that
+    J(x, y, z) = sum sign [a, [b, c]].
+    """
+    for x, y, z in _cyclic_orbit_triples(names):
+        yield (x, y, z), ((x, (y, z), -1 if parity[x] and parity[z] else 1),
+                          (y, (z, x), -1 if parity[y] and parity[x] else 1),
+                          (z, (x, y), -1 if parity[z] and parity[y] else 1))
+
+
+def _abstract_jacobi(alg: AbstractAlgebra, terms) -> dict:
+    """J of one orbit's ``terms`` as a name -> Scalar map, from the table."""
+    acc: dict = {}
+    for a, pair, sign in terms:
+        for n, c in alg.bracket_elements({a: S_ONE}, alg.table[pair]).items():
+            _add_into(acc, n, c if sign > 0 else -c)
+    return acc
+
+
 def jacobi_check_abstract(alg: AbstractAlgebra):
     """Graded Jacobi identity over all ordered basis triples.
 
     The graded Jacobi sum J(x, y, z) is the same three terms as J(y, z, x),
-    so one triple per cyclic orbit is checked (``_cyclic_orbit_triples``)
-    and every ordered triple is still covered.  All rotations of a failing
-    triple fail with the same residual, so the first failing triple of the
-    full lexicographic scan is the smallest of its orbit, the one checked
-    here: the result is that of the full scan.
+    so one triple per cyclic orbit is checked (``_orbit_terms``) and every
+    ordered triple is still covered.  All rotations of a failing triple
+    fail with the same residual, so the first failing triple of the full
+    lexicographic scan is the smallest of its orbit, and the orbits come in
+    lexicographic order: the first failing orbit gives the result of the
+    full scan.
+
+    The table is split once into int alpha-power layers over one common
+    denominator D (``scalars.split_layers`` on all its entries), and each
+    orbit's J is summed as int products v1 v2 sign per (name, alpha power).
+    Every product carries the same factor 1/D^2, which is nonzero, so an
+    orbit's sums are all zero exactly when its J is, for polynomial
+    denominators too.  The residual of the first failing orbit is computed
+    from the table (``_abstract_jacobi``).
 
     Returns None on success, else (triple, residual-coefficient-map).
     """
-    par = alg.parity
-    for x, y, z in _cyclic_orbit_triples(alg.names):
+    layers, _, _ = split_layers({(pair, n): c for pair, row in alg.table.items()
+                                 for n, c in row.items()})
+    entries: dict = {}  # pair -> [(name, alpha power, int)]
+    for e, layer in layers.items():
+        for (pair, n), v in layer.items():
+            entries.setdefault(pair, []).append((n, e, v))
+    for triple, terms in _orbit_terms(alg.names, alg.parity):
         acc: dict = {}
-        for coeff_map, sign_pair in (
-            (alg.bracket_elements({x: S_ONE}, alg.table[(y, z)]), (x, z)),
-            (alg.bracket_elements({y: S_ONE}, alg.table[(z, x)]), (y, x)),
-            (alg.bracket_elements({z: S_ONE}, alg.table[(x, y)]), (z, y)),
-        ):
-            sign = -1 if par[sign_pair[0]] and par[sign_pair[1]] else 1
-            for n, c in coeff_map.items():
-                _add_into(acc, n, c if sign > 0 else -c)
-        if acc:
-            return (x, y, z), acc
+        for a, pair, sign in terms:
+            for n, e1, v1 in entries.get(pair, ()):
+                for m, e2, v2 in entries.get((a, n), ()):
+                    key = (m, e1 + e2)
+                    acc[key] = acc.get(key, 0) + sign * v1 * v2
+        if any(acc.values()):
+            return triple, _abstract_jacobi(alg, terms)
     return None
+
+
+def _embedded_jacobi(basis, terms) -> Symbol:
+    """-J of one orbit's ``terms`` for the Poisson bracket of ``basis``."""
+    acc = Symbol.zero()
+    for a, (b, c), sign in terms:
+        term = basis[a].poisson(basis[b].poisson(basis[c]))
+        acc = acc + term if sign < 0 else acc - term
+    return acc
 
 
 def jacobi_check_embedded(basis=None):
@@ -262,24 +319,63 @@ def jacobi_check_embedded(basis=None):
     As in ``jacobi_check_abstract``, one triple per cyclic orbit is checked,
     and the first failing triple and its residual are those of the full
     lexicographic scan.  The residual returned is -J(x, y, z).
+
+    All orbits are checked at once, with beta as a tag, in 2 n brackets
+    for n names.  beta is central and never differentiated, so with no
+    beta in the basis (a basis term carrying beta raises ValueError, as in
+    ``cohomology.Engine``), {b, sum_i beta^i basis_i} has {b, basis_i} as its
+    beta^i slice: n tagged walks give every pair bracket (the lemma of
+    ``cohomology._brackets``).  Orbit o's terms put sign beta^o {b, c} into
+    the operand R_a of their left name a, and the sum over a of {a, R_a}
+    has J of orbit o as its beta^o slice.  The tags are distinct, so the
+    slices are independent: the sum is zero exactly when every orbit's J
+    is, and otherwise its lowest beta power is the first failing orbit.
+
+    Each basis element enters on its int alpha-power layers with its own
+    denominator dropped, that is multiplied by a nonzero constant of
+    Q(alpha).  The bracket is bilinear over Q(alpha), so an orbit's J is
+    scaled by the product of its three constants, which leaves its zero
+    test exact.  The residual of the first failing orbit is computed from
+    the basis itself (``_embedded_jacobi``).
     """
     basis = basis or embedded_basis()
     names = list(basis)
-    pair = {
-        (x, y): basis[x].poisson(basis[y]) for x in names for y in names
-    }
-    for x, y, z in _cyclic_orbit_triples(names):
-        px, py, pz = PARITY[x], PARITY[y], PARITY[z]
-        acc = basis[x].poisson(pair[(y, z)])
-        if not (px and pz):
-            acc = -acc  # move the (-1)^(p(x)p(z)) prefactor onto one term
-        term = basis[y].poisson(pair[(z, x)])
-        acc = (acc + term) if (py and px) else (acc - term)
-        term = basis[z].poisson(pair[(x, y)])
-        acc = (acc + term) if (pz and py) else (acc - term)
-        if acc:
-            return (x, y, z), acc
-    return None
+    for name in names:
+        for key, c in basis[name].terms.items():
+            if key[3]:
+                raise ValueError("basis element %s has a beta term %s" % (name, Symbol({key: c})))
+    split = {name: (basis[name].layers()[0], 1, None) for name in names}
+    tagged: dict = {}
+    for i, name in enumerate(names):
+        for e, layer in split[name][0].items():
+            tagged.setdefault(e, {}).update(((t, u, m, i, h), v) for (t, u, m, _, h), v in layer.items())
+    pairs: dict = {}  # (b, c) -> [(alpha power, t, u, mask, h, int)]
+    for b in names:
+        for e, layer in kernel.poisson_terms(split[b], (tagged, 1, None))[0].items():
+            for (t, u, m, i, h), v in layer.items():
+                pairs.setdefault((b, names[i]), []).append((e, t, u, m, h, v))
+    lefts: dict = {name: [] for name in names}  # a -> [(orbit, pair, sign)]
+    for o, (_, terms) in enumerate(_orbit_terms(names, PARITY)):
+        for a, pair, sign in terms:
+            lefts[a].append((o, pair, sign))
+    total: dict = {}
+    for a, a_terms in lefts.items():  # one R_a at a time: memory stays flat
+        r: dict = {}  # layers of R_a
+        for o, pair, sign in a_terms:
+            for e, t, u, m, h, v in pairs.get(pair, ()):
+                layer = r.setdefault(e, {})
+                key = (t, u, m, o, h)
+                if nv := layer.get(key, 0) + sign * v:
+                    layer[key] = nv
+                else:
+                    del layer[key]
+        for e, layer in kernel.poisson_terms(split[a], (r, 1, None))[0].items():
+            total[e] = kernel.add_terms(total.get(e, {}), layer)
+    o = min((key[3] for layer in total.values() for key in layer), default=None)
+    if o is None:
+        return None
+    triple, terms = next(islice(_orbit_terms(names, PARITY), o, None))
+    return triple, _embedded_jacobi(basis, terms)
 
 
 def sigma_equivalent(sigma, sigma_prime):

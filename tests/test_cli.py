@@ -252,6 +252,25 @@ def test_cochain_file_image_that_does_not_parse(tmp_path, capsys, argv):
         tmp_path / "bad.json")
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [["cup", "bin.json", "bin.json"], ["deform", "verify", "--file", "bin.json"],
+     ["deform", "verify", "--file", "deformation.json"]],
+    ids=["cup", "deformation", "deformation-order"],
+)
+def test_input_file_that_is_not_utf8(tmp_path, capsys, argv):
+    # a malformed input file: exit code 2, on one line naming the file
+    (tmp_path / "bin.json").write_bytes(b"\xff\xfe")
+    (tmp_path / "deformation.json").write_text(
+        json.dumps({"engine": "poisson", "orders": ["bin.json"]})
+    )
+    argv = [str(tmp_path / a) if a.endswith(".json") else a for a in argv]
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err == ("error: %s: not UTF-8 text: 'utf-8' codec can't decode byte 0xff in "
+                   "position 0: invalid start byte\n" % (tmp_path / "bin.json"))
+
+
 TAU_NEG_FILE = {"images": {"T3": "tau^-1*xi1"}}
 TAU_NEG_MESSAGE = "T3 image term tau^-1*xi1 has tau < 0; the star engine computes in P+ only"
 
@@ -470,8 +489,11 @@ def test_window_variable_is_read_by_h1_only(monkeypatch, capsys):
          "invalid rational 'abc': Invalid literal for Fraction: 'abc'"),
         (["basis", "--alpha", "1/0"], "invalid rational '1/0': Fraction(1, 0)"),
         (["h1", "--target", "K4", "--k", "0", "--n", "0"], "K4-valued blocks require k = 2"),
+        # an empty value is refused, not read as no value
+        (["h1", "--target", "P", "--specialize", ""],
+         "invalid rational '': Invalid literal for Fraction: ''"),
     ],
-    ids=["specialize", "alpha", "K4-k"],
+    ids=["specialize", "alpha", "K4-k", "specialize-empty"],
 )
 def test_bad_argument_is_usage_error(capsys, argv, message):
     code, out, err = run(capsys, *argv)

@@ -152,6 +152,67 @@ def test_jacobi_embedded_matches_full_scan(monkeypatch):
     assert (found[0], str(found[1])) == (("E1", "F1", "H1"), "-64*t*tau")
 
 
+def test_jacobi_embedded_takes_the_lowest_failing_orbit(monkeypatch):
+    basis = d21.embedded_basis()
+    poisson = kernel.poisson_terms
+
+    def broken(a, b):
+        # breaks Jacobi on odd output keys only: the coefficient at a mask
+        # of three generators is tripled
+        layers, d, den = poisson(a, b)
+        return ({e: {key: v * 3 if key[2].bit_count() == 3 else v for key, v in layer.items()}
+                 for e, layer in layers.items()}, d, den)
+
+    monkeypatch.setattr(kernel, "poisson_terms", broken)
+    expected = _full_scan(list(basis), _embedded_residual(basis))
+    found = d21.jacobi_check_embedded()
+    assert found == expected
+    # the first of 308 failing orbits, 296th of 1649; the last is 1471st
+    orbits = list(d21._cyclic_orbit_triples(list(basis)))
+    assert orbits.index(found[0]) == 296
+    assert _embedded_residual(basis)("H3", "D4", "D3")
+
+
+def test_jacobi_embedded_brackets_twice_per_name(monkeypatch):
+    calls = []
+    poisson_terms = kernel.poisson_terms
+
+    def counted(a, b):
+        calls.append(1)
+        return poisson_terms(a, b)
+
+    monkeypatch.setattr(kernel, "poisson_terms", counted)
+    assert d21.jacobi_check_embedded() is None
+    assert len(calls) == 2 * len(d21.BASIS_NAMES)
+
+
+def test_jacobi_embedded_refuses_a_beta_term():
+    basis = dict(d21.embedded_basis())
+    basis["H1"] = basis["H1"] + Symbol.monomial(t=1, tau=1, beta=1)
+    with pytest.raises(ValueError, match="basis element H1 has a beta term"):
+        d21.jacobi_check_embedded(basis)
+
+
+@pytest.mark.parametrize("pair,deltas", [
+    ((("v", 2, 1, 2), ("Phi", 1, 1, 1)), {("Phi", 3, 1, 2): ALPHA}),
+    ((("Phi", 2, 1, 2), ("v", 1, 2, 2)), {("Phi", 2, 1, 1): S_ONE / (ALPHA + 1)}),
+    ((("v", 2, 2, 1), ("v", 1, 1, 2)), {("Phi", 1, 1, 2): Scalar.from_fraction(Fraction(1, 3))}),
+    # zero at alpha = 1: the alpha powers of the sums must be kept apart
+    ((("v", 2, 1, 2), ("Phi", 1, 1, 1)), {("Phi", 3, 1, 2): ALPHA - 1}),
+    # J's coefficients sum to zero over the names: they must be kept apart
+    ((("Phi", 3, 1, 1), ("Phi", 3, 1, 1)), {("v", 2, 2, 1): S_ONE, ("v", 2, 1, 2): -S_ONE}),
+])
+def test_jacobi_abstract_with_a_perturbed_constant_matches_full_scan(pair, deltas):
+    alg = d21.abstract_algebra(*d21.standard_sigma())
+    row = dict(alg.table[pair])
+    for name, delta in deltas.items():
+        row[name] = row[name] + delta if name in row else delta
+    alg.table[pair] = row
+    expected = _full_scan(alg.names, _abstract_residual(alg))
+    assert expected is not None
+    assert d21.jacobi_check_abstract(alg) == expected
+
+
 def test_cyclic_orbit_triples():
     names = d21.BASIS_NAMES
     triples = list(d21._cyclic_orbit_triples(names))
