@@ -51,6 +51,9 @@ FIXTURES = {
     "star_deformation.json": {"engine": "star", "orders": ["tau_neg.json"]},
     # an image that does not parse
     "bad_image.json": {"images": {"H1": "1/0"}},
+    # misspelled top-level keys, refused rather than read as zero
+    "misspelled_images.json": {"image": {"F1": "t^-2"}},
+    "misspelled_orders.json": {"order": ["theta1.json"]},
 }
 
 H1_BLOCKS = [("0", "0"), ("4", "-2"), ("4", "0"), ("2", "-6")]
@@ -126,6 +129,10 @@ COMMANDS = (
     + [["cup", "theta1.json", "bad_image.json"]]
     # refused: an empty alpha, which is no rational
     + [["h1", "--target", "P", "--specialize", ""]]
+    # refused: a misspelled images or orders key, once a silent zero
+    + [["cocycle", "--file", "misspelled_images.json"],
+       ["cup", "misspelled_images.json", "misspelled_images.json"],
+       ["deform", "verify", "--file", "misspelled_orders.json"]]
 )
 
 

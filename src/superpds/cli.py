@@ -5,6 +5,14 @@ failed verification, an unsolvable system) or an expression that does not
 parse, 2 usage error (a bad argument or a malformed input file).  ``--json``
 switches the output to a machine-readable document built from the same
 payload as the text rendering.
+
+Input files are JSON objects in UTF-8 with closed schemas.  A cochain file
+has the key ``images`` (``{"images": {}}`` is the zero cochain) and may have
+``block``; a deformation file has the key ``orders`` and may have
+``engine``.  A missing ``images`` or ``orders``, or any other top-level
+key, is a usage error naming the file and the key, so a misspelled key is
+never read as the zero cochain or the undeformed map.  A UTF-8 byte-order
+mark is not accepted: such a file is "not valid JSON", exit code 2.
 """
 
 from __future__ import annotations
@@ -46,7 +54,9 @@ def _type_name(value) -> str:
     return type(value).__name__
 
 
-def _load_object(path: str) -> dict:
+def _load_object(path: str, keys) -> dict:
+    """The JSON object in ``path``; InputError unless its top-level keys
+    are among ``keys``."""
     with open(path, encoding="utf-8") as fh:
         try:
             doc = json.load(fh)
@@ -56,11 +66,14 @@ def _load_object(path: str) -> dict:
             raise InputError("%s: not UTF-8 text: %s" % (path, exc))
     if not isinstance(doc, dict):
         raise InputError("%s: expected a JSON object, got %s" % (path, _type_name(doc)))
+    for key in doc:
+        if key not in keys:
+            raise InputError("%s: unknown key %r, expected %s" % (path, key, " or ".join(keys)))
     return doc
 
 
 def _load_cochain(path: str):
-    doc = _load_object(path)
+    doc = _load_object(path, ("images", "block"))
     texts = doc.get("images", {})
     if not isinstance(texts, dict):
         raise InputError("%s: images must be an object, got %s" % (path, _type_name(texts)))
@@ -90,6 +103,8 @@ def _load_cochain(path: str):
                 raise InputError("%s: block field %r must be %s, got %s"
                                  % (path, field, kind.__name__, got))
         block = _block_spec(b["k"], b["n"], b["target"], "%s: " % path)
+    if "images" not in doc:  # after the block, whose own errors say more
+        raise InputError("%s: missing key 'images'" % path)
     return coh.Cochain1(images, block)
 
 
@@ -398,7 +413,9 @@ def cmd_solve_obstruction(args):
 
 
 def _load_deformation(path: str) -> deform.DeformedMap:
-    doc = _load_object(path)
+    doc = _load_object(path, ("engine", "orders"))
+    if "orders" not in doc:
+        raise InputError("%s: missing key 'orders'" % path)
     engine_name = doc.get("engine", "poisson")
     if engine_name in ("star", "hbracket", "quantized"):
         engine = coh.quantized_engine()
@@ -407,7 +424,7 @@ def _load_deformation(path: str) -> deform.DeformedMap:
     else:
         raise InputError("%s: unknown engine %r" % (path, engine_name))
     base = os.path.dirname(path)
-    entries = doc.get("orders", [])
+    entries = doc["orders"]
     if not isinstance(entries, list):
         raise InputError("%s: orders must be a list, got %s" % (path, _type_name(entries)))
     orders = []

@@ -64,7 +64,8 @@ with an h depth cap too: only the block's slots are capped, not d1 c.
 
 Which rows a path uses: every report (``h1_block`` and ``h1_scan``, for
 the F_p ranks, the witness's cocycle checks and the exact elimination
-both end in) reads d1 on the rows of ``engine.generators``, while ``d1``,
+both end in) reads d1 on the rows of ``engine.generators`` (the
+h-filtration, below, on those of the Poisson engine's), while ``d1``,
 ``cup`` and ``solve_obstruction``, which must meet a right-hand side on
 every pair, use every pair.
 
@@ -87,11 +88,10 @@ A block with a positive bound is settled by a witness checked exactly (a
 certifying algorithm: McConnell, Mehlhorn, Naher and Schweitzer, Computer
 Science Review 5, 2011), built from the paper's own cocycles
 (``_witness_candidates``, ``named_cocycle``): theta1, theta2 and theta on
-the Poisson engine, and h^j thetabar1 on the star engine at k = 2j >= 0.
-h is central in the star algebra, so d1(h^j c) = h^j d1(c), and h^j
-thetabar1 is a cocycle because thetabar1 is one; it lies in block (2j, 0).
-On a view at alpha each candidate is evaluated through the engine's
-substitution.  A candidate is kept when its terms are slots of the block,
+the Poisson engine; the star engine's tower is settled by the
+h-filtration below.  On a view at alpha each candidate is evaluated
+through the engine's substitution.  A candidate is kept when its terms are
+slots of the block,
 it vanishes exactly on every row the scan assembled (``_is_cocycle``), so
 it is a cocycle by the lemma above, and it enlarges the exact span of the
 d0 columns and of the candidates kept before it.  With b0 the exact rank
@@ -109,6 +109,69 @@ d1 on every row the scan assembled, certificate "exact": that report,
 representatives included, is ``h1_block``'s, which certifies nothing over
 F_p.  A block with no slots (N = 0) is "empty": its dimensions are 0 by
 counting, and the bound certifies nothing there.
+
+A scan of the uncapped star engine settles its P+ blocks (k, 0) from the
+h-filtration (``_filtration_report``) and assembles no star d1 or d0.
+
+The filtration lemma.  Filter a star block (k, 0) by h power.  Its slots
+are the slots of the classical P+ blocks (k - 2j, 0) times h^j, j >= 0
+(``_monomials``: one h power carries k-degree 2, under the P+ rule
+tau_exp >= 0), and so are its C^0 keys.  h is central, each star basis
+element is its classical one plus terms with h
+(``quantize.gamma_h_basis``), the h^0 part of [., .]_h is the Poisson
+bracket, and the structure tables are the same
+(``quantize.verify_h_structure_match``).  So d1 and d0 never lower the h
+power, and their pieces from h^j to h^j are the classical P+ d1 and d0 of
+block (k - 2j, 0): ordered by h power, each star matrix is
+block-triangular with the classical matrices on its diagonal.  Such a
+matrix has rank at least the sum of its diagonal blocks' ranks:
+nonsingular minors of the diagonal blocks make together a
+block-triangular minor, whose determinant is their product.  With r1(k')
+the F_p rank of classical d1 on its generating-set rows and r0(k') that
+of classical d0, each a lower bound for the exact rank (above), and N the
+star block's slots,
+
+    H^1 <= N - sum_j r1(k - 2j) - sum_j r0(k - 2j).
+
+Each classical block is ranked once per scan, on the Poisson engine at
+the same alpha (``Engine._classical``), and every star block that meets
+it shares the ranks.  A bound of 0 settles the block, with Z and B exact
+as for "modp-zero", certificate "h-filtration".
+
+The cocycle.  h^j thetabar1 lies in block (2j, 0).  h is central, so
+d1(h^j c) = h^j d1(c) on every pair, and h^j thetabar1 is a cocycle for
+every j as soon as thetabar1 is one.  That is checked once per generic
+star engine, by ``d1`` on every pair (``Engine.thetabar1_is_cocycle``),
+never per block.  On a view at alpha the candidate is evaluated through
+the substitution, and d1 of it is the evaluation of a polynomial in alpha
+that is zero.
+
+Not a coboundary, for every j.  Suppose h^j thetabar1 = d0(m) in block
+(2j, 0), and let h^i m_i be the lowest nonzero h piece of m, m_i in C^0
+of the classical block (2j - 2i, 0).  By the lemma the h^i piece of d0(m)
+is d0_P+(m_i), and thetabar1 is theta1 plus h times an F1 term, so the
+lowest piece of h^j thetabar1 is h^j theta1.
+
+  - i < j: the h^i piece of h^j thetabar1 is 0, so d0_P+(m_i) = 0 in the
+    classical block (2j - 2i, 0), whose k is positive; d0 is injective
+    there, so m_i = 0, a contradiction.
+  - i = j: theta1 = d0_P+(m_j), with m_j in C^0 of the classical block
+    (0, 0), the constants, whose d0 is 0; but theta1 is not 0.
+  - i > j (m = 0 among them): the h^j piece of d0(m) is 0, not theta1.
+
+Classical d0 is injective on C^0 of block (k', 0) when r0(k') = |C^0(k')|.
+C^0 of a P+ block with k' < 0 is empty, and the constant of block (0, 0)
+is a kernel vector, so sum_j r0(k - 2j) = |C^0| - 1 for the star block
+holds exactly when classical d0 is injective on every piece with k' > 0.
+No star d0 is built.  So a bound of 1 at k = 2j >= 0, with that sum and
+the check, gives H^1 = 1 with h^j thetabar1 as its representative; since
+H^1 equals the bound, Z = N - sum r1 and B = sum r0 are exact, no pivot
+polynomial is met, and the certificate is "h-filtration".  Anything else
+(an entry with no image over F_p, as at alpha = 1/FP_PRIME, a bound above
+1 or a failed condition) sends the star block to ``_assembly`` and the
+exact elimination, certificate "exact": ``h1_block``'s report, which
+keeps that exact path as the oracle.  Up to k = 80 the bound is 1 at even
+k >= 0 and 0 elsewhere.
 
 Blocks with n != 0 need no assembly.  ad H1 multiplies every monomial
 t^a tau^b xi^mask h^j by its n-degree a - b, in both engines (H1 is t*tau,
@@ -188,7 +251,7 @@ from __future__ import annotations
 import copy
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property, lru_cache
+from functools import cached_property, lru_cache, partial
 
 from . import d21, linalg
 from .d21 import BASIS_NAMES, PARITY
@@ -340,7 +403,10 @@ class Engine:
     The star engine is the one whose h powers carry k-degree
     (``h_k_weight`` nonzero).  No basis term may carry beta: block assembly
     tags monomials with beta powers (``_brackets``), so the constructor
-    raises ValueError on a basis term with a beta exponent.
+    raises ValueError on a basis term with a beta exponent.  On the
+    uncapped star engines ``_engine`` builds, ``_classical`` gives the
+    Poisson engine at the same alpha, for the h-filtration (module
+    docstring); it is None elsewhere.
     """
 
     def __init__(self, basis, bracket, struct, h_k_weight, h_depth):
@@ -365,6 +431,7 @@ class Engine:
         self._slot_sets: dict = {}  # BlockSpec -> set(enumerate_c1(block, self))
         self._blocks: dict | None = {}  # (k, n, rows) -> P block (``_assembly``); None on a view
         self._source = None  # on a view: (generic engine, substitution of alpha or None)
+        self._classical = None
 
     @cached_property
     def generators(self):
@@ -378,6 +445,11 @@ class Engine:
         (module docstring): every pair for BASIS_NAMES.
         """
         return next((names for names in GENERATING_SETS if generates(self, names)), BASIS_NAMES)
+
+    @cached_property
+    def thetabar1_is_cocycle(self) -> bool:
+        """Whether ``d1`` of thetabar1 vanishes on every pair (the h-filtration)."""
+        return pairmap_is_zero(d1(named_cocycle("thetabar1"), self))
 
     def _incidence(self):
         """Where an elementary cochain c (c(X) = m, zero elsewhere) lives.
@@ -473,12 +545,15 @@ def _engine(star: bool, alpha, h_depth) -> Engine:
             engine.h_depth, engine._slot_sets = h_depth, {}
         engine._blocks = None
         engine._source = (generic, None if alpha is None else _substitution(alpha))
+        engine._classical = partial(_engine, False, alpha, None) if star and h_depth is None else None
         return engine
     if star:
         from . import quantize
 
-        return Engine(quantize.gamma_h_basis(), quantize.h_bracket, d21.structure_table(),
-                      h_k_weight=2, h_depth=None)
+        engine = Engine(quantize.gamma_h_basis(), quantize.h_bracket, d21.structure_table(),
+                        h_k_weight=2, h_depth=None)
+        engine._classical = partial(_engine, False, None, None)
+        return engine
     return Engine(d21.embedded_basis(), lambda a, b: a.poisson(b), d21.structure_table(),
                   h_k_weight=0, h_depth=0)
 
@@ -766,9 +841,10 @@ class CohomologyReport:
     pivots for either), "cocycle-witness" for the F_p rank of d1 with the
     paper's cocycles, checked by a scan on the rows it assembled, those of
     the generating set, and independent modulo the exact span of d0 (the
-    pivots of d0 only; the checked cocycles are the representatives), and
-    "empty" for a block with no slots, where every dimension is 0 by
-    counting.
+    pivots of d0 only; the checked cocycles are the representatives),
+    "h-filtration" for a star P+ block of a scan, from classical P+ ranks
+    and h^(k/2) thetabar1 (its representative; no pivots), and "empty" for
+    a block with no slots, where every dimension is 0 by counting.
     """
 
     block: BlockSpec
@@ -816,7 +892,7 @@ def h1_block(block: BlockSpec, engine: Engine | None = None,
     ``_assembly``, cut out of a stored P block when there is one (module
     docstring).
     """
-    return _block_report(block, engine or poisson_engine(), representatives, False)
+    return _block_report(block, engine or poisson_engine(), representatives)
 
 
 def _h1_exact(block: BlockSpec, slots, columns, bcols, representatives: bool) -> CohomologyReport:
@@ -846,14 +922,10 @@ def _h1_exact(block: BlockSpec, slots, columns, bcols, representatives: bool) ->
 
 
 def _witness_candidates(block: BlockSpec, engine: Engine) -> list:
-    """The paper's cocycles that may span H^1 of the block: theta1, theta2
-    and theta on the Poisson engine, h^(k/2) thetabar1 on the star engine
-    at even k >= 0 (module docstring).  Each is checked before it is used."""
-    if not engine.h_k_weight:
-        return [named_cocycle(name) for name in ("theta1", "theta2", "theta")]
-    if block.k < 0 or block.k % 2:
-        return []
-    return [named_cocycle("thetabar1").scale(_sym(h=block.k // 2))]
+    """The paper's cocycles that may span H^1 of a Poisson block: theta1,
+    theta2 and theta (module docstring; the star tower is the
+    h-filtration's).  Each is checked before it is used."""
+    return [named_cocycle(name) for name in ("theta1", "theta2", "theta")]
 
 
 def _witness_report(block: BlockSpec, engine: Engine, slots, columns, bcols, rank_d1: int,
@@ -932,24 +1004,75 @@ def _fp_rank(columns):
     return linalg.rank_mod_p(images, FP_PRIME)
 
 
+def _fp_ranks(columns, bcols):
+    """(r1, r0), the F_p ranks of the d1 and d0 columns, or None when an
+    entry has no image over F_p."""
+    rows1 = _fp_rank(columns)
+    rows0 = None if rows1 is None else _fp_rank(bcols)
+    return None if rows0 is None else (len(rows1), len(rows0))
+
+
+def _filtration_report(block: BlockSpec, engine: Engine, ranks: dict,
+                       representatives: bool) -> CohomologyReport | None:
+    """The "h-filtration" report of a star P+ block (k, 0), or None
+    (module docstring).  ``ranks``, the scan's, maps k' to ``_fp_ranks`` of
+    the classical P+ block (k', 0); a missing k' is ranked here."""
+    slots = enumerate_c1(block, engine)
+    if not slots:
+        return CohomologyReport(block, 0, 0, 0, [], [], "empty")
+    classical = engine._classical()
+    r1 = r0 = 0
+    for h in {key[4] for _, key in slots}:  # the pieces (k - 2h, 0)
+        k = block.k - 2 * h
+        if k not in ranks:
+            _, columns, _, bcols = _assembly(BlockSpec(k, 0, "P+"), classical, classical.generators)
+            ranks[k] = _fp_ranks(columns, bcols)
+        if ranks[k] is None:
+            return None
+        r1, r0 = r1 + ranks[k][0], r0 + ranks[k][1]
+    bound, reps = len(slots) - r1 - r0, []
+    if bound:
+        generic, value = engine._source or (engine, None)
+        if (bound > 1 or block.k < 0 or block.k % 2 or r0 != len(enumerate_c0(block, engine)) - 1
+                or not generic.thetabar1_is_cocycle):
+            return None
+        images = named_cocycle("thetabar1").scale(_sym(h=block.k // 2)).images
+        if value is not None:
+            images = {name: Symbol(_image(sym.terms, value)) for name, sym in images.items()}
+        tower = Cochain1(images, block)
+        if not _cochain_vector(tower).keys() <= set(slots):
+            return None
+        reps = [tower] if representatives else []
+    return CohomologyReport(block, len(slots) - r1, r0, bound, reps, [], "h-filtration")
+
+
 def _block_report(block: BlockSpec, engine: Engine, representatives: bool,
-                  certify: bool) -> CohomologyReport:
+                  ranks: dict | None = None) -> CohomologyReport:
     """The report of a block from its assembly (``_assembly``).
 
     d1 is assembled on the pairs that touch the engine's generating set
     (``Engine.generators``), which have the kernel of the full d1 (module
     docstring).  A block with no slots is "empty".  On an engine with an h
     depth cap, a block that d0 leaves is not a subcomplex: ValueError.
-    Unless ``certify``, the block is eliminated exactly on those rows.
+    With ``ranks`` None (``h1_block``), the block is eliminated exactly on
+    those rows.
 
-    With ``certify``, the ranks r1, r0 of d1 and d0 over F_p are lower
-    bounds for the exact ones, so H^1 <= N - r1 - r0 for N slots; when the
-    bound is 0 the block is "modp-zero".  Otherwise ``_witness_report``
-    settles it as "cocycle-witness" with the paper's cocycles,
-    representatives included.  When too few candidates pass its checks, or
-    an entry has no image over F_p, ``_h1_exact`` runs on every row
-    assembled, so the report is ``h1_block``'s.
+    A scan passes its classical P+ ranks and certifies.  A star P+ block
+    goes to ``_filtration_report``, else exact.  On any other block the
+    ranks r1, r0 of d1 and d0 over F_p are lower bounds for the exact
+    ones, so H^1 <= N - r1 - r0 for N slots; when the bound is 0 the block
+    is "modp-zero".  Otherwise ``_witness_report`` settles it as
+    "cocycle-witness" with the paper's cocycles, representatives
+    included.  When too few candidates pass its checks, or an entry has no
+    image over F_p, ``_h1_exact`` runs on every row assembled, so the
+    report is ``h1_block``'s.
     """
+    certify = ranks is not None
+    if certify and engine._classical and block.target == "P+":
+        report = _filtration_report(block, engine, ranks, representatives)
+        if report is not None:
+            return report
+        certify = False
     slots, columns, _, bcols = _assembly(block, engine, engine.generators)
     if not slots:
         return CohomologyReport(block, 0, 0, 0, [], [], "empty")
@@ -959,12 +1082,9 @@ def _block_report(block: BlockSpec, engine: Engine, representatives: bool,
             raise ValueError("d0 leaves block (k=%d, n=%d, %s) under the h depth cap "
                              "h_depth=%d: the block is not a subcomplex"
                              % (block.k, block.n, block.target, engine.h_depth))
-    if not certify:
-        return _h1_exact(block, slots, columns, bcols, representatives)
-    rows1 = _fp_rank(columns)
-    rows0 = None if rows1 is None else _fp_rank(bcols)
-    if rows0 is not None:
-        rank_d1, rank_d0 = len(rows1), len(rows0)
+    fp = _fp_ranks(columns, bcols) if certify else None
+    if fp is not None:
+        rank_d1, rank_d0 = fp
         if rank_d1 + rank_d0 == len(slots):
             return CohomologyReport(block, len(slots) - rank_d1, rank_d0, 0, [], [], "modp-zero")
         report = _witness_report(block, engine, slots, columns, bcols, rank_d1, representatives)
@@ -977,19 +1097,21 @@ def h1_scan(k_range, n_range, target: str, engine: Engine | None = None, represe
     """Reports for every block in the window (K4 targets pin k = 2).
 
     Blocks with n != 0 are "cartan-zero" with Z = B = |C^0| (module
-    docstring).  A block with n = 0 comes from ``_assembly``, on the rows
-    of the engine's generating set, and certified over F_p when it
-    can be, by the F_p bound or by a cocycle witness, whose verified
-    cocycles of the paper are its representatives; else it is eliminated
-    exactly on those rows, as ``h1_block`` does.  An engine with an h depth
-    cap is refused: its blocks are not subcomplexes.
+    docstring).  On the star engine a P+ block with n = 0 is settled by
+    the h-filtration, with no star block assembled.  Any other block with
+    n = 0 comes from ``_assembly``, on the rows of the engine's generating
+    set, and certified over F_p when it can be, by the F_p bound or by a
+    cocycle witness, whose verified cocycles of the paper are its
+    representatives.  A block neither path settles is eliminated exactly
+    on those rows, as ``h1_block`` does.  An engine with an h depth cap is
+    refused: its blocks are not subcomplexes.
     """
     engine = engine or poisson_engine()
     if engine.h_k_weight and engine.h_depth is not None:
         raise ValueError("h1_scan needs an engine with no h depth cap, got h_depth=%d"
                          % engine.h_depth)
     ks = [2] if target in ("K4", "K4'") else k_range
-    reports = []
+    reports, ranks = [], {}  # ranks: the classical P+ pieces of the h-filtration
     for k in ks:
         for n in n_range:
             block = BlockSpec(k, n, target)
@@ -997,7 +1119,7 @@ def h1_scan(k_range, n_range, target: str, engine: Engine | None = None, represe
                 m = len(enumerate_c0(block, engine))
                 reports.append(CohomologyReport(block, m, m, 0, [], [], "cartan-zero"))
             else:
-                reports.append(_block_report(block, engine, representatives, True))
+                reports.append(_block_report(block, engine, representatives, ranks))
     return reports
 
 

@@ -421,9 +421,15 @@ THETA1_FILE = {
          "target must be one of ('P', 'P+', 'K4', \"K4'\")"),
         ({"block": {"k": 0, "n": 0, "target": "K4"}}, "K4-valued blocks require k = 2"),
         ({"block": {"k": 1, "n": 0, "target": "K4'"}}, "K4-valued blocks require k = 2"),
+        # closed schema: a misspelled key is no zero cochain
+        ({"image": {"F1": "t^-2"}}, "unknown key 'image', expected images or block"),
+        ({"images": {}, "blocks": {"k": 0, "n": 0, "target": "P"}},
+         "unknown key 'blocks', expected images or block"),
+        ({}, "missing key 'images'"),
+        ({"block": {"k": 0, "n": 0, "target": "P"}}, "missing key 'images'"),
     ],
     ids=["list", "image", "name", "block-n", "block-n-str", "block-extra", "block-target", "block-K4",
-         "block-K4prime"],
+         "block-K4prime", "key-image", "key-blocks", "no-images", "block-no-images"],
 )
 def test_malformed_cochain_file_is_usage_error(tmp_path, capsys, doc, message):
     path = tmp_path / "cochain.json"
@@ -431,6 +437,34 @@ def test_malformed_cochain_file_is_usage_error(tmp_path, capsys, doc, message):
     code, out, err = run(capsys, "cocycle", "--file", str(path))
     assert (code, out) == (2, "")
     assert err == "error: %s: %s\n" % (path, message)
+
+
+@pytest.mark.parametrize("command", [["cup", "F", "F"], ["solve-obstruction", "F", "--k", "-2"]],
+                         ids=["cup", "solve-obstruction"])
+def test_misspelled_cochain_key_is_usage_error(tmp_path, capsys, command):
+    # every command that reads a cochain file refuses the key: none of them
+    # computes with a zero cochain
+    path = tmp_path / "cochain.json"
+    path.write_text(json.dumps({"image": {"F1": "t^-2"}}))
+    code, out, err = run(capsys, *[str(path) if a == "F" else a for a in command])
+    assert (code, out) == (2, "")
+    assert err == "error: %s: unknown key 'image', expected images or block\n" % path
+
+
+def test_zero_cochain_file_is_read(tmp_path, capsys):
+    path = tmp_path / "cochain.json"
+    path.write_text(json.dumps({"images": {}}))
+    code, out, err = run(capsys, "cocycle", "--file", str(path))
+    assert (code, out, err) == (0, "%s: cocycle\n" % path, "")
+
+
+def test_byte_order_mark_is_usage_error(tmp_path, capsys):
+    # documented in the cli docstring: a UTF-8 BOM is refused
+    path = tmp_path / "cochain.json"
+    path.write_bytes(b"\xef\xbb\xbf" + json.dumps(THETA1_FILE).encode())
+    code, out, err = run(capsys, "cocycle", "--file", str(path))
+    assert (code, out) == (2, "")
+    assert err.startswith("error: %s: not valid JSON: " % path) and err.count("\n") == 1
 
 
 def test_invalid_json_is_usage_error(tmp_path, capsys):
@@ -449,8 +483,11 @@ def test_invalid_json_is_usage_error(tmp_path, capsys):
         ({"orders": ["rho1.json", 7]}, "orders must name cochain files, got int"),
         ({"orders": "rho1.json"}, "orders must be a list, got str"),
         ({"engine": "bogus", "orders": ["rho1.json"]}, "unknown engine 'bogus'"),
+        # closed schema: a misspelled key is no undeformed map
+        ({"order": ["rho1.json"]}, "unknown key 'order', expected engine or orders"),
+        ({"engine": "poisson"}, "missing key 'orders'"),
     ],
-    ids=["list", "entry", "orders", "engine"],
+    ids=["list", "entry", "orders", "engine", "key-order", "no-orders"],
 )
 def test_malformed_deformation_file_is_usage_error(tmp_path, capsys, doc, message):
     (tmp_path / "rho1.json").write_text(json.dumps(THETA1_FILE))

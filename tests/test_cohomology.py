@@ -734,6 +734,9 @@ def test_modp_certificate_matches_exact(scan):
             expected = "cartan-zero"
         elif not coh.enumerate_c1(rpt.block, engine):
             expected = "empty"
+        elif star:
+            # the star engine's blocks, zero or not, from its h-filtration
+            expected = "h-filtration"
         else:
             # every nonzero block of these scans has an F_p image
             expected = "cocycle-witness" if rpt.dim_h1 else "modp-zero"
@@ -821,20 +824,24 @@ def _assert_same_classes(rpt, exact, engine):
 
 @pytest.mark.parametrize("representatives", [False, True])
 def test_cocycle_witness_matches_exact(representatives):
-    # every n = 0 block of the set: the witness settles each nonzero one,
-    # with the every-row elimination's dimensions and pivot list, and
-    # representatives that span the same classes as its representatives
+    # every n = 0 block of the set: the witness settles each nonzero Poisson
+    # block and the h-filtration each nonempty star block, with the
+    # every-row elimination's dimensions and pivot list, and representatives
+    # that span the same classes as its representatives
     blocks, settled = 0, 0
     for star, alpha, target, ks in WITNESS_SCANS:
         engine, oracle = _engines(star, alpha)
         for rpt in coh.h1_scan(ks, [0], target, engine, representatives=representatives):
             blocks += 1
-            assert rpt.certificate in ("empty", "modp-zero", "cocycle-witness"), rpt.block
-            if rpt.certificate == "cocycle-witness":
-                settled += 1
+            assert rpt.certificate in (
+                ("empty", "h-filtration") if star else ("empty", "modp-zero", "cocycle-witness")
+            ), rpt.block
+            if rpt.certificate in ("cocycle-witness", "h-filtration"):
+                # the zero star blocks are checked too, and not counted
+                settled += rpt.dim_h1 > 0
                 exact = _every_row_report(rpt.block, oracle, representatives)
                 assert _report_key(rpt) == _report_key(exact), (target, rpt.block)
-                assert rpt.dim_h1
+                assert rpt.dim_h1 or rpt.certificate == "h-filtration"
                 assert len(rpt.representatives) == (rpt.dim_h1 if representatives else 0)
                 if representatives:
                     _assert_same_classes(rpt, exact, oracle)
@@ -858,8 +865,8 @@ def test_cocycle_witness_falls_back_to_exact(make_engine, block, representatives
     engine = make_engine()
     exact = coh.h1_block(block, engine, representatives=representatives)
     [rpt] = coh.h1_scan([block.k], [0], block.target, engine, representatives=representatives)
-    assert rpt.certificate == "cocycle-witness"
-    rank_mod_p, candidates = linalg.rank_mod_p, coh._witness_candidates
+    assert rpt.certificate == ("h-filtration" if engine.h_k_weight else "cocycle-witness")
+    rank_mod_p, candidates, fp_ranks = linalg.rank_mod_p, coh._witness_candidates, coh._fp_ranks
 
     def raised(block, engine):
         # each candidate with its first coefficient raised by one: no cocycle
@@ -878,13 +885,25 @@ def test_cocycle_witness_falls_back_to_exact(make_engine, block, representatives
         # an H1 image term of n-degree 1, in no block with n = 0
         return [c + coh.Cochain1({"H1": mono(t=1)}) for c in candidates(block, engine)]
 
-    patches = [
-        (linalg, "rank_mod_p", lambda *args: rank_mod_p(*args)[:-1]),  # one pivot key dropped
-        (coh, "_witness_candidates", raised),
-        (coh, "_witness_candidates", coboundary),
-        (coh, "_witness_candidates", outside),
-        (coh, "_witness_candidates", lambda block, engine: []),
-    ]
+    def d0_short(columns, bcols):
+        # each classical piece with a d0 rank: one less, and d1's one more,
+        # so the bound stays 1 and only d0's injectivity fails
+        r1, r0 = fp_ranks(columns, bcols)
+        return (r1 + 1, r0 - 1) if r0 else (r1, r0)
+
+    patches = [(linalg, "rank_mod_p", lambda *args: rank_mod_p(*args)[:-1])]  # one pivot key dropped
+    if engine.h_k_weight:
+        patches += [
+            (coh.Engine, "thetabar1_is_cocycle", property(lambda self: False)),
+            (coh, "_fp_ranks", d0_short),
+        ]
+    else:
+        patches += [
+            (coh, "_witness_candidates", raised),
+            (coh, "_witness_candidates", coboundary),
+            (coh, "_witness_candidates", outside),
+            (coh, "_witness_candidates", lambda block, engine: []),
+        ]
     for i, (module, name, patch) in enumerate(patches):
         with monkeypatch.context() as m:
             m.setattr(module, name, patch)
@@ -893,6 +912,90 @@ def test_cocycle_witness_falls_back_to_exact(make_engine, block, representatives
         assert _report_key(rpt) == _report_key(exact), i
         assert rpt.representatives == exact.representatives, i
         assert len(rpt.representatives) == (rpt.dim_h1 if representatives else 0)
+
+
+# -- the h-filtration of the star blocks ----------------------------------------------
+
+
+def _piece(key, j):
+    """A monomial key of a star block with its h power lowered by j: the
+    key in the classical piece (k - 2j, 0)."""
+    return key[:4] + (key[4] - j,)
+
+
+def test_star_blocks_are_block_triangular_over_classical_pieces():
+    # star P+ (k, 0) for |k| <= 12: the slots and C^0 keys are those of the
+    # classical P+ blocks (k - 2j, 0) times h^j; ordered by h power, d1 on
+    # the rows of the generating set and d0 are block-triangular (no entry
+    # lowers the h power of its column), and the piece from h^j to h^j is
+    # the classical block's matrix, entry for entry
+    star, poisson = coh.quantized_engine(), coh.poisson_engine()
+    rows = star.generators
+    checked = 0
+    for k in range(-12, 13):
+        block = coh.BlockSpec(k, 0, "P+")
+        slots, columns, mon0, bcols = coh._assembly(block, star, rows)
+        d1_column, d0_column = dict(zip(slots, columns)), dict(zip(mon0, bcols))
+        pieces = {key[4] for _, key in slots}
+        assert {key[4] for key in mon0} <= pieces
+        assert len(slots) == sum(len(coh.enumerate_c1(coh.BlockSpec(k - 2 * j, 0, "P+"), poisson))
+                                 for j in pieces)
+        for j in pieces:
+            piece = coh.BlockSpec(k - 2 * j, 0, "P+")
+            own_slots, own_columns, table = coh._d1_columns(piece, poisson, rows)
+            own_mon0, own_bcols = coh._d0_columns(piece, poisson, table)
+            assert [(name, _piece(key, j)) for name, key in slots if key[4] == j] == own_slots, piece
+            assert [_piece(key, j) for key in mon0 if key[4] == j] == own_mon0, piece
+            for (name, key), own in zip(own_slots, own_columns):
+                vec = d1_column[(name, key[:4] + (j,))]
+                assert all(mk[4] >= j for _, mk in vec), (block, name, key)
+                assert {(pi, _piece(mk, j)): c for (pi, mk), c in vec.items() if mk[4] == j} == own
+                checked += 1
+            for key, own in zip(own_mon0, own_bcols):
+                vec = d0_column[key[:4] + (j,)]
+                assert all(mk[4] >= j for _, mk in vec), (block, key)
+                assert {(name, _piece(mk, j)): c for (name, mk), c in vec.items()
+                        if mk[4] == j} == own
+                checked += 1
+    assert checked == 938  # columns of d1 and d0 over the 25 blocks
+
+
+@pytest.mark.parametrize("alpha", [None, 1, -1], ids=["generic", "1", "-1"])
+def test_star_scan_matches_h1_block(alpha):
+    # k in -10..10: the h-filtration's dimensions and pivot lists are
+    # h1_block's exact ones, and its representatives span the same classes
+    engine, oracle = _engines(True, alpha)
+    for rpt in coh.h1_scan(range(-10, 11), [0], "P+", engine):
+        exact = coh.h1_block(rpt.block, engine)
+        assert rpt.certificate in ("empty", "h-filtration"), rpt.block
+        assert _report_key(rpt) == _report_key(exact), rpt.block
+        assert rpt.dim_h1 == (rpt.block.k >= 0 and rpt.block.k % 2 == 0)
+        _assert_same_classes(rpt, exact, oracle)
+
+
+def test_star_scan_without_fp_image_runs_exact():
+    # at alpha = 1/p each classical P+ piece (k', 0) with k' >= 0 has an
+    # entry with no F_p image, so every star block that meets one, that is
+    # every block with slots and k >= 0, is eliminated exactly: h1_block's
+    # report, representatives included; (-2, 0), whose one piece has an
+    # image, is still settled
+    alpha = Fraction(1, coh.FP_PRIME)
+    engine, classical = coh.quantized_engine(alpha), coh.poisson_engine(alpha)
+    exact_blocks = []
+    for rpt in coh.h1_scan(range(-4, 7), [0], "P+", engine):
+        exact = coh.h1_block(rpt.block, engine)
+        assert _report_key(rpt) == _report_key(exact), rpt.block
+        if not coh.enumerate_c1(rpt.block, engine):
+            assert rpt.certificate == "empty", rpt.block
+        elif rpt.block.k >= 0:
+            _, columns, _, bcols = coh._assembly(rpt.block, classical, classical.generators)
+            assert coh._fp_ranks(columns, bcols) is None, rpt.block
+            assert rpt.certificate == "exact", rpt.block
+            assert rpt.representatives == exact.representatives, rpt.block
+            exact_blocks.append(rpt.block.k)
+        else:
+            assert (rpt.block.k, rpt.certificate) == (-2, "h-filtration")
+    assert exact_blocks == [0, 2, 4, 6]
 
 
 # -- scans on the rows of a generating set ------------------------------------------
@@ -1039,9 +1142,10 @@ def test_alpha_blocks_are_the_evaluated_generic_blocks(alpha, monkeypatch):
     # alpha: in values and key sets, the columns the reference engine
     # assembles from its own tables, on the rows of the same certified set,
     # the same h1_block report, and the same scan with no witness
-    # candidates (the reference engine knows no alpha, so the paper's
-    # cocycles fail its checks); the view's own scan has its dimensions
-    # and pivot lists
+    # candidates and no h-filtration (the reference engine knows no alpha,
+    # so the paper's cocycles fail its checks, and it has no Poisson engine
+    # at alpha to filter by); the view's own scan has its dimensions and
+    # pivot lists
     for star, targets in ((False, coh.TARGETS), (True, ["P+"])):
         engine, reference = _engines(star, alpha)
         assert engine.generators == reference.generators
@@ -1061,6 +1165,7 @@ def test_alpha_blocks_are_the_evaluated_generic_blocks(alpha, monkeypatch):
             scan = coh.h1_scan(ks, [0], target, engine)
             with monkeypatch.context() as m:
                 m.setattr(coh, "_witness_candidates", lambda block, engine: [])
+                m.setattr(engine, "_classical", None)
                 exact = coh.h1_scan(ks, [0], target, reference)
                 assert _payloads(coh.h1_scan(ks, [0], target, engine)) == _payloads(exact), target
             assert [_report_key(r) for r in scan] == [_report_key(r) for r in exact], target
@@ -1097,18 +1202,50 @@ def test_empty_blocks_are_labelled_empty():
 def test_scan_assembles_each_block_once(scan, monkeypatch):
     _, _, target, window = CERTIFIED_SCANS[scan]
     engine = _fresh_engine(scan.startswith("star"))
+    if engine.h_k_weight:
+        classical = _fresh_engine()  # an empty store: every piece is assembled
+        engine._classical = lambda: classical
     blocks = []
     assemble = coh._d1_columns
 
-    def counted(block, *args, **kwargs):
-        blocks.append(block)
-        return assemble(block, *args, **kwargs)
+    def counted(block, on, *args, **kwargs):
+        blocks.append((on, block))
+        return assemble(block, on, *args, **kwargs)
 
     monkeypatch.setattr(coh, "_d1_columns", counted)
     reports = coh.h1_scan(window, window, target, engine, representatives=False)
-    assert blocks == [r.block for r in reports if r.block.n == 0]
+    scanned = [r.block for r in reports if r.block.n == 0]
+    if engine.h_k_weight:
+        # no star block: each classical P+ piece of the h-filtration, once
+        pieces = [b for on, b in blocks if on is classical]
+        assert len(pieces) == len(blocks) == len(set(pieces))
+        assert set(pieces) == {coh.BlockSpec(b.k - 2 * key[4], 0, "P+")
+                               for b in scanned for _, key in coh.enumerate_c1(b, engine)}
+    else:
+        assert [b for _, b in blocks] == scanned
     # nonzero blocks too: the exact path reuses the certificate's assembly
     assert any(r.dim_h1 for r in reports)
+
+
+@pytest.mark.parametrize("representatives", [False, True])
+def test_star_scan_assembles_no_star_block(representatives, monkeypatch):
+    # at generic alpha the h-filtration settles every block of the window,
+    # the tower included, with nothing of the star engine assembled
+    engine = coh.quantized_engine()
+    d1_columns, assembly = coh._d1_columns, coh._assembly
+
+    def refused(original):
+        def wrapper(block, on, *args):
+            assert not on.h_k_weight, "star block %s assembled" % (block,)
+            return original(block, on, *args)
+        return wrapper
+
+    monkeypatch.setattr(coh, "_d1_columns", refused(d1_columns))
+    monkeypatch.setattr(coh, "_assembly", refused(assembly))
+    reports = coh.h1_scan(range(-6, 11), [0], "P+", engine, representatives=representatives)
+    assert {r.certificate for r in reports} == {"empty", "h-filtration"}
+    assert [r.block.k for r in reports if r.dim_h1] == [0, 2, 4, 6, 8, 10]
+    assert sum(len(r.representatives) for r in reports) == (6 if representatives else 0)
 
 
 def _payloads(reports):
